@@ -22,7 +22,7 @@ from .intersect import (CommonComponent, PlaneIntersection, conic_rational_point
                         curve_rational_points, intersect_plane_curves)
 from .roots import binary_quadratic_roots
 from .scalars import PrimeField, ZeroInput, quad_sqrt
-from .tau import TauInstance, embed_with_x01
+from .tau import TauInstance, embed_with_x01, fibre_points
 
 
 class DegenerateConicPart(ValueError):
@@ -70,18 +70,8 @@ class FiberConic:
     def coefficients(self):
         return (self.alpha, self.beta, self.gamma, self.delta)
 
-    def conic_form(self) -> Form:
-        return Form.from_terms(3, 2, {(2, 0, 0): self.alpha, (0, 2, 0): self.beta,
-                                      (1, 1, 0): self.gamma, (0, 0, 2): self.delta},
-                               self.domain)
-
     def rank(self) -> int:
         return self.gram.rank(self.domain)
-
-    def to_ambient(self, pt3):
-        """Map plane coordinates (x0, x1, s) to P^4."""
-        return tuple(sum((row[j] * pt3[j] for j in range(3)),
-                         start=pt3[0] - pt3[0]) for row in self.plane_rows)
 
 
 def fiber_conic(instance: TauInstance, P) -> FiberConic:
@@ -316,7 +306,7 @@ def family_gram(instance: TauInstance) -> SymMatrix3:
 
 
 # ---------------------------------------------------------------------------
-# sampling points on the discriminant components
+# F_p points on the discriminant components, from the plane-curve enumerator
 
 
 def points_on_conic_component(instance: TauInstance, rng: random.Random, count: int,
@@ -583,7 +573,8 @@ def _coerce_form(f: Form, fld):
 
 
 def _probe_cone_surface(instance, quadric_index, rng, probe_prime, probe_count):
-    """Jacobian ranks at rational points of the cone surface off the fixed line."""
+    """Jacobian ranks at rational points of the cone surface off the fixed line,
+    one point from the fibre over each of a seeded sample of conic points."""
     domain = instance.domain
     if isinstance(domain, PrimeField):
         work = instance
@@ -596,37 +587,19 @@ def _probe_cone_surface(instance, quadric_index, rng, probe_prime, probe_count):
     conic = work.conic_part()
     K = embed_with_x01(conic, 0, 0)
     F = work.quadric(quadric_index)
-    q = work.quadrics[quadric_index]
     gradsK = [partial_derivative(K, i) for i in range(5)]
     gradsF = [partial_derivative(F, i) for i in range(5)]
     count = 0
     singular = []
-    cpts = conic_rational_points(conic, rng, probe_count * 4 + 8)
-    for c in cpts:
+    for c in conic_rational_points(conic, rng, probe_count * 4 + 8):
         if count >= probe_count:
             break
-        f2c = evaluate(q.f2, c)
-        # solve a00 x0^2 + a01 x0 + (a11 + f2(c)) = 0 at x1 = 1, else x1 = 0
-        cands = []
-        if q.a00:
-            disc = q.a01 * q.a01 - 4 * q.a00 * (q.a11 + f2c)
-            from .scalars import _sqrt_mod_p
-            s = _sqrt_mod_p(disc.residue, p) if disc else 0
-            if s is not None:
-                sval = fdom.coerce(s)
-                for sgn in (sval, -sval):
-                    x0 = (-q.a01 + sgn) / (2 * q.a00)
-                    cands.append((x0, fdom.one))
-        for x0x1 in cands:
-            pt = x0x1 + c
-            if evaluate(K, pt) or evaluate(F, pt):
-                continue
-            if not any(pt[2:]):
-                continue
-            jac = [[evaluate(g, pt) for g in gradsK],
-                   [evaluate(g, pt) for g in gradsF]]
-            count += 1
-            if linalg.rank(jac, fdom) < 2:
-                singular.append(pt)
-            break
+        pt = next(fibre_points(K, F, c), None)
+        if pt is None:
+            continue
+        jac = [[evaluate(g, pt) for g in gradsK],
+               [evaluate(g, pt) for g in gradsF]]
+        count += 1
+        if linalg.rank(jac, fdom) < 2:
+            singular.append(pt)
     return count, singular

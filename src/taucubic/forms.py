@@ -555,26 +555,12 @@ class SmoothnessVerdict:
     witness: tuple | None = None
     resultants: dict | None = None
 
-    @property
-    def is_smooth(self):
-        return self.status == SMOOTH_CERTIFIED
-
 
 def _witness_grid(nvars, domain, radius=2):
     vals = [domain.coerce(v) for v in range(-radius, radius + 1)]
     for pt in itertools.product(vals, repeat=nvars):
         if any(pt):
             yield pt
-
-
-def _projective_points_fp(nvars: int, p: int):
-    """One representative per point of P^(nvars-1)(F_p): first nonzero coord = 1."""
-    field = PrimeField(p)
-    one = field.one
-    for lead in range(nvars):
-        zeros = [field.zero] * lead
-        for tail in itertools.product(range(p), repeat=nvars - lead - 1):
-            yield tuple(zeros + [one] + [FpElem(t, p) for t in tail])
 
 
 def is_smooth_hypersurface(f: Form, primes) -> SmoothnessVerdict:
@@ -623,7 +609,8 @@ def is_smooth_hypersurface(f: Form, primes) -> SmoothnessVerdict:
             return SmoothnessVerdict(SMOOTH_CERTIFIED, resultants={p: res.residue})
         npoints = sum(p ** k for k in range(f.num_vars))
         if npoints <= 25000:
-            witness = _search_singular_witness(partials, _projective_points_fp(f.num_vars, p))
+            from .bruteforce import projective_points_fp  # bruteforce imports this module
+            witness = _search_singular_witness(partials, projective_points_fp(f.num_vars, p))
             if witness is not None:
                 return SmoothnessVerdict(SINGULAR_CERTIFIED, witness=witness,
                                          resultants={p: 0 if res is not None else None})

@@ -6,6 +6,9 @@ points share a projection), a Sylvester resultant, and the root ledger of the
 resulting binary form.  Multiplicity totals and squarefreeness are certified
 on the eliminant; explicit coordinates are produced for Galois orbits of
 degree <= 2 over the working field.
+
+Over F_p the rational points of a single plane curve are enumerated exactly,
+slice by slice, rather than searched for.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import random
 from dataclasses import dataclass, field
 
 from . import roots as uv
-from .forms import Form, compose_linear, evaluate, partial_derivative, sylvester_resultant
+from .bruteforce import projective_points_fp
+from .forms import (Form, compose_linear, evaluate, monomials, partial_derivative,
+                    sylvester_resultant)
 from .linalg import rank
 from .roots import BinaryRootLedger, RootEntry, binary_form_roots
 
@@ -42,10 +47,6 @@ class PlaneIntersection:
     clusters: list[RootEntry] = field(default_factory=list)
     ledger: BinaryRootLedger | None = None
 
-    @property
-    def all_transversal(self):
-        return self.distinct and all(p.transversal is not False for p in self.points)
-
 
 def _shear_rows(domain, a, b):
     one, zero = domain.one, domain.zero
@@ -71,7 +72,6 @@ def _point_domain(pt, fallback):
 def _slice_in_x2(f: Form, x3, x4, domain):
     """Coefficient list (ascending) of t -> f(t, x3, x4)."""
     coeffs = [None] * (f.degree + 1)
-    from .forms import monomials
     pows3 = [domain.one]
     pows4 = [domain.one]
     for _ in range(f.degree):
@@ -198,130 +198,36 @@ def _is_transversal(f, g, coords, domain):
 
 
 # ---------------------------------------------------------------------------
-# point sampling on plane curves over F_p
+# rational points of plane curves over F_p, by enumeration
 
 
-def rational_point_on_conic(conic: Form, rng: random.Random, tries: int = 400):
-    """A rational point on a ternary conic over F_p, or None."""
-    domain = conic.domain
+def _plane_curve_points(f: Form, rng: random.Random, count: int):
+    """The first ``count`` points of a seeded shuffle of every F_p point of the
+    plane curve f = 0.  The list is complete: (1 : 0 : 0), then the roots of
+    the x2-slice over each (x3 : x4) in P^1(F_p)."""
+    domain = f.domain
     p = domain.p
-    for _ in range(tries):
-        # random line u*A + s*B; roots of the restricted binary quadratic
-        A = tuple(domain.coerce(rng.randrange(p)) for _ in range(3))
-        B = tuple(domain.coerce(rng.randrange(p)) for _ in range(3))
-        pt = _second_intersection_of_line(conic, A, B, domain)
-        if pt is not None:
-            return pt
-    return None
-
-
-def _second_intersection_of_line(conic, A, B, domain):
-    from .roots import binary_quadratic_roots
-    ca = evaluate(conic, A)
-    cb = evaluate(conic, B)
-    # conic(uA + sB) = ca u^2 + bil u s + cb s^2
-    mixed = evaluate(conic, tuple(a + b for a, b in zip(A, B))) - ca - cb
-    if not ca and not mixed and not cb:
-        return None
-    try:
-        roots, fld = binary_quadratic_roots(ca, mixed, cb, domain)
-    except ValueError:
-        return None
-    for (u, s), _ in roots:
-        if fld is not domain:
-            return None
-        pt = tuple(u * a + s * b for a, b in zip(A, B))
-        if any(pt):
-            return pt
-    return None
+    one, zero = domain.one, domain.zero
+    out = [] if evaluate(f, (one, zero, zero)) else [(one, zero, zero)]
+    for x3, x4 in projective_points_fp(2, p):
+        cs = _slice_in_x2(f, x3, x4, domain)
+        if cs:
+            xs = [t for t, _mult in uv.fp_rational_roots(cs, p)[0]]
+        else:  # the line through (1 : 0 : 0) and (0 : x3 : x4) is a component
+            xs = [domain.coerce(t) for t in range(p)]
+        out.extend((x2, x3, x4) for x2 in xs)
+    for pt in out:
+        if evaluate(f, pt):
+            raise ArithmeticError("enumerated point is off its curve")
+    rng.shuffle(out)
+    return out[:count]
 
 
 def conic_rational_points(conic: Form, rng: random.Random, count: int):
-    """Random rational points on a smooth conic over F_p via the line pencil."""
-    domain = conic.domain
-    p = domain.p
-    base = rational_point_on_conic(conic, rng)
-    if base is None:
-        return []
-    gram = _gram3(conic)
-    out, seen = [], set()
-    guard = 0
-    while len(out) < count and guard < 60 * count + 200:
-        guard += 1
-        d = tuple(domain.coerce(rng.randrange(p)) for _ in range(3))
-        if not any(d):
-            continue
-        # second intersection of the line through base with direction d
-        cd = evaluate(conic, d)
-        bil = _bilinear(gram, base, d, domain)
-        if not cd and not bil:
-            continue
-        pt = tuple(cd * b - bil * dd for b, dd in zip(base, d))
-        if not any(pt):
-            continue
-        key = _normalize_key(pt, domain)
-        if key in seen:
-            continue
-        seen.add(key)
-        if evaluate(conic, pt):
-            raise ArithmeticError("conic parametrization produced an off-curve point")
-        out.append(pt)
-    return out
+    """The first ``count`` points of a seeded shuffle of all F_p points of a conic."""
+    return _plane_curve_points(conic, rng, count)
 
 
-def _gram3(conic: Form):
-    from .forms import SymMatrix3
-    return SymMatrix3.gram_of_ternary(conic)
-
-
-def _bilinear(gram, u, v, domain):
-    total = domain.zero
-    for i in range(3):
-        for j in range(3):
-            total = total + gram.entries[i][j] * u[i] * v[j]
-    return total + total
-
-
-def _normalize_key(pt, domain):
-    lead = next(c for c in pt if c)
-    inv = domain.one / lead
-    return tuple(repr(c * inv) for c in pt)
-
-
-def curve_rational_points(f: Form, rng: random.Random, count: int, tries: int = 4000):
-    """Random rational points on a plane curve over F_p by slicing with lines."""
-    domain = f.domain
-    p = domain.p
-    out, seen = [], set()
-    attempts = 0
-    while len(out) < count and attempts < tries:
-        attempts += 1
-        A = tuple(domain.coerce(rng.randrange(p)) for _ in range(3))
-        B = tuple(domain.coerce(rng.randrange(p)) for _ in range(3))
-        cs = _restrict_to_line(f, A, B)
-        if not any(cs):
-            continue
-        rational, _ = uv.fp_rational_roots(list(cs), p)
-        for (t, mult) in rational:
-            pt = tuple(t * a + b for a, b in zip(A, B))
-            if not any(pt) or evaluate(f, pt):
-                continue
-            key = _normalize_key(pt, domain)
-            if key not in seen:
-                seen.add(key)
-                out.append(pt)
-                if len(out) >= count:
-                    break
-    return out
-
-
-def _restrict_to_line(f: Form, A, B):
-    """Coefficients (ascending in u) of f(u*A + B)."""
-    domain = f.domain
-    rows = [[a, b] for a, b in zip(A, B)]
-    restricted = compose_linear(f, rows)
-    cs = [domain.zero] * (f.degree + 1)
-    from .forms import monomials
-    for m, c in zip(monomials(2, f.degree), restricted.coeffs):
-        cs[m[0]] = cs[m[0]] + c
-    return cs
+def curve_rational_points(f: Form, rng: random.Random, count: int):
+    """The first ``count`` points of a seeded shuffle of all F_p points of a plane curve."""
+    return _plane_curve_points(f, rng, count)

@@ -4,7 +4,8 @@ Koszul dimension counts, eigen splits, and the Prym dimension ledger.
 Everything here is computed from degree inputs, never hard-coded, so deleting
 a target constant still re-derives it.  The sampling cross-check at the end
 compares the Koszul dimension bookkeeping against the rank of an evaluation
-matrix at random surface points over a prime field.
+matrix at surface points over a prime field, taken from a seeded walk over the
+fibres of the surface's F_p points.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def prym_dimension_ledger(conic_degree: int = 2, cubic_degree: int = 3) -> Genus
 def ideal_dimension_by_sampling(instance: TauInstance, twist: int,
                                 rng: random.Random, quadric_index: int = 0,
                                 points_factor: int = 3) -> int:
-    """Nullity of the evaluation matrix of degree-d monomials at random surface
+    """Nullity of the evaluation matrix of degree-d monomials at seeded surface
     points over F_p; the sampling counterpart of ideal_section_dimension."""
     domain = instance.domain
     if not isinstance(domain, PrimeField):

@@ -253,9 +253,6 @@ class BinaryRootLedger:
     def squarefree(self):
         return all(e.mult == 1 for e in self.entries)
 
-    def rational_points(self):
-        return [e.point for e in self.entries if e.point is not None and e.residue_degree == 1]
-
 
 def _field_label(domain):
     if isinstance(domain, RationalField):

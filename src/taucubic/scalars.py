@@ -522,7 +522,3 @@ def quad_sqrt(d, domain):
         return QuadElem(Fraction(0), scale, ext), ext
     ext = QuadraticExtension(domain, d)
     return ext.sqrt_d, ext
-
-
-def scalar_is_zero(x) -> bool:
-    return not x

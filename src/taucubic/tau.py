@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
+from .bruteforce import projective_points_fp
 from .forms import (Form, SymMatrix3, evaluate, compose_linear, macaulay_resultant,
                     monomials, partial_derivative, is_smooth_hypersurface,
                     ResultantIndeterminate, SMOOTH_CERTIFIED)
@@ -558,13 +559,10 @@ def _line_intersection_empty(f0: Form, f1: Form) -> bool:
 
 def _singular_point_probe(q0: Form, q1: Form, p: int):
     """A rational singular point of the surface {q0 = q1 = 0} over F_p, or None."""
-    from .bruteforce import projective_points_fp
     domain = PrimeField(p)
     grads0 = [partial_derivative(q0, i) for i in range(5)]
     grads1 = [partial_derivative(q1, i) for i in range(5)]
-    for pt in projective_points_fp(5, p):
-        if evaluate(q0, pt) or evaluate(q1, pt):
-            continue
+    for pt in surface_points(q0, q1):
         jac = [[evaluate(g, pt) for g in grads0], [evaluate(g, pt) for g in grads1]]
         if linalg.rank(jac, domain) < 2:
             return pt
@@ -585,49 +583,132 @@ def reduce_instance(instance: TauInstance, p: int) -> TauInstance:
 
 
 # ---------------------------------------------------------------------------
-# rational point sampling on the surface over a prime field
+# rational points of invariant surfaces over a prime field, fibre by fibre
+#
+# Projection from the fixed line sends a point (x0 : x1 : P) off the line to P
+# in the fixed plane.  A tau-invariant quadric or cubic G has (x0, x1)-degree 0
+# or 2, so on the fibre over a fixed representative P it reads q_G(x0, x1) + c_G
+# with q_G a binary quadratic, and the fibre of {G = H = 0} is cut out by two
+# such equations in the affine (x0, x1)-plane.
+
+
+def _fixed_plane_point(k: int, domain):
+    """The k-th normalised point of the fixed plane P^2(F_p), 0 <= k < p^2 + p + 1."""
+    p = domain.p
+    if k < p * p:
+        return (domain.one, domain.coerce(k // p), domain.coerce(k % p))
+    if k < p * p + p:
+        return (domain.zero, domain.one, domain.coerce(k - p * p))
+    return (domain.zero, domain.zero, domain.one)
+
+
+def _fibre_restriction(G: Form, P):
+    """(a, m, b), c with G(x0, x1, P) = a x0^2 + m x0 x1 + b x1^2 + c."""
+    zero, one = G.domain.zero, G.domain.one
+    c = evaluate(G, (zero, zero) + P)
+    a = evaluate(G, (one, zero) + P) - c
+    b = evaluate(G, (zero, one) + P) - c
+    return (a, evaluate(G, (one, one) + P) - c - a - b, b), c
+
+
+def _binary_value(q, u, v):
+    return q[0] * u * u + q[1] * u * v + q[2] * v * v
+
+
+def _rational_roots(q, domain):
+    """The F_p-rational projective roots (u : v) of a nonzero binary quadratic."""
+    roots, fld = binary_quadratic_roots(q[0], q[1], q[2], domain)
+    return [r for r, _mult in roots] if fld == domain else []
+
+
+def _affine_conic_points(q, c, domain):
+    """All (x0, x1) in F_p^2 with q(x0, x1) + c = 0, scanning x0; a generator."""
+    a, m, b = q
+    for x0 in (domain.coerce(t) for t in range(domain.p)):
+        # b x1^2 + (m x0) x1 + (a x0^2 + c) as a binary form in (x1 : 1)
+        coeffs = (b, m * x0, a * x0 * x0 + c)
+        if not any(coeffs):
+            yield from ((x0, domain.coerce(t)) for t in range(domain.p))
+        else:
+            yield from ((x0, x1 / w) for x1, w in _rational_roots(coeffs, domain) if w)
+
+
+def fibre_points(G: Form, H: Form, P):
+    """The F_p points (x0, x1, P) of {G = H = 0} over one point P of the fixed
+    plane, for tau-invariant quadrics or cubics G and H over a prime field
+    (higher degrees have x0, x1-parts of degree 4 or more).  A generator;
+    every point is checked on both equations.
+
+    With E = c_H q_G - c_G q_H every solution x satisfies E(x) = 0.  If E is
+    not identically zero, x = s (u, v) over its rational roots (u : v), with
+    s^2 read off whichever equation is not degenerate at (u, v).  If E vanishes
+    but one constant does not, the other equation is a multiple of that one
+    and its affine conic is scanned.  If both constants vanish, x = 0 and the
+    whole lines over the common roots of q_G and q_H are solutions.
+    """
+    domain = G.domain
+    P = tuple(P)
+    qG, cG = _fibre_restriction(G, P)
+    qH, cH = _fibre_restriction(H, P)
+    E = tuple(cH * g - cG * h for g, h in zip(qG, qH))
+    if any(E):
+        xs = []
+        for u, v in _rational_roots(E, domain):
+            val, c = _binary_value(qG, u, v), cG
+            if not val:
+                val, c = _binary_value(qH, u, v), cH
+            s = domain.sqrt_or_none(-c / val) if val else None
+            if s:
+                xs += [(s * u, s * v), (-s * u, -s * v)]
+    elif cG or cH:
+        xs = _affine_conic_points(*((qG, cG) if cG else (qH, cH)), domain)
+    else:
+        if any(qG) or any(qH):
+            q, other = (qG, qH) if any(qG) else (qH, qG)
+            common = [r for r in _rational_roots(q, domain) if not _binary_value(other, *r)]
+        else:
+            common = list(projective_points_fp(2, domain.p))
+        units = [domain.coerce(t) for t in range(1, domain.p)]
+        xs = [(domain.zero, domain.zero)] + [(s * u, s * v) for u, v in common for s in units]
+    for x in xs:
+        pt = x + P
+        if evaluate(G, pt) or evaluate(H, pt):
+            raise ArithmeticError("fibre point is off the surface")
+        yield pt
+
+
+def surface_points(G: Form, H: Form):
+    """All F_p points of {G = H = 0} for tau-invariant quadrics or cubics G and
+    H, each once: the fibres over the fixed plane, then the fixed line.  A
+    generator."""
+    p = G.domain.p
+    for P in projective_points_fp(3, p):
+        yield from fibre_points(G, H, P)
+    zero = G.domain.zero
+    for x0, x1 in projective_points_fp(2, p):
+        pt = (x0, x1, zero, zero, zero)
+        if not evaluate(G, pt) and not evaluate(H, pt):
+            yield pt
 
 
 def random_points_on_surface(instance: TauInstance, rng: random.Random, count: int,
-                             quadric_index: int = 0, max_planes: int = 400):
-    """Rational points of {cubic = quadric = 0} over F_p, found by slicing with
-    random planes and intersecting the two restricted plane curves."""
+                             quadric_index: int = 0):
+    """Up to ``count`` F_p points of {cubic = quadric = 0} off the fixed line,
+    one point chosen by ``rng`` from each nonempty fibre in a seeded walk over
+    the fixed plane.  Points of one fibre would come in tau-conjugate pairs,
+    which impose the same condition on invariant forms."""
     domain = instance.domain
     if not isinstance(domain, PrimeField):
-        raise TypeError("surface sampling works over prime fields")
+        raise TypeError("surface points are enumerated over prime fields")
     p = domain.p
     phi, F = instance.cubic(), instance.quadric(quadric_index)
-    out, seen = [], set()
-    for _ in range(max_planes):
+    order = list(range(p * p + p + 1))
+    rng.shuffle(order)
+    out = []
+    for k in order:
         if len(out) >= count:
             break
-        span = [[domain.coerce(rng.randrange(p)) for _ in range(3)] for _ in range(5)]
-        if linalg.rank([list(r) for r in span], domain) < 3:
-            continue
-        cub3 = compose_linear(phi, span)
-        quad3 = compose_linear(F, span)
-        if cub3.is_zero or quad3.is_zero:
-            continue
-        try:
-            inter = intersect_plane_curves(quad3, cub3, rng, want_points=True)
-        except (CommonComponent, ArithmeticError):
-            continue
-        for pp in inter.points:
-            if pp.domain is not domain and not isinstance(pp.domain, PrimeField):
-                continue
-            u, v, w = pp.coords
-            pt = tuple(span[i][0] * u + span[i][1] * v + span[i][2] * w for i in range(5))
-            if not any(pt):
-                continue
-            if evaluate(phi, pt) or evaluate(F, pt):
-                continue
-            lead = next(c for c in pt if c)
-            pt = tuple(c / lead for c in pt)
-            key = tuple(c.residue for c in pt)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(pt)
-            if len(out) >= count:
-                break
+        fibre = list(fibre_points(phi, F, _fixed_plane_point(k, domain)))
+        if fibre:
+            out.append(rng.choice(fibre))
     return out

@@ -3,6 +3,7 @@ and the involution dichotomy, line counts, and the cone report."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from taucubic.discriminant import (DOUBLE_LINE, FIXES, SMOOTH_FIBER, SWAPS,
                                    points_on_cubic_component, split_conic,
                                    split_normal_form, tau_fiber_action)
 from taucubic.forms import Form, evaluate, exact_divide
+from taucubic.harness import load_instance
 from taucubic.scalars import PrimeField, QQ
 from taucubic.tau import TauInstance, canonical_instance, sample_instance
 
@@ -367,3 +369,13 @@ def test_cone_sampled_instances():
         assert len(rep.line_points) == 2
         assert rep.line_points_singular
         assert rep.probes_all_smooth
+
+
+def test_cone_probes_when_line_quadratic_lacks_x0_squared():
+    # a00 = 0: the pencil quadric has no x0^2 term, so its fibres over the
+    # conic cannot be solved for x0 alone
+    inst = load_instance(str(Path(__file__).parent / "fixtures" / "cone_a00_zero.json"))
+    assert not inst.quadrics[0].a00
+    rep = cone_and_singular_member(inst, probe_prime=101)
+    assert rep.probe_count == 8
+    assert rep.probes_all_smooth

@@ -7,15 +7,19 @@ from fractions import Fraction
 import pytest
 
 from taucubic import linalg
+from taucubic.bruteforce import common_projective_zeros, projective_points_fp
 from taucubic.forms import Form, evaluate, monomials, substitute_linear
+from taucubic.harness import _dir_key
+from taucubic.intersect import conic_rational_points, curve_rational_points
 from taucubic.scalars import PrimeField, QQ, QuadraticExtension
 from taucubic.tau import (FixedLoci, GenericityExhausted, QuadricPart,
                           TauInstance, UnsupportedDegree, canonical_instance,
                           check_pencil_condition, cubic_through_points,
-                          fixed_points_on_S, genericity_report, invariant_basis,
-                          invariant_coordinates, random_points_on_surface,
-                          sample_instance, sym2_eigensplit, tau_form, tau_matrix,
-                          two_point_analysis, two_point_subspace, verify_base_locus)
+                          embed_with_x01, fixed_points_on_S, genericity_report,
+                          invariant_basis, invariant_coordinates,
+                          random_points_on_surface, sample_instance, surface_points,
+                          sym2_eigensplit, tau_form, tau_matrix, two_point_analysis,
+                          two_point_subspace, verify_base_locus)
 import taucubic.tau as tau_mod
 
 F101 = PrimeField(101)
@@ -309,3 +313,96 @@ def test_pencil_condition_degenerate_conic():
     verdict = check_pencil_condition(g2, h2)
     assert not verdict.g2_smooth
     assert not verdict.rhs_holds
+
+
+# --- F_p point enumeration ----------------------------------------------
+
+
+def _assert_same_points(got, want, field):
+    keys = [_dir_key(pt, field) for pt in got]
+    assert len(keys) == len(set(keys)), "a point was emitted twice"
+    assert set(keys) == {_dir_key(pt, field) for pt in want}
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_plane_enumeration_is_complete(p):
+    field = PrimeField(p)
+    everything = p * p + p + 1
+    for seed in (1, 2):
+        inst = sample_instance(seed, 10, domain=field)
+        for f in (inst.f3, inst.conic_part()):
+            want = [pt for pt in projective_points_fp(3, p) if not evaluate(f, pt)]
+            for enumerate_points in (curve_rational_points, conic_rational_points):
+                _assert_same_points(enumerate_points(f, random.Random(0), everything), want, field)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_surface_enumeration_is_complete(p):
+    field = PrimeField(p)
+    for seed in (1, 2):
+        inst = sample_instance(seed, 10, domain=field)
+        F = inst.quadric(0)
+        on_F = common_projective_zeros([F], p)
+        K = embed_with_x01(inst.conic_part(), 0, 0)
+        for G in (inst.cubic(), K):
+            want = [pt for pt in on_F if not evaluate(G, pt)]
+            _assert_same_points(list(surface_points(G, F)), want, field)
+        # the walk takes one point from every fibre over the fixed plane that has one
+        on_S = [pt for pt in on_F if not evaluate(inst.cubic(), pt)]
+        walk = random_points_on_surface(inst, random.Random(3), 10 ** 6)
+        assert {_dir_key(pt, field) for pt in walk} <= {_dir_key(pt, field) for pt in on_S}
+        bases = {_dir_key(pt[2:], field) for pt in walk}
+        assert len(bases) == len(walk)
+        assert bases == {_dir_key(pt[2:], field) for pt in on_S if any(pt[2:])}
+
+
+def _random_conic(rng, field):
+    return Form.from_terms(3, 2, {m: rng.randint(-2, 2) for m in monomials(3, 2)}, field)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_pencil_pair_enumeration_is_complete(p):
+    # x0^2 + g2 and x1^2 + h2, including zero, equal and low-rank conics
+    field = PrimeField(p)
+    rng = random.Random(100 + p)
+    zero = Form.zero_form(3, 2, field)
+    rank1 = Form.from_terms(3, 2, {(2, 0, 0): 1}, field)
+    pairs = [(zero, zero), (zero, rank1), (rank1, rank1)]
+    for i in range(20):
+        g2 = _random_conic(rng, field)
+        pairs.append((g2, g2 if i % 4 == 0 else _random_conic(rng, field)))
+    for g2, h2 in pairs:
+        G, H = tau_mod._special_quadric(g2, 0), tau_mod._special_quadric(h2, 1)
+        _assert_same_points(list(surface_points(G, H)), common_projective_zeros([G, H], p),
+                            field)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_invariant_pair_enumeration_is_complete(p):
+    # general invariant quadrics; every other pair has proportional x0, x1 parts,
+    # so whole fibres reduce to one affine conic
+    field = PrimeField(p)
+    rng = random.Random(200 + p)
+
+    def quadric(head):
+        terms = {(2, 0, 0, 0, 0): head[0], (1, 1, 0, 0, 0): head[1], (0, 2, 0, 0, 0): head[2]}
+        return (Form.from_terms(5, 2, terms, field)
+                + embed_with_x01(_random_conic(rng, field), 0, 0))
+
+    for i in range(20):
+        head = [rng.randint(-2, 2) for _ in range(3)]
+        other = [2 * h for h in head] if i % 2 else [rng.randint(-2, 2) for _ in range(3)]
+        G, H = quadric(head), quadric(other)
+        _assert_same_points(list(surface_points(G, H)), common_projective_zeros([G, H], p),
+                            field)
+
+
+def test_enumeration_is_seed_deterministic():
+    inst = sample_instance(11, 10, domain=F101)
+    for seed in (0, 1):
+        assert (random_points_on_surface(inst, random.Random(seed), 30)
+                == random_points_on_surface(inst, random.Random(seed), 30))
+        assert (curve_rational_points(inst.f3, random.Random(seed), 30)
+                == curve_rational_points(inst.f3, random.Random(seed), 30))
+        assert (conic_rational_points(inst.conic_part(), random.Random(seed), 30)
+                == conic_rational_points(inst.conic_part(), random.Random(seed), 30))
