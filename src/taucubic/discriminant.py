@@ -510,6 +510,7 @@ class ConeReport:
     probe_count: int
     probes_all_smooth: bool
     singular_probes: list
+    probe_undecided: str = ""  # why the off-line probes say nothing, if they do not
 
 
 def cone_and_singular_member(instance: TauInstance, quadric_index: int = 0,
@@ -553,8 +554,8 @@ def cone_and_singular_member(instance: TauInstance, quadric_index: int = 0,
                [evaluate(_coerce_form(partial_derivative(F, i), fld), pt) for i in range(5)]]
         ranks.append(linalg.rank(jac, fld))
         line_points.append(pt)
-    probes, singular = _probe_cone_surface(instance, quadric_index, rng,
-                                           probe_prime, probe_count)
+    probes, singular, undecided = _probe_cone_surface(instance, quadric_index, rng,
+                                                      probe_prime, probe_count)
     return ConeReport(
         singular_locus_is_fixed_line=sing_is_line,
         line_points=line_points,
@@ -563,6 +564,7 @@ def cone_and_singular_member(instance: TauInstance, quadric_index: int = 0,
         probe_count=probes,
         probes_all_smooth=not singular,
         singular_probes=singular,
+        probe_undecided=undecided,
     )
 
 
@@ -574,7 +576,11 @@ def _coerce_form(f: Form, fld):
 
 def _probe_cone_surface(instance, quadric_index, rng, probe_prime, probe_count):
     """Jacobian ranks at rational points of the cone surface off the fixed line,
-    one point from the fibre over each of a seeded sample of conic points."""
+    one point from the fibre over each of a seeded sample of conic points.
+
+    A rational instance is probed mod probe_prime; when its conic part drops
+    rank there, the reduced cone is singular over the conic's vertex and the
+    probes are skipped with that reason."""
     domain = instance.domain
     if isinstance(domain, PrimeField):
         work = instance
@@ -585,6 +591,8 @@ def _probe_cone_surface(instance, quadric_index, rng, probe_prime, probe_count):
         p = probe_prime
     fdom = PrimeField(p)
     conic = work.conic_part()
+    if SymMatrix3.gram_of_ternary(conic).rank(fdom) < 3:
+        return 0, [], f"the conic part drops rank mod {p}"
     K = embed_with_x01(conic, 0, 0)
     F = work.quadric(quadric_index)
     gradsK = [partial_derivative(K, i) for i in range(5)]
@@ -602,4 +610,4 @@ def _probe_cone_surface(instance, quadric_index, rng, probe_prime, probe_count):
         count += 1
         if linalg.rank(jac, fdom) < 2:
             singular.append(pt)
-    return count, singular
+    return count, singular, ""

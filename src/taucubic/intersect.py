@@ -128,7 +128,7 @@ def intersect_plane_curves(f: Form, g: Form, rng: random.Random | None = None,
                     ledger=None,
                 )
             continue
-        ledger = binary_form_roots(list(reversed(res.coeffs)), domain, rng)
+        ledger = binary_form_roots(list(reversed(res.coeffs)), domain)
         attempts.append((len(ledger.entries), a, b, fs, gs, ledger))
         if len(attempts) >= 3:
             break
@@ -174,22 +174,11 @@ def _lift_root(fs: Form, gs: Form, entry: RootEntry, domain):
     v = _slice_in_x2(gs.map_coefficients(lift, root_domain) if root_domain is not domain else gs,
                      x3, x4, root_domain)
     g = uv.gcd(u, v, root_domain)
-    if uv.degree(g) == 0:
+    if not 1 <= uv.degree(g) <= 2:
         return []
-    if uv.degree(g) == 1:
-        return [(-g[0] / g[1], x3, x4)]
-    if uv.degree(g) == 2:
-        from .scalars import QuadraticExtension
-        if isinstance(root_domain, QuadraticExtension):
-            return []  # would need a tower; stays a cluster
-        aa, bb, cc = g[2], g[1], g[0]
-        disc = bb * bb - 4 * aa * cc
-        s = root_domain.sqrt_or_none(disc)
-        if s is None:
-            return []
-        half = root_domain.one / root_domain.coerce(2)
-        return [(((-bb + sgn) * half) / aa, x3, x4) for sgn in (s, -s)]
-    return []
+    # x2-values outside the root's field are not lifted
+    return [(x2, x3, x4) for (x2, _one), fld in uv.low_degree_roots(g, root_domain)
+            if fld == root_domain]
 
 
 def _is_transversal(f, g, coords, domain):

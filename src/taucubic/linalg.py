@@ -98,9 +98,15 @@ def solve(rows, rhs, domain):
     return x
 
 
+def _residue_array(mat, p: int):
+    """Residues mod p as an int64 array while a product of two residues fits in
+    int64 (p < 2^31), else as an array of Python ints."""
+    return np.asarray(mat, dtype=np.int64 if p < 2 ** 31 else object) % p
+
+
 def det_mod_p(mat, p: int) -> int:
     """Determinant mod p of an integer matrix, vectorized elimination."""
-    a = np.asarray(mat, dtype=np.int64) % p
+    a = _residue_array(mat, p)
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("determinant of a non-square matrix")
@@ -122,7 +128,7 @@ def det_mod_p(mat, p: int) -> int:
 
 
 def rank_mod_p(mat, p: int) -> int:
-    a = np.asarray(mat, dtype=np.int64) % p
+    a = _residue_array(mat, p)
     if a.size == 0:
         return 0
     nrows, ncols = a.shape

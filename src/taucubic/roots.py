@@ -6,15 +6,22 @@ into a root ledger whose entries are either explicit points (rational over
 the working field or over one quadratic extension) or conjugate clusters of
 higher degree, each with its intersection multiplicity.  Multiplicity totals
 and squarefreeness never require leaving the base field.
+
+Roots over F_p come from one distinct-degree loop (gcd with x^(p^k) - x) and
+a Cantor-Zassenhaus equal-degree split; rational roots over Q from Hensel
+lifting the roots mod a good prime, rational reconstruction and an exact
+check.  Every factor of degree <= 2 is solved by ``binary_quadratic_roots``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 
-from .scalars import (FpElem, PrimeField, QQ, QuadElem, QuadraticExtension,
-                      RationalField, quad_sqrt, _sqrt_mod_p)
+from .scalars import (ExtensionTower, PrimeField, QQ, QuadraticExtension, RationalField,
+                      is_prime, quad_sqrt)
 
 
 def trim(cs):
@@ -25,10 +32,6 @@ def trim(cs):
 
 def degree(cs) -> int:
     return len(cs) - 1
-
-
-def is_zero(cs) -> bool:
-    return not cs
 
 
 def add(a, b):
@@ -142,81 +145,155 @@ def squarefree_decomposition(cs, domain):
 
 
 # ---------------------------------------------------------------------------
-# root extraction
+# root extraction: distinct-degree and Cantor-Zassenhaus splitting over F_p,
+# Hensel lifting with rational reconstruction over Q, and one quadratic solver
 
 
-def fp_rational_roots(cs, p: int):
-    """Roots in F_p with multiplicities, by scanning and deflating."""
-    domain = PrimeField(p)
-    cs = trim(list(cs))
-    out = []
-    for r in range(p):
-        x = FpElem(r, p)
-        if eval_poly(cs, x, domain):
-            continue
-        mult = 0
-        while not eval_poly(cs, x, domain):
-            cs = divmod_poly(cs, [-x, domain.one], domain)[0]
-            mult += 1
-        out.append((x, mult))
-        if degree(cs) <= 0:
-            break
-    return out, cs
+def _frobenius_gcd(f, frob, domain):
+    """gcd(frob - x, f) for frob = x^(p^k) mod f: the product of the distinct
+    irreducible factors of f whose degree divides k."""
+    return gcd(sub(frob, [domain.zero, domain.one], domain), f, domain)
 
 
-def canonical_quadratic_ext(p: int) -> QuadraticExtension:
-    """F_p(sqrt(D)) for the smallest positive non-residue D."""
-    fp = PrimeField(p)
-    d = 2
-    while _sqrt_mod_p(d, p) is not None:
-        d += 1
-    return QuadraticExtension(fp, d)
+def _distinct_degree(f, domain):
+    """Pairs (k, g_k) for a monic squarefree f over F_p: g_k is the product of
+    the irreducible factors of degree k."""
+    frob, k = [domain.zero, domain.one], 0
+    while degree(f) > 0:
+        k += 1
+        if 2 * k > degree(f):
+            yield degree(f), f
+            return
+        frob = powmod(frob, domain.p, f, domain)
+        g = _frobenius_gcd(f, frob, domain)
+        if degree(g) > 0:
+            yield k, g
+            f = divmod_poly(f, g, domain)[0]
+            frob = divmod_poly(frob, f, domain)[1]
 
 
-def _equal_degree_split_quadratics(cs, p: int, rng: random.Random):
-    """Split a squarefree product of irreducible quadratics over F_p."""
-    domain = PrimeField(p)
-    work = [scale(cs, domain.one / cs[-1])]
-    done = []
+def _equal_degree_split(g, k, domain):
+    """Cantor-Zassenhaus: split a monic g whose irreducible factors all have
+    degree k (1 or 2) into monic factors of degree <= 2.
+
+    The random splitting polynomials come from a private fixed-seed generator,
+    so the factors found do not depend on any caller's random state.
+    """
+    rng = random.Random(0)
+    p = domain.p
+    e = (p ** k - 1) // 2
+    work, done = [g], []
     while work:
         h = work.pop()
-        if degree(h) == 2:
+        if degree(h) <= 2:
             done.append(h)
             continue
         while True:
-            a = [domain.coerce(rng.randrange(p)) for _ in range(degree(h))]
-            a = trim(a)
+            a = trim([domain.coerce(rng.randrange(p)) for _ in range(degree(h))])
             if degree(a) < 1:
                 continue
-            t = powmod(a, (p * p - 1) // 2, h, domain)
-            t = add(t, [-domain.one])
-            g = gcd(t, h, domain)
-            if 0 < degree(g) < degree(h):
-                work.append(g)
-                work.append(divmod_poly(h, g, domain)[0])
+            s = gcd(add(powmod(a, e, h, domain), [-domain.one]), h, domain)
+            if 0 < degree(s) < degree(h):
+                work += [s, divmod_poly(h, s, domain)[0]]
                 break
     return done
 
 
-def solve_monic_quadratic_fp(b, c, ext: QuadraticExtension):
-    """Roots of x^2 + b x + c (b, c in F_p) inside F_p(sqrt(D))."""
-    fp = ext.base
-    p = fp.p
-    disc = b * b - 4 * c
-    if not disc:
-        r = -b / fp.coerce(2)
-        return [ext.coerce(r)]
-    s = _sqrt_mod_p(disc.residue, p)
-    if s is not None:
-        sq = ext.coerce(FpElem(s, p))
-    else:
-        # disc/D is then a residue; sqrt(disc) = sqrt(disc/D) * sqrt(D)
-        ratio = (disc / ext.d).residue
-        s2 = _sqrt_mod_p(ratio, p)
-        sq = QuadElem(fp.zero, FpElem(s2, p), ext)
-    half = ext.coerce(fp.one / fp.coerce(2))
-    mb = ext.coerce(-b)
-    return [(mb + sq) * half, (mb - sq) * half]
+def low_degree_roots(h, domain):
+    """[(point, field)] for the roots of a squarefree h of degree 1 or 2; empty
+    when they would need an extension of an extension."""
+    if degree(h) == 1:
+        return [((-h[0] / h[1], domain.one), domain)]
+    try:
+        roots, fld = binary_quadratic_roots(h[2], h[1], h[0], domain)
+    except ExtensionTower:
+        return []
+    return [(pt, fld) for pt, _mult in roots]
+
+
+def _split_rational_roots(g, domain):
+    """The roots of a monic g over F_p that splits into distinct linear factors,
+    ascending by residue."""
+    if degree(g) < 1:
+        return []
+    roots = [pt[0] for h in _equal_degree_split(g, 1, domain)
+             for pt, _fld in low_degree_roots(h, domain)]
+    return sorted(roots, key=lambda r: r.residue)
+
+
+def fp_rational_roots(cs, p: int):
+    """Roots in F_p with multiplicities, ascending by residue, and the cofactor
+    left after dividing them out."""
+    domain = PrimeField(p)
+    cs = trim(list(cs))
+    if degree(cs) <= 0:
+        return [], cs
+    frob = powmod([domain.zero, domain.one], p, cs, domain)
+    out = []
+    for r in _split_rational_roots(_frobenius_gcd(cs, frob, domain), domain):
+        mult = 0
+        while not eval_poly(cs, r, domain):
+            cs = divmod_poly(cs, [-r, domain.one], domain)[0]
+            mult += 1
+        out.append((r, mult))
+    return out, cs
+
+
+def _rational_reconstruction(x: int, modulus: int, n_bound: int, m_bound: int):
+    """The fraction n/m = x mod modulus with |n| <= n_bound and 0 < m <= m_bound,
+    or None; unique when 2 * n_bound * m_bound < modulus."""
+    r0, t0, r1, t1 = modulus, 0, x % modulus, 1
+    while r1 > n_bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    return Fraction(r1, t1) if 0 < t1 <= m_bound else None
+
+
+def _eval_mod(cs, x: int, modulus: int) -> int:
+    total = 0
+    for c in reversed(cs):
+        total = (total * x + c) % modulus
+    return total
+
+
+def _qq_rational_roots(f):
+    """Rational roots of a squarefree f over Q, ordered by (|n|, m, negative last).
+
+    The roots mod the first prime p > deg f that keeps the degree and the
+    squarefreeness are Newton-lifted until p^k > 2 |a_0 a_d| for the cleared
+    integer coefficients a_i, reconstructed as n/m with |n| <= |a_0| and
+    0 < m <= |a_d| (the bounds of the rational root theorem), and verified
+    exactly.  Every rational root is found.
+    """
+    den = lcm(*(c.denominator for c in f))
+    a = [int(c * den) for c in f]
+    out = []
+    if not a[0]:  # squarefree: t divides f once
+        out.append(QQ.zero)
+        a = a[1:]
+    if len(a) < 2:
+        return out
+    p = max(5, len(a))  # p > deg f
+    while True:
+        if is_prime(p) and a[-1] % p:
+            fp = PrimeField(p)
+            abar = [fp.coerce(c) for c in a]
+            if is_squarefree(abar, fp):
+                break
+        p += 1
+    da = [k * c for k, c in enumerate(a)][1:]
+    bound = 2 * abs(a[0] * a[-1])
+    for r, _mult in fp_rational_roots(abar, p)[0]:
+        x, modulus = r.residue, p
+        while modulus <= bound:
+            modulus *= modulus
+            x = (x - _eval_mod(a, x, modulus) * pow(_eval_mod(da, x, modulus), -1, modulus)) % modulus
+        cand = _rational_reconstruction(x, modulus, abs(a[0]), abs(a[-1]))
+        if cand is not None and not eval_poly(f, cand, QQ):
+            out.append(cand)
+    return sorted(out, key=lambda t: (abs(t.numerator), t.denominator, t < 0))
 
 
 @dataclass
@@ -264,13 +341,12 @@ def _field_label(domain):
     return repr(domain)
 
 
-def binary_form_roots(coeffs_asc, domain, rng: random.Random | None = None) -> BinaryRootLedger:
+def binary_form_roots(coeffs_asc, domain) -> BinaryRootLedger:
     """Root ledger of a binary form f(x, y) = sum c_i x^i y^(d-i).
 
     Input is the list [c_0, ..., c_d] (ascending in x).  The point (1:0) is
     handled through the y-degree drop; finite roots come from f(t, 1).
     """
-    rng = rng or random.Random(1)
     cs = trim(list(coeffs_asc))
     if not cs:
         raise ValueError("zero binary form has no root ledger")
@@ -280,172 +356,44 @@ def binary_form_roots(coeffs_asc, domain, rng: random.Random | None = None) -> B
     if m < d:
         ledger.entries.append(RootEntry((domain.one, domain.zero), d - m, 1,
                                         _field_label(domain), domain))
-    if m == 0:
-        return ledger
     for factor, mult in squarefree_decomposition(cs, domain):
-        _collect_roots_of_squarefree(factor, mult, domain, ledger, rng)
+        ledger.entries += _squarefree_entries(factor, mult, domain)
     return ledger
 
 
-def _collect_roots_of_squarefree(f, mult, domain, ledger, rng):
-    label = _field_label(domain)
-    if isinstance(domain, PrimeField):
-        p = domain.p
-        rational, rest = fp_rational_roots(f, p)
-        for r, k in rational:
-            ledger.entries.append(RootEntry((r, domain.one), mult * k, 1, label, domain))
-        if degree(rest) <= 0:
-            return
-        # quadratic-orbit part: factors dividing x^(p^2) - x
-        frob2 = powmod([domain.zero, domain.one], p * p, rest, domain)
-        quad_part = gcd(sub(frob2, [domain.zero, domain.one], domain), rest, domain)
-        residual = divmod_poly(rest, quad_part, domain)[0] if degree(quad_part) > 0 else rest
-        if degree(quad_part) > 0:
-            ext = canonical_quadratic_ext(p)
-            for q in _equal_degree_split_quadratics(quad_part, p, rng):
-                b, c = q[1] / q[2], q[0] / q[2]
-                for root in solve_monic_quadratic_fp(b, c, ext):
-                    ledger.entries.append(RootEntry((root, ext.one), mult, 1,
-                                                    _field_label(ext), ext))
-        if degree(residual) > 0:
-            for deg_k, count in _distinct_degree_profile(residual, p):
-                for _ in range(count):
-                    ledger.entries.append(RootEntry(None, mult, deg_k, label, domain))
-        return
-    if isinstance(domain, RationalField):
-        rest = list(f)
-        for r, k in _rational_roots_qq(rest):
-            ledger.entries.append(RootEntry((r, domain.one), mult * k, 1, label, domain))
-            for _ in range(k):
-                rest = divmod_poly(rest, [-r, QQ.one], domain)[0]
-        if degree(rest) <= 0:
-            return
-        if degree(rest) == 2:
-            a, b, c = rest[2], rest[1], rest[0]
-            disc = b * b - 4 * a * c
-            root, fld = quad_sqrt(disc, QQ)
-            if fld is QQ:
-                # squarefree input: disc = 0 cannot happen here
-                for sgn in (root, -root):
-                    t = (-b + sgn) / (2 * a)
-                    ledger.entries.append(RootEntry((t, QQ.one), mult, 1, label, QQ))
-            else:
-                half = fld.one / fld.coerce(2)
-                inv_a = fld.coerce(QQ.one / a)
-                for sgn in (root, -root):
-                    t = (fld.coerce(-b) + sgn) * half * inv_a
-                    ledger.entries.append(RootEntry((t, fld.one), mult, 1,
-                                                    _field_label(fld), fld))
-            return
-        ledger.entries.append(RootEntry(None, mult, degree(rest), label, domain))
-        return
-    # quadratic extensions: explicit roots only for degree <= 2 remainders
-    rest = list(f)
-    changed = True
-    while degree(rest) >= 1 and changed:
-        changed = False
-        if degree(rest) == 1:
-            r = -rest[0] / rest[1]
-            ledger.entries.append(RootEntry((r, domain.one), mult, 1, label, domain))
-            return
-        if degree(rest) == 2:
-            a, b, c = rest[2], rest[1], rest[0]
-            disc = b * b - 4 * a * c
-            s = domain.sqrt_or_none(disc)
-            if s is not None:
-                half = domain.one / domain.coerce(2)
-                for sgn in (s, -s):
-                    t = (-b + sgn) * half / a
-                    ledger.entries.append(RootEntry((t, domain.one), mult, 1, label, domain))
-                return
-            ledger.entries.append(RootEntry(None, mult, 2, label, domain))
-            return
-    if degree(rest) > 0:
-        ledger.entries.append(RootEntry(None, mult, degree(rest), label, domain))
+def _squarefree_entries(f, mult, domain):
+    """Ledger entries of a monic squarefree factor f of multiplicity mult.
 
-
-def _distinct_degree_profile(f, p: int):
-    """[(degree, count)] of irreducible factors of a squarefree poly over F_p."""
-    domain = PrimeField(p)
-    f = scale(list(f), domain.one / f[-1])
-    x = [domain.zero, domain.one]
-    frob = x
-    out = []
-    k = 0
-    while degree(f) > 0:
-        k += 1
-        if 2 * k > degree(f):
-            out.append((degree(f), 1))
-            break
-        frob = powmod(frob, p, f, domain) if k > 1 else powmod(x, p, f, domain)
-        g = gcd(sub(frob, x, domain), f, domain)
-        if degree(g) > 0:
-            out.append((k, degree(g) // k))
-            f = divmod_poly(f, g, domain)[0]
-            frob = divmod_poly(frob, f, domain)[1] if degree(f) > 0 else frob
-    return out
-
-
-def _divisors(n: int, cap: int = 20000):
-    """Divisors of n; best effort for huge n (trial division stops at cap).
-
-    Beyond the cap the enumeration may miss divisors with two large prime
-    factors; callers treat root extraction as best effort and fall back to
-    cluster entries, so totals stay correct.
+    Over F_p every orbit of degree <= 2 is explicit: rational roots ascending
+    by residue, then quadratic orbits in F_p(sqrt D0) ordered by their monic
+    factor, then clusters by degree.  Over Q the rational roots are explicit
+    and so are the roots of a quadratic remainder; over an extension only
+    factors of degree <= 2 are solved.
     """
-    n = abs(n)
-    if n == 0:
-        return []
-    factors = {}
-    d = 2
-    while d * d <= n and d <= cap:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    divs = [1]
-    for prime, mult in factors.items():
-        divs = [dv * prime ** k for dv in divs for k in range(mult + 1)]
-    return sorted(divs)
-
-
-def _rational_roots_qq(cs):
-    """Rational roots with multiplicities via the rational root theorem."""
-    from math import lcm
-
-    cs = trim(list(cs))
-    if degree(cs) <= 0:
-        return []
-    den = lcm(*[c.denominator for c in cs])
-    ints = [int(c * den) for c in cs]
-    # strip powers of t
-    shift = 0
-    while ints and ints[0] == 0:
-        ints.pop(0)
-        shift += 1
-    out = []
-    if shift:
-        out.append((QQ.zero, shift))
-    if not ints or len(ints) == 1:
+    if isinstance(domain, PrimeField):
+        out = []
+        for k, g in _distinct_degree(f, domain):
+            if k == 1:
+                out += [RootEntry((r, domain.one), mult, 1, _field_label(domain), domain)
+                        for r in _split_rational_roots(g, domain)]
+            elif k == 2:
+                out += [RootEntry(pt, mult, 1, _field_label(fld), fld)
+                        for h in sorted(_equal_degree_split(g, 2, domain),
+                                        key=lambda q: [c.residue for c in q])
+                        for pt, fld in low_degree_roots(h, domain)]
+            else:
+                out += [RootEntry(None, mult, k, _field_label(domain), domain)
+                        for _ in range(degree(g) // k)]
         return out
-    from fractions import Fraction
-    for num in _divisors(ints[0]):
-        for dnm in _divisors(ints[-1]):
-            for s in (1, -1):
-                cand = Fraction(s * num, dnm)
-                if eval_poly(cs, cand, QQ):
-                    continue
-                k = 0
-                probe = list(cs)
-                while not eval_poly(probe, cand, QQ):
-                    probe = divmod_poly(probe, [-cand, QQ.one], QQ)[0]
-                    k += 1
-                    if degree(probe) < 0:
-                        break
-                if k and all(r != cand for r, _ in out):
-                    out.append((cand, k))
+    rest, out = f, []
+    if isinstance(domain, RationalField):
+        for r in _qq_rational_roots(f):
+            out.append(RootEntry((r, QQ.one), mult, 1, _field_label(domain), domain))
+            rest = divmod_poly(rest, [-r, QQ.one], QQ)[0]
+    pts = low_degree_roots(rest, domain) if 1 <= degree(rest) <= 2 else []
+    out += [RootEntry(pt, mult, 1, _field_label(fld), fld) for pt, fld in pts]
+    if degree(rest) > 0 and not pts:
+        out.append(RootEntry(None, mult, degree(rest), _field_label(domain), domain))
     return out
 
 

@@ -13,6 +13,7 @@ over the working field; building an extension on top of an extension raises.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -367,10 +368,7 @@ def _sqrt_mod_p(a: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    m, c, t, r = s, pow(_least_non_residue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         t2, i = t * t % p, 1
         while t2 != 1:
@@ -380,6 +378,14 @@ def _sqrt_mod_p(a: int, p: int) -> int | None:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
+
+
+@functools.lru_cache(maxsize=None)
+def _least_non_residue(p: int) -> int:
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    return z
 
 
 class QuadraticExtension:
@@ -502,7 +508,9 @@ def quad_sqrt(d, domain):
     """A square root of d: in ``domain`` when d is a square there, else in domain(sqrt(d)).
 
     Returns (root, field_of_root).  Over Q the extension is normalized by
-    pulling square factors out of d (sqrt(-4) is reported as 2*sqrt(-1)).
+    pulling square factors out of d (sqrt(-4) is reported as 2*sqrt(-1)); over
+    F_p every non-square lands in F_p(sqrt D0) for the least non-residue D0,
+    as sqrt(d) = sqrt(d / D0) * sqrt(D0).
     Raises ZeroInput on d = 0; raises ExtensionTower when d is a non-square
     in a field that is already an extension.
     """
@@ -520,5 +528,9 @@ def quad_sqrt(d, domain):
         scale = Fraction(sn, sd * core_d)
         ext = QuadraticExtension(domain, core)
         return QuadElem(Fraction(0), scale, ext), ext
+    if isinstance(domain, PrimeField):
+        d0 = _least_non_residue(domain.p)
+        ext = QuadraticExtension(domain, d0)
+        return QuadElem(domain.zero, domain.sqrt_or_none(d / d0), ext), ext
     ext = QuadraticExtension(domain, d)
     return ext.sqrt_d, ext

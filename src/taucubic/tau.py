@@ -24,7 +24,7 @@ from .forms import (Form, SymMatrix3, evaluate, compose_linear, macaulay_resulta
                     ResultantIndeterminate, SMOOTH_CERTIFIED)
 from .intersect import (CommonComponent, PlaneIntersection, intersect_plane_curves)
 from .roots import binary_quadratic_roots
-from .scalars import PrimeField, QQ, QuadElem, RationalField
+from .scalars import BadPrime, PrimeField, QQ, QuadElem, RationalField
 
 
 class UnsupportedDegree(ValueError):
@@ -227,7 +227,7 @@ def genericity_report(instance: TauInstance, primes=(101, 103),
         try:
             verdict = is_smooth_hypersurface(instance.cubic(), list(primes))
             report["cubic_hypersurface_smooth"] = verdict.status == SMOOTH_CERTIFIED
-        except Exception:
+        except (BadPrime, ResultantIndeterminate):
             report["cubic_hypersurface_smooth"] = False
     else:
         report["cubic_hypersurface_smooth"] = False

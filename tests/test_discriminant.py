@@ -17,8 +17,8 @@ from taucubic.discriminant import (DOUBLE_LINE, FIXES, SMOOTH_FIBER, SWAPS,
                                    points_on_conic_component,
                                    points_on_cubic_component, split_conic,
                                    split_normal_form, tau_fiber_action)
-from taucubic.forms import Form, evaluate, exact_divide
-from taucubic.harness import load_instance
+from taucubic.forms import Form, SymMatrix3, evaluate, exact_divide
+from taucubic.harness import SuiteConfig, load_instance, run_suite
 from taucubic.scalars import PrimeField, QQ
 from taucubic.tau import TauInstance, canonical_instance, sample_instance
 
@@ -379,3 +379,19 @@ def test_cone_probes_when_line_quadratic_lacks_x0_squared():
     rep = cone_and_singular_member(inst, probe_prime=101)
     assert rep.probe_count == 8
     assert rep.probes_all_smooth
+
+
+def test_cone_probes_undecided_when_conic_drops_rank_mod_probe_prime():
+    # a valid rational instance whose conic part has rank 2 mod 101: the reduced
+    # cone is singular over the conic's vertex, which says nothing about S
+    path = str(Path(__file__).parent / "fixtures" / "cone_conic_rank2_mod101.json")
+    inst = load_instance(path)
+    assert SymMatrix3.gram_of_ternary(inst.conic_part()).rank(QQ) == 3
+    rep = cone_and_singular_member(inst, probe_prime=101)
+    assert rep.probe_undecided == "the conic part drops rank mod 101"
+    assert rep.probe_count == 0 and rep.singular_locus_is_fixed_line
+    assert cone_and_singular_member(inst, probe_prime=103).probe_undecided == ""
+    report = run_suite(SuiteConfig(suites=("cone",), instance_path=path))
+    statuses = {c.name: c.status for c in report.entries[0].checks}
+    assert statuses["off_line_probes_smooth"] == "inconclusive"
+    assert "fail" not in statuses.values()

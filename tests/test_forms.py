@@ -455,3 +455,20 @@ def test_gram_of_conic():
 def test_gram_rank_degenerate():
     g = SymMatrix3.gram_of_ternary(f_of(3, 2, {(2, 0, 0): 1}))
     assert g.rank(QQ) == 1
+
+
+# --- modular linear algebra ---------------------------------------------
+
+
+def test_mod_p_elimination_beyond_int64_products():
+    # residues near 2^32 overflow int64 when two of them are multiplied
+    from taucubic import linalg
+    p = 4294967311
+    fp = PrimeField(p)
+    rng = random.Random(1)
+    mat = [[rng.randrange(p) for _ in range(30)] for _ in range(30)]
+    assert linalg.det_mod_p(mat, p) == linalg.det(
+        [[fp.coerce(v) for v in row] for row in mat], fp).residue
+    low_rank = [row[:] for row in mat[:20]]
+    low_rank += [[(a + 3 * b) % p for a, b in zip(mat[i], mat[i + 1])] for i in range(10)]
+    assert linalg.rank_mod_p(low_rank, p) == 20

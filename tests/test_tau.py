@@ -84,6 +84,14 @@ def test_canonical_instance_passes_gate():
     assert rep["passed"], rep
 
 
+def test_gate_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug inside the certificate")
+    monkeypatch.setattr(tau_mod, "is_smooth_hypersurface", broken)
+    with pytest.raises(TypeError, match="bug inside the certificate"):
+        genericity_report(canonical_instance())
+
+
 def test_sampler_deterministic():
     a = sample_instance(0, 5)
     b = sample_instance(0, 5)
