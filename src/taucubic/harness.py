@@ -12,21 +12,24 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
 import time
+import traceback
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
 from . import discriminant as disc
 from . import ledgers
 from . import quotient as quot
-from .forms import Form, evaluate, exact_divide
+from .forms import Form, evaluate, exact_divide, monomials
 from .scalars import (FpElem, PrimeField, QQ, QuadElem, RationalField,
                       is_prime, quad_sqrt)
 from .tau import (QuadricPart, TauInstance, canonical_instance,
                   default_witness_points, fixed_points_on_S, invariant_basis,
-                  invariant_coordinates, random_points_on_surface, reduce_instance,
-                  sample_instance, sym2_eigensplit, two_point_analysis,
+                  invariant_coordinates, invariant_monomials, random_points_on_surface,
+                  reduce_instance, sample_instance, sym2_eigensplit, two_point_analysis,
                   two_point_subspace, verify_base_locus)
 from . import linalg
 
@@ -37,10 +40,6 @@ class ConfigError(ValueError):
 
 class InstanceParseError(ValueError):
     """Malformed instance JSON; the message carries the offending field path."""
-
-
-SUITE_NAMES = ("series", "base-locus", "two-points", "discriminant", "fiber-action",
-               "lines", "cone", "genus", "koszul", "split", "fixed-points", "quotient")
 
 
 @dataclass
@@ -64,9 +63,7 @@ class SuiteConfig:
                 raise ConfigError(f"unknown suite {s!r}; choose from {SUITE_NAMES + ('all',)}")
         if not names:
             raise ConfigError("no suites selected")
-        seen = set()
-        ordered = [s for s in names if not (s in seen or seen.add(s))]
-        object.__setattr__(self, "suites", tuple(ordered))
+        object.__setattr__(self, "suites", tuple(dict.fromkeys(names)))
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
         for p in self.primes:
@@ -127,7 +124,7 @@ class VerificationReport:
         return tally
 
     def to_json(self, include_timing: bool = True) -> dict:
-        out = {
+        return {
             "config": self.config,
             "entries": [
                 {
@@ -140,7 +137,6 @@ class VerificationReport:
             ],
             "summary": self.summary(),
         }
-        return out
 
     def canonical_text(self) -> str:
         """Deterministic serialization (timing excluded) for run comparison."""
@@ -159,9 +155,7 @@ def _inconclusive(name, expected, computed, target=""):
 
 
 def _plain(v):
-    if isinstance(v, Fraction):
-        return encode_scalar(v)
-    if isinstance(v, (FpElem, QuadElem)):
+    if isinstance(v, (Fraction, FpElem, QuadElem)):
         return encode_scalar(v)
     if isinstance(v, tuple):
         return [_plain(x) for x in v]
@@ -169,8 +163,12 @@ def _plain(v):
 
 
 def _error_entry(suite, instance_id, exc) -> SuiteEntry:
+    """A failing entry naming the exception and the file:line that raised it."""
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
     return SuiteEntry(suite, instance_id,
-                      [CheckResult("no_error", "no exception", f"{type(exc).__name__}: {exc}",
+                      [CheckResult("no_error", "no exception",
+                                   f"{type(exc).__name__}: {exc} at {where}",
                                    "fail", "suite step completed without raising")])
 
 
@@ -193,11 +191,8 @@ def encode_scalar(x) -> object:
 
 def decode_scalar(obj, domain, path: str):
     try:
-        if isinstance(obj, str):
-            val = Fraction(obj)
-            return domain.coerce(val)
-        if isinstance(obj, int):
-            return domain.coerce(obj)
+        if isinstance(obj, (str, int)):
+            return domain.coerce(Fraction(obj))
         if isinstance(obj, dict) and "r" in obj and "p" in obj:
             if not isinstance(domain, PrimeField) or domain.p != obj["p"]:
                 raise InstanceParseError(f"{path}: modulus {obj['p']} does not match the domain")
@@ -212,18 +207,21 @@ def decode_scalar(obj, domain, path: str):
 def _sniff_domain(data) -> object:
     moduli = set()
 
-    def walk(obj):
+    def walk(obj, path):
         if isinstance(obj, dict):
             if "r" in obj and "p" in obj:
-                moduli.add(obj["p"])
+                p = obj["p"]
+                if type(p) is not int or p <= 3 or not is_prime(p):
+                    raise InstanceParseError(f"{path}.p: modulus must be a prime > 3, got {p!r}")
+                moduli.add(p)
             else:
-                for v in obj.values():
-                    walk(v)
+                for k, v in obj.items():
+                    walk(v, f"{path}.{k}" if path else k)
         elif isinstance(obj, list):
-            for v in obj:
-                walk(v)
+            for i, v in enumerate(obj):
+                walk(v, f"{path}[{i}]")
 
-    walk(data)
+    walk(data, "")
     if not moduli:
         return QQ
     if len(moduli) > 1:
@@ -237,11 +235,9 @@ def encode_form(f: Form) -> dict:
 
 
 def decode_form(obj, nvars, deg, domain, path: str) -> Form:
-    if isinstance(obj, dict):
-        coeffs = obj.get("coeffs", [])
-    else:
-        coeffs = obj
-    from .forms import monomials
+    coeffs = obj.get("coeffs", []) if isinstance(obj, dict) else obj
+    if not isinstance(coeffs, list):
+        raise InstanceParseError(f"{path}: expected a list of coefficients, got {coeffs!r}")
     want = len(monomials(nvars, deg))
     if len(coeffs) != want:
         raise InstanceParseError(f"{path}: expected {want} coefficients, got {len(coeffs)}")
@@ -279,6 +275,8 @@ def decode_instance(data) -> TauInstance:
         raise InstanceParseError("quadrics: need a non-empty list")
     quadrics = []
     for i, q in enumerate(data["quadrics"]):
+        if not isinstance(q, dict):
+            raise InstanceParseError(f"quadrics[{i}]: expected an object, got {q!r}")
         quadrics.append(QuadricPart(
             decode_scalar(q.get("a00"), domain, f"quadrics[{i}].a00"),
             decode_scalar(q.get("a11"), domain, f"quadrics[{i}].a11"),
@@ -328,100 +326,123 @@ def biform_json(bf: quot.BiForm) -> dict:
 # suites
 
 
-def _instance_for(config: SuiteConfig, tag: str, domain, n_quadrics=2) -> TauInstance:
-    if config.instance_path:
-        inst = load_instance(config.instance_path)
-        if isinstance(domain, PrimeField) and isinstance(inst.domain, RationalField):
-            return reduce_instance(inst, domain.p)
-        return inst
-    seed = mix_seed(config.seed, tag)
-    gate_primes = (101, 103) if isinstance(domain, RationalField) else ()
-    return sample_instance(seed, config.bound, domain=domain,
-                           primes=gate_primes, n_quadrics=n_quadrics)
+def _entry(suite: str, instance_id: str, make_checks) -> SuiteEntry:
+    """One report entry: ``make_checks()`` timed alone, an exception isolated."""
+    start = time.perf_counter()
+    try:
+        entry = SuiteEntry(suite, instance_id, make_checks())
+    except Exception as exc:  # noqa: BLE001 - isolation contract
+        entry = _error_entry(suite, instance_id, exc)
+    entry.elapsed_ms = _ms_since(start)
+    return entry
 
 
-def _suite_series(config: SuiteConfig):
-    checks = []
+def _ms_since(start: float) -> float:
+    return round((time.perf_counter() - start) * 1000.0, 3)
+
+
+def _sampled(config: SuiteConfig, loaded, suite: str, slots, body,
+             rng_suffix: str = ":rng") -> list:
+    """One entry per ``(instance_id, tag, domain)`` slot, checked by ``body(inst, rng)``.
+
+    The instance is ``loaded`` (reduced mod p for a prime-field slot when it is
+    rational) or, without a loaded instance, sampled from the sub-seed of
+    ``tag``; the rng is seeded from ``tag + rng_suffix``.
+    """
+    def checks(tag, domain):
+        if loaded is None:
+            gate_primes = (101, 103) if isinstance(domain, RationalField) else ()
+            inst = sample_instance(mix_seed(config.seed, tag), config.bound, domain=domain,
+                                   primes=gate_primes)
+        elif isinstance(domain, PrimeField) and isinstance(loaded.domain, RationalField):
+            inst = reduce_instance(loaded, domain.p)
+        else:
+            inst = loaded
+        return body(inst, random.Random(mix_seed(config.seed, tag + rng_suffix)))
+
+    return [_entry(suite, iid, lambda: checks(tag, domain)) for iid, tag, domain in slots]
+
+
+def _slots(config: SuiteConfig, suite: str, with_qq: bool = False) -> list:
+    """Sample i over F_p for the big prime, or over Q when ``with_qq`` and i is even."""
+    p = config.big_prime()
+    return [(f"{label}-{i}", f"{suite}:{i}", domain) for i in range(config.samples)
+            for label, domain in [("qq", QQ) if with_qq and i % 2 == 0
+                                  else (f"fp{p}", PrimeField(p))]]
+
+
+def _with_fraction(suite: str, entries: list, name: str, target: str) -> list:
+    """Append the aggregate entry: at least 95% of the entries pass every check."""
+    def checks():
+        good = sum(all(c.status == "pass" for c in e.checks) for e in entries)
+        return [_check(name, ">= 0.95", round(good / len(entries), 4), target,
+                       ok=good >= 0.95 * len(entries))]
+
+    return entries + [_entry(suite, "aggregate", checks)]
+
+
+def _series_checks():
     b2, b3 = invariant_basis(2), invariant_basis(3)
-    checks.append(_check("invariant_quadric_count", 9, len(b2),
-                         "invariant quadrics form a projective space of dimension 8"))
-    checks.append(_check("invariant_cubic_count", 19, len(b3),
-                         "invariant cubics form a projective space of dimension 18"))
-    rank2 = linalg.rank([[f.coefficient(m) for m in _inv_mons(2)] for f in b2], QQ)
+    rank2 = linalg.rank([[f.coefficient(m) for m in invariant_monomials(2)] for f in b2], QQ)
     rank3 = linalg.rank([invariant_coordinates(f) for f in b3], QQ)
-    checks.append(_check("invariant_quadric_rank", 9, rank2, "quadric basis is independent"))
-    checks.append(_check("invariant_cubic_rank", 19, rank3, "cubic basis is independent"))
-    inst = canonical_instance()
-    _, w_rank, complement = two_point_subspace(inst)
-    checks.append(_check("fixed_subspace_rank", 4, w_rank,
-                         "cubic together with quadric*(linear) spans 4 dimensions"))
-    checks.append(_check("two_point_quotient_affine", 15, len(complement),
-                         "residual cubic series has linear dimension 19 - 4 = 15"))
-    checks.append(_check("two_point_quotient_projective", 14, len(complement) - 1,
-                         "residual cubic series is a projective space of dimension 14"))
-    return [SuiteEntry("series", "structural", checks)]
+    _, w_rank, complement = two_point_subspace(canonical_instance())
+    return [
+        _check("invariant_quadric_count", 9, len(b2),
+               "invariant quadrics form a projective space of dimension 8"),
+        _check("invariant_cubic_count", 19, len(b3),
+               "invariant cubics form a projective space of dimension 18"),
+        _check("invariant_quadric_rank", 9, rank2, "quadric basis is independent"),
+        _check("invariant_cubic_rank", 19, rank3, "cubic basis is independent"),
+        _check("fixed_subspace_rank", 4, w_rank,
+               "cubic together with quadric*(linear) spans 4 dimensions"),
+        _check("two_point_quotient_affine", 15, len(complement),
+               "residual cubic series has linear dimension 19 - 4 = 15"),
+        _check("two_point_quotient_projective", 14, len(complement) - 1,
+               "residual cubic series is a projective space of dimension 14"),
+    ]
 
 
-def _inv_mons(degree):
-    from .tau import invariant_monomials
-    return invariant_monomials(degree)
-
-
-def _suite_base_locus(config: SuiteConfig):
+def _base_locus_checks():
     basis = invariant_basis(3)
     verdict = verify_base_locus(basis, default_witness_points(QQ))
-    checks = [
+    p0 = tuple(QQ.coerce(1) for _ in range(5))
+    idx = next((i for i, f in enumerate(basis) if evaluate(f, p0)), None)
+    return [
         _check("line_in_base_locus", True, verdict.line_in_base_locus,
                "every invariant cubic vanishes on the fixed line"),
         _check("witnesses_off_line_cut_out", True,
                all(r[2] for r in verdict.witness_results),
                "no point off the fixed line lies on every invariant cubic"),
+        _check("diagonal_point_not_in_base_locus", True, idx is not None,
+               "the all-ones point is cut out by a proper hyperplane of the series"),
     ]
-    p0 = tuple(QQ.coerce(1) for _ in range(5))
-    idx = next((i for i, f in enumerate(basis) if evaluate(f, p0)), None)
-    checks.append(_check("diagonal_point_not_in_base_locus", True, idx is not None,
-                         "the all-ones point is cut out by a proper hyperplane of the series"))
-    return [SuiteEntry("base-locus", "structural", checks)]
 
 
-def _suite_two_points(config: SuiteConfig):
-    entries = []
-    p = config.big_prime()
-    domain = PrimeField(p)
-    for i in range(config.samples):
-        tag = f"two-points:{i}"
-        try:
-            inst = _instance_for(config, tag, domain)
-            rng = random.Random(mix_seed(config.seed, tag + ":pts"))
-            pts = random_points_on_surface(inst, rng, 2)
-            checks = []
-            if len(pts) < 2:
-                entries.append(SuiteEntry("two-points", f"fp{p}-{i}",
-                                          [_inconclusive("surface_points_found", 2, len(pts),
-                                                         "needed two rational surface points")]))
-                continue
-            res = two_point_analysis(inst, pts[0], pts[1])
-            checks.append(_check("cubic_vanishes_at_P", True,
-                                 not evaluate(res.form, pts[0]),
-                                 "solved cubic passes through the first point"))
-            checks.append(_check("cubic_vanishes_at_Q", True,
-                                 not evaluate(res.form, pts[1]),
-                                 "solved cubic passes through the second point"))
-            checks.append(_check("quotient_affine_dim", 15, res.quotient_affine_dim,
-                                 "solution search runs in the 15-dimensional residual series"))
-            checks.append(_check("solution_projective_dim_bound", ">= 12",
-                                 res.solution_projective_dim,
-                                 "two point conditions keep projective dimension at least 12",
-                                 ok=res.solution_projective_dim >= 12))
-            entries.append(SuiteEntry("two-points", f"fp{p}-{i}", checks))
-        except Exception as exc:  # noqa: BLE001 - isolation contract
-            entries.append(_error_entry("two-points", f"fp{p}-{i}", exc))
-    return entries
+def _suite_two_points(config: SuiteConfig, loaded):
+    def body(inst, rng):
+        pts = random_points_on_surface(inst, rng, 2)
+        if len(pts) < 2:
+            return [_inconclusive("surface_points_found", 2, len(pts),
+                                  "needed two rational surface points")]
+        res = two_point_analysis(inst, pts[0], pts[1])
+        return [
+            _check("cubic_vanishes_at_P", True, not evaluate(res.form, pts[0]),
+                   "solved cubic passes through the first point"),
+            _check("cubic_vanishes_at_Q", True, not evaluate(res.form, pts[1]),
+                   "solved cubic passes through the second point"),
+            _check("quotient_affine_dim", 15, res.quotient_affine_dim,
+                   "solution search runs in the 15-dimensional residual series"),
+            _check("solution_projective_dim_bound", ">= 12", res.solution_projective_dim,
+                   "two point conditions keep projective dimension at least 12",
+                   ok=res.solution_projective_dim >= 12),
+        ]
+
+    return _sampled(config, loaded, "two-points", _slots(config, "two-points"), body, ":pts")
 
 
 def _discriminant_checks(inst: TauInstance, rng) -> list:
     dd = disc.discriminant_quintic(inst, rng)
-    checks = [
+    return [
         _check("quintic_degree", 5, dd.quintic.degree,
                "the degenerate-fiber locus is a plane quintic"),
         _check("conic_factor_degree", 2, dd.conic_part.degree,
@@ -433,167 +454,129 @@ def _discriminant_checks(inst: TauInstance, rng) -> list:
                "quintic = conic * cubic with zero remainder"),
         _check("six_point_total", 6, dd.intersection.total_multiplicity,
                "components meet in six points counted with multiplicity"),
+        CheckResult("distinct_transversal", True, dd.transversal,
+                    "pass" if dd.transversal else "inconclusive",
+                    "general members cross transversally in six distinct points"),
     ]
-    return checks + [CheckResult("distinct_transversal", True, dd.transversal,
-                                 "pass" if dd.transversal else "inconclusive",
-                                 "general members cross transversally in six distinct points")]
 
 
-def _suite_discriminant(config: SuiteConfig):
-    entries = []
+def _suite_discriminant(config: SuiteConfig, loaded):
     p = config.big_prime()
-    frac_hits = []
-    for i in range(config.samples):
-        for label, domain in (("qq", QQ), (f"fp{p}", PrimeField(p))):
-            tag = f"discriminant:{label}:{i}"
-            try:
-                inst = _instance_for(config, tag, domain)
-                rng = random.Random(mix_seed(config.seed, tag + ":rng"))
-                checks = _discriminant_checks(inst, rng)
-                frac_hits.append(all(c.status == "pass" for c in checks))
-                entries.append(SuiteEntry("discriminant", f"{label}-{i}", checks))
-            except Exception as exc:  # noqa: BLE001
-                frac_hits.append(False)
-                entries.append(_error_entry("discriminant", f"{label}-{i}", exc))
-    good = sum(frac_hits)
-    entries.append(SuiteEntry("discriminant", "aggregate", [
-        _check("distinct_transversal_fraction", ">= 0.95",
-               round(good / len(frac_hits), 4),
-               "general position holds in at least 95% of gated samples",
-               ok=good >= 0.95 * len(frac_hits))]))
-    return entries
+    slots = [(f"{label}-{i}", f"discriminant:{label}:{i}", domain)
+             for i in range(config.samples)
+             for label, domain in (("qq", QQ), (f"fp{p}", PrimeField(p)))]
+    return _with_fraction(
+        "discriminant", _sampled(config, loaded, "discriminant", slots, _discriminant_checks),
+        "distinct_transversal_fraction", "general position holds in at least 95% of gated samples")
 
 
-def _suite_fiber_action(config: SuiteConfig, points_per_component: int = 100):
-    entries = []
-    p = config.big_prime()
-    domain = PrimeField(p)
-    for i in range(config.samples):
-        tag = f"fiber-action:{i}"
-        try:
-            inst = _instance_for(config, tag, domain)
-            rng = random.Random(mix_seed(config.seed, tag + ":pts"))
-            checks = []
-            cubic_pts = disc.points_on_cubic_component(inst, rng, points_per_component)
-            conic_pts = disc.points_on_conic_component(inst, rng, points_per_component)
-            fixes = [disc.tau_fiber_action(inst, pt).action for pt in cubic_pts]
-            swaps = [disc.tau_fiber_action(inst, pt).action for pt in conic_pts]
-            checks.append(_check("cubic_component_samples", points_per_component,
-                                 len(cubic_pts), "sampled points on the cubic component",
-                                 ok=len(cubic_pts) >= min(points_per_component, 50)))
-            checks.append(_check("conic_component_samples", points_per_component,
-                                 len(conic_pts), "sampled points on the conic component",
-                                 ok=len(conic_pts) >= min(points_per_component, 50)))
-            checks.append(_check("cubic_component_all_fix", "all Fixes",
-                                 _tally(fixes), "fibers over the cubic component keep each line",
-                                 ok=bool(fixes) and all(a == disc.FIXES for a in fixes)))
-            checks.append(_check("conic_component_all_swap", "all Swaps",
-                                 _tally(swaps), "fibers over the conic component swap the lines",
-                                 ok=bool(swaps) and all(a == disc.SWAPS for a in swaps)))
-            entries.append(SuiteEntry("fiber-action", f"fp{p}-{i}", checks))
-        except Exception as exc:  # noqa: BLE001
-            entries.append(_error_entry("fiber-action", f"fp{p}-{i}", exc))
-    return entries
+def _suite_fiber_action(config: SuiteConfig, loaded, points_per_component: int = 100):
+    def body(inst, rng):
+        cubic_pts = disc.points_on_cubic_component(inst, rng, points_per_component)
+        conic_pts = disc.points_on_conic_component(inst, rng, points_per_component)
+        fixes = [disc.tau_fiber_action(inst, pt).action for pt in cubic_pts]
+        swaps = [disc.tau_fiber_action(inst, pt).action for pt in conic_pts]
+        return [
+            _check("cubic_component_samples", points_per_component, len(cubic_pts),
+                   "sampled points on the cubic component",
+                   ok=len(cubic_pts) >= min(points_per_component, 50)),
+            _check("conic_component_samples", points_per_component, len(conic_pts),
+                   "sampled points on the conic component",
+                   ok=len(conic_pts) >= min(points_per_component, 50)),
+            _check("cubic_component_all_fix", "all Fixes", dict(Counter(fixes)),
+                   "fibers over the cubic component keep each line",
+                   ok=bool(fixes) and all(a == disc.FIXES for a in fixes)),
+            _check("conic_component_all_swap", "all Swaps", dict(Counter(swaps)),
+                   "fibers over the conic component swap the lines",
+                   ok=bool(swaps) and all(a == disc.SWAPS for a in swaps)),
+        ]
+
+    return _sampled(config, loaded, "fiber-action", _slots(config, "fiber-action"), body,
+                    ":pts")
 
 
-def _tally(actions):
-    out = {}
-    for a in actions:
-        out[a] = out.get(a, 0) + 1
-    return out
-
-
-def _suite_lines(config: SuiteConfig, points_per_instance: int = 5):
-    entries = []
+def _suite_lines(config: SuiteConfig, loaded, points_per_instance: int = 5):
     small = config.small_primes()
-    for i in range(config.samples):
-        p = small[i % len(small)]
-        domain = PrimeField(p)
-        tag = f"lines:{i}"
-        try:
-            inst = _instance_for(config, tag, domain)
-            rng = random.Random(mix_seed(config.seed, tag + ":T"))
-            totals, fixed_flags, brute_ok = [], [], []
-            t_used = 0
-            guard = 0
-            while t_used < points_per_instance and guard < points_per_instance * 8:
-                guard += 1
-                t0 = domain.coerce(1)
-                t1 = domain.coerce(rng.randrange(p))
-                try:
-                    rep = disc.lines_through_point_of_ltau(inst, (t0, t1), rng)
-                except disc.InfinitelyMany:
-                    continue
-                t_used += 1
-                totals.append(rep.total_multiplicity)
-                fixed_flags.append(rep.contains_fixed_line)
-                brute = disc.lines_through_point_brute(inst, (t0, t1))
-                elim_keys = {_dir_key(d, domain) for d, _m, lbl in rep.rational_directions
-                             if lbl == f"F{p}"}
-                brute_keys = {_dir_key(d, domain) for d in brute}
-                brute_ok.append(elim_keys == brute_keys)
-            checks = [
-                _check("points_probed", points_per_instance, t_used,
-                       "generic points of the fixed line probed"),
-                _check("total_with_multiplicity", [6] * t_used, totals,
-                       "six lines through a general point, counted with multiplicity"),
-                _check("fixed_line_always_present", [True] * t_used, fixed_flags,
-                       "the fixed line is one of the six"),
-                _check("brute_force_agreement", [True] * t_used, brute_ok,
-                       "rational solutions match exhaustive enumeration of the direction space"),
-            ]
-            entries.append(SuiteEntry("lines", f"fp{p}-{i}", checks))
-        except Exception as exc:  # noqa: BLE001
-            entries.append(_error_entry("lines", f"fp{p}-{i}", exc))
-    return entries
+    if loaded is not None and isinstance(loaded.domain, PrimeField):
+        small = [loaded.domain.p]
+
+    def body(inst, rng):
+        domain = inst.domain
+        p = domain.p
+        if not 7 <= p <= 47:
+            raise ValueError(f"the exhaustive line oracle needs 7 <= p <= 47, got p = {p}")
+        totals, fixed_flags, brute_ok = [], [], []
+        guard = 0
+        while len(totals) < points_per_instance and guard < points_per_instance * 8:
+            guard += 1
+            T = (domain.one, domain.coerce(rng.randrange(p)))
+            try:
+                rep = disc.lines_through_point_of_ltau(inst, T, rng)
+            except disc.InfinitelyMany:
+                continue
+            totals.append(rep.total_multiplicity)
+            fixed_flags.append(rep.contains_fixed_line)
+            brute = disc.lines_through_point_brute(inst, T)
+            elim_keys = {projective_key(d, domain) for d, _m, lbl in rep.rational_directions
+                         if lbl == f"F{p}"}
+            brute_ok.append(elim_keys == {projective_key(d, domain) for d in brute})
+        n = len(totals)
+        return [
+            _check("points_probed", points_per_instance, n,
+                   "generic points of the fixed line probed"),
+            _check("total_with_multiplicity", [6] * n, totals,
+                   "six lines through a general point, counted with multiplicity"),
+            _check("fixed_line_always_present", [True] * n, fixed_flags,
+                   "the fixed line is one of the six"),
+            _check("brute_force_agreement", [True] * n, brute_ok,
+                   "rational solutions match exhaustive enumeration of the direction space"),
+        ]
+
+    slots = [(f"fp{p}-{i}", f"lines:{i}", PrimeField(p))
+             for i in range(config.samples) for p in [small[i % len(small)]]]
+    return _sampled(config, loaded, "lines", slots, body, ":T")
 
 
-def _dir_key(pt, domain):
-    lead = next(c for c in pt if c)
-    inv = domain.one / lead
+def projective_key(pt, domain) -> tuple:
+    """Residues of an F_p point scaled so its first nonzero coordinate is 1."""
+    inv = domain.one / next(c for c in pt if c)
     return tuple((c * inv).residue for c in pt)
 
 
-def _suite_cone(config: SuiteConfig):
-    entries = []
+def _suite_cone(config: SuiteConfig, loaded):
     p = config.big_prime()
-    for i in range(config.samples):
-        label, domain = (("qq", QQ) if i % 2 == 0 else (f"fp{p}", PrimeField(p)))
-        tag = f"cone:{i}"
-        try:
-            inst = _instance_for(config, tag, domain)
-            rng = random.Random(mix_seed(config.seed, tag + ":probe"))
-            rep = disc.cone_and_singular_member(inst, rng=rng, probe_prime=p)
-            probe_target = "sampled points away from the fixed line are smooth"
-            probe_check = (
-                _inconclusive("off_line_probes_smooth", True, rep.probe_undecided, probe_target)
-                if rep.probe_undecided else
-                _check("off_line_probes_smooth", True,
-                       rep.probes_all_smooth and rep.probe_count > 0, probe_target))
-            checks = [
-                _check("singular_locus_is_fixed_line", True, rep.singular_locus_is_fixed_line,
-                       "the cone over the conic component is singular exactly on the fixed line"),
-                _check("line_intersection_count", 2, len(rep.line_points),
-                       "the pencil member meets the fixed line in two points"),
-                _check("line_points_singular", True, rep.line_points_singular,
-                       "both fixed-line points are singular on the pencil member"),
-                probe_check,
-            ]
-            entries.append(SuiteEntry("cone", f"{label}-{i}", checks))
-        except Exception as exc:  # noqa: BLE001
-            entries.append(_error_entry("cone", f"{label}-{i}", exc))
-    return entries
+
+    def body(inst, rng):
+        rep = disc.cone_and_singular_member(inst, rng=rng, probe_prime=p)
+        probe_target = "sampled points away from the fixed line are smooth"
+        probe_check = (
+            _inconclusive("off_line_probes_smooth", True, rep.probe_undecided, probe_target)
+            if rep.probe_undecided else
+            _check("off_line_probes_smooth", True,
+                   rep.probes_all_smooth and rep.probe_count > 0, probe_target))
+        return [
+            _check("singular_locus_is_fixed_line", True, rep.singular_locus_is_fixed_line,
+                   "the cone over the conic component is singular exactly on the fixed line"),
+            _check("line_intersection_count", 2, len(rep.line_points),
+                   "the pencil member meets the fixed line in two points"),
+            _check("line_points_singular", True, rep.line_points_singular,
+                   "both fixed-line points are singular on the pencil member"),
+            probe_check,
+        ]
+
+    return _sampled(config, loaded, "cone", _slots(config, "cone", with_qq=True), body, ":probe")
 
 
-def _suite_genus(config: SuiteConfig):
+def _genus_checks():
     led = ledgers.prym_dimension_ledger()
-    checks = [
+    return [
         _check("double_cover_of_conic", 2, ledgers.hurwitz_double_cover(0, 6),
                "genus of a double cover of a rational curve with six branch points"),
         _check("double_cover_of_cubic", 4, ledgers.hurwitz_double_cover(1, 6),
                "genus of a double cover of an elliptic curve with six branch points"),
         _check("conic_genus", 0, ledgers.plane_curve_genus(2), "a smooth conic is rational"),
-        _check("cubic_genus", 1, ledgers.plane_curve_genus(3), "a smooth plane cubic is elliptic"),
+        _check("cubic_genus", 1, ledgers.plane_curve_genus(3),
+               "a smooth plane cubic is elliptic"),
         _check("pencil_base_curve_genus", 13, ledgers.ci_curve_genus([3, 2, 2], 4),
                "genus of the (3,2,2) complete-intersection curve in P^4"),
         _check("line_genus", 0, ledgers.ci_curve_genus([1, 1, 1], 4),
@@ -607,13 +590,11 @@ def _suite_genus(config: SuiteConfig):
         _check("isogeny_degree_bound", 64, 2 ** led.isogeny_degree_log_bound,
                "isogeny degree divides 2^6, one factor of 2 per crossing point"),
     ]
-    return [SuiteEntry("genus", "ledger", checks)]
 
 
-def _suite_koszul(config: SuiteConfig):
-    entries = []
+def _koszul_ledger_checks():
     kl = ledgers.koszul_h01_ledger()
-    checks = [
+    return [
         _check("ambient_quadric_sections", 15, kl.h0_quadrics_ambient,
                "quadrics on P^4 form a 15-dimensional space"),
         _check("ideal_quadrics_of_base_curve", 2, kl.h0_ideal_quadrics,
@@ -628,32 +609,31 @@ def _suite_koszul(config: SuiteConfig):
                ledgers.ideal_section_dimension((2, 3), 3, 4) - 1,
                "projectively a 5-dimensional series"),
     ]
-    entries.append(SuiteEntry("koszul", "ledger", checks))
+
+
+def _suite_koszul(config: SuiteConfig, loaded):
+    def body(inst, rng):
+        return [_check(f"evaluation_matrix_d{d}", ledgers.ideal_section_dimension((2, 3), d, 4),
+                       ledgers.ideal_dimension_by_sampling(inst, d, rng),
+                       "rank deficiency of the surface evaluation matrix")
+                for d in (1, 2, 3)]
+
     p = config.big_prime()
-    tag = "koszul:sampling"
-    try:
-        inst = _instance_for(config, tag, PrimeField(p))
-        rng = random.Random(mix_seed(config.seed, tag + ":rng"))
-        sam_checks = []
-        for d in (1, 2, 3):
-            want = ledgers.ideal_section_dimension((2, 3), d, 4)
-            got = ledgers.ideal_dimension_by_sampling(inst, d, rng)
-            sam_checks.append(_check(f"evaluation_matrix_d{d}", want, got,
-                                     "rank deficiency of the surface evaluation matrix"))
-        entries.append(SuiteEntry("koszul", f"fp{p}-sampling", sam_checks))
-    except Exception as exc:  # noqa: BLE001
-        entries.append(_error_entry("koszul", f"fp{p}-sampling", exc))
-    return entries
+    slots = [(f"fp{p}-sampling", "koszul:sampling", PrimeField(p))]
+    return ([_entry("koszul", "ledger", _koszul_ledger_checks)]
+            + _sampled(config, loaded, "koszul", slots, body))
 
 
-def _suite_split(config: SuiteConfig):
+def _split_checks():
     s = sym2_eigensplit()
     j = ledgers.jacobian_tau_split()
-    checks = [
+    return [
         _check("sym2_minus_block", 3, s.dim_sym2_minus,
                "quadrics in the two negated coordinates"),
-        _check("mixed_block", 6, s.dim_mixed, "mixed products, sign-flipped by the involution"),
-        _check("sym2_plus_block", 6, s.dim_sym2_plus, "quadrics in the three fixed coordinates"),
+        _check("mixed_block", 6, s.dim_mixed,
+               "mixed products, sign-flipped by the involution"),
+        _check("sym2_plus_block", 6, s.dim_sym2_plus,
+               "quadrics in the three fixed coordinates"),
         _check("invariant_total", 9, s.invariant_total, "invariant quadric monomials"),
         _check("anti_invariant_total", 6, s.anti_invariant_total,
                "anti-invariant quadric monomials"),
@@ -665,79 +645,56 @@ def _suite_split(config: SuiteConfig):
         _check("jacobian_sum_is_genus", 13, j.plus + j.minus,
                "eigen split fills the base-curve genus"),
     ]
-    return [SuiteEntry("split", "ledger", checks)]
 
 
-def _suite_fixed_points(config: SuiteConfig):
-    entries = []
+def _suite_fixed_points(config: SuiteConfig, loaded):
+    def body(inst, rng):
+        rep = fixed_points_on_S(inst, rng=rng)
+        return [
+            _check("line_point_total", 2, sum(m for _, m in rep.line_points),
+                   "the quadric cuts two points on the fixed line"),
+            _check("plane_point_total", 6, rep.plane.total_multiplicity,
+                   "the surface meets the fixed plane in six points with multiplicity"),
+            _check("grand_total", 8, rep.total_multiplicity,
+                   "eight fixed surface points in all"),
+            CheckResult("all_distinct", True, rep.all_distinct,
+                        "pass" if rep.all_distinct else "inconclusive",
+                        "general members have eight distinct fixed points"),
+        ]
+
+    slots = _slots(config, "fixed-points", with_qq=True)
+    return _with_fraction(
+        "fixed-points", _sampled(config, loaded, "fixed-points", slots, body),
+        "distinct_fraction", "distinct fixed points in at least 95% of gated samples")
+
+
+def _suite_quotient(config: SuiteConfig, loaded, spot_checks: int = 50):
     p = config.big_prime()
-    hits = []
-    for i in range(config.samples):
-        label, domain = (("qq", QQ) if i % 2 == 0 else (f"fp{p}", PrimeField(p)))
-        tag = f"fixed-points:{i}"
-        try:
-            inst = _instance_for(config, tag, domain)
-            rng = random.Random(mix_seed(config.seed, tag + ":rng"))
-            rep = fixed_points_on_S(inst, rng=rng)
-            line_mult = sum(m for _, m in rep.line_points)
-            checks = [
-                _check("line_point_total", 2, line_mult,
-                       "the quadric cuts two points on the fixed line"),
-                _check("plane_point_total", 6, rep.plane.total_multiplicity,
-                       "the surface meets the fixed plane in six points with multiplicity"),
-                _check("grand_total", 8, rep.total_multiplicity,
-                       "eight fixed surface points in all"),
-            ]
-            checks.append(CheckResult("all_distinct", True, rep.all_distinct,
-                                      "pass" if rep.all_distinct else "inconclusive",
-                                      "general members have eight distinct fixed points"))
-            hits.append(rep.all_distinct and rep.total_multiplicity == 8)
-            entries.append(SuiteEntry("fixed-points", f"{label}-{i}", checks))
-        except Exception as exc:  # noqa: BLE001
-            hits.append(False)
-            entries.append(_error_entry("fixed-points", f"{label}-{i}", exc))
-    good = sum(hits)
-    entries.append(SuiteEntry("fixed-points", "aggregate", [
-        _check("distinct_fraction", ">= 0.95", round(good / len(hits), 4),
-               "distinct fixed points in at least 95% of gated samples",
-               ok=good >= 0.95 * len(hits))]))
-    return entries
 
+    def body(inst, rng):
+        bf = quot.quotient_equation(inst)
+        sext = quot.branch_sextic(inst)
+        sqfree = quot.sextic_squarefree_probe(inst, p=p, rng=rng)
+        work = inst if isinstance(inst.domain, PrimeField) else reduce_instance(inst, p)
+        ident_ok, member_ok, probed = _quotient_spot_checks(work, rng, spot_checks)
+        return [
+            _check("bidegree", [2, 3], list(bf.bidegree),
+                   "quotient equation is quadratic in (x0,x1) with cubic coefficients"),
+            _check("branch_degree", 6, sext.degree,
+                   "the branch discriminant is a plane sextic"),
+            CheckResult("branch_squarefree_probe", "squarefree (generic)", sqfree,
+                        "pass" if sqfree else "inconclusive",
+                        "line sections of the sextic probe squarefreeness over F_p"),
+            _check("pullback_identity_samples", probed, ident_ok,
+                   "cubic*f2 - quadric*f3 reproduces the quotient equation pointwise"),
+            _check("fiber_membership_samples", probed, member_ok,
+                   "quotient equation vanishes exactly on images of surface points"),
+            CheckResult("branch_genus", "degree 6 verified", "genus not computed",
+                        "inconclusive",
+                        "geometric genus of the singular branch sextic is out of scope"),
+        ]
 
-def _suite_quotient(config: SuiteConfig, spot_checks: int = 50):
-    entries = []
-    p = config.big_prime()
-    for i in range(config.samples):
-        label, domain = (("qq", QQ) if i % 2 == 0 else (f"fp{p}", PrimeField(p)))
-        tag = f"quotient:{i}"
-        try:
-            inst = _instance_for(config, tag, domain)
-            rng = random.Random(mix_seed(config.seed, tag + ":rng"))
-            bf = quot.quotient_equation(inst)
-            sext = quot.branch_sextic(inst)
-            sqfree = quot.sextic_squarefree_probe(inst, p=p, rng=rng)
-            work = inst if isinstance(domain, PrimeField) else reduce_instance(inst, p)
-            ident_ok, member_ok, probed = _quotient_spot_checks(work, rng, spot_checks)
-            checks = [
-                _check("bidegree", [2, 3], list(bf.bidegree),
-                       "quotient equation is quadratic in (x0,x1) with cubic coefficients"),
-                _check("branch_degree", 6, sext.degree,
-                       "the branch discriminant is a plane sextic"),
-                CheckResult("branch_squarefree_probe", "squarefree (generic)", sqfree,
-                            "pass" if sqfree else "inconclusive",
-                            "line sections of the sextic probe squarefreeness over F_p"),
-                _check("pullback_identity_samples", probed, ident_ok,
-                       "cubic*f2 - quadric*f3 reproduces the quotient equation pointwise"),
-                _check("fiber_membership_samples", probed, member_ok,
-                       "quotient equation vanishes exactly on images of surface points"),
-                CheckResult("branch_genus", "degree 6 verified", "genus not computed",
-                            "inconclusive",
-                            "geometric genus of the singular branch sextic is out of scope"),
-            ]
-            entries.append(SuiteEntry("quotient", f"{label}-{i}", checks))
-        except Exception as exc:  # noqa: BLE001
-            entries.append(_error_entry("quotient", f"{label}-{i}", exc))
-    return entries
+    return _sampled(config, loaded, "quotient", _slots(config, "quotient", with_qq=True), body)
 
 
 def _quotient_spot_checks(inst: TauInstance, rng: random.Random, count: int):
@@ -781,40 +738,41 @@ def _quotient_spot_checks(inst: TauInstance, rng: random.Random, count: int):
 
 
 _SUITE_FUNCS = {
-    "series": _suite_series,
-    "base-locus": _suite_base_locus,
+    "series": lambda config, loaded: [_entry("series", "structural", _series_checks)],
+    "base-locus": lambda config, loaded: [_entry("base-locus", "structural",
+                                                 _base_locus_checks)],
     "two-points": _suite_two_points,
     "discriminant": _suite_discriminant,
     "fiber-action": _suite_fiber_action,
     "lines": _suite_lines,
     "cone": _suite_cone,
-    "genus": _suite_genus,
+    "genus": lambda config, loaded: [_entry("genus", "ledger", _genus_checks)],
     "koszul": _suite_koszul,
-    "split": _suite_split,
+    "split": lambda config, loaded: [_entry("split", "ledger", _split_checks)],
     "fixed-points": _suite_fixed_points,
     "quotient": _suite_quotient,
 }
+SUITE_NAMES = tuple(_SUITE_FUNCS)
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
-    """Execute the selected suites; deterministic given (seed, config)."""
-    if config.instance_path:
-        load_instance(config.instance_path)  # parse errors abort before any suite
+    """Execute the selected suites; deterministic given (seed, config).
+
+    An ``instance_path`` is parsed once, before any suite runs, and every
+    sampling suite checks that instance instead of sampling its own.
+    """
+    loaded = load_instance(config.instance_path) if config.instance_path else None
     report = VerificationReport(config={
         "suites": list(config.suites), "samples": config.samples, "seed": config.seed,
         "primes": list(config.primes), "bound": config.bound,
         "instance_path": config.instance_path,
     })
     for name in config.suites:
-        fn = _SUITE_FUNCS[name]
         start = time.perf_counter()
         try:
-            entries = fn(config)
+            report.entries.extend(_SUITE_FUNCS[name](config, loaded))
         except Exception as exc:  # noqa: BLE001 - isolation contract
-            entries = [_error_entry(name, "suite", exc)]
-        elapsed = (time.perf_counter() - start) * 1000.0
-        for e in entries:
-            if not e.elapsed_ms:
-                e.elapsed_ms = round(elapsed / max(1, len(entries)), 3)
-        report.entries.extend(entries)
+            entry = _error_entry(name, "suite", exc)
+            entry.elapsed_ms = _ms_since(start)
+            report.entries.append(entry)
     return report

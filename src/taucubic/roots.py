@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .scalars import (ExtensionTower, PrimeField, QQ, QuadraticExtension, RationalField,
-                      is_prime, quad_sqrt)
+from .scalars import (ExtensionTower, FpElem, PrimeField, QQ, QuadraticExtension,
+                      RationalField, is_prime, quad_sqrt)
 
 
 def trim(cs):
@@ -337,7 +337,8 @@ def _field_label(domain):
     if isinstance(domain, PrimeField):
         return f"F{domain.p}"
     if isinstance(domain, QuadraticExtension):
-        return f"{_field_label(domain.base)}(sqrt {domain.d})"
+        d = domain.d.residue if isinstance(domain.d, FpElem) else domain.d
+        return f"{_field_label(domain.base)}(sqrt {d})"
     return repr(domain)
 
 

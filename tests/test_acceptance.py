@@ -14,6 +14,7 @@ from taucubic.forms import (Form, evaluate, exact_divide, monomials,
                             partial_derivative, reduce_form, sylvester_resultant,
                             macaulay_resultant, ZeroForm)
 from taucubic.bruteforce import has_common_projective_zero
+from taucubic.harness import projective_key
 from taucubic.scalars import PrimeField, QQ, reduce_mod_prime
 from taucubic.tau import (canonical_instance, fixed_points_on_S, invariant_basis,
                           sample_instance, sym2_eigensplit, two_point_subspace)
@@ -175,20 +176,14 @@ def test_criterion_10_lines_through_fixed_line():
             probed += 1
             checked += 1
             brute = disc.lines_through_point_brute(inst, (dom.one, dom.coerce(t)))
-            elim = {_key(d, dom) for d, _m, lbl in rep.rational_directions
+            elim = {projective_key(d, dom) for d, _m, lbl in rep.rational_directions
                     if lbl == f"F{p}"}
             if not (rep.total_multiplicity == 6 and rep.contains_fixed_line
-                    and elim == {_key(d, dom) for d in brute}):
+                    and elim == {projective_key(d, dom) for d in brute}):
                 failures += 1
         assert probed == 5
     _report(10, "lines through the fixed line", failures == 0 and checked == 50,
             f"{checked} point counts, {failures} failures")
-
-
-def _key(pt, dom):
-    lead = next(c for c in pt if c)
-    inv = dom.one / lead
-    return tuple((c * inv).residue for c in pt)
 
 
 def test_criterion_11_cone_geometry():

@@ -126,6 +126,9 @@ def test_run_deterministic():
     a = run_suite(cfg)
     b = run_suite(cfg)
     assert a.canonical_text() == b.canonical_text()
+    # each entry is timed alone: the aggregate costs far less than an instance
+    fixed = {e.instance_id: e.elapsed_ms for e in a.entries if e.suite == "fixed-points"}
+    assert fixed["aggregate"] < min(fixed["qq-0"], fixed["fp101-1"])
 
 
 def test_run_deterministic_across_processes():
@@ -140,7 +143,7 @@ def test_run_deterministic_across_processes():
 def test_failing_check_does_not_abort_others(monkeypatch):
     import taucubic.harness as hz
 
-    def boom(config):
+    def boom(config, loaded):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setitem(hz._SUITE_FUNCS, "genus", boom)
@@ -149,6 +152,9 @@ def test_failing_check_does_not_abort_others(monkeypatch):
     suites_seen = {e.suite for e in report.entries}
     assert suites_seen == {"genus", "split"}
     assert report.summary()["failed"] >= 1
+    (error,) = [c for e in report.entries if e.suite == "genus" for c in e.checks]
+    raise_line = boom.__code__.co_firstlineno + 1
+    assert error.computed == f"RuntimeError: synthetic failure at test_harness.py:{raise_line}"
     split_checks = [c for e in report.entries if e.suite == "split" for c in e.checks]
     assert split_checks and all(c.status == "pass" for c in split_checks)
 
@@ -164,13 +170,13 @@ def test_emit_report_and_reload(tmp_path):
 
 
 def test_loaded_instance_used_by_suites(tmp_path):
-    inst = sample_instance(3, 8, domain=PrimeField(101))
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(encode_instance(inst)))
-    cfg = SuiteConfig(suites=("fixed-points",), samples=1, seed=0,
-                      instance_path=str(path))
-    report = run_suite(cfg)
-    assert report.summary()["failed"] == 0
+    for p, suites in ((101, ("fixed-points", "quotient")), (11, ("lines",))):
+        inst = sample_instance(3, 8, domain=PrimeField(p))
+        path = tmp_path / f"inst{p}.json"
+        path.write_text(json.dumps(encode_instance(inst)))
+        cfg = SuiteConfig(suites=suites, samples=2, seed=0, instance_path=str(path))
+        report = run_suite(cfg)
+        assert report.summary()["failed"] == 0, suites
 
 
 # --- CLI ----------------------------------------------------------------
@@ -205,6 +211,23 @@ def test_cli_parse_error_exit_two(tmp_path):
     path.write_text("{not json")
     proc = _run_cli("verify", "--suite", "fixed-points", "--instance", str(path))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("quadrics", [[1, 2, 3]]),
+    ("l00", 5),
+    ("l00", ["1", {"r": 1, "p": "x"}, "0"]),
+    ("l00", ["1", {"r": 1, "p": 4}, "0"]),
+], ids=["quadric-not-object", "form-not-list", "modulus-not-int", "modulus-not-prime"])
+def test_cli_malformed_instance_exit_two(tmp_path, field, value):
+    data = encode_instance(canonical_instance())
+    data[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    proc = _run_cli("verify", "--suite", "fixed-points", "--instance", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"instance error: {field}")
 
 
 def test_cli_failure_exit_one(tmp_path):

@@ -91,7 +91,7 @@ def test_fp_ledger_matches_bruteforce(p):
         assert all(e.field_label == f"F{p}" for e in ledger.entries if e.domain == fp)
 
         quad = [e for e in ledger.entries if e.domain == ext]
-        assert all(e.field_label == f"F{p}(sqrt {ext.d})" for e in quad)
+        assert all(e.field_label == f"F{p}(sqrt {ext.d.residue})" for e in quad)
         assert {e.point[0]: e.mult for e in quad} == _scan_roots(
             [ext.coerce(c) for c in cs], ext, ext_elems)
         # each orbit is a conjugate pair; orbits ascend by their monic factor
@@ -149,6 +149,11 @@ def test_qq_root_beyond_trial_division_reach():
     assert ledger.entries[0].field_label == "Q"
     assert [e.field_label for e in ledger.entries[1:]] == ["Q(sqrt -80083)"] * 2
     assert ledger.total_multiplicity == 3 and ledger.squarefree
+
+
+def test_field_label_names_the_radicand():
+    assert [uv._field_label(quad_sqrt(2, k)[1]) for k in (PrimeField(101), QQ)] == [
+        "F101(sqrt 2)", "Q(sqrt 2)"]
 
 
 def test_qq_rational_roots_complete_and_ordered():

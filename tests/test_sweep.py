@@ -7,7 +7,8 @@ import pytest
 
 from taucubic.harness import SuiteConfig, run_suite
 
-SUITES = ("discriminant", "fixed-points", "quotient", "cone")
+SUITES = ("two-points", "discriminant", "fiber-action", "lines", "cone", "koszul",
+          "fixed-points", "quotient")
 
 
 @pytest.mark.sweep

@@ -9,7 +9,7 @@ import pytest
 from taucubic import linalg
 from taucubic.bruteforce import common_projective_zeros, projective_points_fp
 from taucubic.forms import Form, evaluate, monomials, substitute_linear
-from taucubic.harness import _dir_key
+from taucubic.harness import projective_key
 from taucubic.intersect import conic_rational_points, curve_rational_points
 from taucubic.scalars import PrimeField, QQ, QuadraticExtension
 from taucubic.tau import (FixedLoci, GenericityExhausted, QuadricPart,
@@ -327,9 +327,9 @@ def test_pencil_condition_degenerate_conic():
 
 
 def _assert_same_points(got, want, field):
-    keys = [_dir_key(pt, field) for pt in got]
+    keys = [projective_key(pt, field) for pt in got]
     assert len(keys) == len(set(keys)), "a point was emitted twice"
-    assert set(keys) == {_dir_key(pt, field) for pt in want}
+    assert set(keys) == {projective_key(pt, field) for pt in want}
 
 
 @pytest.mark.parametrize("p", [11, 13])
@@ -358,10 +358,10 @@ def test_surface_enumeration_is_complete(p):
         # the walk takes one point from every fibre over the fixed plane that has one
         on_S = [pt for pt in on_F if not evaluate(inst.cubic(), pt)]
         walk = random_points_on_surface(inst, random.Random(3), 10 ** 6)
-        assert {_dir_key(pt, field) for pt in walk} <= {_dir_key(pt, field) for pt in on_S}
-        bases = {_dir_key(pt[2:], field) for pt in walk}
+        assert {projective_key(pt, field) for pt in walk} <= {projective_key(pt, field) for pt in on_S}
+        bases = {projective_key(pt[2:], field) for pt in walk}
         assert len(bases) == len(walk)
-        assert bases == {_dir_key(pt[2:], field) for pt in on_S if any(pt[2:])}
+        assert bases == {projective_key(pt[2:], field) for pt in on_S if any(pt[2:])}
 
 
 def _random_conic(rng, field):
