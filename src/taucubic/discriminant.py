@@ -1,13 +1,31 @@
 """Projection of the invariant cubic from the fixed line: fiber conics, the
-degree-5 discriminant and its forced conic*cubic factorization, line splitting
-and the involution's action on split fibers, line counts through points of the
+degree-5 discriminant and its conic*cubic factorization, line splitting and
+the involution's action on split fibers, line counts through points of the
 fixed line, and the quadric cone over the conic factor.
 
 Every fiber over a point P of the fixed plane is cut on the plane spanned by
-P and the fixed line; in plane coordinates (x0, x1, s) the cubic restricts to
-s * (alpha x0^2 + beta x1^2 + gamma x0 x1 + delta s^2) with alpha, beta, gamma
-the values of l00, l11, l01 at P and delta = f3(P).  The residual conic splits
-exactly over the discriminant, which is the quintic f3 * (4 l00 l11 - l01^2).
+P and the fixed line.  A point of that plane is x0 e0 + x1 e1 + s P, so in
+plane coordinates (x0, x1, s) the cubic restricts to
+s * (alpha x0^2 + gamma x0 x1 + beta x1^2 + delta s^2), where alpha, gamma,
+beta and delta are the values at P of the forms multiplying x0^2, x0 x1 and
+x1^2 in the cubic and of its part free of x0 and x1.  Those four forms are the
+instance's ``family``, read off the cubic's coefficients once; reading them
+off also checks that the cubic has no other monomial.
+
+The discriminant is 4 * det of the family's Gram matrix.  It is computed from
+the cubic, and the report compares it with the conic 4 l00 l11 - l01^2 times
+f3 built from the instance's parts, so the factorization is checked, not
+assumed.
+
+A degenerate fiber conic is a pair of lines, each a linear form
+c = (c0, c1, c2) in (x0, x1, s) over the base field or one quadratic
+extension.  The involution negates x0 and x1 and fixes s, so it maps the
+plane to itself and the zero set of c0 x0 + c1 x1 + c2 s to the zero set of
+-c0 x0 - c1 x1 + c2 s: it acts on line forms by (c0, c1, c2) -> (-c0, -c1, c2),
+and two forms give the same line when they are proportional.  Over the cubic
+component (delta = 0) both lines pass through P = (0 : 0 : 1), so c2 = 0 and
+each line is kept; over the conic component they are s = +-m(x0, x1) and
+are swapped.
 """
 
 from __future__ import annotations
@@ -16,12 +34,12 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .forms import (Form, SymMatrix3, evaluate, compose_linear, exact_divide,
-                    monomials, partial_derivative)
+from .forms import (Form, SymMatrix3, evaluate, compose_linear, monomials,
+                    partial_derivative)
 from .intersect import (CommonComponent, PlaneIntersection, conic_rational_points,
                         curve_rational_points, intersect_plane_curves)
 from .roots import binary_quadratic_roots
-from .scalars import PrimeField, ZeroInput, quad_sqrt
+from .scalars import PrimeField
 from .tau import TauInstance, embed_with_x01, fibre_points
 
 
@@ -63,65 +81,35 @@ class FiberConic:
     beta: object
     gamma: object
     delta: object
-    gram: SymMatrix3
-    plane_rows: list
     domain: object
 
     def coefficients(self):
         return (self.alpha, self.beta, self.gamma, self.delta)
 
-    def rank(self) -> int:
-        return self.gram.rank(self.domain)
+    @property
+    def gram(self) -> SymMatrix3:
+        half = self.domain.one / self.domain.coerce(2)
+        zero = self.domain.zero
+        return SymMatrix3.from_rows([[self.alpha, self.gamma * half, zero],
+                                     [self.gamma * half, self.beta, zero],
+                                     [zero, zero, self.delta]])
 
 
 def fiber_conic(instance: TauInstance, P) -> FiberConic:
-    """Fiber data over a point of the fixed plane, with the restriction identity
-    of the cubic to the spanned plane checked symbolically."""
+    """The fiber conic over a point of the fixed plane, from the instance's family."""
     domain = instance.domain
     P = tuple(domain.coerce(c) for c in _plane_point(P))
-    alpha = evaluate(instance.l00, P)
-    beta = evaluate(instance.l11, P)
-    gamma = evaluate(instance.l01, P)
-    delta = evaluate(instance.f3, P)
-    one, zero = domain.one, domain.zero
-    rows = [[one, zero, zero], [zero, one, zero],
-            [zero, zero, P[0]], [zero, zero, P[1]], [zero, zero, P[2]]]
-    restricted = compose_linear(instance.cubic(), rows)
-    expected = Form.from_terms(3, 3, {(2, 0, 1): alpha, (0, 2, 1): beta,
-                                      (1, 1, 1): gamma, (0, 0, 3): delta}, domain)
-    if restricted != expected:
-        raise ArithmeticError("plane restriction of the cubic lost its s * E_P shape")
-    half = one / domain.coerce(2)
-    gram = SymMatrix3.from_rows([[alpha, gamma * half, zero],
-                                 [gamma * half, beta, zero],
-                                 [zero, zero, delta]])
-    return FiberConic(P, alpha, beta, gamma, delta, gram, rows, domain)
-
-
-@dataclass
-class Line:
-    """A line in P^4 as two spanning points; keeps plane coordinates too."""
-
-    span: tuple
-    plane_span: tuple | None
-    domain: object
-
-    def same_line(self, other: "Line") -> bool:
-        a, b = self.span
-        for q in other.span:
-            if linalg.rank([list(a), list(b), list(q)], self.domain) > 2:
-                return False
-        return True
-
-    def contains(self, pt) -> bool:
-        a, b = self.span
-        return linalg.rank([list(a), list(b), list(pt)], self.domain) == 2
+    fam = instance.family
+    return FiberConic(P, evaluate(fam.l00, P), evaluate(fam.l11, P), evaluate(fam.l01, P),
+                      evaluate(fam.f3, P), domain)
 
 
 @dataclass
 class LinePair:
-    plus: Line
-    minus: Line
+    """The two line forms (c0, c1, c2) of a degenerate fiber conic over ``domain``."""
+
+    plus: tuple
+    minus: tuple
     double: bool
     domain: object
 
@@ -132,90 +120,49 @@ class LinePair:
 def split_conic(fc: FiberConic) -> LinePair | None:
     """Factor a degenerate fiber conic into its line pair.
 
-    Rank 3 returns None (smooth conic, nothing splits); rank 2 gives two
-    distinct lines over at most one quadratic extension; rank 1 gives a double
-    line.  Raises ZeroConic when all four coefficients vanish.
+    Rank 3 returns None (smooth conic, nothing splits).  Rank 1 is a double
+    line, the nonzero row of the Gram matrix.  Rank 2 is two distinct lines
+    through the vertex k, the kernel of the Gram matrix: on a coordinate line
+    {x_m = 0} with k_m != 0 the conic is a binary quadratic whose two roots q,
+    over at most one quadratic extension, give the lines k x q.  Raises
+    ZeroConic when all four coefficients vanish.
     """
     if not any(fc.coefficients()):
         raise ZeroConic("fiber conic is identically zero")
-    domain = fc.domain
-    r = fc.rank()
-    if r == 3:
+    gram = fc.gram
+    if gram.det():
         return None
-    entries = fc.gram.entries
-    if r == 1:
-        row = next(row for row in entries if any(row))
-        ln = _line_from_plane_form(fc, row, domain)
-        return LinePair(ln, ln, True, domain)
-    kernel = linalg.nullspace([list(r_) for r_ in entries], domain)
-    assert len(kernel) == 1
-    k = kernel[0]
-    m = max(range(3), key=lambda i: 1 if k[i] else 0)
-    others = [i for i in range(3) if i != m]
-    u, v = others
-    A = entries[u][u]
-    B = entries[u][v] + entries[u][v]
-    C = entries[v][v]
-    roots, fld = binary_quadratic_roots(A, B, C, domain)
+    rows = gram.entries
+    crosses = (_cross(rows[i], rows[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    vertex = next((k for k in crosses if any(k)), None)
+    if vertex is None:
+        row = next(r for r in rows if any(r))
+        return LinePair(row, row, True, fc.domain)
+    m = next(i for i in range(3) if vertex[i])
+    u, v = (i for i in range(3) if i != m)
+    roots, fld = binary_quadratic_roots(rows[u][u], rows[u][v] + rows[u][v], rows[v][v],
+                                        fc.domain)
+    k = tuple(fld.coerce(c) for c in vertex)
     lines = []
     for (a, b), _mult in roots:
-        pt = [fld.zero] * 3
-        pt[u], pt[v] = fld.coerce(a), fld.coerce(b)
-        kpt = [fld.coerce(c) for c in k]
-        lines.append(_line_from_plane_points(fc, tuple(kpt), tuple(pt), fld))
-    if len(lines) == 1 or _proj_same(roots[0][0], roots[1][0]):
-        return LinePair(lines[0], lines[0], True, fld)
-    return LinePair(lines[0], lines[1], False, fld)
+        q = [fld.zero] * 3
+        q[u], q[v] = a, b
+        lines.append(_cross(k, q))
+    plus, minus = lines
+    return LinePair(plus, minus, False, fld)
 
 
-def _proj_same(p, q):
-    return p[0] * q[1] == p[1] * q[0]
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _line_from_plane_points(fc: FiberConic, p3, q3, fld):
-    to5 = lambda pt: tuple(_row_dot(row, pt, fld) for row in fc.plane_rows)
-    return Line((to5(p3), to5(q3)), (p3, q3), fld)
+def _same_line(c, d) -> bool:
+    """Whether the line forms c and d are proportional (every 2x2 minor vanishes)."""
+    return all(not (c[i] * d[j] - c[j] * d[i]) for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
-def _row_dot(row, pt, fld):
-    total = fld.zero
-    for c, x in zip(row, pt):
-        total = total + fld.coerce(c) * x
-    return total
-
-
-def _line_from_plane_form(fc: FiberConic, coeffs, fld):
-    """Line {c0 x0 + c1 x1 + c2 s = 0} in the fiber plane, as spanning points."""
-    c = [fld.coerce(x) for x in coeffs]
-    pts = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            # point with support {i, j} solving the linear equation
-            pt = [fld.zero] * 3
-            pt[i], pt[j] = c[j], -c[i]
-            if any(pt):
-                pts.append(tuple(pt))
-    base = pts[0]
-    other = next(p for p in pts[1:]
-                 if linalg.rank([list(base), list(p)], fld) == 2)
-    return _line_from_plane_points(fc, base, other, fld)
-
-
-def split_normal_form(fc: FiberConic):
-    """The coefficients (b0, b1) with the conic equal to
-    delta*(s + b0 x0 + b1 x1)(s - b0 x0 - b1 x1), for rank-2 fibers with
-    nonzero delta.  Returns (b0, b1, field)."""
-    if not fc.delta:
-        raise ZeroInput("normal form needs a nonzero s^2 coefficient")
-    domain = fc.domain
-    if fc.alpha:
-        b0, fld = quad_sqrt(-fc.alpha / fc.delta, domain)
-        b1 = fld.coerce(-fc.gamma / (fc.delta * 2)) / b0
-    else:
-        b0 = domain.zero
-        b1, fld = quad_sqrt(-fc.beta / fc.delta, domain)
-        b0 = fld.coerce(b0)
-    return b0, b1, fld
+def _tau_line(c):
+    return (-c[0], -c[1], c[2])
 
 
 @dataclass
@@ -235,24 +182,18 @@ def tau_fiber_action(instance: TauInstance, P) -> FiberAction:
     """
     fc = fiber_conic(instance, P)
     on_cubic = not fc.delta
-    on_conic = not evaluate(instance.conic_part(), fc.base_point)
+    on_conic = not (4 * fc.alpha * fc.beta - fc.gamma * fc.gamma)
     pair = split_conic(fc)
     if pair is None:
         return FiberAction(SMOOTH_FIBER, on_conic, on_cubic, None)
     if pair.double:
         return FiberAction(DOUBLE_LINE, on_conic, on_cubic, pair)
-    imgs = [_tau_plane_line(fc, ln, pair) for ln in pair.as_set()]
-    if imgs[0].same_line(pair.plus) and imgs[1].same_line(pair.minus):
+    plus, minus = pair.as_set()
+    if _same_line(_tau_line(plus), plus) and _same_line(_tau_line(minus), minus):
         return FiberAction(FIXES, on_conic, on_cubic, pair)
-    if imgs[0].same_line(pair.minus) and imgs[1].same_line(pair.plus):
+    if _same_line(_tau_line(plus), minus) and _same_line(_tau_line(minus), plus):
         return FiberAction(SWAPS, on_conic, on_cubic, pair)
     raise ArithmeticError("involution did not preserve the fiber's line pair")
-
-
-def _tau_plane_line(fc: FiberConic, ln: Line, pair: LinePair) -> Line:
-    fld = pair.domain
-    moved = tuple((-p[0], -p[1], p[2]) for p in ln.plane_span)
-    return _line_from_plane_points(fc, moved[0], moved[1], fld)
 
 
 # ---------------------------------------------------------------------------
@@ -270,39 +211,20 @@ class DiscriminantData:
 
 def discriminant_quintic(instance: TauInstance,
                          rng: random.Random | None = None) -> DiscriminantData:
-    """The quintic discriminant with its conic*cubic factorization and the six
-    crossing points of its two components."""
+    """The quintic discriminant, 4 * det of the family's Gram matrix, next to
+    the conic and cubic parts of the instance and the six crossing points of
+    their curves.  Whether the quintic is conic * cubic is left to the caller."""
     rng = rng or random.Random(0xD15C)
     domain = instance.domain
     conic = instance.conic_part()
     if conic.is_zero or SymMatrix3.gram_of_ternary(conic).rank(domain) < 3:
         raise DegenerateConicPart("conic factor of the discriminant is degenerate")
+    quintic = instance.family.gram().det().scale(domain.coerce(4))
     cubic = instance.f3
-    quintic = conic * cubic
-    if exact_divide(quintic, conic) != cubic:
-        raise ArithmeticError("factorization re-verification failed")
     inter = intersect_plane_curves(conic, cubic, rng, want_points=True)
     transversal = (inter.distinct and inter.total_multiplicity == 6
                    and all(p.transversal is not False for p in inter.points))
     return DiscriminantData(quintic, conic, cubic, inter, transversal)
-
-
-def family_gram(instance: TauInstance) -> SymMatrix3:
-    """Gram matrix of the fiber-conic family, with Form entries; 4*det equals
-    the discriminant quintic.
-
-    The grading is (1,1,2) x (1,1,2): the off-corner zero entries are the
-    zero form of degree 2 so every determinant term is a quintic.
-    """
-    dom = instance.domain
-    half = dom.one / dom.coerce(2)
-    z2 = Form.zero_form(3, 2, dom)
-    half_l01 = instance.l01.scale(half)
-    return SymMatrix3.from_rows([
-        [instance.l00, half_l01, z2],
-        [half_l01, instance.l11, z2],
-        [z2, z2, instance.f3],
-    ])
 
 
 # ---------------------------------------------------------------------------

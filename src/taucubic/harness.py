@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import discriminant as disc
 from . import ledgers
 from . import quotient as quot
-from .forms import Form, evaluate, exact_divide, monomials
+from .forms import Form, evaluate, monomials
 from .scalars import (FpElem, PrimeField, QQ, QuadElem, RationalField,
                       is_prime, quad_sqrt)
 from .tau import (QuadricPart, TauInstance, canonical_instance,
@@ -343,32 +343,39 @@ def _ms_since(start: float) -> float:
 
 def _sampled(config: SuiteConfig, loaded, suite: str, slots, body,
              rng_suffix: str = ":rng") -> list:
-    """One entry per ``(instance_id, tag, domain)`` slot, checked by ``body(inst, rng)``.
+    """One entry per ``(index, tag, domain)`` slot, checked by ``body(inst, rng)``.
 
-    The instance is ``loaded`` (reduced mod p for a prime-field slot when it is
-    rational) or, without a loaded instance, sampled from the sub-seed of
-    ``tag``; the rng is seeded from ``tag + rng_suffix``.
+    Without a loaded instance the instance is sampled over the slot's domain
+    from the sub-seed of ``tag``.  A loaded rational instance is reduced mod p
+    for a prime-field slot; a loaded instance over F_p is checked as it is in
+    every slot.  The entry is named ``<field>-<index>`` after the field of the
+    instance checked; the rng is seeded from ``tag + rng_suffix``.
     """
     def checks(tag, domain):
         if loaded is None:
             gate_primes = (101, 103) if isinstance(domain, RationalField) else ()
             inst = sample_instance(mix_seed(config.seed, tag), config.bound, domain=domain,
                                    primes=gate_primes)
-        elif isinstance(domain, PrimeField) and isinstance(loaded.domain, RationalField):
-            inst = reduce_instance(loaded, domain.p)
-        else:
+        elif domain == loaded.domain:
             inst = loaded
+        else:
+            inst = reduce_instance(loaded, domain.p)
         return body(inst, random.Random(mix_seed(config.seed, tag + rng_suffix)))
 
-    return [_entry(suite, iid, lambda: checks(tag, domain)) for iid, tag, domain in slots]
+    entries = []
+    for index, tag, domain in slots:
+        if loaded is not None and isinstance(loaded.domain, PrimeField):
+            domain = loaded.domain
+        label = f"fp{domain.p}" if isinstance(domain, PrimeField) else "qq"
+        entries.append(_entry(suite, f"{label}-{index}", lambda: checks(tag, domain)))
+    return entries
 
 
 def _slots(config: SuiteConfig, suite: str, with_qq: bool = False) -> list:
     """Sample i over F_p for the big prime, or over Q when ``with_qq`` and i is even."""
     p = config.big_prime()
-    return [(f"{label}-{i}", f"{suite}:{i}", domain) for i in range(config.samples)
-            for label, domain in [("qq", QQ) if with_qq and i % 2 == 0
-                                  else (f"fp{p}", PrimeField(p))]]
+    return [(i, f"{suite}:{i}", QQ if with_qq and i % 2 == 0 else PrimeField(p))
+            for i in range(config.samples)]
 
 
 def _with_fraction(suite: str, entries: list, name: str, target: str) -> list:
@@ -449,8 +456,7 @@ def _discriminant_checks(inst: TauInstance, rng) -> list:
                "one component is the conic 4*l00*l11 - l01^2"),
         _check("cubic_factor_degree", 3, dd.cubic_part.degree,
                "the other component is the cubic f3"),
-        _check("factorization_exact", True,
-               exact_divide(dd.quintic, dd.conic_part) == dd.cubic_part,
+        _check("factorization_exact", True, dd.quintic == dd.conic_part * dd.cubic_part,
                "quintic = conic * cubic with zero remainder"),
         _check("six_point_total", 6, dd.intersection.total_multiplicity,
                "components meet in six points counted with multiplicity"),
@@ -462,9 +468,11 @@ def _discriminant_checks(inst: TauInstance, rng) -> list:
 
 def _suite_discriminant(config: SuiteConfig, loaded):
     p = config.big_prime()
-    slots = [(f"{label}-{i}", f"discriminant:{label}:{i}", domain)
-             for i in range(config.samples)
-             for label, domain in (("qq", QQ), (f"fp{p}", PrimeField(p)))]
+    fields = (("qq", QQ), (f"fp{p}", PrimeField(p)))
+    if loaded is not None and isinstance(loaded.domain, PrimeField):
+        fields = fields[1:]  # an instance over F_p has no check over Q
+    slots = [(i, f"discriminant:{label}:{i}", domain)
+             for i in range(config.samples) for label, domain in fields]
     return _with_fraction(
         "discriminant", _sampled(config, loaded, "discriminant", slots, _discriminant_checks),
         "distinct_transversal_fraction", "general position holds in at least 95% of gated samples")
@@ -497,8 +505,6 @@ def _suite_fiber_action(config: SuiteConfig, loaded, points_per_component: int =
 
 def _suite_lines(config: SuiteConfig, loaded, points_per_instance: int = 5):
     small = config.small_primes()
-    if loaded is not None and isinstance(loaded.domain, PrimeField):
-        small = [loaded.domain.p]
 
     def body(inst, rng):
         domain = inst.domain
@@ -532,8 +538,8 @@ def _suite_lines(config: SuiteConfig, loaded, points_per_instance: int = 5):
                    "rational solutions match exhaustive enumeration of the direction space"),
         ]
 
-    slots = [(f"fp{p}-{i}", f"lines:{i}", PrimeField(p))
-             for i in range(config.samples) for p in [small[i % len(small)]]]
+    slots = [(i, f"lines:{i}", PrimeField(small[i % len(small)]))
+             for i in range(config.samples)]
     return _sampled(config, loaded, "lines", slots, body, ":T")
 
 
@@ -619,7 +625,7 @@ def _suite_koszul(config: SuiteConfig, loaded):
                 for d in (1, 2, 3)]
 
     p = config.big_prime()
-    slots = [(f"fp{p}-sampling", "koszul:sampling", PrimeField(p))]
+    slots = [("sampling", "koszul:sampling", PrimeField(p))]
     return ([_entry("koszul", "ledger", _koszul_ledger_checks)]
             + _sampled(config, loaded, "koszul", slots, body))
 

@@ -85,19 +85,6 @@ def det(rows, domain):
     return result
 
 
-def solve(rows, rhs, domain):
-    """One solution of A x = b, or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, domain)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None
-    x = [domain.zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
-
-
 def _residue_array(mat, p: int):
     """Residues mod p as an int64 array while a product of two residues fits in
     int64 (p < 2^31), else as an array of Python ints."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .bruteforce import projective_points_fp
@@ -146,6 +147,56 @@ class TauInstance:
         """4 l00 l11 - l01^2, the degenerate-fiber conic in the fixed plane."""
         four = self.domain.coerce(4)
         return (self.l00 * self.l11).scale(four) - self.l01 * self.l01
+
+    @cached_property
+    def family(self) -> "FiberFamily":
+        """The cubic read as a conic bundle over the fixed plane, built once."""
+        return FiberFamily.of_cubic(self.cubic())
+
+
+@dataclass(frozen=True)
+class FiberFamily:
+    """The ternary forms multiplying x0^2, x0 x1 and x1^2 in a cubic, and its
+    part free of x0 and x1, read off the cubic's coefficients.
+
+    Over a point P of the fixed plane they give the fiber conic
+    l00(P) x0^2 + l01(P) x0 x1 + l11(P) x1^2 + f3(P) s^2.
+    """
+
+    l00: Form
+    l01: Form
+    l11: Form
+    f3: Form
+
+    @classmethod
+    def of_cubic(cls, phi: Form) -> "FiberFamily":
+        """Split phi by its (x0, x1)-exponents; any monomial outside the four
+        invariant shapes raises ArithmeticError."""
+        parts = {(2, 0): {}, (1, 1): {}, (0, 2): {}, (0, 0): {}}
+        for m, c in zip(monomials(5, 3), phi.coeffs):
+            if not c:
+                continue
+            if m[:2] not in parts:
+                raise ArithmeticError(f"the cubic has the monomial with exponents {m}, "
+                                      "so it is not tau-invariant")
+            parts[m[:2]][m[2:]] = c
+        dom = phi.domain
+        l00, l01, l11 = (Form.from_terms(3, 1, parts[e], dom) for e in ((2, 0), (1, 1), (0, 2)))
+        return cls(l00, l01, l11, Form.from_terms(3, 3, parts[(0, 0)], dom))
+
+    def gram(self) -> SymMatrix3:
+        """Gram matrix of the fiber conics, with Form entries; 4*det is the
+        discriminant quintic.
+
+        The grading is (1,1,2) x (1,1,2): the off-corner zero entries are the
+        zero form of degree 2 so every determinant term is a quintic.
+        """
+        dom = self.f3.domain
+        half_l01 = self.l01.scale(dom.one / dom.coerce(2))
+        z2 = Form.zero_form(3, 2, dom)
+        return SymMatrix3.from_rows([[self.l00, half_l01, z2],
+                                     [half_l01, self.l11, z2],
+                                     [z2, z2, self.f3]])
 
 
 def embed_with_x01(f3vars: Form, e0: int, e1: int) -> Form:

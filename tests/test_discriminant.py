@@ -7,17 +7,18 @@ from pathlib import Path
 
 import pytest
 
+from taucubic.bruteforce import projective_points_fp
 from taucubic.discriminant import (DOUBLE_LINE, FIXES, SMOOTH_FIBER, SWAPS,
-                                   DegenerateConicPart, InfinitelyMany, ZeroConic,
-                                   cone_and_singular_member, directional_expansion,
-                                   discriminant_quintic, family_gram, fiber_conic,
-                                   lines_through_point_brute,
+                                   DegenerateConicPart, FiberConic, InfinitelyMany,
+                                   ZeroConic, cone_and_singular_member,
+                                   directional_expansion, discriminant_quintic,
+                                   fiber_conic, lines_through_point_brute,
                                    lines_through_point_of_ltau,
                                    points_on_both_components,
                                    points_on_conic_component,
                                    points_on_cubic_component, split_conic,
-                                   split_normal_form, tau_fiber_action)
-from taucubic.forms import Form, SymMatrix3, evaluate, exact_divide
+                                   tau_fiber_action)
+from taucubic.forms import Form, PolyDict, SymMatrix3, compose_linear, evaluate, exact_divide
 from taucubic.harness import SuiteConfig, load_instance, run_suite
 from taucubic.scalars import PrimeField, QQ
 from taucubic.tau import TauInstance, canonical_instance, sample_instance
@@ -49,12 +50,25 @@ def test_fiber_accepts_five_coordinates():
 
 
 def test_fiber_restriction_identity_random():
-    # the restriction identity is asserted inside fiber_conic; exercise it
+    # the cubic restricted to the plane (x0, x1, s) -> (x0, x1, s P) is s * E_P
     inst = sample_instance(21, 8)
+    phi = inst.cubic()
     rng = random.Random(3)
     for _ in range(10):
         pt = qq(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(1, 5))
-        fiber_conic(inst, pt)
+        fc = fiber_conic(inst, pt)
+        rows = [[1, 0, 0], [0, 1, 0], [0, 0, pt[0]], [0, 0, pt[1]], [0, 0, pt[2]]]
+        expected = Form.from_terms(3, 3, {(2, 0, 1): fc.alpha, (0, 2, 1): fc.beta,
+                                          (1, 1, 1): fc.gamma, (0, 0, 3): fc.delta}, QQ)
+        assert compose_linear(phi, rows) == expected
+
+
+def test_family_read_off_cubic():
+    for seed, domain in ((23, QQ), (24, F101)):
+        inst = sample_instance(seed, 8, domain=domain)
+        fam = inst.family
+        assert (fam.l00, fam.l01, fam.l11, fam.f3) == (inst.l00, inst.l01, inst.l11, inst.f3)
+        assert inst.family is fam  # built once per instance
 
 
 def test_gram_determinant_relation():
@@ -83,27 +97,22 @@ def test_directional_expansion_matches_direct_evaluation():
 # --- splitting ----------------------------------------------------------
 
 
-def _fc(alpha, beta, gamma, delta, base=(1, 0, 0)):
-    inst = canonical_instance()
-    fc = fiber_conic(inst, qq(*base))
-    fc.alpha, fc.beta, fc.gamma, fc.delta = (QQ.coerce(alpha), QQ.coerce(beta),
-                                             QQ.coerce(gamma), QQ.coerce(delta))
-    half = QQ.one / QQ.coerce(2)
-    from taucubic.forms import SymMatrix3
-    fc.gram = SymMatrix3.from_rows([[fc.alpha, fc.gamma * half, QQ.zero],
-                                    [fc.gamma * half, fc.beta, QQ.zero],
-                                    [QQ.zero, QQ.zero, fc.delta]])
-    return fc
+def _fc(alpha, beta, gamma, delta):
+    return FiberConic(qq(1, 0, 0), *qq(alpha, beta, gamma, delta), QQ)
+
+
+def _on_line(c, pt3):
+    return not (c[0] * pt3[0] + c[1] * pt3[1] + c[2] * pt3[2])
 
 
 def test_split_rank2_gaussian():
     pair = split_conic(_fc(1, 0, 0, 1))  # x0^2 + s^2
     assert pair is not None and not pair.double
     assert pair.domain.d == -1
-    # both lines satisfy x0 = +-i s: check containment of witness points
-    i = pair.domain.sqrt_d
-    assert any(ln.contains((i, pair.domain.zero, pair.domain.one, pair.domain.zero,
-                            pair.domain.zero)) for ln in pair.as_set())
+    # the lines are x0 = +-i s: the witness (i, 0, 1) lies on one, (-i, 0, 1) on the other
+    i, zero, one = pair.domain.sqrt_d, pair.domain.zero, pair.domain.one
+    assert [_on_line(c, (i, zero, one)) for c in pair.as_set()].count(True) == 1
+    assert [_on_line(c, (-i, zero, one)) for c in pair.as_set()].count(True) == 1
 
 
 def test_split_difference_of_squares():
@@ -112,14 +121,9 @@ def test_split_difference_of_squares():
     assert pair.domain is QQ
     one, zero = QQ.one, QQ.zero
     # lines x0 = x1 and x0 = -x1 in the plane, through the fiber base point
-    assert any(ln.plane_span and _on_plane_line(ln, (one, one, zero)) for ln in pair.as_set())
-    assert any(_on_plane_line(ln, (one, -one, zero)) for ln in pair.as_set())
-
-
-def _on_plane_line(line, pt3):
-    from taucubic import linalg
-    a, b = line.plane_span
-    return linalg.rank([list(a), list(b), list(pt3)], line.domain) == 2
+    assert any(_on_line(c, (one, one, zero)) for c in pair.as_set())
+    assert any(_on_line(c, (one, -one, zero)) for c in pair.as_set())
+    assert all(_on_line(c, (zero, zero, one)) for c in pair.as_set())
 
 
 def test_split_double_line():
@@ -136,21 +140,6 @@ def test_split_zero_conic_raises():
         split_conic(_fc(0, 0, 0, 0))
 
 
-def test_split_normal_form_reconstructs_conic():
-    inst = sample_instance(31, 9, domain=F101)
-    rng = random.Random(8)
-    for pt in points_on_conic_component(inst, rng, 5):
-        fc = fiber_conic(inst, pt)
-        assert fc.delta  # off the cubic component
-        b0, b1, fld = split_normal_form(fc)
-        # delta * (s + b0 x0 + b1 x1)(s - b0 x0 - b1 x1) == alpha x0^2 + ...
-        d = fld.coerce(fc.delta)
-        a, b, g = fld.coerce(fc.alpha), fld.coerce(fc.beta), fld.coerce(fc.gamma)
-        assert -d * b0 * b0 == a
-        assert -d * b1 * b1 == b
-        assert -2 * d * b0 * b1 == g
-
-
 def test_line_pair_product_recovers_conic():
     # the two plane line forms multiply back to the fiber conic (up to scale)
     rng = random.Random(31415)
@@ -161,12 +150,7 @@ def test_line_pair_product_recovers_conic():
         fc = fiber_conic(inst, P)
         pair = split_conic(fc)
         fld = pair.domain
-
-        def line_form(ln):
-            (a0, a1, a2), (b0, b1, b2) = ln.plane_span
-            return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-
-        l1, l2 = line_form(pair.plus), line_form(pair.minus)
+        l1, l2 = pair.plus, pair.minus
         prod = {(2, 0, 0): l1[0] * l2[0], (0, 2, 0): l1[1] * l2[1],
                 (0, 0, 2): l1[2] * l2[2],
                 (1, 1, 0): l1[0] * l2[1] + l1[1] * l2[0],
@@ -194,26 +178,25 @@ def test_both_lines_lie_on_cubic():
     for pt in pts:
         pair = split_conic(fiber_conic(inst, pt))
         assert pair is not None
-        for line in pair.as_set():
-            _assert_line_on_form(phi, line)
+        for c in pair.as_set():
+            _assert_line_on_form(phi, c, pt, pair.domain)
 
 
-def _assert_line_on_form(phi, line):
-    from taucubic.forms import PolyDict
-    fld = line.domain
-    p, q = line.span
-    coords = []
-    for a, b in zip(p, q):
-        terms = {}
-        if a:
-            terms[(1, 0)] = a
-        if b:
-            terms[(0, 1)] = b
-        coords.append(PolyDict(2, fld, terms))
-    phi_f = phi if phi.domain is fld else phi.map_coefficients(fld.coerce, fld)
-    val = evaluate(phi_f, coords)
-    from taucubic.forms import PolyDict as PD
-    assert not isinstance(val, PD) or val.is_zero
+def _assert_line_on_form(phi, c, P, fld):
+    """phi vanishes on the plane line {c . (x0, x1, s) = 0} lifted to P^4 by
+    (x0, x1, s) -> (x0, x1, s P)."""
+    # two independent points of the line, among its crossings c x e_i with
+    # the coordinate lines
+    crossings = [(fld.zero, c[2], -c[1]), (-c[2], fld.zero, c[0]), (c[1], -c[0], fld.zero)]
+    a = next(q for q in crossings if any(q))
+    b = next(q for q in crossings if any(_cross(a, q)))
+    plane = [PolyDict(2, fld, {(1, 0): x, (0, 1): y}) for x, y in zip(a, b)]
+    lifted = plane[:2] + [plane[2] * fld.coerce(p) for p in P]
+    assert evaluate(phi.map_coefficients(fld.coerce, fld), lifted).is_zero
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 # --- the dichotomy ------------------------------------------------------
@@ -251,6 +234,32 @@ def test_dichotomy_randomized():
             assert act.on_conic_component and act.action == SWAPS
 
 
+@pytest.mark.parametrize("p, seed", ((11, 601), (13, 600)))
+def test_dichotomy_on_every_plane_point(p, seed):
+    # every point of P^2(F_p): Fixes on the cubic only, Swaps on the conic
+    # only, DoubleLine on both, SmoothFiber on neither; the components are
+    # evaluated from the instance's parts.  Each sampled instance has a
+    # crossing point over F_p.
+    dom = PrimeField(p)
+    want = {(True, False): FIXES, (False, True): SWAPS,
+            (True, True): DOUBLE_LINE, (False, False): SMOOTH_FIBER}
+    seen, split_fields = set(), set()
+    for inst in (canonical_instance(dom), sample_instance(seed, 10, domain=dom)):
+        conic = inst.conic_part()
+        for pt in projective_points_fp(3, p):
+            key = (not evaluate(inst.f3, pt), not evaluate(conic, pt))
+            act = tau_fiber_action(inst, pt)
+            assert act.action == want[key], (pt, key)
+            assert (act.on_cubic_component, act.on_conic_component) == key
+            seen.add(act.action)
+            if act.action in (FIXES, SWAPS):
+                split_fields.add((act.action, act.pair.domain == dom))
+    assert seen == set(want.values())
+    # each kind of split fiber splits over F_p at some point and needs
+    # F_p(sqrt D) at another
+    assert split_fields == {(a, over_fp) for a in (FIXES, SWAPS) for over_fp in (True, False)}
+
+
 def test_fiber_preserved_setwise():
     inst = sample_instance(205, 10, domain=F101)
     rng = random.Random(5)
@@ -283,8 +292,36 @@ def test_discriminant_factorization_random():
 def test_family_gram_determinant_identity():
     for seed, domain in ((303, QQ), (304, F101)):
         inst = sample_instance(seed, 10, domain=domain)
-        four_det = family_gram(inst).det().scale(domain.coerce(4))
+        four_det = inst.family.gram().det().scale(domain.coerce(4))
         assert four_det == discriminant_quintic(inst).quintic
+        assert four_det == inst.conic_part() * inst.f3
+
+
+def test_factorization_check_sees_invariant_perturbation(monkeypatch):
+    # the family reads the tau-invariant x0^2 x3 into l00 while conic_part()
+    # and f3 come from the unchanged parts, so the quintic read off the cubic
+    # is not conic * cubic
+    original = TauInstance.cubic
+    monkeypatch.setattr(TauInstance, "cubic", lambda self: original(self) + Form.from_terms(
+        5, 3, {(2, 0, 0, 1, 0): 1}, self.domain))
+    report = run_suite(SuiteConfig(suites=("discriminant",), samples=2, seed=0))
+    entries = [e for e in report.entries if e.instance_id != "aggregate"]
+    assert len(entries) == 4
+    for e in entries:
+        statuses = {c.name: c.status for c in e.checks}
+        assert statuses["factorization_exact"] == "fail", e.instance_id
+
+
+def test_family_shape_check_rejects_non_invariant_cubic(monkeypatch):
+    original = TauInstance.cubic
+    monkeypatch.setattr(TauInstance, "cubic", lambda self: original(self) + Form.from_terms(
+        5, 3, {(3, 0, 0, 0, 0): 1}, self.domain))
+    for domain in (QQ, F101):
+        inst = canonical_instance(domain)
+        with pytest.raises(ArithmeticError):
+            discriminant_quintic(inst)
+        with pytest.raises(ArithmeticError):
+            tau_fiber_action(inst, (domain.one, domain.zero, domain.zero))
 
 
 def test_degenerate_conic_part_rejected():

@@ -4,6 +4,7 @@ and the CLI contract."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +178,37 @@ def test_loaded_instance_used_by_suites(tmp_path):
         cfg = SuiteConfig(suites=suites, samples=2, seed=0, instance_path=str(path))
         report = run_suite(cfg)
         assert report.summary()["failed"] == 0, suites
+
+
+# the slots' own fields: Q (for some suites), F_103 and F_11 / F_13 (lines)
+_LABEL_PRIMES = (11, 13, 103)
+_RATIONAL_FILE_IDS = {
+    "two-points": ["fp103-0", "fp103-1"],
+    "discriminant": ["qq-0", "fp103-0", "qq-1", "fp103-1"],
+    "fiber-action": ["fp103-0", "fp103-1"],
+    "lines": ["fp11-0", "fp13-1"],
+    "cone": ["qq-0", "fp103-1"],
+    "koszul": ["fp103-sampling"],
+    "fixed-points": ["qq-0", "fp103-1"],
+    "quotient": ["qq-0", "fp103-1"],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_RATIONAL_FILE_IDS))
+def test_instance_file_entries_named_by_checked_field(tmp_path, suite):
+    # an instance over F_101 is checked as it is in every slot, so every entry
+    # is named fp101-<i>; a rational one keeps the slot names, qq-<i> where it
+    # is checked over Q and fp<p>-<i> where it is reduced mod p
+    path = tmp_path / "inst101.json"
+    path.write_text(json.dumps(encode_instance(sample_instance(3, 8, domain=PrimeField(101)))))
+    rational = str(Path(__file__).parent / "fixtures" / "canonical_instance.json")
+    fp101_ids = ["fp101-sampling"] if suite == "koszul" else ["fp101-0", "fp101-1"]
+    for inst_path, want in ((str(path), fp101_ids), (rational, _RATIONAL_FILE_IDS[suite])):
+        cfg = SuiteConfig(suites=(suite,), samples=2, seed=0, primes=_LABEL_PRIMES,
+                          instance_path=inst_path)
+        ids = [e.instance_id for e in run_suite(cfg).entries
+               if e.instance_id not in ("aggregate", "ledger")]
+        assert ids == want, inst_path
 
 
 # --- CLI ----------------------------------------------------------------

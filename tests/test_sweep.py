@@ -1,6 +1,7 @@
 """Seed sweep: the sampling suites over many seeds must produce no `fail`.
 
-Opt-in, outside the default run: `pytest -m sweep`.
+The full sweep is opt-in, outside the default run: `pytest -m sweep`.  A
+three-seed slice of the fiber-action and discriminant suites runs by default.
 """
 
 import pytest
@@ -11,10 +12,18 @@ SUITES = ("two-points", "discriminant", "fiber-action", "lines", "cone", "koszul
           "fixed-points", "quotient")
 
 
+def _failures(config):
+    return [f"{e.suite}/{e.instance_id}: {c.name} = {c.computed!r}"
+            for e in run_suite(config).entries for c in e.checks if c.status == "fail"]
+
+
 @pytest.mark.sweep
 @pytest.mark.parametrize("seed", range(20))
 def test_no_failures_across_seeds(seed):
-    report = run_suite(SuiteConfig(suites=SUITES, samples=20, seed=seed))
-    failed = [f"{e.suite}/{e.instance_id}: {c.name} = {c.computed!r}"
-              for e in report.entries for c in e.checks if c.status == "fail"]
-    assert not failed
+    assert not _failures(SuiteConfig(suites=SUITES, samples=20, seed=seed))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fiber_dichotomy_and_discriminant_slice(seed):
+    assert not _failures(SuiteConfig(suites=("fiber-action", "discriminant"), samples=3,
+                                     seed=seed))
