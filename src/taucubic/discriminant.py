@@ -34,8 +34,8 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .forms import (Form, SymMatrix3, evaluate, compose_linear, monomials,
-                    partial_derivative)
+from .forms import (Form, SymMatrix3, evaluate, compose_linear, is_smooth_conic,
+                    monomials, partial_derivative)
 from .intersect import (CommonComponent, PlaneIntersection, conic_rational_points,
                         curve_rational_points, intersect_plane_curves)
 from .roots import binary_quadratic_roots
@@ -156,11 +156,6 @@ def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _same_line(c, d) -> bool:
-    """Whether the line forms c and d are proportional (every 2x2 minor vanishes)."""
-    return all(not (c[i] * d[j] - c[j] * d[i]) for i, j in ((0, 1), (0, 2), (1, 2)))
-
-
 def _tau_line(c):
     return (-c[0], -c[1], c[2])
 
@@ -189,9 +184,10 @@ def tau_fiber_action(instance: TauInstance, P) -> FiberAction:
     if pair.double:
         return FiberAction(DOUBLE_LINE, on_conic, on_cubic, pair)
     plus, minus = pair.as_set()
-    if _same_line(_tau_line(plus), plus) and _same_line(_tau_line(minus), minus):
+    same = linalg.proportional
+    if same(_tau_line(plus), plus) and same(_tau_line(minus), minus):
         return FiberAction(FIXES, on_conic, on_cubic, pair)
-    if _same_line(_tau_line(plus), minus) and _same_line(_tau_line(minus), plus):
+    if same(_tau_line(plus), minus) and same(_tau_line(minus), plus):
         return FiberAction(SWAPS, on_conic, on_cubic, pair)
     raise ArithmeticError("involution did not preserve the fiber's line pair")
 
@@ -217,11 +213,11 @@ def discriminant_quintic(instance: TauInstance,
     rng = rng or random.Random(0xD15C)
     domain = instance.domain
     conic = instance.conic_part()
-    if conic.is_zero or SymMatrix3.gram_of_ternary(conic).rank(domain) < 3:
+    if not is_smooth_conic(conic):
         raise DegenerateConicPart("conic factor of the discriminant is degenerate")
     quintic = instance.family.gram().det().scale(domain.coerce(4))
     cubic = instance.f3
-    inter = intersect_plane_curves(conic, cubic, rng, want_points=True)
+    inter = intersect_plane_curves(conic, cubic, rng)
     transversal = (inter.distinct and inter.total_multiplicity == 6
                    and all(p.transversal is not False for p in inter.points))
     return DiscriminantData(quintic, conic, cubic, inter, transversal)
@@ -262,8 +258,7 @@ def points_on_cubic_component(instance: TauInstance, rng: random.Random, count: 
 def points_on_both_components(instance: TauInstance, rng: random.Random):
     """Crossing points of the two components that are rational over the
     instance domain."""
-    inter = intersect_plane_curves(instance.conic_part(), instance.f3, rng,
-                                   want_points=True)
+    inter = intersect_plane_curves(instance.conic_part(), instance.f3, rng)
     return [p.coords for p in inter.points if p.domain == instance.domain]
 
 
@@ -274,7 +269,6 @@ def points_on_both_components(instance: TauInstance, rng: random.Random):
 @dataclass
 class LineCountReport:
     total_multiplicity: int
-    expected_total: int
     rational_directions: list
     clusters: list
     contains_fixed_line: bool
@@ -368,7 +362,7 @@ def lines_through_point_of_ltau(instance: TauInstance, T,
     if g2s.is_zero or g3s.is_zero:
         raise InfinitelyMany("condition system degenerated after elimination")
     try:
-        inter = intersect_plane_curves(g2s, g3s, rng, want_points=True)
+        inter = intersect_plane_curves(g2s, g3s, rng)
     except CommonComponent as exc:
         raise InfinitelyMany("positive-dimensional family of lines") from exc
     directions = []
@@ -391,7 +385,6 @@ def lines_through_point_of_ltau(instance: TauInstance, T,
         directions.append((q5, pp.mult, pp.field_label))
     return LineCountReport(
         total_multiplicity=inter.total_multiplicity,
-        expected_total=6,
         rational_directions=directions,
         clusters=list(inter.clusters),
         contains_fixed_line=fixed_found,
@@ -445,7 +438,7 @@ def cone_and_singular_member(instance: TauInstance, quadric_index: int = 0,
     rng = rng or random.Random(0xC04E)
     domain = instance.domain
     conic = instance.conic_part()
-    if conic.is_zero or SymMatrix3.gram_of_ternary(conic).rank(domain) < 3:
+    if not is_smooth_conic(conic):
         raise DegenerateConicPart("cone over a degenerate conic")
     K = embed_with_x01(conic, 0, 0)
     grads = [partial_derivative(K, i) for i in range(5)]
@@ -513,7 +506,7 @@ def _probe_cone_surface(instance, quadric_index, rng, probe_prime, probe_count):
         p = probe_prime
     fdom = PrimeField(p)
     conic = work.conic_part()
-    if SymMatrix3.gram_of_ternary(conic).rank(fdom) < 3:
+    if not is_smooth_conic(conic):
         return 0, [], f"the conic part drops rank mod {p}"
     K = embed_with_x01(conic, 0, 0)
     F = work.quadric(quadric_index)

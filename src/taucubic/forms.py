@@ -672,6 +672,11 @@ class SymMatrix3:
         return linalg.rank([list(r) for r in self.entries], domain)
 
 
+def is_smooth_conic(q: Form) -> bool:
+    """Whether the ternary quadric q = 0 is a smooth conic: its Gram matrix has rank 3."""
+    return not q.is_zero and SymMatrix3.gram_of_ternary(q).rank(q.domain) == 3
+
+
 def _half_of(domain):
     return domain.one / domain.coerce(2)
 

@@ -709,6 +709,7 @@ def _quotient_spot_checks(inst: TauInstance, rng: random.Random, count: int):
     p = domain.p
     phi, F = inst.cubic(), inst.quadric(0)
     q = inst.quadrics[0]
+    bf = quot.quotient_equation(inst)
     ident_ok = member_ok = probed = 0
     guard = 0
     while probed < count and guard < count * 10:
@@ -723,7 +724,7 @@ def _quotient_spot_checks(inst: TauInstance, rng: random.Random, count: int):
         if not f2v or not quad_f:
             continue
         probed += 1
-        a, b, c = quot.fiber_quadratic(inst, P)
+        a, b, c = quot.fiber_quadratic(bf, P)
         qval = a * x0 * x0 + b * x0 * x1 + c * x1 * x1
         pt5 = (x0, x1) + P
         direct = evaluate(phi, pt5) * f2v - evaluate(F, pt5) * evaluate(inst.f3, P)

@@ -1,11 +1,13 @@
 """Plane-curve intersection through sheared eliminants.
 
-Two curves in P^2 are intersected by a random coordinate shear (so the
-eliminated variable has constant leading coefficient and no two intersection
-points share a projection), a Sylvester resultant, and the root ledger of the
-resulting binary form.  Multiplicity totals and squarefreeness are certified
-on the eliminant; explicit coordinates are produced for Galois orbits of
-degree <= 2 over the working field.
+Two curves in P^2 are intersected through one coordinate shear, which gives
+the eliminated variable a constant leading coefficient, and the Sylvester
+resultant of the sheared forms.  One rule keeps the shear: the first usable one
+whose eliminant is squarefree, else the one of three usable shears whose
+eliminant has the most distinct roots.  Distinctness is decided by that rule;
+the root ledger, its multiplicity total and the coordinates of Galois orbits of
+degree <= 2 over the working field are computed from the kept shear on first
+access.
 
 Over F_p the rational points of a single plane curve are enumerated exactly,
 slice by slice, rather than searched for.
@@ -14,7 +16,8 @@ slice by slice, rather than searched for.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import roots as uv
 from .bruteforce import projective_points_fp
@@ -22,6 +25,8 @@ from .forms import (Form, compose_linear, evaluate, monomials, partial_derivativ
                     sylvester_resultant)
 from .linalg import rank
 from .roots import BinaryRootLedger, RootEntry, binary_form_roots
+
+SHEAR_TRIES = 24
 
 
 class CommonComponent(ValueError):
@@ -39,13 +44,48 @@ class PlanePoint:
 
 @dataclass
 class PlaneIntersection:
-    total_multiplicity: int
-    expected_total: int
+    """The intersection of f and g read off the eliminant of one kept shear
+    (x3 += a x2, x4 += b x2); ``eliminant`` lists its coefficients ascending
+    in x3.  ``distinct`` is settled when the shear is kept; the ledger, the
+    points and the clusters are computed on first access."""
+
+    f: Form
+    g: Form
+    shear: tuple
+    fs: Form
+    gs: Form
+    eliminant: list
     distinct: bool
-    shear_stable: bool
-    points: list[PlanePoint] = field(default_factory=list)
-    clusters: list[RootEntry] = field(default_factory=list)
-    ledger: BinaryRootLedger | None = None
+
+    @cached_property
+    def ledger(self) -> BinaryRootLedger:
+        return binary_form_roots(self.eliminant, self.f.domain)
+
+    @property
+    def total_multiplicity(self) -> int:
+        return self.ledger.total_multiplicity
+
+    @cached_property
+    def clusters(self) -> list[RootEntry]:
+        """Root orbits with no coordinates over the field or a quadratic extension."""
+        return [e for e in self.ledger.entries if e.point is None]
+
+    @cached_property
+    def points(self) -> list[PlanePoint]:
+        f, g, domain = self.f, self.g, self.f.domain
+        a, b = self.shear
+        out = []
+        for entry in self.ledger.entries:
+            if entry.point is None:
+                continue
+            for x2, x3, x4 in _lift_root(self.fs, self.gs, entry, domain):
+                pdom = _point_domain((x2, x3, x4), domain)
+                coords = (x2, x3 + pdom.coerce(a) * x2, x4 + pdom.coerce(b) * x2)
+                if evaluate(f, coords) or evaluate(g, coords):
+                    raise ArithmeticError("lifted intersection point fails to lie on both curves")
+                out.append(PlanePoint(coords, entry.mult, entry.field_label, pdom,
+                                      _is_transversal(f, g, coords, pdom)))
+        return out
 
 
 def _shear_rows(domain, a, b):
@@ -53,12 +93,6 @@ def _shear_rows(domain, a, b):
     return [[one, zero, zero],
             [domain.coerce(a), one, zero],
             [domain.coerce(b), zero, one]]
-
-
-def _unshear_point(pt3, a, b, domain):
-    x2, x3, x4 = pt3
-    dom = _point_domain(pt3, domain)
-    return (x2, x3 + dom.coerce(a) * x2, x4 + dom.coerce(b) * x2)
 
 
 def _point_domain(pt, fallback):
@@ -86,24 +120,22 @@ def _slice_in_x2(f: Form, x3, x4, domain):
     return uv.trim([domain.zero if c is None else c for c in coeffs])
 
 
-def intersect_plane_curves(f: Form, g: Form, rng: random.Random | None = None,
-                           want_points: bool = True, shear_tries: int = 24) -> PlaneIntersection:
-    """Intersection ledger of two ternary forms with no common component."""
+def intersect_plane_curves(f: Form, g: Form,
+                           rng: random.Random | None = None) -> PlaneIntersection:
+    """Intersection of two ternary forms with no common component."""
     if f.num_vars != 3 or g.num_vars != 3:
         raise ValueError("plane-curve intersection expects ternary forms")
     rng = rng or random.Random(0xC0FFEE)
     domain = f.domain
     expected = f.degree * g.degree
-    attempts = []
-    zero_resultants = 0
-    for _ in range(shear_tries):
+    kept = None  # (distinct roots, shear, fs, gs, eliminant)
+    usable = zero_resultants = 0
+    for _ in range(SHEAR_TRIES):
         a, b = rng.randint(-9, 9), rng.randint(-9, 9)
         rows = _shear_rows(domain, a, b)
         fs, gs = compose_linear(f, rows), compose_linear(g, rows)
         # leading coefficient in the eliminated variable must be a constant
-        lead_f = fs.coefficient((fs.degree, 0, 0))
-        lead_g = gs.coefficient((gs.degree, 0, 0))
-        if not lead_f or not lead_g:
+        if not fs.coefficient((fs.degree, 0, 0)) or not gs.coefficient((gs.degree, 0, 0)):
             continue
         res = sylvester_resultant(fs, gs, 0)
         if res.is_zero:
@@ -111,69 +143,31 @@ def intersect_plane_curves(f: Form, g: Form, rng: random.Random | None = None,
             if zero_resultants >= 3:
                 raise CommonComponent("eliminant vanished for three shears")
             continue
-        if not want_points:
-            # multiplicity total and squarefreeness need no root extraction;
-            # a non-squarefree eliminant may be a projection collision, so
-            # only report non-distinct after three shears agree
-            asc = uv.trim([res.coeffs[-(k + 1)] for k in range(expected + 1)])
-            inf_mult = expected - uv.degree(asc)
-            squarefree = inf_mult <= 1 and uv.is_squarefree(asc, domain)
-            attempts.append((squarefree,))
-            if squarefree or len(attempts) >= 3:
-                return PlaneIntersection(
-                    total_multiplicity=expected,
-                    expected_total=expected,
-                    distinct=squarefree,
-                    shear_stable=True,
-                    ledger=None,
-                )
-            continue
-        ledger = binary_form_roots(list(reversed(res.coeffs)), domain)
-        attempts.append((len(ledger.entries), a, b, fs, gs, ledger))
-        if len(attempts) >= 3:
+        eliminant = list(reversed(res.coeffs))
+        affine = uv.trim(list(eliminant))
+        # a root at (1 : 0) counts once however often it repeats
+        roots = (len(affine) < len(eliminant)) + uv.distinct_root_count(affine, domain)
+        if kept is None or roots > kept[0]:
+            kept = (roots, (a, b), fs, gs, eliminant)
+        usable += 1
+        # a repeated root may be two points sharing a projection, so a
+        # non-squarefree eliminant is only trusted after three shears
+        if roots == expected or usable == 3:
             break
-    if not attempts:
+    if kept is None:
         raise CommonComponent("no usable shear found")
-    if not want_points:
-        return PlaneIntersection(expected, expected, False, False, ledger=None)
-    attempts.sort(key=lambda t: -t[0])
-    nentries, a, b, fs, gs, ledger = attempts[0]
-    stable = len(attempts) >= 2 and attempts[1][0] == nentries
-    out = PlaneIntersection(
-        total_multiplicity=ledger.total_multiplicity,
-        expected_total=expected,
-        distinct=ledger.squarefree and ledger.total_multiplicity == expected,
-        shear_stable=stable,
-        ledger=ledger,
-    )
-    for entry in ledger.entries:
-        if entry.point is None:
-            out.clusters.append(entry)
-            continue
-        if not want_points:
-            out.clusters.append(entry)
-            continue
-        for pt3 in _lift_root(fs, gs, entry, domain):
-            coords = _unshear_point(pt3, a, b, domain)
-            pdom = _point_domain(coords, domain)
-            if evaluate(f, coords) or evaluate(g, coords):
-                raise ArithmeticError("lifted intersection point fails to lie on both curves")
-            pp = PlanePoint(coords, entry.mult, entry.field_label, pdom)
-            pp.transversal = _is_transversal(f, g, coords, pdom)
-            out.points.append(pp)
-    return out
+    roots, shear, fs, gs, eliminant = kept
+    return PlaneIntersection(f, g, shear, fs, gs, eliminant, distinct=roots == expected)
 
 
 def _lift_root(fs: Form, gs: Form, entry: RootEntry, domain):
     """x2-values over a projective root (x3:x4) of the eliminant."""
     root_domain = entry.domain or domain
     x3, x4 = entry.point
-    lift = lambda c: root_domain.coerce(c) if root_domain is not domain else c
-    u = _slice_in_x2(fs.map_coefficients(lift, root_domain) if root_domain is not domain else fs,
-                     x3, x4, root_domain)
-    v = _slice_in_x2(gs.map_coefficients(lift, root_domain) if root_domain is not domain else gs,
-                     x3, x4, root_domain)
-    g = uv.gcd(u, v, root_domain)
+    if root_domain is not domain:
+        fs, gs = (h.map_coefficients(root_domain.coerce, root_domain) for h in (fs, gs))
+    g = uv.gcd(_slice_in_x2(fs, x3, x4, root_domain), _slice_in_x2(gs, x3, x4, root_domain),
+               root_domain)
     if not 1 <= uv.degree(g) <= 2:
         return []
     # x2-values outside the root's field are not lifted

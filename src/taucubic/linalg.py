@@ -61,6 +61,12 @@ def nullspace(rows, domain):
     return basis
 
 
+def proportional(u, v) -> bool:
+    """Whether the vectors u and v are proportional: every 2x2 minor vanishes."""
+    return all(not (u[i] * v[j] - u[j] * v[i])
+               for i in range(len(u)) for j in range(i + 1, len(u)))
+
+
 def det(rows, domain):
     """Determinant by fraction-full Gaussian elimination."""
     m = _clone(rows)

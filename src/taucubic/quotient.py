@@ -105,9 +105,9 @@ def branch_sextic(instance: TauInstance, quadric_index: int = 0) -> Form:
     return disc
 
 
-def fiber_quadratic(instance: TauInstance, P, quadric_index: int = 0):
-    """(A(P), B(P), C(P)): the quotient fiber over a point of the plane factor."""
-    bf = quotient_equation(instance, quadric_index)
+def fiber_quadratic(bf: BiForm, P):
+    """(A(P), B(P), C(P)): the fiber of the quotient equation bf over a point of
+    the plane factor."""
     return tuple(evaluate(bf.factor_form(e), P) for e in ((2, 0), (1, 1), (0, 2)))
 
 

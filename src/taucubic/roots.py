@@ -113,13 +113,19 @@ def powmod(base, e: int, mod, domain):
     return result
 
 
-def is_squarefree(cs, domain) -> bool:
-    """gcd(f, f') constant; valid in characteristic 0 or p > deg f."""
+def distinct_root_count(cs, domain) -> int:
+    """deg f - deg gcd(f, f'), the number of distinct roots of f over the
+    algebraic closure; valid in characteristic 0 or p > deg f."""
     if degree(cs) <= 0:
-        return True
+        return 0
     if domain.char and domain.char <= degree(cs):
         raise ValueError(f"squarefreeness test needs characteristic > {degree(cs)}")
-    return degree(gcd(cs, derivative(cs, domain), domain)) == 0
+    return degree(cs) - degree(gcd(cs, derivative(cs, domain), domain))
+
+
+def is_squarefree(cs, domain) -> bool:
+    """gcd(f, f') constant; valid in characteristic 0 or p > deg f."""
+    return distinct_root_count(cs, domain) == max(degree(cs), 0)
 
 
 def squarefree_decomposition(cs, domain):

@@ -20,8 +20,8 @@ from functools import cached_property
 
 from . import linalg
 from .bruteforce import projective_points_fp
-from .forms import (Form, SymMatrix3, evaluate, compose_linear, macaulay_resultant,
-                    monomials, partial_derivative, is_smooth_hypersurface,
+from .forms import (Form, SymMatrix3, evaluate, compose_linear, is_smooth_conic,
+                    macaulay_resultant, monomials, partial_derivative, is_smooth_hypersurface,
                     ResultantIndeterminate, SMOOTH_CERTIFIED)
 from .intersect import (CommonComponent, PlaneIntersection, intersect_plane_curves)
 from .roots import binary_quadratic_roots
@@ -245,10 +245,9 @@ def genericity_report(instance: TauInstance, primes=(101, 103),
                       rng: random.Random | None = None) -> dict:
     """The concrete general-position conditions, each as a named boolean."""
     rng = rng or random.Random(0xA11CE)
-    domain = instance.domain
     report = {}
     conic = instance.conic_part()
-    report["conic_rank3"] = (not conic.is_zero) and SymMatrix3.gram_of_ternary(conic).rank(domain) == 3
+    report["conic_rank3"] = is_smooth_conic(conic)
     try:
         res = macaulay_resultant([partial_derivative(instance.f3, i) for i in range(3)])
         report["cubic_smooth"] = bool(res)
@@ -256,19 +255,18 @@ def genericity_report(instance: TauInstance, primes=(101, 103),
         report["cubic_smooth"] = False
     if report["conic_rank3"] and report["cubic_smooth"]:
         try:
-            inter = intersect_plane_curves(conic, instance.f3, rng, want_points=False)
-            report["six_points_distinct"] = inter.distinct and inter.total_multiplicity == 6
-        except (CommonComponent, ValueError):
+            report["six_points_distinct"] = intersect_plane_curves(conic, instance.f3, rng).distinct
+        except CommonComponent:
             report["six_points_distinct"] = False
     else:
         report["six_points_distinct"] = False
     q = instance.quadrics[0]
-    report["f2_rank3"] = (not q.f2.is_zero) and SymMatrix3.gram_of_ternary(q.f2).rank(domain) == 3
+    report["f2_rank3"] = is_smooth_conic(q.f2)
     if report["f2_rank3"] and report["cubic_smooth"]:
         try:
-            inter = intersect_plane_curves(q.f2, instance.f3, rng, want_points=False)
-            report["surface_plane_points_distinct"] = inter.distinct and inter.total_multiplicity == 6
-        except (CommonComponent, ValueError):
+            report["surface_plane_points_distinct"] = intersect_plane_curves(
+                q.f2, instance.f3, rng).distinct
+        except CommonComponent:
             report["surface_plane_points_distinct"] = False
     else:
         report["surface_plane_points_distinct"] = False
@@ -417,7 +415,7 @@ def two_point_analysis(instance: TauInstance, P, Q, quadric_index: int = 0) -> T
     if w_rank != 4:
         raise NoSolution(f"span of cubic and quadric multiples has rank {w_rank}, not 4")
     inv = invariant_monomials(3)
-    same = _proj_equal(P, Q, domain)
+    same = linalg.proportional(P, Q)
     rows = [[_monomial_value(inv[i], P) for i in complement]]
     if not same:
         rows.append([_monomial_value(inv[i], Q) for i in complement])
@@ -449,15 +447,6 @@ def _monomial_value(exps, pt):
         for _ in range(e):
             val = c if val is None else val * c
     return val
-
-
-def _proj_equal(P, Q, domain):
-    n = len(P)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if P[i] * Q[j] != P[j] * Q[i]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +508,7 @@ def fixed_points_on_S(instance: TauInstance, quadric_index: int = 0,
         zero = fld.zero if hasattr(fld, "zero") else domain.zero
         line_points.append(((x0, x1, zero, zero, zero), mult))
     line_mult = sum(m for _, m in roots)
-    plane = intersect_plane_curves(q.f2, instance.f3, rng, want_points=True)
+    plane = intersect_plane_curves(q.f2, instance.f3, rng)
     line_distinct = all(m == 1 for _, m in roots)
     return FixedPointReport(
         line_points=line_points,
@@ -555,13 +544,12 @@ def check_pencil_condition(g2: Form, h2: Form, probe_primes=(5, 7),
     meeting transversally in 4 points."""
     rng = rng or random.Random(0xBEEF)
     domain = g2.domain
-    g_smooth = (not g2.is_zero) and SymMatrix3.gram_of_ternary(g2).rank(domain) == 3
-    h_smooth = (not h2.is_zero) and SymMatrix3.gram_of_ternary(h2).rank(domain) == 3
+    g_smooth = is_smooth_conic(g2)
+    h_smooth = is_smooth_conic(h2)
     if g_smooth and h_smooth:
         try:
-            inter = intersect_plane_curves(g2, h2, rng, want_points=False)
-            four = inter.distinct and inter.total_multiplicity == 4
-        except (CommonComponent, ValueError):
+            four = intersect_plane_curves(g2, h2, rng).distinct
+        except CommonComponent:
             four = False
     else:
         four = False

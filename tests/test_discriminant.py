@@ -19,7 +19,7 @@ from taucubic.discriminant import (DOUBLE_LINE, FIXES, SMOOTH_FIBER, SWAPS,
                                    points_on_cubic_component, split_conic,
                                    tau_fiber_action)
 from taucubic.forms import Form, PolyDict, SymMatrix3, compose_linear, evaluate, exact_divide
-from taucubic.harness import SuiteConfig, load_instance, run_suite
+from taucubic.harness import SuiteConfig, load_instance, projective_key, run_suite
 from taucubic.scalars import PrimeField, QQ
 from taucubic.tau import TauInstance, canonical_instance, sample_instance
 
@@ -353,16 +353,10 @@ def test_lines_count_and_bruteforce():
             assert rep.total_multiplicity == 6
             assert rep.contains_fixed_line
             brute = lines_through_point_brute(inst, (dom.one, dom.coerce(t1 - 1)))
-            elim = {_nkey(d, dom) for d, _m, lbl in rep.rational_directions
+            elim = {projective_key(d, dom) for d, _m, lbl in rep.rational_directions
                     if lbl == f"F{p}"}
-            assert elim == {_nkey(d, dom) for d in brute}
+            assert elim == {projective_key(d, dom) for d in brute}
         assert checked == 3
-
-
-def _nkey(pt, dom):
-    lead = next(c for c in pt if c)
-    inv = dom.one / lead
-    return tuple((c * inv).residue for c in pt)
 
 
 def test_lines_fixed_line_always_solution():

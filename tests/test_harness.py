@@ -141,6 +141,13 @@ def test_run_deterministic_across_processes():
     assert len(digests) == 1
 
 
+def test_report_bytes_match_fixture():
+    # a change that moves a sampled point regenerates the fixture and says why
+    fixture = Path(__file__).parent / "fixtures" / "report_all_samples1_seed0.txt"
+    report = run_suite(SuiteConfig(suites=("all",), samples=1, seed=0))
+    assert report.canonical_text() == fixture.read_text()
+
+
 def test_failing_check_does_not_abort_others(monkeypatch):
     import taucubic.harness as hz
 

@@ -92,6 +92,15 @@ def test_gate_propagates_programming_errors(monkeypatch):
         genericity_report(canonical_instance())
 
 
+def test_gate_rejects_only_a_common_component(monkeypatch):
+    # CommonComponent is a ValueError; any other ValueError is a fault, not a verdict
+    def broken(*args, **kwargs):
+        raise ValueError("bug inside the intersection")
+    monkeypatch.setattr(tau_mod, "intersect_plane_curves", broken)
+    with pytest.raises(ValueError, match="bug inside the intersection"):
+        genericity_report(canonical_instance())
+
+
 def test_sampler_deterministic():
     a = sample_instance(0, 5)
     b = sample_instance(0, 5)
