@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .forms import Form, evaluate
 from .scalars import FpElem, PrimeField
 
@@ -137,6 +139,22 @@ def projective_points_fp(nvars: int, p: int):
         zeros = [field.zero] * lead
         for tail in itertools.product(range(p), repeat=nvars - lead - 1):
             yield tuple(zeros + [one] + [FpElem(t, p) for t in tail])
+
+
+def projective_point_slices(nvars: int, p: int):
+    """The points of ``projective_points_fp(nvars, p)``, in its order, as int64
+    arrays of residues, one point per row and at most p^(nvars-2) rows each."""
+    for lead in range(nvars):
+        free = nvars - lead - 1
+        fixed = max(free - max(nvars - 2, 0), 0)   # leading free coordinates held per slice
+        grid = np.array(list(itertools.product(range(p), repeat=free - fixed)),
+                        dtype=np.int64).reshape(p ** (free - fixed), free - fixed)
+        for head in itertools.product(range(p), repeat=fixed):
+            pts = np.zeros((len(grid), nvars), dtype=np.int64)
+            pts[:, lead] = 1
+            pts[:, lead + 1:lead + 1 + fixed] = head
+            pts[:, lead + 1 + fixed:] = grid
+            yield pts
 
 
 def common_projective_zeros(fs: list[Form], p: int, ext_degree: int = 1, limit=None):

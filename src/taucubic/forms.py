@@ -18,6 +18,8 @@ from functools import lru_cache
 import itertools
 import random
 
+import numpy as np
+
 from . import linalg
 from .scalars import BadPrime, FpElem, PrimeField, RationalField, reduce_mod_prime
 
@@ -454,60 +456,73 @@ def sylvester_resultant(f: Form, g: Form, eliminated_var: int) -> Form:
     return Form.from_polydict(det_pd)
 
 
-def macaulay_system(degrees: list[int], nvars: int):
-    """Row plan of the classical Macaulay matrix: per degree-D monomial, the
-    assigned form index and shift, plus the reduced/non-reduced split."""
+@lru_cache(maxsize=None)
+def _macaulay_plan(degrees: tuple, nvars: int):
+    """Where the coefficients of forms of these degrees land in their Macaulay
+    matrix: ``(size, rows, cols, src, keep)``, built once per shape.
+
+    Row r belongs to the r-th monomial x^m of degree D = sum(d_i - 1) + 1: it
+    holds form i times x^m / x_i^(d_i), for the first i with x_i^(d_i)
+    dividing x^m.  Entry ``(rows[t], cols[t])`` is entry ``src[t]`` of the
+    forms' coefficient vectors laid end to end.  ``keep`` lists the rows with
+    more than one such i (the non-reduced ones), which index the minor.
+    """
     big_d = sum(d - 1 for d in degrees) + 1
-    mons = monomials(nvars, big_d)
-    plan = []
-    reduced_flags = []
-    for mon in mons:
+    idx = monomial_index(nvars, big_d)
+    offsets = list(itertools.accumulate((len(monomials(nvars, d)) for d in degrees),
+                                        initial=0))
+    rows, cols, src, keep = [], [], [], []
+    for r, mon in enumerate(monomials(nvars, big_d)):
         hits = [i for i, d in enumerate(degrees) if mon[i] >= d]
         i = hits[0]
+        if len(hits) > 1:
+            keep.append(r)
         shift = list(mon)
         shift[i] -= degrees[i]
-        plan.append((i, tuple(shift)))
-        reduced_flags.append(len(hits) == 1)
-    return big_d, mons, plan, reduced_flags
+        for k, m in enumerate(monomials(nvars, degrees[i])):
+            rows.append(r)
+            cols.append(idx[tuple(a + b for a, b in zip(m, shift))])
+            src.append(offsets[i] + k)
+    arrays = [np.array(v, dtype=np.intp) for v in (rows, cols, src, keep)]
+    for v in arrays:
+        v.flags.writeable = False
+    return (len(idx), *arrays)
 
 
-def _macaulay_dets(fs: list[Form]):
-    """(det of Macaulay matrix, det of its non-reduced minor)."""
-    nvars = fs[0].num_vars
-    degrees = [f.degree for f in fs]
-    big_d, mons, plan, reduced = macaulay_system(degrees, nvars)
-    idx = monomial_index(nvars, big_d)
-    n = len(mons)
+def _macaulay_quotient(fs: list[Form]):
+    """det(M) / det(minor) for the Macaulay matrix M of fs, or None when the
+    minor vanishes, in which case det(M) is never computed."""
+    size, rows, cols, src, keep = _macaulay_plan(tuple(f.degree for f in fs), fs[0].num_vars)
     domain = fs[0].domain
-    rows = []
-    for i, shift in plan:
-        f = fs[i]
-        row = [domain.zero] * n
-        for m, c in zip(monomials(nvars, degrees[i]), f.coeffs):
-            if c:
-                tgt = tuple(a + b for a, b in zip(m, shift))
-                row[idx[tgt]] = c
-        rows.append(row)
-    keep = [j for j, r in enumerate(reduced) if not r]
-    minor = [[rows[j][k] for k in keep] for j in keep]
-    if isinstance(domain, PrimeField) and n >= 24:
+    if isinstance(domain, PrimeField) and size >= 24:
         p = domain.p
-        as_int = [[c.residue for c in r] for r in rows]
-        d_full = FpElem(linalg.det_mod_p(as_int, p), p)
-        m_int = [[c.residue for c in r] for r in minor]
-        d_minor = FpElem(linalg.det_mod_p(m_int, p), p) if minor else domain.one
-        return d_full, d_minor
-    d_full = linalg.det(rows, domain)
-    d_minor = linalg.det(minor, domain) if minor else domain.one
-    return d_full, d_minor
+        vals = np.array([c.residue for f in fs for c in f.coeffs], dtype=linalg.residue_dtype(p))
+        mat = np.zeros((size, size), dtype=vals.dtype)
+
+        def det(m):
+            return FpElem(linalg.det_mod_p(m, p), p)
+    else:
+        vals = np.array([c for f in fs for c in f.coeffs], dtype=object)
+        mat = np.full((size, size), domain.zero, dtype=object)
+
+        def det(m):
+            return linalg.det(m.tolist(), domain)
+    mat[rows, cols] = vals[src]
+    d_minor = det(mat[np.ix_(keep, keep)]) if keep.size else domain.one
+    if not d_minor:
+        return None
+    return det(mat) / d_minor
 
 
 def macaulay_resultant(forms: list[Form], rng: random.Random | None = None):
     """Classical Macaulay resultant of n forms in n variables.
 
     Zero exactly when the forms share a nonzero common solution over the
-    algebraic closure.  When the Macaulay minor degenerates, retries after a
-    random invertible change of variables (the resultant picks up the factor
+    algebraic closure.  The resultant is det(M) / det(minor) for the Macaulay
+    matrix M and its non-reduced minor.  The minor's determinant comes first:
+    when it vanishes, det(M) is skipped and the forms are retried after a
+    random invertible change of variables A, first from ``Random(0x5EED)``
+    unless ``rng`` is given (the resultant picks up the factor
     det(A)^(product of the degrees), which is divided back out).
     """
     if not forms:
@@ -524,9 +539,9 @@ def macaulay_resultant(forms: list[Form], rng: random.Random | None = None):
         # the resultant is homogeneous of positive degree in each form's
         # coefficients, so it vanishes on the zero form
         return domain.zero
-    d_full, d_minor = _macaulay_dets(forms)
-    if d_minor:
-        return d_full / d_minor
+    quotient = _macaulay_quotient(forms)
+    if quotient is not None:
+        return quotient
     rng = rng or random.Random(0x5EED)
     deg_product = 1
     for f in forms:
@@ -537,10 +552,9 @@ def macaulay_resultant(forms: list[Form], rng: random.Random | None = None):
         det_a = linalg.det(mat, domain)
         if not det_a:
             continue
-        moved = [compose_linear(f, mat) for f in forms]
-        d_full, d_minor = _macaulay_dets(moved)
-        if d_minor:
-            return (d_full / d_minor) / det_a ** deg_product
+        quotient = _macaulay_quotient([compose_linear(f, mat) for f in forms])
+        if quotient is not None:
+            return quotient / det_a ** deg_product
     raise ResultantIndeterminate("Macaulay minor vanished for every tried coordinate change")
 
 
@@ -609,8 +623,7 @@ def is_smooth_hypersurface(f: Form, primes) -> SmoothnessVerdict:
             return SmoothnessVerdict(SMOOTH_CERTIFIED, resultants={p: res.residue})
         npoints = sum(p ** k for k in range(f.num_vars))
         if npoints <= 25000:
-            from .bruteforce import projective_points_fp  # bruteforce imports this module
-            witness = _search_singular_witness(partials, projective_points_fp(f.num_vars, p))
+            witness = _fp_singular_witness(partials, p)
             if witness is not None:
                 return SmoothnessVerdict(SINGULAR_CERTIFIED, witness=witness,
                                          resultants={p: 0 if res is not None else None})
@@ -623,6 +636,28 @@ def _search_singular_witness(partials, candidates):
     for pt in candidates:
         if all(not evaluate(pf, pt) for pf in partials):
             return tuple(pt)
+    return None
+
+
+def _fp_singular_witness(partials, p: int):
+    """The first point of P^(n-1)(F_p), in ``projective_points_fp`` order, where
+    every partial vanishes, or None.  The partials are evaluated a slice of
+    points at a time: a table of monomial values times the coefficient matrix."""
+    from .bruteforce import projective_point_slices  # bruteforce imports this module
+    nvars = partials[0].num_vars
+    exps = np.array(monomials(nvars, partials[0].degree), dtype=np.intp)
+    coeffs = np.array([[c.residue for c in pf.coeffs] for pf in partials], dtype=np.int64).T
+    for pts in projective_point_slices(nvars, p):
+        powers = [np.ones_like(pts)]
+        for _ in range(exps.max()):
+            powers.append(powers[-1] * pts % p)
+        powers = np.stack(powers, axis=2)          # powers[t, i, e] = x_i^e at point t
+        table = np.ones((len(pts), len(exps)), dtype=np.int64)
+        for i in range(nvars):
+            table = table * powers[:, i, exps[:, i]] % p
+        hits = np.flatnonzero(~(table @ coeffs % p).any(axis=1))
+        if hits.size:
+            return tuple(FpElem(int(v), p) for v in pts[hits[0]])
     return None
 
 

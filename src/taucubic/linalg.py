@@ -2,7 +2,8 @@
 
 Small dense matrices only (the largest exact case is 36x36 over Q); the
 elimination is plain Gauss with first-nonzero pivoting.  Determinants of the
-big Macaulay matrices are taken mod p through the numpy fast path.
+big Macaulay matrices and ranks of sampled evaluation matrices are taken mod p
+by one numpy forward elimination with delayed reduction.
 """
 
 from __future__ import annotations
@@ -91,55 +92,83 @@ def det(rows, domain):
     return result
 
 
+def residue_dtype(p: int):
+    """int64 while a product of two residues mod p fits in it (p < 2^31), else
+    Python ints."""
+    return np.int64 if p < 2 ** 31 else object
+
+
 def _residue_array(mat, p: int):
-    """Residues mod p as an int64 array while a product of two residues fits in
-    int64 (p < 2^31), else as an array of Python ints."""
-    return np.asarray(mat, dtype=np.int64 if p < 2 ** 31 else object) % p
+    return np.asarray(mat, dtype=residue_dtype(p)) % p
 
 
-def det_mod_p(mat, p: int) -> int:
-    """Determinant mod p of an integer matrix, vectorized elimination."""
-    a = _residue_array(mat, p)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("determinant of a non-square matrix")
-    detval = 1
-    for k in range(n):
-        nz = np.nonzero(a[k:, k])[0]
-        if nz.size == 0:
-            return 0
-        i = k + int(nz[0])
-        if i != k:
-            a[[k, i]] = a[[i, k]]
-            detval = -detval
-        piv = int(a[k, k])
-        detval = detval * piv % p
-        if k + 1 < n:
-            factors = a[k + 1:, k] * pow(piv, -1, p) % p
-            a[k + 1:, k:] = (a[k + 1:, k:] - np.outer(factors, a[k, k:])) % p
-    return detval % p
+def _headroom(p: int) -> int:
+    """Elimination steps an int64 entry in [0, p) survives unreduced: each step
+    subtracts a product of two residues, at most (p - 1)^2."""
+    return max(1, (2 ** 63 - p) // (p - 1) ** 2)
 
 
-def rank_mod_p(mat, p: int) -> int:
-    a = _residue_array(mat, p)
-    if a.size == 0:
-        return 0
+def _echelon_pivots(a, p: int):
+    """Forward Gaussian elimination of the residue array ``a`` mod p, in place.
+
+    Yields ``(column, pivot, swapped)`` for each pivot before eliminating below
+    it, so a caller may stop early.  Each step reduces only the pivot column
+    and the pivot row; the trailing block is reduced only when one more
+    unreduced step could overflow int64 (the same schedule keeps the Python
+    ints of p >= 2^31 small).
+    """
     nrows, ncols = a.shape
+    headroom = _headroom(p)
+    pending = 0
     r = 0
     for c in range(ncols):
-        nz = np.nonzero(a[r:, c])[0]
+        if r == nrows:
+            return
+        col = a[r:, c] % p
+        a[r:, c] = col
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        rows = np.nonzero(a[:, c])[0]
-        rows = rows[rows != r]
-        if rows.size:
-            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
+        yield c, int(a[r, c]), i != r
+        if r + 1 < nrows and c + 1 < ncols:
+            a[r, c + 1:] %= p
+            factors = a[r + 1:, c] * pow(int(a[r, c]), -1, p) % p
+            rows = np.flatnonzero(factors)
+            if rows.size:
+                if pending == headroom:
+                    a[r + 1:, c + 1:] %= p
+                    pending = 0
+                a[r + 1 + rows, c + 1:] -= np.outer(factors[rows], a[r, c + 1:])
+                pending += 1
         r += 1
-        if r == nrows:
-            break
-    return r
+
+
+def det_mod_p(mat, p: int) -> int:
+    """Determinant mod p of an integer matrix, by one forward elimination.
+
+    Entries are reduced lazily: each step reduces the pivot column and row,
+    and the trailing block only when another step could overflow int64,
+    after about 2^63 / (p - 1)^2 steps (never, for a 210x210 matrix mod 101).
+    """
+    a = _residue_array(mat, p)
+    n = a.shape[0]
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("determinant of a non-square matrix")
+    detval, pivots = 1, 0
+    for c, piv, swapped in _echelon_pivots(a, p):
+        if c != pivots:
+            return 0
+        detval = (-detval if swapped else detval) * piv % p
+        pivots += 1
+    return detval if pivots == n else 0
+
+
+def rank_mod_p(mat, p: int) -> int:
+    """Rank mod p of an integer matrix: the pivot count of one forward elimination."""
+    a = _residue_array(mat, p)
+    if a.size == 0:
+        return 0
+    return sum(1 for _ in _echelon_pivots(a, p))

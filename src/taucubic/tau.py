@@ -243,7 +243,14 @@ def _draw_instance(rng: random.Random, bound: int, domain, n_quadrics: int) -> T
 
 def genericity_report(instance: TauInstance, primes=(101, 103),
                       rng: random.Random | None = None) -> dict:
-    """The concrete general-position conditions, each as a named boolean."""
+    """The concrete general-position conditions, each as a named boolean.
+
+    Over F_p the gate needs p > 6 (the multiplicity analysis of degree-6
+    eliminants); smaller p raise ValueError.
+    """
+    if isinstance(instance.domain, PrimeField) and instance.domain.p < 7:
+        raise ValueError("gated sampling needs characteristic > 6 "
+                         "(degree-6 eliminant multiplicity analysis)")
     rng = rng or random.Random(0xA11CE)
     report = {}
     conic = instance.conic_part()
@@ -290,9 +297,6 @@ def sample_instance(rng_seed: int, coefficient_bound: int, domain=QQ,
     """Draw integer-coefficient instances until the genericity gate passes."""
     if coefficient_bound < 2:
         raise ValueError("coefficient bound must be at least 2")
-    if isinstance(domain, PrimeField) and domain.p < 7:
-        raise ValueError("gated sampling needs characteristic > 6 "
-                         "(degree-6 eliminant multiplicity analysis)")
     rng = random.Random(rng_seed)
     for _ in range(retries):
         inst = _draw_instance(rng, coefficient_bound, domain, n_quadrics)

@@ -1,6 +1,7 @@
 """Polynomial algebra: evaluation, substitution, division, resultants,
 smoothness certificates, and their randomized property suites."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from taucubic.forms import (DimensionMismatch, Form, NotDivisible, SingularMatri
                             sylvester_resultant, SMOOTH_CERTIFIED, SINGULAR_CERTIFIED,
                             INCONCLUSIVE)
 from taucubic.scalars import PrimeField, QQ, QuadraticExtension
+from taucubic.tau import _draw_instance
 
 
 def f_of(nvars, degree, terms, domain=QQ):
@@ -373,6 +375,48 @@ def test_smoothness_canonical_cubic_bad_prime_five():
     assert v.resultants[5] == 0 and v.resultants[7] == 1
 
 
+@pytest.mark.parametrize("nvars", [1, 2, 3, 5])
+def test_point_slices_follow_projective_points_fp(nvars):
+    from taucubic.bruteforce import projective_point_slices, projective_points_fp
+    slices = list(projective_point_slices(nvars, 5))
+    assert max(len(s) for s in slices) <= 5 ** max(nvars - 2, 0)
+    assert [tuple(row) for s in slices for row in s.tolist()] == \
+        [tuple(c.residue for c in pt) for pt in projective_points_fp(nvars, 5)]
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_prime_field_witness_is_first_bruteforce_zero(p):
+    # the sliced witness search returns the first common zero of the partials
+    # in projective_points_fp order, as the exhaustive oracle does
+    rng = random.Random(p)
+    domain = PrimeField(p)
+    for _ in range(40):
+        cubic = _draw_instance(rng, 3, domain, 1).cubic()
+        verdict = is_smooth_hypersurface(cubic, [])
+        if verdict.status == SMOOTH_CERTIFIED:
+            # a nonzero resultant excludes common zeros over the closure
+            # (test_macaulay_matches_bruteforce); the scan below would find none
+            continue
+        zeros = common_projective_zeros(
+            [partial_derivative(cubic, i) for i in range(5)], p, limit=1)
+        assert verdict.witness == (zeros[0] if zeros else None)
+        assert verdict.status == (SINGULAR_CERTIFIED if zeros else INCONCLUSIVE)
+
+
+def test_vanishing_minor_skips_full_determinant(monkeypatch):
+    from taucubic import forms, linalg
+    calls = []
+    det_mod_p = linalg.det_mod_p
+
+    def counted(mat, p):
+        calls.append(len(mat))
+        return det_mod_p(mat, p)
+    monkeypatch.setattr(forms.linalg, "det_mod_p", counted)
+    parts = [reduce_form(partial_derivative(CANONICAL_CUBIC, i), 101) for i in range(5)]
+    assert forms._macaulay_quotient(parts) is None
+    assert calls == [130]
+
+
 def test_smoothness_over_prime_field_decides():
     f101 = PrimeField(101)
     f = fermat(5, 3, f101)
@@ -472,3 +516,50 @@ def test_mod_p_elimination_beyond_int64_products():
     low_rank = [row[:] for row in mat[:20]]
     low_rank += [[(a + 3 * b) % p for a, b in zip(mat[i], mat[i + 1])] for i in range(10)]
     assert linalg.rank_mod_p(low_rank, p) == 20
+
+
+def _mod_p_case(kind, p, n=30):
+    rng = random.Random(p)
+    mat = [[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(n)]
+    if kind == "growth":
+        # M = L U, both unit triangular with every off-diagonal entry -1: each
+        # elimination step subtracts (p - 1)^2 from every trailing entry
+        lower = [[1 if i == k else (p - 1 if i > k else 0) for k in range(n)] for i in range(n)]
+        upper = [[1 if k == j else (p - 1 if j > k else 0) for j in range(n)] for k in range(n)]
+        mat = [[sum(lower[i][k] * upper[k][j] for k in range(n)) % p for j in range(n)]
+               for i in range(n)]
+    elif kind == "swaps":
+        # no pivot on the diagonal of the first columns until rows are swapped
+        for i in range(n // 2):
+            for j in range(i + 1):
+                mat[i][j] = p * rng.randint(-2, 2)
+    elif kind == "singular":
+        mat[-1] = [a - 2 * b + p for a, b in zip(mat[0], mat[1])]
+    return mat
+
+
+def _headroom_primes(steps):
+    """The largest prime whose int64 headroom covers `steps` unreduced
+    elimination steps, and the smallest prime whose headroom does not."""
+    from taucubic import linalg
+    from taucubic.scalars import is_prime
+    s = math.isqrt(2 ** 63 // steps)   # the headroom falls with p past `steps` in [s, s + 2]
+    below = next(q for q in range(s + 2, 0, -1) if is_prime(q) and linalg._headroom(q) >= steps)
+    above = next(q for q in range(s, 2 * s) if is_prime(q) and linalg._headroom(q) < steps)
+    return below, above
+
+
+@pytest.mark.parametrize("kind", ["random", "growth", "swaps", "singular"])
+@pytest.mark.parametrize("p", [*_headroom_primes(29), 2 ** 31 - 1, 4294967311])
+def test_mod_p_elimination_matches_exact(p, kind):
+    # a 30x30 elimination takes 29 steps: the first prime never reduces the
+    # trailing block, the second must (or "growth" overflows), 2^31 - 1 does
+    # so every other step, and 4294967311 runs on Python ints
+    from taucubic import linalg
+    fp = PrimeField(p)
+    mat = _mod_p_case(kind, p)
+    exact = [[fp.coerce(v) for v in row] for row in mat]
+    assert linalg.det_mod_p(mat, p) == linalg.det(exact, fp).residue
+    assert linalg.rank_mod_p(mat, p) == linalg.rank(exact, fp)
+    if kind == "singular":
+        assert linalg.det_mod_p(mat, p) == 0 and linalg.rank_mod_p(mat, p) == 29

@@ -1,7 +1,8 @@
 """Seed sweep: the sampling suites over many seeds must produce no `fail`.
 
-The full sweep is opt-in, outside the default run: `pytest -m sweep`.  A
-three-seed slice of the fiber-action and discriminant suites runs by default.
+The full sweep is opt-in, outside the default run: `pytest -m sweep`.  Two
+three-seed slices run by default: fiber-action with discriminant, and the
+suites that sample most gated instances (lines, fixed-points, quotient, cone).
 """
 
 import pytest
@@ -27,3 +28,9 @@ def test_no_failures_across_seeds(seed):
 def test_fiber_dichotomy_and_discriminant_slice(seed):
     assert not _failures(SuiteConfig(suites=("fiber-action", "discriminant"), samples=3,
                                      seed=seed))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gate_suites_slice(seed):
+    assert not _failures(SuiteConfig(suites=("lines", "fixed-points", "quotient", "cone"),
+                                     samples=3, seed=seed))

@@ -140,8 +140,11 @@ def test_degenerate_draw_exhausts_gate(monkeypatch):
 
 
 def test_small_characteristic_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="characteristic > 6"):
         sample_instance(0, 5, domain=PrimeField(5))
+    draw = tau_mod._draw_instance(random.Random(1), 4, PrimeField(5), 1)
+    with pytest.raises(ValueError, match="characteristic > 6"):
+        genericity_report(draw)
 
 
 # --- base locus ---------------------------------------------------------
