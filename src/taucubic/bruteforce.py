@@ -1,8 +1,12 @@
-"""Exhaustive projective search oracles over small finite fields.
+"""Exhaustive projective search over small finite fields.
 
-These are the independent cross-checks for the elimination machinery: they
-enumerate P^(n-1)(F_q^k) directly, with a minimal tuple-based model of the
-extension fields F_(p^k) (k <= 3) that exists purely for the oracle's sake.
+Over a prime field ``common_projective_zeros`` is the production scan: it
+walks P^(n-1)(F_p) a slice at a time and evaluates every form through
+``monomial_values``, the table of all monomials of one degree at every point.
+It finds the smoothness certificate's singular witness and the brute-force
+line directions; the table also fills the Koszul evaluation matrix.  Over the
+extension fields F_(p^k) (k <= 3), modelled minimally for the cross-checks of
+the elimination machinery, the search goes point by point.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ import itertools
 
 import numpy as np
 
-from .forms import Form, evaluate
+from . import linalg
+from .forms import Form, evaluate, monomials
 from .scalars import FpElem, PrimeField
 
 
@@ -157,19 +162,55 @@ def projective_point_slices(nvars: int, p: int):
             yield pts
 
 
+def monomial_values(pts, degree: int, p: int):
+    """The table of every degree-``degree`` monomial, in ``monomials`` order, at
+    every row of the integer point array ``pts``, mod p: entry (t, k) is
+    pts[t]^m_k.  int64 while a product of two residues fits in it
+    (``linalg.residue_dtype``), else Python ints."""
+    dtype = linalg.residue_dtype(p)
+    pts = np.array(pts, dtype=dtype) % p
+    exps = np.array(monomials(pts.shape[1], degree), dtype=np.intp)
+    powers = [np.ones_like(pts)]
+    for _ in range(degree):
+        powers.append(powers[-1] * pts % p)
+    powers = np.stack(powers, axis=2)          # powers[t, i, e] = x_i^e at point t
+    table = np.ones((len(pts), len(exps)), dtype=dtype)
+    for i in range(pts.shape[1]):
+        table = table * powers[:, i, exps[:, i]] % p
+    return table
+
+
 def common_projective_zeros(fs: list[Form], p: int, ext_degree: int = 1, limit=None):
-    """All common projective zeros over F_(p^ext_degree), by enumeration."""
+    """The common projective zeros of ``fs`` over F_(p^ext_degree), by
+    enumeration, at most ``limit`` of them.
+
+    Over F_p the forms may have mixed degrees; the zeros come as ``FpElem``
+    tuples in ``projective_points_fp`` order.  Each slice of
+    ``projective_point_slices`` keeps the rows where every form's value,
+    ``monomial_values @ coefficients`` mod p, is 0; the product is taken in
+    int64 when nterms * (p - 1)^2 < 2^63, else in Python ints.
+    """
     nvars = fs[0].num_vars
+    if ext_degree > 1:
+        hits = (pt for pt in projective_points_gfq(nvars, GFq(p, ext_degree))
+                if all(not evaluate(f, pt) for f in fs))
+        return list(itertools.islice(hits, limit))
+    field = PrimeField(p)
+    by_degree: dict = {}
+    for f in fs:
+        by_degree.setdefault(f.degree, []).append([field.coerce(c).residue for c in f.coeffs])
+    systems = []
+    for d, rows in by_degree.items():
+        fits = len(rows[0]) * (p - 1) ** 2 < 2 ** 63
+        systems.append((d, np.array(rows, dtype=np.int64 if fits else object).T))
     out = []
-    if ext_degree == 1:
-        points = projective_points_fp(nvars, p)
-    else:
-        points = projective_points_gfq(nvars, GFq(p, ext_degree))
-    for pt in points:
-        if all(not evaluate(f, pt) for f in fs):
-            out.append(pt)
-            if limit is not None and len(out) >= limit:
-                break
+    for pts in projective_point_slices(nvars, p):
+        for d, coeffs in systems:
+            values = monomial_values(pts, d, p).astype(coeffs.dtype, copy=False) @ coeffs
+            pts = pts[~(values % p).any(axis=1)]
+        out += [tuple(FpElem(v, p) for v in row) for row in pts.tolist()]
+        if limit is not None and len(out) >= limit:
+            return out[:limit]
     return out
 
 

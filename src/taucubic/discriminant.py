@@ -34,13 +34,14 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .forms import (Form, SymMatrix3, evaluate, compose_linear, is_smooth_conic,
+from .bruteforce import common_projective_zeros
+from .forms import (Form, PolyDict, SymMatrix3, evaluate, compose_linear, is_smooth_conic,
                     monomials, partial_derivative)
 from .intersect import (CommonComponent, PlaneIntersection, conic_rational_points,
                         curve_rational_points, intersect_plane_curves)
 from .roots import binary_quadratic_roots
 from .scalars import PrimeField
-from .tau import TauInstance, embed_with_x01, fibre_points
+from .tau import TauInstance, embed_with_x01, fibre_points, reduce_instance
 
 
 class DegenerateConicPart(ValueError):
@@ -278,7 +279,6 @@ class LineCountReport:
 
 def directional_expansion(f: Form, T):
     """Coefficient forms of u^k in f(T + u*Q), as forms in the direction Q."""
-    from .forms import PolyDict
     domain = f.domain
     nv = f.num_vars
     # variables of the expansion ring: (u, Q_0, ..., Q_{nv-1})
@@ -394,22 +394,17 @@ def lines_through_point_of_ltau(instance: TauInstance, T,
 
 
 def lines_through_point_brute(instance: TauInstance, T):
-    """Brute-force enumeration of rational line directions over F_p, for the
-    same hyperplane slice used by the elimination route."""
-    from .bruteforce import projective_points_fp
+    """The rational line directions through T over F_p, on the same hyperplane
+    slice as the elimination route, by the exhaustive scan of P^3(F_p) in
+    ``common_projective_zeros``: an oracle that shares no step with the
+    elimination.  Directions come as 5-tuples, the dropped coordinate 0."""
     domain = instance.domain
     if not isinstance(domain, PrimeField):
         raise TypeError("brute-force line count works over prime fields")
     T, g1, g2, g3 = _condition_forms(instance, T)
     drop = 0 if T[0] else 1
-    fs = [drop_variable(g1, drop), drop_variable(g2, drop), drop_variable(g3, drop)]
-    out = []
-    for q in projective_points_fp(4, domain.p):
-        if all(not evaluate(f, q) for f in fs):
-            q5 = list(q)
-            q5.insert(drop, domain.zero)
-            out.append(tuple(q5))
-    return out
+    zeros = common_projective_zeros([drop_variable(g, drop) for g in (g1, g2, g3)], domain.p)
+    return [q[:drop] + (domain.zero,) + q[drop:] for q in zeros]
 
 
 # ---------------------------------------------------------------------------
@@ -493,21 +488,15 @@ def _probe_cone_surface(instance, quadric_index, rng, probe_prime, probe_count):
     """Jacobian ranks at rational points of the cone surface off the fixed line,
     one point from the fibre over each of a seeded sample of conic points.
 
-    A rational instance is probed mod probe_prime; when its conic part drops
-    rank there, the reduced cone is singular over the conic's vertex and the
-    probes are skipped with that reason."""
-    domain = instance.domain
-    if isinstance(domain, PrimeField):
-        work = instance
-        p = domain.p
-    else:
-        from .tau import reduce_instance
-        work = reduce_instance(instance, probe_prime)
-        p = probe_prime
-    fdom = PrimeField(p)
+    A rational instance is probed mod probe_prime, an instance over F_p in its
+    own field; when its conic part drops rank there, the reduced cone is
+    singular over the conic's vertex and the probes are skipped with that
+    reason."""
+    work = reduce_instance(instance, probe_prime)
+    fdom = work.domain
     conic = work.conic_part()
     if not is_smooth_conic(conic):
-        return 0, [], f"the conic part drops rank mod {p}"
+        return 0, [], f"the conic part drops rank mod {fdom.p}"
     K = embed_with_x01(conic, 0, 0)
     F = work.quadric(quadric_index)
     gradsK = [partial_derivative(K, i) for i in range(5)]

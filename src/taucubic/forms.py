@@ -491,10 +491,12 @@ def _macaulay_plan(degrees: tuple, nvars: int):
 
 def _macaulay_quotient(fs: list[Form]):
     """det(M) / det(minor) for the Macaulay matrix M of fs, or None when the
-    minor vanishes, in which case det(M) is never computed."""
+    minor vanishes, in which case det(M) is never computed.  Over a prime
+    field both are ``det_mod_p`` of residue arrays; over Q or an extension
+    field, ``linalg.det`` of field elements."""
     size, rows, cols, src, keep = _macaulay_plan(tuple(f.degree for f in fs), fs[0].num_vars)
     domain = fs[0].domain
-    if isinstance(domain, PrimeField) and size >= 24:
+    if isinstance(domain, PrimeField):
         p = domain.p
         vals = np.array([c.residue for f in fs for c in f.coeffs], dtype=linalg.residue_dtype(p))
         mat = np.zeros((size, size), dtype=vals.dtype)
@@ -581,9 +583,13 @@ def is_smooth_hypersurface(f: Form, primes) -> SmoothnessVerdict:
     """Certified smoothness of the projective hypersurface f = 0.
 
     Over Q: SmoothCertified when the Macaulay resultant of the partials is
-    nonzero modulo every supplied prime (>= 2 primes).  Over F_p the resultant
-    is computed in the field itself and genuinely decides.  A singular verdict
-    always carries an exact witness where every partial vanishes.
+    nonzero modulo every supplied prime (>= 2 primes).  Over F_p ``primes`` is
+    ignored: the resultant is computed in the field itself and genuinely
+    decides.  When it vanishes (or stays 0/0) and P^(n-1)(F_p) has at most
+    25,000 points, the witness is the first common zero of the partials in
+    ``projective_points_fp`` order, from the scan ``common_projective_zeros``;
+    without one the verdict is Inconclusive.  A singular verdict always
+    carries an exact witness where every partial vanishes.
     """
     if f.is_zero or f.degree < 1:
         raise ZeroForm("smoothness needs a nonzero form of positive degree")
@@ -623,9 +629,10 @@ def is_smooth_hypersurface(f: Form, primes) -> SmoothnessVerdict:
             return SmoothnessVerdict(SMOOTH_CERTIFIED, resultants={p: res.residue})
         npoints = sum(p ** k for k in range(f.num_vars))
         if npoints <= 25000:
-            witness = _fp_singular_witness(partials, p)
-            if witness is not None:
-                return SmoothnessVerdict(SINGULAR_CERTIFIED, witness=witness,
+            from .bruteforce import common_projective_zeros  # bruteforce imports this module
+            witness = common_projective_zeros(partials, p, limit=1)
+            if witness:
+                return SmoothnessVerdict(SINGULAR_CERTIFIED, witness=witness[0],
                                          resultants={p: 0 if res is not None else None})
         return SmoothnessVerdict(INCONCLUSIVE,
                                  resultants={p: 0 if res is not None else None})
@@ -636,28 +643,6 @@ def _search_singular_witness(partials, candidates):
     for pt in candidates:
         if all(not evaluate(pf, pt) for pf in partials):
             return tuple(pt)
-    return None
-
-
-def _fp_singular_witness(partials, p: int):
-    """The first point of P^(n-1)(F_p), in ``projective_points_fp`` order, where
-    every partial vanishes, or None.  The partials are evaluated a slice of
-    points at a time: a table of monomial values times the coefficient matrix."""
-    from .bruteforce import projective_point_slices  # bruteforce imports this module
-    nvars = partials[0].num_vars
-    exps = np.array(monomials(nvars, partials[0].degree), dtype=np.intp)
-    coeffs = np.array([[c.residue for c in pf.coeffs] for pf in partials], dtype=np.int64).T
-    for pts in projective_point_slices(nvars, p):
-        powers = [np.ones_like(pts)]
-        for _ in range(exps.max()):
-            powers.append(powers[-1] * pts % p)
-        powers = np.stack(powers, axis=2)          # powers[t, i, e] = x_i^e at point t
-        table = np.ones((len(pts), len(exps)), dtype=np.int64)
-        for i in range(nvars):
-            table = table * powers[:, i, exps[:, i]] % p
-        hits = np.flatnonzero(~(table @ coeffs % p).any(axis=1))
-        if hits.size:
-            return tuple(FpElem(int(v), p) for v in pts[hits[0]])
     return None
 
 

@@ -24,8 +24,7 @@ from . import discriminant as disc
 from . import ledgers
 from . import quotient as quot
 from .forms import Form, evaluate, monomials
-from .scalars import (FpElem, PrimeField, QQ, QuadElem, RationalField,
-                      is_prime, quad_sqrt)
+from .scalars import FpElem, PrimeField, QQ, QuadElem, is_prime, quad_sqrt
 from .tau import (QuadricPart, TauInstance, canonical_instance,
                   default_witness_points, fixed_points_on_S, invariant_basis,
                   invariant_coordinates, invariant_monomials, random_points_on_surface,
@@ -353,9 +352,7 @@ def _sampled(config: SuiteConfig, loaded, suite: str, slots, body,
     """
     def checks(tag, domain):
         if loaded is None:
-            gate_primes = (101, 103) if isinstance(domain, RationalField) else ()
-            inst = sample_instance(mix_seed(config.seed, tag), config.bound, domain=domain,
-                                   primes=gate_primes)
+            inst = sample_instance(mix_seed(config.seed, tag), config.bound, domain=domain)
         elif domain == loaded.domain:
             inst = loaded
         else:
@@ -681,7 +678,7 @@ def _suite_quotient(config: SuiteConfig, loaded, spot_checks: int = 50):
         bf = quot.quotient_equation(inst)
         sext = quot.branch_sextic(inst)
         sqfree = quot.sextic_squarefree_probe(inst, p=p, rng=rng)
-        work = inst if isinstance(inst.domain, PrimeField) else reduce_instance(inst, p)
+        work = reduce_instance(inst, p)
         ident_ok, member_ok, probed = _quotient_spot_checks(work, rng, spot_checks)
         return [
             _check("bidegree", [2, 3], list(bf.bidegree),

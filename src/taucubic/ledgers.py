@@ -15,6 +15,7 @@ from dataclasses import dataclass, asdict
 from math import comb, prod
 
 from . import linalg
+from .bruteforce import monomial_values
 from .forms import monomials
 from .scalars import PrimeField
 from .tau import TauInstance, random_points_on_surface, sym2_eigensplit
@@ -175,28 +176,15 @@ def prym_dimension_ledger(conic_degree: int = 2, cubic_degree: int = 3) -> Genus
 def ideal_dimension_by_sampling(instance: TauInstance, twist: int,
                                 rng: random.Random, quadric_index: int = 0,
                                 points_factor: int = 3) -> int:
-    """Nullity of the evaluation matrix of degree-d monomials at seeded surface
-    points over F_p; the sampling counterpart of ideal_section_dimension."""
+    """Nullity mod p of the evaluation matrix of the degree-``twist`` monomials
+    at seeded surface points over F_p (``bruteforce.monomial_values``); the
+    sampling counterpart of ideal_section_dimension."""
     domain = instance.domain
     if not isinstance(domain, PrimeField):
         raise TypeError("evaluation cross-check runs over a prime field")
-    mons = monomials(5, twist)
-    npts = points_factor * len(mons)
-    pts = random_points_on_surface(instance, rng, npts, quadric_index)
-    if len(pts) < 2 * len(mons):
-        raise RuntimeError(f"only {len(pts)} surface points found, need {2 * len(mons)}")
-    rows = []
-    for pt in pts:
-        powers = [[domain.one] for _ in range(5)]
-        for i in range(5):
-            for _ in range(twist):
-                powers[i].append(powers[i][-1] * pt[i])
-        row = []
-        for m in mons:
-            val = domain.one
-            for i, e in enumerate(m):
-                if e:
-                    val = val * powers[i][e]
-            row.append(val.residue)
-        rows.append(row)
-    return len(mons) - linalg.rank_mod_p(rows, domain.p)
+    nmons = len(monomials(5, twist))
+    pts = random_points_on_surface(instance, rng, points_factor * nmons, quadric_index)
+    if len(pts) < 2 * nmons:
+        raise RuntimeError(f"only {len(pts)} surface points found, need {2 * nmons}")
+    table = monomial_values([[c.residue for c in pt] for pt in pts], twist, domain.p)
+    return nmons - linalg.rank_mod_p(table, domain.p)

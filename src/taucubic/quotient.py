@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .forms import Form, evaluate, monomials
+from .forms import Form, compose_linear, evaluate, monomials
 from .roots import is_squarefree, trim
 from .scalars import RationalField
 from .tau import TauInstance, reduce_instance
@@ -118,16 +118,11 @@ def sextic_squarefree_probe(instance: TauInstance, p: int | None = None,
     over F_p.  A squarefree section certifies a squarefree sextic; None means
     every probed section was degenerate."""
     rng = rng or random.Random(0x5EC71C)
-    domain = instance.domain
-    if isinstance(domain, RationalField):
-        if p is None:
-            raise ValueError("probing a rational instance needs a prime")
-        work = reduce_instance(instance, p)
-    else:
-        work = instance
+    if p is None and isinstance(instance.domain, RationalField):
+        raise ValueError("probing a rational instance needs a prime")
+    work = reduce_instance(instance, p)
     fdom = work.domain
     sextic = branch_sextic(work, quadric_index)
-    from .forms import compose_linear
     informative = 0
     for _ in range(tries):
         a = tuple(fdom.coerce(rng.randrange(fdom.p)) for _ in range(3))

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
+from . import roots as uv
 from .bruteforce import projective_points_fp
 from .forms import (Form, SymMatrix3, evaluate, compose_linear, is_smooth_conic,
                     macaulay_resultant, monomials, partial_derivative, is_smooth_hypersurface,
-                    ResultantIndeterminate, SMOOTH_CERTIFIED)
+                    reduce_form, ResultantIndeterminate, SMOOTH_CERTIFIED)
 from .intersect import (CommonComponent, PlaneIntersection, intersect_plane_curves)
 from .roots import binary_quadratic_roots
-from .scalars import BadPrime, PrimeField, QQ, QuadElem, RationalField
+from .scalars import BadPrime, PrimeField, QQ, QuadElem, RationalField, reduce_mod_prime
 
 
 class UnsupportedDegree(ValueError):
@@ -45,6 +46,8 @@ class NoSolution(ArithmeticError):
 
 
 TAU_SIGNS = (-1, -1, 1, 1, 1)
+
+GATE_PRIMES = (101, 103)   # the gate's smoothness certificate over Q is taken mod these
 
 
 def tau_matrix(domain):
@@ -241,11 +244,12 @@ def _draw_instance(rng: random.Random, bound: int, domain, n_quadrics: int) -> T
                        rand_form(3, 3), quadrics)
 
 
-def genericity_report(instance: TauInstance, primes=(101, 103),
-                      rng: random.Random | None = None) -> dict:
+def genericity_report(instance: TauInstance, rng: random.Random | None = None) -> dict:
     """The concrete general-position conditions, each as a named boolean.
 
-    Over F_p the gate needs p > 6 (the multiplicity analysis of degree-6
+    The last, ``cubic_hypersurface_smooth``, is the smoothness certificate of
+    the assembled cubic: mod ``GATE_PRIMES`` over Q, in the field itself over
+    F_p.  Over F_p the gate needs p > 6 (the multiplicity analysis of degree-6
     eliminants); smaller p raise ValueError.
     """
     if isinstance(instance.domain, PrimeField) and instance.domain.p < 7:
@@ -281,7 +285,7 @@ def genericity_report(instance: TauInstance, primes=(101, 103),
     report["line_quadratic_separable"] = bool(disc)
     if all(report.values()):
         try:
-            verdict = is_smooth_hypersurface(instance.cubic(), list(primes))
+            verdict = is_smooth_hypersurface(instance.cubic(), GATE_PRIMES)
             report["cubic_hypersurface_smooth"] = verdict.status == SMOOTH_CERTIFIED
         except (BadPrime, ResultantIndeterminate):
             report["cubic_hypersurface_smooth"] = False
@@ -292,15 +296,14 @@ def genericity_report(instance: TauInstance, primes=(101, 103),
 
 
 def sample_instance(rng_seed: int, coefficient_bound: int, domain=QQ,
-                    primes=(101, 103), n_quadrics: int = 2,
-                    retries: int = 64) -> TauInstance:
+                    n_quadrics: int = 2, retries: int = 64) -> TauInstance:
     """Draw integer-coefficient instances until the genericity gate passes."""
     if coefficient_bound < 2:
         raise ValueError("coefficient bound must be at least 2")
     rng = random.Random(rng_seed)
     for _ in range(retries):
         inst = _draw_instance(rng, coefficient_bound, domain, n_quadrics)
-        if genericity_report(inst, primes, rng)["passed"]:
+        if genericity_report(inst, rng)["passed"]:
             return inst
     raise GenericityExhausted(f"no instance passed the gate in {retries} draws")
 
@@ -565,7 +568,6 @@ def check_pencil_condition(g2: Form, h2: Form, probe_primes=(5, 7),
     counterexample = None
     for p in probe_primes:
         if isinstance(domain, RationalField):
-            from .forms import reduce_form
             q0, q1 = reduce_form(f0, p), reduce_form(f1, p)
         elif isinstance(domain, PrimeField) and domain.p == p:
             q0, q1 = f0, f1
@@ -588,7 +590,6 @@ def _special_quadric(f2: Form, which: int) -> Form:
 
 
 def _line_intersection_empty(f0: Form, f1: Form) -> bool:
-    from . import roots as uv
     domain = f0.domain
     b0, b1 = restrict_to_fixed_line(f0), restrict_to_fixed_line(f1)
     if b0.is_zero or b1.is_zero:
@@ -613,9 +614,10 @@ def _singular_point_probe(q0: Form, q1: Form, p: int):
 
 
 def reduce_instance(instance: TauInstance, p: int) -> TauInstance:
-    """Coefficient-wise reduction of a rational instance mod p."""
-    from .forms import reduce_form
-    from .scalars import reduce_mod_prime
+    """Coefficient-wise reduction of a rational instance mod p; an instance over
+    F_p is returned as it is, whatever p."""
+    if isinstance(instance.domain, PrimeField):
+        return instance
     dom = PrimeField(p)
     red = lambda f: reduce_form(f, p)
     quadrics = tuple(QuadricPart(reduce_mod_prime(q.a00, p), reduce_mod_prime(q.a11, p),

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from taucubic.bruteforce import common_projective_zeros, has_common_projective_zero
+from taucubic.bruteforce import (common_projective_zeros, has_common_projective_zero,
+                                 monomial_values, projective_points_fp)
 from taucubic.forms import (DimensionMismatch, Form, NotDivisible, SingularMatrix,
                             SymMatrix3, ZeroForm, evaluate, exact_divide,
                             is_smooth_hypersurface, macaulay_resultant, monomials,
@@ -377,17 +378,63 @@ def test_smoothness_canonical_cubic_bad_prime_five():
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 5])
 def test_point_slices_follow_projective_points_fp(nvars):
-    from taucubic.bruteforce import projective_point_slices, projective_points_fp
+    from taucubic.bruteforce import projective_point_slices
     slices = list(projective_point_slices(nvars, 5))
     assert max(len(s) for s in slices) <= 5 ** max(nvars - 2, 0)
     assert [tuple(row) for s in slices for row in s.tolist()] == \
         [tuple(c.residue for c in pt) for pt in projective_points_fp(nvars, 5)]
 
 
+def _plain_common_zeros(fs, p, limit=None):
+    """The common zeros of fs over F_p, one point and one form at a time."""
+    out = []
+    for pt in projective_points_fp(fs[0].num_vars, p):
+        if all(not evaluate(f, pt) for f in fs):
+            out.append(pt)
+            if len(out) == limit:
+                break
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_common_zero_scan_matches_plain_loop(p):
+    # mixed-degree systems in 2-5 variables, every other one with a planted
+    # common zero; the scan must give the plain loop's points in its order
+    rng = random.Random(500 + p)
+    domain = PrimeField(p)
+    for k in range(16):
+        nvars = 2 + k % 4
+        if nvars == 5 and p == 11:
+            nvars = 4                      # keeps the plain loop to 1,464 points
+        degs = [rng.randint(1, 3) for _ in range(rng.randint(1, min(nvars, 3)))]
+        if k % 2:
+            pt = tuple(domain.coerce(rng.randrange(1, p)) for _ in range(nvars))
+            fs = [_form_through(rng, nvars, d, domain, pt) for d in degs]
+        else:
+            fs = [rand_form(rng, nvars, d, domain, bound=p) for d in degs]
+        plain = _plain_common_zeros(fs, p)
+        if k % 2:
+            assert plain
+        assert common_projective_zeros(fs, p) == plain
+        for limit in (1, 3):
+            assert common_projective_zeros(fs, p, limit=limit) == plain[:limit]
+
+
+def test_monomial_values_beyond_int64_products():
+    # p^2 > 2^63: the table is held in Python ints
+    p = 4294967311
+    rng = random.Random(4)
+    pts = [[rng.randrange(p) for _ in range(3)] for _ in range(6)] + [[p - 1] * 3]
+    for degree in (1, 3):
+        table = monomial_values(pts, degree, p)
+        assert table.tolist() == [[math.prod(pow(x, e, p) for x, e in zip(pt, m)) % p
+                                   for m in monomials(3, degree)] for pt in pts]
+
+
 @pytest.mark.parametrize("p", [7, 11])
 def test_prime_field_witness_is_first_bruteforce_zero(p):
-    # the sliced witness search returns the first common zero of the partials
-    # in projective_points_fp order, as the exhaustive oracle does
+    # the witness is the first common zero of the partials in
+    # projective_points_fp order, as a plain point-by-point loop finds it
     rng = random.Random(p)
     domain = PrimeField(p)
     for _ in range(40):
@@ -395,10 +442,10 @@ def test_prime_field_witness_is_first_bruteforce_zero(p):
         verdict = is_smooth_hypersurface(cubic, [])
         if verdict.status == SMOOTH_CERTIFIED:
             # a nonzero resultant excludes common zeros over the closure
-            # (test_macaulay_matches_bruteforce); the scan below would find none
+            # (test_macaulay_matches_bruteforce); the loop below would find none
             continue
-        zeros = common_projective_zeros(
-            [partial_derivative(cubic, i) for i in range(5)], p, limit=1)
+        zeros = _plain_common_zeros([partial_derivative(cubic, i) for i in range(5)], p,
+                                    limit=1)
         assert verdict.witness == (zeros[0] if zeros else None)
         assert verdict.status == (SINGULAR_CERTIFIED if zeros else INCONCLUSIVE)
 

@@ -1,8 +1,9 @@
 """Seed sweep: the sampling suites over many seeds must produce no `fail`.
 
-The full sweep is opt-in, outside the default run: `pytest -m sweep`.  Two
-three-seed slices run by default: fiber-action with discriminant, and the
-suites that sample most gated instances (lines, fixed-points, quotient, cone).
+The full sweep is opt-in, outside the default run: `pytest -m sweep`.  Three
+three-seed slices run by default: fiber-action with discriminant, the suites
+that sample most gated instances (lines, fixed-points, quotient, cone), and
+the surface-point suites (two-points, koszul).
 """
 
 import pytest
@@ -34,3 +35,8 @@ def test_fiber_dichotomy_and_discriminant_slice(seed):
 def test_gate_suites_slice(seed):
     assert not _failures(SuiteConfig(suites=("lines", "fixed-points", "quotient", "cone"),
                                      samples=3, seed=seed))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sampling_suites_slice(seed):
+    assert not _failures(SuiteConfig(suites=("two-points", "koszul"), samples=3, seed=seed))
