@@ -2,15 +2,18 @@
 
 Over a prime field ``common_projective_zeros`` is the production scan: it
 walks P^(n-1)(F_p) a slice at a time and evaluates every form through
-``monomial_values``, the table of all monomials of one degree at every point.
-It finds the smoothness certificate's singular witness and the brute-force
-line directions; the table also fills the Koszul evaluation matrix.  Over the
+``form_values``, the table of all monomials of one degree at every point
+(``monomial_values``) times the forms' coefficients.  It finds the smoothness
+certificate's singular witness and the brute-force line directions; the table
+also fills the Koszul evaluation matrix, and ``form_values`` evaluates the
+fibre restrictions of the surface walk in ``tau``.  Over the
 extension fields F_(p^k) (k <= 3), modelled minimally for the cross-checks of
 the elimination machinery, the search goes point by point.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 import itertools
 
 import numpy as np
@@ -162,22 +165,48 @@ def projective_point_slices(nvars: int, p: int):
             yield pts
 
 
+@lru_cache(maxsize=None)
+def _exponent_rows(nvars: int, degree: int):
+    """``monomials(nvars, degree)`` as an index array, one row per monomial;
+    built on first use."""
+    return np.array(monomials(nvars, degree), dtype=np.intp).reshape(-1, nvars)
+
+
 def monomial_values(pts, degree: int, p: int):
     """The table of every degree-``degree`` monomial, in ``monomials`` order, at
     every row of the integer point array ``pts``, mod p: entry (t, k) is
     pts[t]^m_k.  int64 while a product of two residues fits in it
     (``linalg.residue_dtype``), else Python ints."""
     dtype = linalg.residue_dtype(p)
+    if degree == 0:
+        return np.ones((len(pts), 1), dtype=dtype)
     pts = np.array(pts, dtype=dtype) % p
-    exps = np.array(monomials(pts.shape[1], degree), dtype=np.intp)
+    exps = _exponent_rows(pts.shape[1], degree)
     powers = [np.ones_like(pts)]
     for _ in range(degree):
         powers.append(powers[-1] * pts % p)
     powers = np.stack(powers, axis=2)          # powers[t, i, e] = x_i^e at point t
-    table = np.ones((len(pts), len(exps)), dtype=dtype)
-    for i in range(pts.shape[1]):
+    table = powers[:, 0, exps[:, 0]]
+    for i in range(1, pts.shape[1]):
         table = table * powers[:, i, exps[:, i]] % p
     return table
+
+
+def coefficient_matrix(fs: list[Form], p: int):
+    """The coefficients of the same-degree forms ``fs`` as residues mod p, one
+    column per form: int64 when nterms * (p - 1)^2 < 2^63, so that no entry of
+    ``monomial_values @ matrix`` overflows, else Python ints."""
+    field = PrimeField(p)
+    rows = [[field.coerce(c).residue for c in f.coeffs] for f in fs]
+    fits = len(rows[0]) * (p - 1) ** 2 < 2 ** 63
+    return np.array(rows, dtype=np.int64 if fits else object).T
+
+
+def form_values(pts, degree: int, coeffs, p: int):
+    """The value mod p of every form whose coefficients are a column of
+    ``coeffs`` (``coefficient_matrix``) at every row of the point array
+    ``pts``: one row per point, one column per form."""
+    return monomial_values(pts, degree, p).astype(coeffs.dtype, copy=False) @ coeffs % p
 
 
 def common_projective_zeros(fs: list[Form], p: int, ext_degree: int = 1, limit=None):
@@ -186,28 +215,22 @@ def common_projective_zeros(fs: list[Form], p: int, ext_degree: int = 1, limit=N
 
     Over F_p the forms may have mixed degrees; the zeros come as ``FpElem``
     tuples in ``projective_points_fp`` order.  Each slice of
-    ``projective_point_slices`` keeps the rows where every form's value,
-    ``monomial_values @ coefficients`` mod p, is 0; the product is taken in
-    int64 when nterms * (p - 1)^2 < 2^63, else in Python ints.
+    ``projective_point_slices`` keeps the rows where every form's value
+    (``form_values``) is 0.
     """
     nvars = fs[0].num_vars
     if ext_degree > 1:
         hits = (pt for pt in projective_points_gfq(nvars, GFq(p, ext_degree))
                 if all(not evaluate(f, pt) for f in fs))
         return list(itertools.islice(hits, limit))
-    field = PrimeField(p)
     by_degree: dict = {}
     for f in fs:
-        by_degree.setdefault(f.degree, []).append([field.coerce(c).residue for c in f.coeffs])
-    systems = []
-    for d, rows in by_degree.items():
-        fits = len(rows[0]) * (p - 1) ** 2 < 2 ** 63
-        systems.append((d, np.array(rows, dtype=np.int64 if fits else object).T))
+        by_degree.setdefault(f.degree, []).append(f)
+    systems = [(d, coefficient_matrix(group, p)) for d, group in by_degree.items()]
     out = []
     for pts in projective_point_slices(nvars, p):
         for d, coeffs in systems:
-            values = monomial_values(pts, d, p).astype(coeffs.dtype, copy=False) @ coeffs
-            pts = pts[~(values % p).any(axis=1)]
+            pts = pts[~form_values(pts, d, coeffs, p).any(axis=1)]
         out += [tuple(FpElem(v, p) for v in row) for row in pts.tolist()]
         if limit is not None and len(out) >= limit:
             return out[:limit]

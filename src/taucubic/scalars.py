@@ -157,7 +157,11 @@ class FpElem:
 
 
 class QuadElem:
-    """a + b*sqrt(D) with a, b in the base field of ``ext``."""
+    """a + b*sqrt(D) with a, b in the base field of ``ext``.
+
+    The constructor coerces its parts into the base field; arithmetic builds
+    its results with ``_of``, since their parts are base elements already, and
+    combines a base-field operand with the two parts directly."""
 
     __slots__ = ("a", "b", "ext")
 
@@ -166,44 +170,66 @@ class QuadElem:
         self.b = ext.base.coerce(b)
         self.ext = ext
 
-    def _coerce(self, other):
-        if isinstance(other, QuadElem):
-            if other.ext != self.ext:
-                raise ValueError("mixed quadratic extensions")
-            return other
+    @classmethod
+    def _of(cls, a, b, ext):
+        """a + b*sqrt(D) from parts that are elements of ext.base."""
+        elem = object.__new__(cls)
+        elem.a, elem.b, elem.ext = a, b, ext
+        return elem
+
+    def _same_ext(self, other: "QuadElem") -> "QuadElem":
+        if other.ext is not self.ext and other.ext != self.ext:
+            raise ValueError("mixed quadratic extensions")
+        return other
+
+    def _base(self, other):
+        """``other`` as an element of the base field, or None if it is not one."""
         try:
-            base_val = self.ext.base.coerce(other)
+            return self.ext.base.coerce(other)
         except (TypeError, ValueError):
             return None
-        return QuadElem(base_val, self.ext.base.zero, self.ext)
+
+    def _coerce(self, other):
+        if isinstance(other, QuadElem):
+            return self._same_ext(other)
+        c = self._base(other)
+        return None if c is None else QuadElem._of(c, self.ext.base.zero, self.ext)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, QuadElem):
+            o = self._same_ext(other)
+            return QuadElem._of(self.a + o.a, self.b + o.b, self.ext)
+        c = self._base(other)
+        if c is None:
             return NotImplemented
-        return QuadElem(self.a + o.a, self.b + o.b, self.ext)
+        return QuadElem._of(self.a + c, self.b, self.ext)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, QuadElem):
+            o = self._same_ext(other)
+            return QuadElem._of(self.a - o.a, self.b - o.b, self.ext)
+        c = self._base(other)
+        if c is None:
             return NotImplemented
-        return QuadElem(self.a - o.a, self.b - o.b, self.ext)
+        return QuadElem._of(self.a - c, self.b, self.ext)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        c = self._base(other)
+        if c is None:
             return NotImplemented
-        return o - self
+        return QuadElem._of(c - self.a, -self.b, self.ext)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, QuadElem):
+            o = self._same_ext(other)
+            return QuadElem._of(self.a * o.a + self.ext.d * self.b * o.b,
+                                self.a * o.b + self.b * o.a, self.ext)
+        c = self._base(other)
+        if c is None:
             return NotImplemented
-        d = self.ext.d
-        return QuadElem(self.a * o.a + d * self.b * o.b,
-                        self.a * o.b + self.b * o.a, self.ext)
+        return QuadElem._of(self.a * c, self.b * c, self.ext)
 
     __rmul__ = __mul__
 
@@ -212,7 +238,7 @@ class QuadElem:
         return self.a * self.a - self.ext.d * self.b * self.b
 
     def conjugate(self):
-        return QuadElem(self.a, -self.b, self.ext)
+        return QuadElem._of(self.a, -self.b, self.ext)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -223,7 +249,7 @@ class QuadElem:
             raise ZeroDivisionError("division by zero in quadratic extension")
         inv_n = self.ext.base.one / n
         num = self * o.conjugate()
-        return QuadElem(num.a * inv_n, num.b * inv_n, self.ext)
+        return QuadElem._of(num.a * inv_n, num.b * inv_n, self.ext)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -244,7 +270,7 @@ class QuadElem:
         return result
 
     def __neg__(self):
-        return QuadElem(-self.a, -self.b, self.ext)
+        return QuadElem._of(-self.a, -self.b, self.ext)
 
     def __eq__(self, other):
         if not isinstance(other, QuadElem):

@@ -20,10 +20,11 @@ from functools import cached_property
 
 from . import linalg
 from . import roots as uv
-from .bruteforce import projective_points_fp
+from .bruteforce import coefficient_matrix, form_values, projective_points_fp
 from .forms import (Form, SymMatrix3, evaluate, compose_linear, is_smooth_conic,
-                    macaulay_resultant, monomials, partial_derivative, is_smooth_hypersurface,
-                    reduce_form, ResultantIndeterminate, SMOOTH_CERTIFIED)
+                    macaulay_resultant, monomial_index, monomials, partial_derivative,
+                    is_smooth_hypersurface, reduce_form, ResultantIndeterminate,
+                    SMOOTH_CERTIFIED)
 from .intersect import (CommonComponent, PlaneIntersection, intersect_plane_curves)
 from .roots import binary_quadratic_roots
 from .scalars import BadPrime, PrimeField, QQ, QuadElem, RationalField, reduce_mod_prime
@@ -175,17 +176,7 @@ class FiberFamily:
     def of_cubic(cls, phi: Form) -> "FiberFamily":
         """Split phi by its (x0, x1)-exponents; any monomial outside the four
         invariant shapes raises ArithmeticError."""
-        parts = {(2, 0): {}, (1, 1): {}, (0, 2): {}, (0, 0): {}}
-        for m, c in zip(monomials(5, 3), phi.coeffs):
-            if not c:
-                continue
-            if m[:2] not in parts:
-                raise ArithmeticError(f"the cubic has the monomial with exponents {m}, "
-                                      "so it is not tau-invariant")
-            parts[m[:2]][m[2:]] = c
-        dom = phi.domain
-        l00, l01, l11 = (Form.from_terms(3, 1, parts[e], dom) for e in ((2, 0), (1, 1), (0, 2)))
-        return cls(l00, l01, l11, Form.from_terms(3, 3, parts[(0, 0)], dom))
+        return cls(*_tau_split(phi))
 
     def gram(self) -> SymMatrix3:
         """Gram matrix of the fiber conics, with Form entries; 4*det is the
@@ -200,6 +191,26 @@ class FiberFamily:
         return SymMatrix3.from_rows([[self.l00, half_l01, z2],
                                      [half_l01, self.l11, z2],
                                      [z2, z2, self.f3]])
+
+
+_TAU_SHAPES = ((2, 0), (1, 1), (0, 2), (0, 0))   # (x0, x1)-exponents of an invariant form
+
+
+def _tau_split(G: Form):
+    """The ternary forms (l00, l01, l11, f) with
+    G = l00(y) x0^2 + l01(y) x0 x1 + l11(y) x1^2 + f(y), y = (x2, x3, x4), for
+    a tau-invariant quadric or cubic G, read off G's coefficients.  Any other
+    monomial is odd in x0, x1, so G is not tau-invariant: ArithmeticError."""
+    index = {e: monomial_index(3, G.degree - sum(e)) for e in _TAU_SHAPES}
+    parts = {e: [G.domain.zero] * len(index[e]) for e in _TAU_SHAPES}
+    for m, c in zip(monomials(5, G.degree), G.coeffs):
+        if not c:
+            continue
+        if m[:2] not in parts:
+            raise ArithmeticError(f"the form has the monomial with exponents {m}, "
+                                  "so it is not tau-invariant")
+        parts[m[:2]][index[m[:2]][m[2:]]] = c
+    return tuple(Form(G.domain, 3, G.degree - sum(e), tuple(parts[e])) for e in _TAU_SHAPES)
 
 
 def embed_with_x01(f3vars: Form, e0: int, e1: int) -> Form:
@@ -634,7 +645,9 @@ def reduce_instance(instance: TauInstance, p: int) -> TauInstance:
 # in the fixed plane.  A tau-invariant quadric or cubic G has (x0, x1)-degree 0
 # or 2, so on the fibre over a fixed representative P it reads q_G(x0, x1) + c_G
 # with q_G a binary quadratic, and the fibre of {G = H = 0} is cut out by two
-# such equations in the affine (x0, x1)-plane.
+# such equations in the affine (x0, x1)-plane.  The coefficients of q_G and c_G
+# are the four ternary forms of ``_tau_split(G)`` at P, taken for a whole batch
+# of fixed-plane points at once with ``bruteforce.form_values``.
 
 
 def _fixed_plane_point(k: int, domain):
@@ -647,13 +660,42 @@ def _fixed_plane_point(k: int, domain):
     return (domain.zero, domain.zero, domain.one)
 
 
-def _fibre_restriction(G: Form, P):
-    """(a, m, b), c with G(x0, x1, P) = a x0^2 + m x0 x1 + b x1^2 + c."""
-    zero, one = G.domain.zero, G.domain.one
-    c = evaluate(G, (zero, zero) + P)
-    a = evaluate(G, (one, zero) + P) - c
-    b = evaluate(G, (zero, one) + P) - c
-    return (a, evaluate(G, (one, one) + P) - c - a - b, b), c
+class _FibreSystem:
+    """Two tau-invariant quadrics or cubics G and H over F_p, ready for batches
+    of fixed-plane points: the coefficient matrices of the four parts of each
+    (``_tau_split``) and of each full form, built once."""
+
+    def __init__(self, G: Form, H: Form):
+        self.domain = G.domain
+        p = self.domain.p
+        self.parts = []
+        for f in (G, H):
+            l00, l01, l11, rest = _tau_split(f)
+            self.parts.append((l00.degree, coefficient_matrix([l00, l01, l11], p),
+                               rest.degree, coefficient_matrix([rest], p)))
+        self.full = [(f.degree, coefficient_matrix([f], p)) for f in (G, H)]
+
+    def restrictions(self, Ps):
+        """One pair per fixed-plane point P of ``Ps``: the residues (a, m, b, c)
+        with G(x0, x1, P) = a x0^2 + m x0 x1 + b x1^2 + c, and those of H."""
+        p = self.domain.p
+        ys = [[c.residue for c in P] for P in Ps]
+        per_form = []
+        for head_degree, head, rest_degree, rest in self.parts:
+            quads = form_values(ys, head_degree, head, p).tolist()
+            consts = form_values(ys, rest_degree, rest, p).tolist()
+            per_form.append([q + c for q, c in zip(quads, consts)])
+        return list(zip(*per_form))
+
+    def check(self, pts):
+        """Raise ArithmeticError unless the full forms G and H vanish at every
+        point of ``pts``; one ``form_values`` product per form."""
+        if not pts:
+            return
+        rows = [[c.residue for c in pt] for pt in pts]
+        for degree, coeffs in self.full:
+            if form_values(rows, degree, coeffs, self.domain.p).any():
+                raise ArithmeticError("fibre point is off the surface")
 
 
 def _binary_value(q, u, v):
@@ -678,11 +720,10 @@ def _affine_conic_points(q, c, domain):
             yield from ((x0, x1 / w) for x1, w in _rational_roots(coeffs, domain) if w)
 
 
-def fibre_points(G: Form, H: Form, P):
-    """The F_p points (x0, x1, P) of {G = H = 0} over one point P of the fixed
-    plane, for tau-invariant quadrics or cubics G and H over a prime field
-    (higher degrees have x0, x1-parts of degree 4 or more).  A generator;
-    every point is checked on both equations.
+def _fibre_solutions(rG, rH, domain):
+    """The (x0, x1) in F_p^2 with q_G + c_G = q_H + c_H = 0, from the residues
+    (a, m, b, c) of both restrictions; a list, or a generator when one affine
+    conic is scanned.
 
     With E = c_H q_G - c_G q_H every solution x satisfies E(x) = 0.  If E is
     not identically zero, x = s (u, v) over its rational roots (u : v), with
@@ -691,10 +732,8 @@ def fibre_points(G: Form, H: Form, P):
     and its affine conic is scanned.  If both constants vanish, x = 0 and the
     whole lines over the common roots of q_G and q_H are solutions.
     """
-    domain = G.domain
-    P = tuple(P)
-    qG, cG = _fibre_restriction(G, P)
-    qH, cH = _fibre_restriction(H, P)
+    *qG, cG = map(domain.coerce, rG)
+    *qH, cH = map(domain.coerce, rH)
     E = tuple(cH * g - cG * h for g, h in zip(qG, qH))
     if any(E):
         xs = []
@@ -705,31 +744,66 @@ def fibre_points(G: Form, H: Form, P):
             s = domain.sqrt_or_none(-c / val) if val else None
             if s:
                 xs += [(s * u, s * v), (-s * u, -s * v)]
-    elif cG or cH:
-        xs = _affine_conic_points(*((qG, cG) if cG else (qH, cH)), domain)
+        return xs
+    if cG or cH:
+        return _affine_conic_points(*((qG, cG) if cG else (qH, cH)), domain)
+    if any(qG) or any(qH):
+        q, other = (qG, qH) if any(qG) else (qH, qG)
+        common = [r for r in _rational_roots(q, domain) if not _binary_value(other, *r)]
     else:
-        if any(qG) or any(qH):
-            q, other = (qG, qH) if any(qG) else (qH, qG)
-            common = [r for r in _rational_roots(q, domain) if not _binary_value(other, *r)]
-        else:
-            common = list(projective_points_fp(2, domain.p))
-        units = [domain.coerce(t) for t in range(1, domain.p)]
-        xs = [(domain.zero, domain.zero)] + [(s * u, s * v) for u, v in common for s in units]
-    for x in xs:
+        common = list(projective_points_fp(2, domain.p))
+    units = [domain.coerce(t) for t in range(1, domain.p)]
+    return [(domain.zero, domain.zero)] + [(s * u, s * v) for u, v in common for s in units]
+
+
+def _fibres(system: _FibreSystem, Ps, wanted=None):
+    """The F_p points of {G = H = 0} over each fixed-plane point of ``Ps``, one
+    list per point in order, every point checked on G and H in one batch.
+    With ``wanted``, the fibres stop after the ``wanted``-th nonempty one."""
+    fibres = []
+    nonempty = 0
+    for P, (rG, rH) in zip(Ps, system.restrictions(Ps)):
+        if nonempty == wanted:
+            break
+        fibres.append([x + P for x in _fibre_solutions(rG, rH, system.domain)])
+        nonempty += bool(fibres[-1])
+    system.check([pt for fibre in fibres for pt in fibre])
+    return fibres
+
+
+def fibre_points(G: Form, H: Form, P):
+    """The F_p points (x0, x1, P) of {G = H = 0} over one point P of the fixed
+    plane, for tau-invariant quadrics or cubics G and H over a prime field
+    (higher degrees have x0, x1-parts of degree 4 or more).
+
+    The one-row case of the batched walk: both restrictions are read off the
+    coefficients of ``_tau_split`` at P and solved by ``_fibre_solutions``.
+    A generator, so a caller wanting one point scans no further; each point
+    is checked on the full G and H as it is yielded."""
+    domain = G.domain
+    P = tuple(domain.coerce(c) for c in P)
+    system = _FibreSystem(G, H)
+    ((rG, rH),) = system.restrictions([P])
+    for x in _fibre_solutions(rG, rH, domain):
         pt = x + P
-        if evaluate(G, pt) or evaluate(H, pt):
-            raise ArithmeticError("fibre point is off the surface")
+        system.check([pt])
         yield pt
 
 
 def surface_points(G: Form, H: Form):
     """All F_p points of {G = H = 0} for tau-invariant quadrics or cubics G and
-    H, each once: the fibres over the fixed plane, then the fixed line.  A
-    generator."""
-    p = G.domain.p
-    for P in projective_points_fp(3, p):
-        yield from fibre_points(G, H, P)
-    zero = G.domain.zero
+    H, each once: the fibres over the fixed plane in ``projective_points_fp``
+    order, p fixed-plane points per batch of ``_fibres``, then the fixed line.
+    A generator."""
+    domain = G.domain
+    p = domain.p
+    plane = p * p + p + 1
+    system = _FibreSystem(G, H)
+    for start in range(0, plane, p):
+        Ps = [_fixed_plane_point(k, domain) for k in range(start, min(start + p, plane))]
+        for fibre in _fibres(system, Ps):
+            yield from fibre
+    zero = domain.zero
     for x0, x1 in projective_points_fp(2, p):
         pt = (x0, x1, zero, zero, zero)
         if not evaluate(G, pt) and not evaluate(H, pt):
@@ -741,19 +815,25 @@ def random_points_on_surface(instance: TauInstance, rng: random.Random, count: i
     """Up to ``count`` F_p points of {cubic = quadric = 0} off the fixed line,
     one point chosen by ``rng`` from each nonempty fibre in a seeded walk over
     the fixed plane.  Points of one fibre would come in tau-conjugate pairs,
-    which impose the same condition on invariant forms."""
+    which impose the same condition on invariant forms.
+
+    The walk takes the shuffled fixed-plane points in batches of twice the
+    points still wanted plus a few (``_fibres``), so it solves the same fibres
+    and draws from ``rng`` exactly as a point-by-point walk would."""
     domain = instance.domain
     if not isinstance(domain, PrimeField):
         raise TypeError("surface points are enumerated over prime fields")
     p = domain.p
-    phi, F = instance.cubic(), instance.quadric(quadric_index)
+    system = _FibreSystem(instance.cubic(), instance.quadric(quadric_index))
     order = list(range(p * p + p + 1))
     rng.shuffle(order)
     out = []
-    for k in order:
-        if len(out) >= count:
-            break
-        fibre = list(fibre_points(phi, F, _fixed_plane_point(k, domain)))
-        if fibre:
-            out.append(rng.choice(fibre))
+    pos = 0
+    while len(out) < count and pos < len(order):
+        wanted = count - len(out)
+        batch = order[pos:pos + 2 * wanted + 8]
+        pos += len(batch)
+        for fibre in _fibres(system, [_fixed_plane_point(k, domain) for k in batch], wanted):
+            if fibre:
+                out.append(rng.choice(fibre))
     return out

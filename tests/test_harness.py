@@ -1,6 +1,7 @@
 """Harness: configuration validation, instance round trips, report determinism,
 and the CLI contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -146,6 +147,32 @@ def test_report_bytes_match_fixture():
     fixture = Path(__file__).parent / "fixtures" / "report_all_samples1_seed0.txt"
     report = run_suite(SuiteConfig(suites=("all",), samples=1, seed=0))
     assert report.canonical_text() == fixture.read_text()
+
+
+# sha256 of canonical_text() for each F_p sampling suite at samples=3, seeds 0-2:
+# any change to what the point samplers draw from the rng, or to the points they
+# return, moves a digest
+SAMPLER_DIGESTS = {
+    "fiber-action": (
+        "b7b75b540f9bce15d7d9af410ec80b138e68f5308fec7447e456c7c19531aa26",
+        "7c48769b5a2a0c4e198d0def080329d2e516226414daf99ceb848fb26c2d6112",
+        "27bcda0f0181fa43b64cd2f1766f20fe0b672bb5fc11f19959d5c8d558e9f7e3"),
+    "koszul": (
+        "fa3c81f6e02a0213a1f55a154b0191f01e14e36c68c183df03bbae7d294ac842",
+        "24cdc9ac2a9eafbb67fce4f9b3687d83e501eb898a54679e5a1cbdd815a2f966",
+        "1993f681d8d55489729e2d39210576adda1a22afa0ac009af507f403b247b9ee"),
+    "two-points": (
+        "1efba9d07c5040962140bc911431c13742e6a5cef3cfe317e7be2ed379e17ac6",
+        "763f954b196ce116e7e41aa2d3d2f6cef8d26e0275fb1d80d1e1e87697f09a19",
+        "e0e4b2631378b4863f515e4dbd35088d612783992da607e64c3e34b978af9e6f"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SAMPLER_DIGESTS))
+def test_sampler_report_bytes_pinned(suite):
+    for seed, want in enumerate(SAMPLER_DIGESTS[suite]):
+        text = run_suite(SuiteConfig(suites=(suite,), samples=3, seed=seed)).canonical_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == want, (suite, seed)
 
 
 def test_failing_check_does_not_abort_others(monkeypatch):

@@ -156,6 +156,38 @@ def test_quad_ext_arithmetic_closed():
     assert i ** 4 == ext.one
 
 
+def test_quad_elem_base_operands_match_embedded():
+    # a base-field operand is combined with the two parts directly; the result
+    # equals the one with the operand embedded in the extension
+    rng = random.Random(17)
+    for ext in (QuadraticExtension(QQ, Fraction(-1)), _f101_ext(PrimeField(101))):
+        base = ext.base
+        for _ in range(40):
+            x = ext.random(rng, 9)
+            c = base.random(rng, 9)
+            for y in (c, 5):
+                e = ext.coerce(y)
+                for got, want in ((x + y, x + e), (y + x, e + x), (x - y, x - e),
+                                  (y - x, e - x), (x * y, x * e), (y * x, e * x)):
+                    assert isinstance(got, QuadElem) and got == want
+                    assert type(got.a) is type(base.zero) and type(got.b) is type(base.zero)
+
+
+def test_quad_elem_mixed_fields_raise():
+    ext = _f101_ext(PrimeField(101))
+    x = ext.sqrt_d + 1
+    for other in (FpElem(3, 7), FpElem(1, 103)):
+        for op in (lambda: x + other, lambda: other + x, lambda: x - other,
+                   lambda: other - x, lambda: x * other, lambda: other * x):
+            with pytest.raises(TypeError):
+                op()
+    i = QuadraticExtension(QQ, Fraction(-1)).sqrt_d
+    r2 = QuadraticExtension(QQ, Fraction(2)).sqrt_d
+    for op in (lambda: i + r2, lambda: i - r2, lambda: i * r2):
+        with pytest.raises(ValueError):
+            op()
+
+
 def test_equal_extensions_hash_alike():
     a = QuadraticExtension(QQ, Fraction(-1)).sqrt_d
     b = QuadraticExtension(QQ, Fraction(-1)).sqrt_d

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from taucubic import linalg
-from taucubic.bruteforce import common_projective_zeros, projective_points_fp
+from taucubic.bruteforce import (coefficient_matrix, common_projective_zeros,
+                                 projective_points_fp)
 from taucubic.forms import Form, evaluate, monomials, substitute_linear
 from taucubic.harness import projective_key
 from taucubic.intersect import conic_rational_points, curve_rational_points
@@ -374,6 +375,91 @@ def test_surface_enumeration_is_complete(p):
         bases = {projective_key(pt[2:], field) for pt in walk}
         assert len(bases) == len(walk)
         assert bases == {projective_key(pt[2:], field) for pt in on_S if any(pt[2:])}
+
+
+def _plain_restriction(G, P):
+    # G(x0, x1, P) = a x0^2 + m x0 x1 + b x1^2 + c from four scalar evaluations
+    zero, one = G.domain.zero, G.domain.one
+    c = evaluate(G, (zero, zero) + P)
+    a = evaluate(G, (one, zero) + P) - c
+    b = evaluate(G, (zero, one) + P) - c
+    m = evaluate(G, (one, one) + P) - c - a - b
+    return [a.residue, m.residue, b.residue, c.residue]
+
+
+def _plain_walk(inst, rng, count):
+    # the reference walk: one fixed-plane point at a time, restricted by scalar evaluate
+    field = inst.domain
+    phi, F = inst.cubic(), inst.quadric(0)
+    order = list(range(field.p ** 2 + field.p + 1))
+    rng.shuffle(order)
+    out = []
+    for k in order:
+        if len(out) >= count:
+            break
+        P = tau_mod._fixed_plane_point(k, field)
+        xs = tau_mod._fibre_solutions(_plain_restriction(phi, P), _plain_restriction(F, P), field)
+        fibre = [x + P for x in xs]
+        if fibre:
+            out.append(rng.choice(fibre))
+    return out
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 101])
+def test_batched_walk_equals_plain_walk(p):
+    field = PrimeField(p)
+    inst = sample_instance(p, 10, domain=field)
+    counts = (2, 15, 45, 105) + ((10 ** 6,) if p <= 13 else ())
+    for count in counts:
+        for seed in (0, 1, 2):
+            got = random_points_on_surface(inst, random.Random(seed), count)
+            assert got == _plain_walk(inst, random.Random(seed), count)
+
+
+def test_batch_check_sees_a_wrong_restriction(monkeypatch):
+    # drop the first nonzero coefficient of the x0, x1-free part: the fibres
+    # are solved from wrong restrictions and the full-form check must object
+    split = tau_mod._tau_split
+
+    def dropped(G):
+        *head, f = split(G)
+        i = next(i for i, c in enumerate(f.coeffs) if c)
+        coeffs = f.coeffs[:i] + (f.domain.zero,) + f.coeffs[i + 1:]
+        return (*head, Form(f.domain, 3, f.degree, coeffs))
+
+    inst = sample_instance(13, 10, domain=PrimeField(13))
+    monkeypatch.setattr(tau_mod, "_tau_split", dropped)
+    with pytest.raises(ArithmeticError):
+        random_points_on_surface(inst, random.Random(0), 10 ** 6)
+
+
+def test_fibre_points_python_int_path():
+    # at p > 2^32 the products overflow int64, so the restriction and the
+    # check take Python ints
+    p = 4294967311
+    field = PrimeField(p)
+    big = p // 3
+
+    def ternary(degree, coeffs):
+        return Form.from_terms(3, degree, dict(zip(monomials(3, degree), coeffs)), field)
+
+    G = (embed_with_x01(ternary(1, [big, 2, big + 7]), 2, 0)
+         + embed_with_x01(ternary(1, [5, big - 1, 3]), 1, 1)
+         + embed_with_x01(ternary(1, [big + 1, 1, big]), 0, 2)
+         + embed_with_x01(ternary(3, [big - 3 * t for t in range(10)]), 0, 0))
+    H = (Form.from_terms(5, 2, {(2, 0, 0, 0, 0): big, (1, 1, 0, 0, 0): 3,
+                                (0, 2, 0, 0, 0): big + 2}, field)
+         + embed_with_x01(ternary(2, [big + t for t in range(6)]), 0, 0))
+    assert coefficient_matrix([G], p).dtype == object
+    found = []
+    for k in range(40):
+        P = tau_mod._fixed_plane_point(k * 7919, field)
+        rG, rH = _plain_restriction(G, P), _plain_restriction(H, P)
+        assert tau_mod._FibreSystem(G, H).restrictions([P]) == [(rG, rH)]
+        got = list(tau_mod.fibre_points(G, H, P))
+        assert got == [x + P for x in tau_mod._fibre_solutions(rG, rH, field)]
+        found += got
+    assert found, "no fixed-plane point had a rational fibre"
 
 
 def _random_conic(rng, field):
