@@ -1,14 +1,16 @@
 """Exhaustive projective search over small finite fields.
 
-Over a prime field ``common_projective_zeros`` is the production scan: it
-walks P^(n-1)(F_p) a slice at a time and evaluates every form through
-``form_values``, the table of all monomials of one degree at every point
-(``monomial_values``) times the forms' coefficients.  It finds the smoothness
-certificate's singular witness and the brute-force line directions; the table
-also fills the Koszul evaluation matrix, and ``form_values`` evaluates the
-fibre restrictions of the surface walk in ``tau``.  Over the
-extension fields F_(p^k) (k <= 3), modelled minimally for the cross-checks of
-the elimination machinery, the search goes point by point.
+``common_projective_zeros`` is the one exhaustive scan: it walks
+P^(n-1)(F_q), q = p^k with k <= 3, a slice at a time and evaluates every form
+at every point of a slice as the table of all monomials of one degree times
+the forms' coefficients.  Over F_p the table is ``monomial_values`` and the
+product ``form_values``; the scan finds the smoothness certificate's singular
+witness and the brute-force line directions, the table fills the Koszul
+evaluation matrix, and ``form_values`` evaluates the fibre restrictions of
+the surface walk in ``tau``.  Over F_(p^2) and F_(p^3), used by the
+cross-checks of the elimination machinery, an element is the int vector of
+its coefficients in a power basis and the table is built with the field's
+multiplication tensor (``_extension``).
 """
 
 from __future__ import annotations
@@ -19,125 +21,8 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .forms import Form, evaluate, monomials
+from .forms import Form, monomials
 from .scalars import FpElem, PrimeField
-
-
-class GFq:
-    """F_(p^k) as polynomials mod a rootless monic polynomial of degree k."""
-
-    def __init__(self, p: int, k: int):
-        self.p = p
-        self.k = k
-        self.modulus = self._find_modulus(p, k)
-
-    @staticmethod
-    def _find_modulus(p: int, k: int):
-        if k == 1:
-            return (0, 1)
-        # a quadratic or cubic with no roots in F_p is irreducible
-        for tail in itertools.product(range(p), repeat=k):
-            coeffs = tail + (1,)
-            if all(sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p
-                   for x in range(p)):
-                return coeffs
-        raise ArithmeticError(f"no irreducible degree-{k} polynomial found over F_{p}")
-
-    def elem(self, coeffs):
-        c = tuple(int(x) % self.p for x in coeffs)
-        return GFqElem(c + (0,) * (self.k - len(c)), self)
-
-    @property
-    def zero(self):
-        return self.elem(())
-
-    @property
-    def one(self):
-        return self.elem((1,))
-
-    def all_elements(self):
-        for tup in itertools.product(range(self.p), repeat=self.k):
-            yield self.elem(tup)
-
-
-class GFqElem:
-    __slots__ = ("coeffs", "field")
-
-    def __init__(self, coeffs, field: GFq):
-        self.coeffs = coeffs
-        self.field = field
-
-    def _lift(self, other):
-        if isinstance(other, GFqElem):
-            return other
-        if isinstance(other, int):
-            return self.field.elem((other,))
-        if isinstance(other, FpElem):
-            if other.p != self.field.p:
-                raise ValueError("mixed characteristics")
-            return self.field.elem((other.residue,))
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return GFqElem(tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)), self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return GFqElem(tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)), self.field)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        p, k, mod = self.field.p, self.field.k, self.field.modulus
-        prod = [0] * (2 * k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        for top in range(2 * k - 2, k - 1, -1):
-            c = prod[top]
-            if c:
-                prod[top] = 0
-                for j in range(k):
-                    prod[top - k + j] = (prod[top - k + j] - c * mod[j]) % p
-        return GFqElem(tuple(prod[:k]), self.field)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs, self.field.p, self.field.modulus))
-
-    def __repr__(self):
-        return f"GF({self.field.p}^{self.field.k}){self.coeffs}"
-
-
-def projective_points_gfq(nvars: int, field: GFq):
-    """One representative per point of P^(nvars-1) over the extension field."""
-    elems = list(field.all_elements())
-    one = field.one
-    zero = field.zero
-    for lead in range(nvars):
-        for tail in itertools.product(elems, repeat=nvars - lead - 1):
-            yield tuple([zero] * lead + [one] + list(tail))
 
 
 def projective_points_fp(nvars: int, p: int):
@@ -151,10 +36,12 @@ def projective_points_fp(nvars: int, p: int):
 
 def projective_point_slices(nvars: int, p: int):
     """The points of ``projective_points_fp(nvars, p)``, in its order, as int64
-    arrays of residues, one point per row and at most p^(nvars-2) rows each."""
+    arrays of residues, one point per row and at most p^max(nvars-2, 1) rows
+    each.  Called with q = p^k, the same walk lists P^(nvars-1)(F_q) in
+    element indices (``_extension``), the leading one being index 1."""
     for lead in range(nvars):
         free = nvars - lead - 1
-        fixed = max(free - max(nvars - 2, 0), 0)   # leading free coordinates held per slice
+        fixed = max(free - max(nvars - 2, 1), 0)   # leading free coordinates held per slice
         grid = np.array(list(itertools.product(range(p), repeat=free - fixed)),
                         dtype=np.int64).reshape(p ** (free - fixed), free - fixed)
         for head in itertools.product(range(p), repeat=fixed):
@@ -209,36 +96,98 @@ def form_values(pts, degree: int, coeffs, p: int):
     return monomial_values(pts, degree, p).astype(coeffs.dtype, copy=False) @ coeffs % p
 
 
-def common_projective_zeros(fs: list[Form], p: int, ext_degree: int = 1, limit=None):
-    """The common projective zeros of ``fs`` over F_(p^ext_degree), by
-    enumeration, at most ``limit`` of them.
+@lru_cache(maxsize=None)
+def _extension(p: int, k: int):
+    """F_(p^k), k = 2 or 3, in the power basis mod the first rootless monic
+    polynomial of degree k (lower coefficients in ``itertools.product`` order),
+    which is irreducible since k <= 3; built on first use.
 
-    Over F_p the forms may have mixed degrees; the zeros come as ``FpElem``
-    tuples in ``projective_points_fp`` order.  Each slice of
-    ``projective_point_slices`` keeps the rows where every form's value
-    (``form_values``) is 0.
+    Returns the q x k int64 array of the elements, element i holding the
+    base-p digits of i least significant first, so that 0 and 1 are elements
+    0 and 1; and the k^2 x k multiplication tensor, row k a + b holding x^(a+b)
+    reduced mod the polynomial."""
+    low = next(low for low in itertools.product(range(p), repeat=k)
+               if all((x ** k + sum(c * x ** i for i, c in enumerate(low))) % p
+                      for x in range(p)))
+    powers = list(np.eye(k, dtype=np.int64))               # x^e for e < k
+    while len(powers) < 2 * k - 1:                         # x^k = -sum low[i] x^i
+        top = powers[-1]
+        powers.append((np.concatenate(([0], top[:-1])) - top[-1] * np.array(low)) % p)
+    tensor = np.array([powers[a + b] for a in range(k) for b in range(k)])
+    elems = np.arange(p ** k)[:, None] // p ** np.arange(k) % p
+    return elems, tensor
+
+
+def _extension_product(a, b, tensor, p: int):
+    """The product of F_(p^k) arrays of the same shape (..., k), mod p."""
+    k = a.shape[-1]
+    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (k * k,)) @ tensor % p
+
+
+def _extension_form_values(xs, degree: int, coeffs, p: int, tensor):
+    """The value of every form whose coefficients are a column of ``coeffs``
+    at every point of the F_(p^k) array ``xs`` (points, nvars, k): one row per
+    point, one column per basis coordinate of each form's value."""
+    powers = [np.broadcast_to(np.eye(1, xs.shape[2], dtype=np.int64), xs.shape)]
+    for _ in range(degree):
+        powers.append(_extension_product(powers[-1], xs, tensor, p))
+    powers = np.stack(powers, axis=2)          # powers[t, i, e] = x_i^e at point t
+    exps = _exponent_rows(xs.shape[1], degree)
+    table = powers[:, 0, exps[:, 0]]
+    for i in range(1, xs.shape[1]):
+        table = _extension_product(table, powers[:, i, exps[:, i]], tensor, p)
+    values = table.transpose(0, 2, 1).astype(coeffs.dtype, copy=False) @ coeffs % p
+    return values.reshape(len(xs), xs.shape[2] * coeffs.shape[1])
+
+
+def common_projective_zeros(fs: list[Form], p: int, ext_degree: int = 1, limit=None):
+    """The common projective zeros of the F_p forms ``fs`` over
+    F_q, q = p^ext_degree with ext_degree <= 3, by enumeration, at most
+    ``limit`` of them.
+
+    The forms may have mixed degrees.  Each slice of
+    ``projective_point_slices(nvars, q)`` keeps the rows where every form's
+    value is 0.  Over F_p the zeros come as ``FpElem`` tuples in
+    ``projective_points_fp`` order; over F_q as tuples of k-tuples of residues
+    (``_extension``), in the order of the element indices.
     """
+    if ext_degree not in (1, 2, 3):
+        raise ValueError(f"F_(p^k) is modelled for k = 1, 2, 3, not k = {ext_degree}")
     nvars = fs[0].num_vars
-    if ext_degree > 1:
-        hits = (pt for pt in projective_points_gfq(nvars, GFq(p, ext_degree))
-                if all(not evaluate(f, pt) for f in fs))
-        return list(itertools.islice(hits, limit))
     by_degree: dict = {}
     for f in fs:
         by_degree.setdefault(f.degree, []).append(f)
     systems = [(d, coefficient_matrix(group, p)) for d, group in by_degree.items()]
+    if ext_degree == 1:
+        def values(rows, d, coeffs):
+            return form_values(rows, d, coeffs, p)
+
+        def point(row):
+            return tuple(FpElem(v, p) for v in row)
+    else:
+        if ext_degree ** 2 * (p - 1) ** 3 >= 2 ** 63:
+            raise ValueError(f"products in F_({p}^{ext_degree}) overflow int64")
+        elems, tensor = _extension(p, ext_degree)
+        elements = [tuple(e) for e in elems.tolist()]
+
+        def values(rows, d, coeffs):
+            return _extension_form_values(elems[rows], d, coeffs, p, tensor)
+
+        def point(row):
+            return tuple(elements[i] for i in row)
     out = []
-    for pts in projective_point_slices(nvars, p):
+    for rows in projective_point_slices(nvars, p ** ext_degree):
         for d, coeffs in systems:
-            pts = pts[~form_values(pts, d, coeffs, p).any(axis=1)]
-        out += [tuple(FpElem(v, p) for v in row) for row in pts.tolist()]
+            rows = rows[~values(rows, d, coeffs).any(axis=1)]
+        out += [point(row) for row in rows.tolist()]
         if limit is not None and len(out) >= limit:
             return out[:limit]
     return out
 
 
 def has_common_projective_zero(fs: list[Form], p: int, max_ext_degree: int = 3) -> bool:
-    """Does the system vanish anywhere over F_q, F_(q^2), ..., F_(q^max)?"""
+    """Does the system vanish anywhere over F_p, F_(p^2), ..., F_(p^max),
+    max <= 3?"""
     for k in range(1, max_ext_degree + 1):
         if common_projective_zeros(fs, p, k, limit=1):
             return True

@@ -41,7 +41,7 @@ from .intersect import (CommonComponent, PlaneIntersection, conic_rational_point
                         curve_rational_points, intersect_plane_curves)
 from .roots import binary_quadratic_roots
 from .scalars import PrimeField
-from .tau import TauInstance, embed_with_x01, fibre_points, reduce_instance
+from .tau import FibreSystem, TauInstance, embed_with_x01, reduce_instance
 
 
 class DegenerateConicPart(ValueError):
@@ -501,12 +501,13 @@ def _probe_cone_surface(instance, quadric_index, rng, probe_prime, probe_count):
     F = work.quadric(quadric_index)
     gradsK = [partial_derivative(K, i) for i in range(5)]
     gradsF = [partial_derivative(F, i) for i in range(5)]
+    system = FibreSystem(K, F)
     count = 0
     singular = []
     for c in conic_rational_points(conic, rng, probe_count * 4 + 8):
         if count >= probe_count:
             break
-        pt = next(fibre_points(K, F, c), None)
+        pt = next(system.points(c), None)
         if pt is None:
             continue
         jac = [[evaluate(g, pt) for g in gradsK],

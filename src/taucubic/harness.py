@@ -228,11 +228,6 @@ def _sniff_domain(data) -> object:
     return PrimeField(moduli.pop())
 
 
-def encode_form(f: Form) -> dict:
-    return {"vars": f.num_vars, "deg": f.degree,
-            "coeffs": [encode_scalar(c) for c in f.coeffs]}
-
-
 def decode_form(obj, nvars, deg, domain, path: str) -> Form:
     coeffs = obj.get("coeffs", []) if isinstance(obj, dict) else obj
     if not isinstance(coeffs, list):
@@ -300,25 +295,6 @@ def emit_report(report: VerificationReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report.to_json(), fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def discriminant_data_json(dd: disc.DiscriminantData) -> dict:
-    inter = []
-    for p in dd.intersection.points:
-        inter.append({"pt": [encode_scalar(c) for c in p.coords],
-                      "mult": p.mult, "field": p.field_label})
-    for c in dd.intersection.clusters:
-        inter.append({"pt": None, "mult": c.mult, "degree": c.residue_degree,
-                      "field": c.field_label})
-    return {"quintic": encode_form(dd.quintic),
-            "conic_part": encode_form(dd.conic_part),
-            "cubic_part": encode_form(dd.cubic_part),
-            "intersection": inter,
-            "transversal": dd.transversal}
-
-
-def biform_json(bf: quot.BiForm) -> dict:
-    return {"bideg": list(bf.bidegree), "coeffs": [encode_scalar(c) for c in bf.coeffs]}
 
 
 # ---------------------------------------------------------------------------

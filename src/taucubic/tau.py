@@ -660,7 +660,7 @@ def _fixed_plane_point(k: int, domain):
     return (domain.zero, domain.zero, domain.one)
 
 
-class _FibreSystem:
+class FibreSystem:
     """Two tau-invariant quadrics or cubics G and H over F_p, ready for batches
     of fixed-plane points: the coefficient matrices of the four parts of each
     (``_tau_split``) and of each full form, built once."""
@@ -697,13 +697,31 @@ class _FibreSystem:
             if form_values(rows, degree, coeffs, self.domain.p).any():
                 raise ArithmeticError("fibre point is off the surface")
 
+    def points(self, P):
+        """The F_p points (x0, x1, P) of {G = H = 0} over one point P of the
+        fixed plane: the one-row case of the batched walk, both restrictions
+        solved by ``_fibre_solutions``.  A generator, so a caller wanting one
+        point scans no further; each point is checked on the full G and H as
+        it is yielded."""
+        P = tuple(self.domain.coerce(c) for c in P)
+        ((rG, rH),) = self.restrictions([P])
+        for x in _fibre_solutions(rG, rH, self.domain):
+            pt = x + P
+            self.check([pt])
+            yield pt
+
 
 def _binary_value(q, u, v):
     return q[0] * u * u + q[1] * u * v + q[2] * v * v
 
 
 def _rational_roots(q, domain):
-    """The F_p-rational projective roots (u : v) of a nonzero binary quadratic."""
+    """The F_p-rational projective roots (u : v) of a nonzero binary quadratic;
+    none, without solving over F_p(sqrt D), when q[0] != 0 and the discriminant
+    D is a non-square (Euler's criterion)."""
+    p = domain.p
+    if q[0] and pow((q[1] * q[1] - 4 * q[0] * q[2]).residue, (p - 1) // 2, p) == p - 1:
+        return []
     roots, fld = binary_quadratic_roots(q[0], q[1], q[2], domain)
     return [r for r, _mult in roots] if fld == domain else []
 
@@ -756,7 +774,7 @@ def _fibre_solutions(rG, rH, domain):
     return [(domain.zero, domain.zero)] + [(s * u, s * v) for u, v in common for s in units]
 
 
-def _fibres(system: _FibreSystem, Ps, wanted=None):
+def _fibres(system: FibreSystem, Ps, wanted=None):
     """The F_p points of {G = H = 0} over each fixed-plane point of ``Ps``, one
     list per point in order, every point checked on G and H in one batch.
     With ``wanted``, the fibres stop after the ``wanted``-th nonempty one."""
@@ -771,25 +789,6 @@ def _fibres(system: _FibreSystem, Ps, wanted=None):
     return fibres
 
 
-def fibre_points(G: Form, H: Form, P):
-    """The F_p points (x0, x1, P) of {G = H = 0} over one point P of the fixed
-    plane, for tau-invariant quadrics or cubics G and H over a prime field
-    (higher degrees have x0, x1-parts of degree 4 or more).
-
-    The one-row case of the batched walk: both restrictions are read off the
-    coefficients of ``_tau_split`` at P and solved by ``_fibre_solutions``.
-    A generator, so a caller wanting one point scans no further; each point
-    is checked on the full G and H as it is yielded."""
-    domain = G.domain
-    P = tuple(domain.coerce(c) for c in P)
-    system = _FibreSystem(G, H)
-    ((rG, rH),) = system.restrictions([P])
-    for x in _fibre_solutions(rG, rH, domain):
-        pt = x + P
-        system.check([pt])
-        yield pt
-
-
 def surface_points(G: Form, H: Form):
     """All F_p points of {G = H = 0} for tau-invariant quadrics or cubics G and
     H, each once: the fibres over the fixed plane in ``projective_points_fp``
@@ -798,7 +797,7 @@ def surface_points(G: Form, H: Form):
     domain = G.domain
     p = domain.p
     plane = p * p + p + 1
-    system = _FibreSystem(G, H)
+    system = FibreSystem(G, H)
     for start in range(0, plane, p):
         Ps = [_fixed_plane_point(k, domain) for k in range(start, min(start + p, plane))]
         for fibre in _fibres(system, Ps):
@@ -824,7 +823,7 @@ def random_points_on_surface(instance: TauInstance, rng: random.Random, count: i
     if not isinstance(domain, PrimeField):
         raise TypeError("surface points are enumerated over prime fields")
     p = domain.p
-    system = _FibreSystem(instance.cubic(), instance.quadric(quadric_index))
+    system = FibreSystem(instance.cubic(), instance.quadric(quadric_index))
     order = list(range(p * p + p + 1))
     rng.shuffle(order)
     out = []

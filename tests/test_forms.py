@@ -1,12 +1,16 @@
 """Polynomial algebra: evaluation, substitution, division, resultants,
 smoothness certificates, and their randomized property suites."""
 
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from taucubic import linalg
 from taucubic.bruteforce import (common_projective_zeros, has_common_projective_zero,
                                  monomial_values, projective_points_fp)
 from taucubic.forms import (DimensionMismatch, Form, NotDivisible, SingularMatrix,
@@ -380,7 +384,7 @@ def test_smoothness_canonical_cubic_bad_prime_five():
 def test_point_slices_follow_projective_points_fp(nvars):
     from taucubic.bruteforce import projective_point_slices
     slices = list(projective_point_slices(nvars, 5))
-    assert max(len(s) for s in slices) <= 5 ** max(nvars - 2, 0)
+    assert max(len(s) for s in slices) <= 5 ** max(nvars - 2, 1)
     assert [tuple(row) for s in slices for row in s.tolist()] == \
         [tuple(c.residue for c in pt) for pt in projective_points_fp(nvars, 5)]
 
@@ -418,6 +422,124 @@ def test_common_zero_scan_matches_plain_loop(p):
         assert common_projective_zeros(fs, p) == plain
         for limit in (1, 3):
             assert common_projective_zeros(fs, p, limit=limit) == plain[:limit]
+
+
+def _rootless_low(p, k):
+    """The lower coefficients of the first monic degree-k polynomial over F_p
+    with no root there, in itertools.product order: irreducible for k <= 3."""
+    return next(low for low in itertools.product(range(p), repeat=k)
+                if all((x ** k + sum(c * x ** i for i, c in enumerate(low))) % p
+                       for x in range(p)))
+
+
+@functools.lru_cache(maxsize=None)
+def _gf_mul(a, b, low, p):
+    """The product of two coefficient tuples of F_(p^k) = F_p[x]/(x^k + low)."""
+    k = len(low)
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for top in range(2 * k - 2, k - 1, -1):
+        for i in range(k):
+            prod[top - k + i] -= prod[top] * low[i]
+    return tuple(c % p for c in prod[:k])
+
+
+def _gf_monomial_values(pt, nvars, degree, low, p):
+    out = []
+    for m in monomials(nvars, degree):
+        v = (1,) + (0,) * (len(low) - 1)
+        for x, e in zip(pt, m):
+            for _ in range(e):
+                v = _gf_mul(v, x, low, p)
+        out.append(v)
+    return out
+
+
+def _plain_extension_zeros(fs, p, k):
+    """The common zeros of fs over F_(p^k), one point and one form at a time;
+    element i has the base-p digits of i, least significant first."""
+    low = _rootless_low(p, k)
+    elems = [tuple(reversed(t)) for t in itertools.product(range(p), repeat=k)]
+    nvars = fs[0].num_vars
+    out = []
+    for lead in range(nvars):
+        for tail in itertools.product(elems, repeat=nvars - lead - 1):
+            pt = (elems[0],) * lead + (elems[1],) + tail
+            if all(not any(sum(c.residue * v[i] for c, v in
+                               zip(f.coeffs, _gf_monomial_values(pt, nvars, f.degree, low, p)))
+                           % p for i in range(k)) for f in fs):
+                out.append(pt)
+    return out
+
+
+@pytest.mark.parametrize("p, k, nvars", [(5, 2, 2), (5, 3, 2), (7, 2, 2), (7, 3, 2),
+                                         (5, 2, 3), (5, 3, 3), (7, 2, 3)])
+def test_extension_scan_matches_plain_loop(p, k, nvars):
+    # nvars forms of degree <= 5 - nvars, as in criterion 13, every other system
+    # through a planted point with coordinates drawn from F_(p^k); (7, 3, 3) is
+    # left out, its 117,993 points are too many for the plain loop
+    rng = random.Random(100 * p + 10 * k + nvars)
+    domain = PrimeField(p)
+    low = _rootless_low(p, k)
+    found = 0
+    for s in range(4):
+        if s % 2:
+            pt = ((1,) + (0,) * (k - 1),) + tuple(
+                tuple(rng.randrange(p) for _ in range(k)) for _ in range(nvars - 1))
+            fs = []
+            for _ in range(nvars):
+                d = rng.choice([d for d in (1, 2, 3)[:5 - nvars]
+                                if len(monomials(nvars, d)) > k])
+                vals = _gf_monomial_values(pt, nvars, d, low, p)
+                basis = linalg.nullspace([[domain.coerce(v[i]) for v in vals] for i in range(k)],
+                                         domain)
+                weights = [rng.randrange(1, p) for _ in basis]
+                coeffs = [sum((w * b[j] for w, b in zip(weights, basis)), domain.zero)
+                          for j in range(len(vals))]
+                fs.append(Form(domain, nvars, d, tuple(coeffs)))
+        else:
+            fs = [rand_form(rng, nvars, rng.randint(1, 5 - nvars), domain, bound=p)
+                  for _ in range(nvars)]
+        if any(f.is_zero for f in fs):
+            continue
+        plain = _plain_extension_zeros(fs, p, k)
+        if s % 2:
+            assert plain
+        found += bool(plain)
+        assert common_projective_zeros(fs, p, k) == plain
+        assert common_projective_zeros(fs, p, k, limit=1) == plain[:1]
+    assert found
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("k", [2, 3])
+def test_extension_is_a_field(p, k):
+    # x^(q-1) = 1 for every nonzero element, by square and multiply over the
+    # whole element array: a reducible modulus would leave zero divisors
+    from taucubic.bruteforce import _extension, _extension_product
+    elems, tensor = _extension(p, k)
+    q = p ** k
+    assert elems.tolist() == [list(reversed(t)) for t in itertools.product(range(p), repeat=k)]
+    power, base, e = np.broadcast_to(elems[1], elems.shape), elems, q - 1
+    while e:
+        if e & 1:
+            power = _extension_product(power, base, tensor, p)
+        base = _extension_product(base, base, tensor, p)
+        e >>= 1
+    assert power.tolist() == [[0] * k] + [elems[1].tolist()] * (q - 1)
+
+
+def test_extension_scan_refuses_unmodelled_fields():
+    forms = [f_of(2, 1, {(1, 0): 1}, PrimeField(5))]
+    for k in (0, 4):
+        # a rootless quartic can be reducible: x^4 + 1 over F_5
+        with pytest.raises(ValueError):
+            common_projective_zeros(forms, 5, k)
+    p = 1048583                 # 9 (p - 1)^3 > 2^63: a product would wrap in int64
+    with pytest.raises(ValueError):
+        common_projective_zeros([f_of(2, 1, {(1, 0): 1}, PrimeField(p))], p, 3)
 
 
 def test_monomial_values_beyond_int64_products():

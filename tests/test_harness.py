@@ -10,8 +10,7 @@ from pathlib import Path
 import pytest
 
 from taucubic.harness import (ConfigError, InstanceParseError, SuiteConfig,
-                              decode_instance, discriminant_data_json, biform_json,
-                              emit_report, encode_instance, encode_scalar,
+                              decode_instance, emit_report, encode_instance, encode_scalar,
                               load_instance, mix_seed, run_suite)
 from taucubic.scalars import FpElem, PrimeField, QQ
 from taucubic.tau import canonical_instance, sample_instance
@@ -102,22 +101,6 @@ def test_mixed_moduli_rejected(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(InstanceParseError):
         load_instance(path)
-
-
-def test_discriminant_json_schema():
-    from taucubic.discriminant import discriminant_quintic
-    dd = discriminant_quintic(canonical_instance())
-    data = discriminant_data_json(dd)
-    assert data["quintic"]["deg"] == 5
-    assert sum(e["mult"] * e.get("degree", 1) for e in data["intersection"]) == 6
-    assert data["transversal"] is True
-
-
-def test_biform_json_schema():
-    from taucubic.quotient import quotient_equation
-    data = biform_json(quotient_equation(canonical_instance()))
-    assert data["bideg"] == [2, 3]
-    assert len(data["coeffs"]) == 3 * 10
 
 
 # --- report runs --------------------------------------------------------

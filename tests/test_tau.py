@@ -1,6 +1,7 @@
 """Involution geometry: invariant series, sampling gate, base locus, two-point
 cubics, eigen split, fixed points, and the pencil condition."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from taucubic.bruteforce import (coefficient_matrix, common_projective_zeros,
 from taucubic.forms import Form, evaluate, monomials, substitute_linear
 from taucubic.harness import projective_key
 from taucubic.intersect import conic_rational_points, curve_rational_points
+from taucubic.roots import binary_quadratic_roots
 from taucubic.scalars import PrimeField, QQ, QuadraticExtension
 from taucubic.tau import (FixedLoci, GenericityExhausted, QuadricPart,
                           TauInstance, UnsupportedDegree, canonical_instance,
@@ -455,11 +457,24 @@ def test_fibre_points_python_int_path():
     for k in range(40):
         P = tau_mod._fixed_plane_point(k * 7919, field)
         rG, rH = _plain_restriction(G, P), _plain_restriction(H, P)
-        assert tau_mod._FibreSystem(G, H).restrictions([P]) == [(rG, rH)]
-        got = list(tau_mod.fibre_points(G, H, P))
+        system = tau_mod.FibreSystem(G, H)
+        assert system.restrictions([P]) == [(rG, rH)]
+        got = list(system.points(P))
         assert got == [x + P for x in tau_mod._fibre_solutions(rG, rH, field)]
         found += got
     assert found, "no fixed-plane point had a rational fibre"
+
+
+def test_rational_roots_match_binary_quadratic_roots():
+    # every nonzero binary quadratic over F_7: the non-square shortcut returns
+    # what the solver over F_7(sqrt D) gives once its irrational roots are dropped
+    field = PrimeField(7)
+    for q in itertools.product(range(7), repeat=3):
+        if any(q):
+            q = tuple(map(field.coerce, q))
+            roots, fld = binary_quadratic_roots(*q, field)
+            assert tau_mod._rational_roots(q, field) == \
+                ([r for r, _mult in roots] if fld == field else [])
 
 
 def _random_conic(rng, field):
