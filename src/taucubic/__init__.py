@@ -5,12 +5,10 @@ from .scalars import (BadPrime, ExtensionTower, FpElem, PrimeField, QQ, QuadElem
                       QuadraticExtension, RationalField, ZeroInput,
                       quad_sqrt, reduce_mod_prime)
 from .forms import (DimensionMismatch, Form, NotDivisible, ResultantIndeterminate,
-                    SingularMatrix, SymMatrix3, ZeroForm, evaluate, exact_divide,
-                    is_smooth_hypersurface, macaulay_resultant, monomials,
-                    partial_derivative, substitute_linear, sylvester_resultant)
-from .tau import (DegenerateOnLine, FixedLoci, GenericityExhausted, NoSolution,
-                  QuadricPart, TauInstance, UnsupportedDegree, canonical_instance,
-                  check_pencil_condition, cubic_through_points, fixed_points_on_S,
+                    SymMatrix3, ZeroForm, evaluate, exact_divide, is_smooth_hypersurface,
+                    macaulay_resultant, monomials, partial_derivative, sylvester_resultant)
+from .tau import (DegenerateOnLine, GenericityExhausted, NoSolution, QuadricPart,
+                  TauInstance, UnsupportedDegree, canonical_instance, fixed_points_on_S,
                   invariant_basis, sample_instance, sym2_eigensplit, tau_form,
                   verify_base_locus)
 from .discriminant import (DegenerateConicPart, DiscriminantData, FiberConic,

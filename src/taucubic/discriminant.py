@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from . import linalg
 from .bruteforce import common_projective_zeros
@@ -230,37 +231,22 @@ def discriminant_quintic(instance: TauInstance,
 
 def points_on_conic_component(instance: TauInstance, rng: random.Random, count: int,
                               off_cubic: bool = True):
-    conic = instance.conic_part()
-    pts = conic_rational_points(conic, rng, count * 3 + 10)
-    out = []
-    for pt in pts:
-        if off_cubic and not evaluate(instance.f3, pt):
-            continue
-        out.append(pt)
-        if len(out) >= count:
-            break
-    return out
+    pts = conic_rational_points(instance.conic_part(), rng, count * 3 + 10)
+    return _first_off(pts, instance.f3 if off_cubic else None, count)
 
 
 def points_on_cubic_component(instance: TauInstance, rng: random.Random, count: int,
                               off_conic: bool = True):
-    conic = instance.conic_part()
     pts = curve_rational_points(instance.f3, rng, count * 3 + 10)
-    out = []
-    for pt in pts:
-        if off_conic and not evaluate(conic, pt):
-            continue
-        out.append(pt)
-        if len(out) >= count:
-            break
-    return out
+    return _first_off(pts, instance.conic_part() if off_conic else None, count)
 
 
-def points_on_both_components(instance: TauInstance, rng: random.Random):
-    """Crossing points of the two components that are rational over the
-    instance domain."""
-    inter = intersect_plane_curves(instance.conic_part(), instance.f3, rng)
-    return [p.coords for p in inter.points if p.domain == instance.domain]
+def _first_off(pts, other, count: int):
+    """The first ``count`` of ``pts`` off the curve {other = 0}, or the first
+    ``count`` of them all when ``other`` is None."""
+    if other is not None:
+        pts = (pt for pt in pts if evaluate(other, pt))
+    return list(islice(pts, count))
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,6 @@ class DimensionMismatch(ValueError):
     """Wrong number of variables or coordinates."""
 
 
-class SingularMatrix(ValueError):
-    """Coordinate change is not invertible."""
-
-
 class NotDivisible(ArithmeticError):
     """No exact polynomial quotient exists."""
 
@@ -85,12 +81,6 @@ class PolyDict:
     def const(cls, nvars, domain, c):
         return cls(nvars, domain, {(0,) * nvars: domain.coerce(c)})
 
-    @classmethod
-    def variable(cls, nvars, domain, i):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, domain, {tuple(e): domain.one})
-
     @property
     def is_zero(self):
         return not self.terms
@@ -142,16 +132,6 @@ class PolyDict:
 
     def __rmul__(self, other):
         return self * other
-
-    def __pow__(self, n: int):
-        result = PolyDict.const(self.nvars, self.domain, self.domain.one)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def degree(self):
         return max((sum(e) for e in self.terms), default=None)
@@ -325,17 +305,6 @@ def compose_linear(f: Form, rows) -> Form:
         pd = PolyDict.const(m_new, f.domain, pd)
     out = Form.from_polydict(pd, f.degree)
     return out
-
-
-def substitute_linear(f: Form, matrix) -> Form:
-    """f composed with an invertible square coordinate change x -> M x."""
-    n = f.num_vars
-    if len(matrix) != n or any(len(r) != n for r in matrix):
-        raise DimensionMismatch("coordinate change must be square of the variable count")
-    rows = [[f.domain.coerce(c) for c in r] for r in matrix]
-    if not linalg.det(rows, f.domain):
-        raise SingularMatrix("coordinate change is singular")
-    return compose_linear(f, rows)
 
 
 def partial_derivative(f: Form, var_index: int) -> Form:

@@ -189,13 +189,17 @@ def encode_scalar(x) -> object:
 
 
 def decode_scalar(obj, domain, path: str):
+    # JSON true and false are ints to Python, and int() truncates a float residue
     try:
-        if isinstance(obj, (str, int)):
+        if isinstance(obj, (str, int)) and not isinstance(obj, bool):
             return domain.coerce(Fraction(obj))
         if isinstance(obj, dict) and "r" in obj and "p" in obj:
             if not isinstance(domain, PrimeField) or domain.p != obj["p"]:
                 raise InstanceParseError(f"{path}: modulus {obj['p']} does not match the domain")
-            return FpElem(int(obj["r"]), int(obj["p"]))
+            r = obj["r"]
+            if not isinstance(r, (str, int)) or isinstance(r, bool):
+                raise InstanceParseError(f"{path}.r: residue must be an integer, got {r!r}")
+            return FpElem(int(r), int(obj["p"]))
     except InstanceParseError:
         raise
     except (ValueError, ZeroDivisionError, TypeError) as exc:

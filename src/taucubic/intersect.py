@@ -25,6 +25,7 @@ from .forms import (Form, compose_linear, evaluate, monomials, partial_derivativ
                     sylvester_resultant)
 from .linalg import rank
 from .roots import BinaryRootLedger, RootEntry, binary_form_roots
+from .scalars import QuadElem
 
 SHEAR_TRIES = 24
 
@@ -96,7 +97,6 @@ def _shear_rows(domain, a, b):
 
 
 def _point_domain(pt, fallback):
-    from .scalars import QuadElem
     for c in pt:
         if isinstance(c, QuadElem):
             return c.ext

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
-from . import roots as uv
 from .bruteforce import coefficient_matrix, form_values, projective_points_fp
 from .forms import (Form, SymMatrix3, evaluate, compose_linear, is_smooth_conic,
                     macaulay_resultant, monomial_index, monomials, partial_derivative,
@@ -27,7 +26,7 @@ from .forms import (Form, SymMatrix3, evaluate, compose_linear, is_smooth_conic,
                     SMOOTH_CERTIFIED)
 from .intersect import (CommonComponent, PlaneIntersection, intersect_plane_curves)
 from .roots import binary_quadratic_roots
-from .scalars import BadPrime, PrimeField, QQ, QuadElem, RationalField, reduce_mod_prime
+from .scalars import BadPrime, PrimeField, QQ, QuadElem, reduce_mod_prime
 
 
 class UnsupportedDegree(ValueError):
@@ -46,18 +45,7 @@ class NoSolution(ArithmeticError):
     """Two-point linear system contradicted the guaranteed dimension bound."""
 
 
-TAU_SIGNS = (-1, -1, 1, 1, 1)
-
 GATE_PRIMES = (101, 103)   # the gate's smoothness certificate over Q is taken mod these
-
-
-def tau_matrix(domain):
-    return [[domain.coerce(TAU_SIGNS[i]) if i == j else domain.zero
-             for j in range(5)] for i in range(5)]
-
-
-def tau_point(pt):
-    return (-pt[0], -pt[1]) + tuple(pt[2:])
 
 
 def monomial_tau_sign(exps) -> int:
@@ -71,23 +59,6 @@ def tau_form(f: Form) -> Form:
     coeffs = tuple(c if monomial_tau_sign(m) > 0 else -c
                    for m, c in zip(monomials(5, f.degree), f.coeffs))
     return Form(f.domain, 5, f.degree, coeffs)
-
-
-@dataclass(frozen=True)
-class FixedLoci:
-    """Fixed locus of the involution: index sets of vanishing coordinates."""
-
-    line_vanishing: tuple = (2, 3, 4)
-    plane_vanishing: tuple = (0, 1)
-
-    def on_line(self, pt) -> bool:
-        return all(not pt[i] for i in self.line_vanishing) and any(pt)
-
-    def on_plane(self, pt) -> bool:
-        return all(not pt[i] for i in self.plane_vanishing) and any(pt)
-
-    def is_fixed(self, pt) -> bool:
-        return self.on_line(pt) or self.on_plane(pt)
 
 
 def invariant_basis(degree: int, domain=QQ) -> list[Form]:
@@ -351,10 +322,9 @@ def verify_base_locus(degree_3_basis: list[Form], witness_points=None) -> BaseLo
     if witness_points is None:
         witness_points = default_witness_points(degree_3_basis[0].domain)
     line_ok = all(restrict_to_fixed_line(f).is_zero for f in degree_3_basis)
-    loci = FixedLoci()
     results = []
     for pt in witness_points:
-        if loci.on_line(pt):
+        if not any(pt[2:]) and any(pt):   # on the fixed line
             results.append((pt, None, True))
             continue
         idx = next((i for i, f in enumerate(degree_3_basis) if evaluate(f, pt)), None)
@@ -454,11 +424,6 @@ def two_point_analysis(instance: TauInstance, P, Q, quadric_index: int = 0) -> T
                          sol_affine, sol_proj, complement)
 
 
-def cubic_through_points(instance: TauInstance, P, Q, quadric_index: int = 0) -> Form:
-    """An invariant cubic through two surface points, outside the fixed subspace."""
-    return two_point_analysis(instance, P, Q, quadric_index).form
-
-
 def _monomial_value(exps, pt):
     val = None
     for c, e in zip(pt, exps):
@@ -536,92 +501,6 @@ def fixed_points_on_S(instance: TauInstance, quadric_index: int = 0,
         total_multiplicity=line_mult + plane.total_multiplicity,
         all_distinct=line_distinct and plane.distinct,
     )
-
-
-# ---------------------------------------------------------------------------
-# the pencil condition for two special quadrics
-
-
-@dataclass
-class PencilVerdict:
-    g2_smooth: bool
-    h2_smooth: bool
-    four_transversal_points: bool
-    rhs_holds: bool
-    surface_misses_line: bool
-    smooth_probes: dict
-    lhs_probed: bool | None
-    agree: bool | None
-    counterexample: tuple | None = None
-
-
-def check_pencil_condition(g2: Form, h2: Form, probe_primes=(5, 7),
-                           rng: random.Random | None = None) -> PencilVerdict:
-    """Equivalence probe: the pencil quadrics x0^2+g2, x1^2+h2 cut a smooth
-    surface missing the fixed line exactly when g2, h2 are smooth conics
-    meeting transversally in 4 points."""
-    rng = rng or random.Random(0xBEEF)
-    domain = g2.domain
-    g_smooth = is_smooth_conic(g2)
-    h_smooth = is_smooth_conic(h2)
-    if g_smooth and h_smooth:
-        try:
-            four = intersect_plane_curves(g2, h2, rng).distinct
-        except CommonComponent:
-            four = False
-    else:
-        four = False
-    rhs = g_smooth and h_smooth and four
-    f0 = _special_quadric(g2, 0)
-    f1 = _special_quadric(h2, 1)
-    misses = _line_intersection_empty(f0, f1)
-    probes = {}
-    counterexample = None
-    for p in probe_primes:
-        if isinstance(domain, RationalField):
-            q0, q1 = reduce_form(f0, p), reduce_form(f1, p)
-        elif isinstance(domain, PrimeField) and domain.p == p:
-            q0, q1 = f0, f1
-        else:
-            continue
-        sing = _singular_point_probe(q0, q1, p)
-        probes[p] = sing is None
-        if sing is not None and counterexample is None:
-            counterexample = sing
-    lhs = (misses and all(probes.values())) if probes else None
-    agree = (rhs == lhs) if lhs is not None else None
-    return PencilVerdict(g_smooth, h_smooth, four, rhs, misses, probes, lhs,
-                         agree, counterexample)
-
-
-def _special_quadric(f2: Form, which: int) -> Form:
-    domain = f2.domain
-    sq = (2, 0, 0, 0, 0) if which == 0 else (0, 2, 0, 0, 0)
-    return Form.from_terms(5, 2, {sq: domain.one}, domain) + embed_with_x01(f2, 0, 0)
-
-
-def _line_intersection_empty(f0: Form, f1: Form) -> bool:
-    domain = f0.domain
-    b0, b1 = restrict_to_fixed_line(f0), restrict_to_fixed_line(f1)
-    if b0.is_zero or b1.is_zero:
-        return False
-    u = uv.trim([b0.coefficient((k, b0.degree - k)) for k in range(b0.degree + 1)])
-    v = uv.trim([b1.coefficient((k, b1.degree - k)) for k in range(b1.degree + 1)])
-    # (1:0) is a common zero iff both forms lose full degree in x0
-    both_at_infinity = uv.degree(u) < b0.degree and uv.degree(v) < b1.degree
-    return uv.degree(uv.gcd(u, v, domain)) == 0 and not both_at_infinity
-
-
-def _singular_point_probe(q0: Form, q1: Form, p: int):
-    """A rational singular point of the surface {q0 = q1 = 0} over F_p, or None."""
-    domain = PrimeField(p)
-    grads0 = [partial_derivative(q0, i) for i in range(5)]
-    grads1 = [partial_derivative(q1, i) for i in range(5)]
-    for pt in surface_points(q0, q1):
-        jac = [[evaluate(g, pt) for g in grads0], [evaluate(g, pt) for g in grads1]]
-        if linalg.rank(jac, domain) < 2:
-            return pt
-    return None
 
 
 def reduce_instance(instance: TauInstance, p: int) -> TauInstance:

@@ -14,12 +14,12 @@ from taucubic.discriminant import (DOUBLE_LINE, FIXES, SMOOTH_FIBER, SWAPS,
                                    directional_expansion, discriminant_quintic,
                                    fiber_conic, lines_through_point_brute,
                                    lines_through_point_of_ltau,
-                                   points_on_both_components,
                                    points_on_conic_component,
                                    points_on_cubic_component, split_conic,
                                    tau_fiber_action)
 from taucubic.forms import Form, PolyDict, SymMatrix3, compose_linear, evaluate, exact_divide
 from taucubic.harness import SuiteConfig, load_instance, projective_key, run_suite
+from taucubic.intersect import intersect_plane_curves
 from taucubic.scalars import PrimeField, QQ
 from taucubic.tau import TauInstance, canonical_instance, sample_instance
 
@@ -216,7 +216,8 @@ def test_action_double_line_on_crossings():
     # are bijective since 11 = 2 mod 3
     inst = canonical_instance(F11)
     rng = random.Random(3)
-    pts = points_on_both_components(inst, rng)
+    inter = intersect_plane_curves(inst.conic_part(), inst.f3, rng)
+    pts = [p.coords for p in inter.points if p.domain == inst.domain]
     assert pts, "crossing points should be rational here"
     for pt in pts:
         assert tau_fiber_action(inst, pt).action == DOUBLE_LINE

@@ -94,6 +94,35 @@ def test_wrong_length_rejected(tmp_path):
     assert "f3" in str(err.value)
 
 
+def _load_with_scalar(tmp_path, inst, field, index, value):
+    data = encode_instance(inst)
+    data[field][index] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    return load_instance(path)
+
+
+# Python reads a JSON true as the int 1, and int(2.7) truncates to 2
+@pytest.mark.parametrize("p, field, value, where", [
+    (None, "l00", True, "l00[0]"),
+    (101, "l00", {"r": False, "p": 101}, "l00[0].r"),
+    (101, "f3", {"r": 2.7, "p": 101}, "f3[0].r"),
+], ids=["boolean-scalar", "boolean-residue", "non-integral-residue"])
+def test_malformed_scalar_rejected(tmp_path, p, field, value, where):
+    inst = canonical_instance() if p is None else sample_instance(2, 9, domain=PrimeField(p))
+    with pytest.raises(InstanceParseError) as err:
+        _load_with_scalar(tmp_path, inst, field, 0, value)
+    assert where in str(err.value)
+
+
+def test_integer_string_scalars_load(tmp_path):
+    inst = sample_instance(2, 9, domain=PrimeField(101))
+    loaded = _load_with_scalar(tmp_path, inst, "l00", 0, {"r": "7", "p": 101})
+    assert loaded.l00.coeffs[0] == FpElem(7, 101)
+    loaded = _load_with_scalar(tmp_path, canonical_instance(), "l00", 0, "7")
+    assert loaded.l00.coeffs[0] == 7
+
+
 def test_mixed_moduli_rejected(tmp_path):
     data = encode_instance(sample_instance(2, 9, domain=PrimeField(101)))
     data["l00"][0] = {"r": 1, "p": 103}

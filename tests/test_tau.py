@@ -1,5 +1,5 @@
 """Involution geometry: invariant series, sampling gate, base locus, two-point
-cubics, eigen split, fixed points, and the pencil condition."""
+cubics, eigen split, fixed points, and F_p surface points."""
 
 import itertools
 import random
@@ -10,19 +10,17 @@ import pytest
 from taucubic import linalg
 from taucubic.bruteforce import (coefficient_matrix, common_projective_zeros,
                                  projective_points_fp)
-from taucubic.forms import Form, evaluate, monomials, substitute_linear
+from taucubic.forms import Form, compose_linear, evaluate, monomials
 from taucubic.harness import projective_key
 from taucubic.intersect import conic_rational_points, curve_rational_points
 from taucubic.roots import binary_quadratic_roots
 from taucubic.scalars import PrimeField, QQ, QuadraticExtension
-from taucubic.tau import (FixedLoci, GenericityExhausted, QuadricPart,
-                          TauInstance, UnsupportedDegree, canonical_instance,
-                          check_pencil_condition, cubic_through_points,
-                          embed_with_x01, fixed_points_on_S, genericity_report,
-                          invariant_basis, invariant_coordinates,
-                          random_points_on_surface, sample_instance, surface_points,
-                          sym2_eigensplit, tau_form, tau_matrix, two_point_analysis,
-                          two_point_subspace, verify_base_locus)
+from taucubic.tau import (GenericityExhausted, QuadricPart, TauInstance,
+                          UnsupportedDegree, canonical_instance, embed_with_x01,
+                          fixed_points_on_S, genericity_report, invariant_basis,
+                          invariant_coordinates, random_points_on_surface,
+                          sample_instance, surface_points, sym2_eigensplit, tau_form,
+                          two_point_analysis, two_point_subspace, verify_base_locus)
 import taucubic.tau as tau_mod
 
 F101 = PrimeField(101)
@@ -49,34 +47,18 @@ def test_bases_linearly_independent():
     assert linalg.rank([invariant_coordinates(f) for f in b3], QQ) == 19
 
 
+# the involution as a coordinate change: x0, x1 negated, x2, x3, x4 fixed
+TAU_ROWS = [[QQ.coerce(-1 if i < 2 else 1) if i == j else QQ.zero for j in range(5)]
+            for i in range(5)]
+
+
 def test_involution_is_itself_a_substitution():
     rng = random.Random(2)
     terms = {m: QQ.coerce(rng.randint(-4, 4)) for m in monomials(5, 3)}
     f = Form.from_terms(5, 3, terms, QQ)
-    via_matrix = substitute_linear(f, tau_matrix(QQ))
+    via_matrix = compose_linear(f, TAU_ROWS)
     assert via_matrix == tau_form(f)
-    assert substitute_linear(via_matrix, tau_matrix(QQ)) == f  # involution squares to identity
-
-
-def test_fixed_loci_membership():
-    loci = FixedLoci()
-    one, zero = QQ.one, QQ.zero
-    assert loci.on_line((one, one, zero, zero, zero))
-    assert loci.on_plane((zero, zero, one, QQ.coerce(2), zero))
-    assert not loci.is_fixed((one, zero, one, zero, zero))
-
-
-def test_only_loci_points_are_fixed():
-    # over F_7 check the fixed-point set of the involution exhaustively
-    from taucubic.bruteforce import projective_points_fp
-    from taucubic.tau import tau_point
-    loci = FixedLoci()
-    f7 = PrimeField(7)
-    for pt in projective_points_fp(5, 7):
-        moved = tau_point(pt)
-        fixed = all(pt[i] * moved[j] == pt[j] * moved[i]
-                    for i in range(5) for j in range(i + 1, 5))
-        assert fixed == loci.is_fixed(pt)
+    assert compose_linear(via_matrix, TAU_ROWS) == f  # involution squares to identity
 
 
 # --- sampling -----------------------------------------------------------
@@ -114,11 +96,11 @@ def test_sampled_cubic_is_invariant():
     inst = sample_instance(4, 6)
     phi = inst.cubic()
     assert tau_form(phi) == phi
-    assert substitute_linear(substitute_linear(phi, tau_matrix(QQ)), tau_matrix(QQ)) == phi
+    assert compose_linear(compose_linear(phi, TAU_ROWS), TAU_ROWS) == phi
     for k in range(len(inst.quadrics)):
         F = inst.quadric(k)
         assert tau_form(F) == F
-        assert substitute_linear(substitute_linear(F, tau_matrix(QQ)), tau_matrix(QQ)) == F
+        assert compose_linear(compose_linear(F, TAU_ROWS), TAU_ROWS) == F
 
 
 def test_sampler_matches_frozen_fixture():
@@ -211,7 +193,7 @@ def test_two_points_canonical_gaussian():
     i = ext.sqrt_d
     P = (ext.one, i, ext.zero, ext.zero, ext.zero)
     Q = (ext.one, -i, ext.zero, ext.zero, ext.zero)
-    form = cubic_through_points(inst, P, Q)
+    form = two_point_analysis(inst, P, Q).form
     assert not evaluate(form, P) and not evaluate(form, Q)
 
 
@@ -287,55 +269,6 @@ def test_fixed_points_common_component():
                          (QuadricPart(QQ.one, QQ.one, QQ.zero, x2 * x3),))
     with pytest.raises(CommonComponent):
         fixed_points_on_S(shared)
-
-
-# --- pencil condition ---------------------------------------------------
-
-
-def _conic(terms):
-    return Form.from_terms(3, 2, terms, QQ)
-
-
-def test_pencil_condition_transversal_pair():
-    # frozen oracle find: smooth conics crossing transversally in 4 points
-    g2 = _conic({(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): -2, (0, 1, 1): 2, (0, 0, 2): 1})
-    h2 = _conic({(2, 0, 0): 1, (1, 0, 1): 1, (0, 1, 1): 2, (0, 0, 2): -1})
-    verdict = check_pencil_condition(g2, h2)
-    assert verdict.rhs_holds
-    assert verdict.surface_misses_line
-    assert verdict.lhs_probed is True
-    assert verdict.agree
-
-
-def test_pencil_condition_tangent_pair():
-    # the two Fermat-like conics are tangent at (0:1:+-1): both sides fail,
-    # and the probe exhibits the singular point
-    g2 = _conic({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1})
-    h2 = _conic({(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): 1})
-    verdict = check_pencil_condition(g2, h2)
-    assert verdict.g2_smooth and verdict.h2_smooth
-    assert not verdict.four_transversal_points and not verdict.rhs_holds
-    assert verdict.surface_misses_line
-    assert verdict.lhs_probed is False
-    assert verdict.agree
-    assert verdict.counterexample is not None
-
-
-def test_pencil_condition_common_component():
-    g2 = _conic({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1})
-    verdict = check_pencil_condition(g2, g2)
-    assert not verdict.rhs_holds
-    if verdict.lhs_probed is not None:
-        assert verdict.agree
-        assert verdict.counterexample is not None
-
-
-def test_pencil_condition_degenerate_conic():
-    g2 = _conic({(2, 0, 0): 1, (0, 2, 0): 1})  # rank 2
-    h2 = _conic({(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): 1})
-    verdict = check_pencil_condition(g2, h2)
-    assert not verdict.g2_smooth
-    assert not verdict.rhs_holds
 
 
 # --- F_p point enumeration ----------------------------------------------
@@ -493,7 +426,8 @@ def test_pencil_pair_enumeration_is_complete(p):
         g2 = _random_conic(rng, field)
         pairs.append((g2, g2 if i % 4 == 0 else _random_conic(rng, field)))
     for g2, h2 in pairs:
-        G, H = tau_mod._special_quadric(g2, 0), tau_mod._special_quadric(h2, 1)
+        G = Form.from_terms(5, 2, {(2, 0, 0, 0, 0): 1}, field) + embed_with_x01(g2, 0, 0)
+        H = Form.from_terms(5, 2, {(0, 2, 0, 0, 0): 1}, field) + embed_with_x01(h2, 0, 0)
         _assert_same_points(list(surface_points(G, H)), common_projective_zeros([G, H], p),
                             field)
 
