@@ -36,8 +36,8 @@ from itertools import islice
 
 from . import linalg
 from .bruteforce import common_projective_zeros
-from .forms import (Form, PolyDict, SymMatrix3, evaluate, compose_linear, is_smooth_conic,
-                    monomials, partial_derivative)
+from .forms import (Form, SymMatrix3, compose_linear, evaluate, is_smooth_conic,
+                    jacobian_rank, monomials, partial_derivative)
 from .intersect import (CommonComponent, PlaneIntersection, conic_rational_points,
                         curve_rational_points, intersect_plane_curves)
 from .roots import binary_quadratic_roots
@@ -264,28 +264,16 @@ class LineCountReport:
 
 
 def directional_expansion(f: Form, T):
-    """Coefficient forms of u^k in f(T + u*Q), as forms in the direction Q."""
-    domain = f.domain
-    nv = f.num_vars
-    # variables of the expansion ring: (u, Q_0, ..., Q_{nv-1})
-    coords = []
-    for i in range(nv):
-        terms = {}
-        if T[i]:
-            terms[(0,) * (nv + 1)] = T[i]
-        e = [0] * (nv + 1)
-        e[0] = 1
-        e[i + 1] = 1
-        terms[tuple(e)] = domain.one
-        coords.append(PolyDict(nv + 1, domain, terms))
-    expanded = evaluate(f, coords)
+    """Coefficient forms of u^k in f(T + u*Q), as forms in the direction Q:
+    by homogeneity, the coefficients of s^(d-k) in f(s*T + Q), d = deg f."""
+    one = f.domain.one
+    rows = [[t] + [one if j == i else 0 for j in range(f.num_vars)] for i, t in enumerate(T)]
+    expanded = compose_linear(f, rows)
     buckets: dict = {}
-    for e, c in expanded.terms.items():
-        buckets.setdefault(e[0], {})[e[1:]] = c
-    out = {}
-    for k, terms in buckets.items():
-        out[k] = Form.from_terms(nv, k, terms, domain)
-    return out
+    for e, c in zip(monomials(f.num_vars + 1, f.degree), expanded.coeffs):
+        if c:
+            buckets.setdefault(f.degree - e[0], {})[e[1:]] = c
+    return {k: Form.from_terms(f.num_vars, k, terms, f.domain) for k, terms in buckets.items()}
 
 
 def _condition_forms(instance: TauInstance, T):
@@ -438,36 +426,25 @@ def cone_and_singular_member(instance: TauInstance, quadric_index: int = 0,
     sing_is_line = linalg.rank(rows3, domain) == 3
     q = instance.quadrics[quadric_index]
     F = instance.quadric(quadric_index)
+    gradients = (grads, [partial_derivative(F, i) for i in range(5)])
     roots, fld = binary_quadratic_roots(q.a00, q.a01, q.a11, domain)
-    line_points = []
-    ranks = []
-    for (x0, x1), _m in roots:
-        zero = fld.zero
-        pt = (x0, x1, zero, zero, zero)
-        if evaluate(_coerce_form(K, fld), pt) or evaluate(_coerce_form(F, fld), pt):
-            raise ArithmeticError("root of the line quadratic is not on the surface")
-        jac = [[evaluate(_coerce_form(g, fld), pt) for g in grads],
-               [evaluate(_coerce_form(partial_derivative(F, i), fld), pt) for i in range(5)]]
-        ranks.append(linalg.rank(jac, fld))
-        line_points.append(pt)
+    zero = fld.zero
+    line_points = [(x0, x1, zero, zero, zero) for (x0, x1), _m in roots]
+    if any(evaluate(K, pt) or evaluate(F, pt) for pt in line_points):
+        raise ArithmeticError("root of the line quadratic is not on the surface")
+    line_singular = all(jacobian_rank(gradients, pt, fld) <= 1 for pt in line_points)
     probes, singular, undecided = _probe_cone_surface(instance, quadric_index, rng,
                                                       probe_prime, probe_count)
     return ConeReport(
         singular_locus_is_fixed_line=sing_is_line,
         line_points=line_points,
         line_point_field=fld,
-        line_points_singular=all(r <= 1 for r in ranks),
+        line_points_singular=line_singular,
         probe_count=probes,
         probes_all_smooth=not singular,
         singular_probes=singular,
         probe_undecided=undecided,
     )
-
-
-def _coerce_form(f: Form, fld):
-    if fld is f.domain:
-        return f
-    return f.map_coefficients(fld.coerce, fld)
 
 
 def _probe_cone_surface(instance, quadric_index, rng, probe_prime, probe_count):
@@ -485,8 +462,7 @@ def _probe_cone_surface(instance, quadric_index, rng, probe_prime, probe_count):
         return 0, [], f"the conic part drops rank mod {fdom.p}"
     K = embed_with_x01(conic, 0, 0)
     F = work.quadric(quadric_index)
-    gradsK = [partial_derivative(K, i) for i in range(5)]
-    gradsF = [partial_derivative(F, i) for i in range(5)]
+    gradients = [[partial_derivative(h, i) for i in range(5)] for h in (K, F)]
     system = FibreSystem(K, F)
     count = 0
     singular = []
@@ -496,9 +472,7 @@ def _probe_cone_surface(instance, quadric_index, rng, probe_prime, probe_count):
         pt = next(system.points(c), None)
         if pt is None:
             continue
-        jac = [[evaluate(g, pt) for g in gradsK],
-               [evaluate(g, pt) for g in gradsF]]
         count += 1
-        if linalg.rank(jac, fdom) < 2:
+        if jacobian_rank(gradients, pt, fdom) < 2:
             singular.append(pt)
     return count, singular, ""

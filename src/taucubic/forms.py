@@ -6,9 +6,8 @@ lexicographic order with x0 > x1 > x2 > x3 > x4.  That order is the one wire
 format: every serialized coefficient vector uses it.
 
 The elimination machinery (Sylvester resultants with polynomial entries,
-the Macaulay resultant, smoothness certificates) lives here too.  Internally
-a sparse dict representation is used for products and determinants; the
-public type stays dense and strictly homogeneous.
+the Macaulay resultant, smoothness certificates) lives here too, on the same
+dense forms: Form is the package's one polynomial type.
 """
 
 from __future__ import annotations
@@ -59,95 +58,24 @@ def monomial_index(nvars: int, degree: int) -> dict:
     return {m: i for i, m in enumerate(monomials(nvars, degree))}
 
 
-class PolyDict:
-    """Sparse polynomial over a domain; internal workhorse, not part of the wire format."""
-
-    __slots__ = ("nvars", "domain", "terms")
-
-    def __init__(self, nvars, domain, terms=None):
-        self.nvars = nvars
-        self.domain = domain
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[e] = c
-
-    @classmethod
-    def zero(cls, nvars, domain):
-        return cls(nvars, domain)
-
-    @classmethod
-    def const(cls, nvars, domain, c):
-        return cls(nvars, domain, {(0,) * nvars: domain.coerce(c)})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def _binop(self, other, sign):
-        if not isinstance(other, PolyDict):
-            other = PolyDict.const(self.nvars, self.domain, other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            v = terms.get(e)
-            nv = c if sign > 0 else -c
-            nv = nv if v is None else v + nv
-            if nv:
-                terms[e] = nv
-            elif e in terms:
-                del terms[e]
-        return PolyDict(self.nvars, self.domain, terms)
-
-    def __add__(self, other):
-        return self._binop(other, +1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, -1)
-
-    def __neg__(self):
-        return PolyDict(self.nvars, self.domain,
-                        {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, PolyDict):
-            c = other
-            return PolyDict(self.nvars, self.domain,
-                            {e: v * c for e, v in self.terms.items()})
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = c1 * c2
-                if e in out:
-                    out[e] = out[e] + v
-                else:
-                    out[e] = v
-        return PolyDict(self.nvars, self.domain, out)
-
-    def __rmul__(self, other):
-        return self * other
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=None)
-
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def leading(self, order_key):
-        """(exps, coeff) maximal under order_key."""
-        e = max(self.terms, key=order_key)
-        return e, self.terms[e]
+@lru_cache(maxsize=None)
+def _product_index(nvars: int, d1: int, d2: int) -> tuple[tuple[int, ...], ...]:
+    """Row i lists where monomial i of degree d1 times each monomial of degree
+    d2 lands among the monomials of degree d1 + d2."""
+    idx = monomial_index(nvars, d1 + d2)
+    return tuple(tuple(idx[tuple(a + b for a, b in zip(m1, m2))] for m2 in monomials(nvars, d2))
+                 for m1 in monomials(nvars, d1))
 
 
-def _grlex_key(e):
-    return (sum(e), e)
+def _summed(domain, nvars, degree, terms) -> Form:
+    """The form whose coefficient k is the sum of the values v over the
+    (k, v) in ``terms``; a coefficient no term reaches is zero."""
+    out = [None] * len(monomials(nvars, degree))
+    for k, v in terms:
+        acc = out[k]
+        out[k] = v if acc is None else acc + v
+    zero = domain.zero
+    return Form(domain, nvars, degree, tuple(zero if v is None else v for v in out))
 
 
 @dataclass(frozen=True)
@@ -181,21 +109,6 @@ class Form:
     def zero_form(cls, nvars, degree, domain):
         return cls(domain, nvars, degree, tuple([domain.zero] * len(monomials(nvars, degree))))
 
-    @classmethod
-    def from_polydict(cls, pd: PolyDict, degree=None):
-        if pd.is_zero:
-            if degree is None:
-                raise ZeroForm("zero polynomial has no intrinsic degree; pass one")
-            return cls.zero_form(pd.nvars, degree, pd.domain)
-        if not pd.is_homogeneous():
-            raise ValueError("polynomial is not homogeneous")
-        return cls.from_terms(pd.nvars, pd.degree(), pd.terms, pd.domain)
-
-    def to_polydict(self) -> PolyDict:
-        mons = monomials(self.num_vars, self.degree)
-        return PolyDict(self.num_vars, self.domain,
-                        {m: c for m, c in zip(mons, self.coeffs) if c})
-
     @property
     def is_zero(self):
         return all(not c for c in self.coeffs)
@@ -227,8 +140,11 @@ class Form:
         if isinstance(other, Form):
             if other.num_vars != self.num_vars:
                 raise DimensionMismatch("multiplying forms in different rings")
-            pd = self.to_polydict() * other.to_polydict()
-            return Form.from_polydict(pd, self.degree + other.degree)
+            table = _product_index(self.num_vars, self.degree, other.degree)
+            terms = [(k, b) for k, b in enumerate(other.coeffs) if b]
+            return _summed(self.domain, self.num_vars, self.degree + other.degree,
+                           ((row[k], a * b) for row, a in zip(table, self.coeffs) if a
+                            for k, b in terms))
         return Form(self.domain, self.num_vars, self.degree,
                     tuple(c * other for c in self.coeffs))
 
@@ -260,8 +176,7 @@ class Form:
 def evaluate(f: Form, point):
     """Value of f at a coordinate vector.
 
-    Coordinates may live in the coefficient domain, an extension of it, or be
-    PolyDict values (which is how all substitution is implemented).
+    Coordinates may live in the coefficient domain or an extension of it.
     """
     if len(point) != f.num_vars:
         raise DimensionMismatch(
@@ -291,20 +206,30 @@ def compose_linear(f: Form, rows) -> Form:
     """f with each old variable replaced by a linear combination of new ones.
 
     ``rows`` has one row per old variable; row length is the new variable
-    count (rectangular rows restrict to a linear subspace).
+    count (rectangular rows restrict to a linear subspace).  The powers of
+    each substituted linear form are built once, and each monomial's term is
+    added into one coefficient list.
     """
     if len(rows) != f.num_vars:
         raise DimensionMismatch("substitution needs one row per variable")
-    m_new = len(rows[0])
-    lins = [PolyDict(m_new, f.domain,
-                     {tuple(1 if j == k else 0 for j in range(m_new)): f.domain.coerce(c)
-                      for k, c in enumerate(row) if c})
-            for row in rows]
-    pd = evaluate(f, lins)
-    if not isinstance(pd, PolyDict):
-        pd = PolyDict.const(m_new, f.domain, pd)
-    out = Form.from_polydict(pd, f.degree)
-    return out
+    domain, m_new = f.domain, len(rows[0])
+    one = Form(domain, m_new, 0, (domain.one,))
+    powers = []
+    for row in rows:
+        lin = Form(domain, m_new, 1, tuple(domain.coerce(c) for c in row))
+        pw = [one, lin]
+        for _ in range(2, f.degree + 1):
+            pw.append(pw[-1] * lin)
+        powers.append(pw)
+    terms = []
+    for m, c in zip(monomials(f.num_vars, f.degree), f.coeffs):
+        if c:
+            term = one
+            for i, e in enumerate(m):
+                if e:
+                    term = powers[i][e] if term is one else term * powers[i][e]
+            terms.extend((k, c * v) for k, v in enumerate(term.coeffs) if v)
+    return _summed(domain, m_new, f.degree, terms)
 
 
 def partial_derivative(f: Form, var_index: int) -> Form:
@@ -324,7 +249,12 @@ def partial_derivative(f: Form, var_index: int) -> Form:
 
 
 def exact_divide(f: Form, g: Form) -> Form:
-    """Quotient q with f = g*q, or NotDivisible."""
+    """Quotient q with f = g*q, or NotDivisible.
+
+    The leading term of a form is its first nonzero coefficient in
+    ``monomials`` order; each step cancels the remainder's leading term, so
+    the next one comes later in that order.
+    """
     if g.is_zero:
         raise ZeroForm("division by the zero form")
     if f.num_vars != g.num_vars:
@@ -333,29 +263,34 @@ def exact_divide(f: Form, g: Form) -> Form:
         raise NotDivisible("zero form has no well-defined homogeneous quotient here")
     if f.degree < g.degree:
         raise NotDivisible("degree of divisor exceeds degree of dividend")
-    r = f.to_polydict()
-    q = PolyDict.zero(f.num_vars, f.domain)
-    ge, gc = g.to_polydict().leading(_grlex_key)
-    gpd = g.to_polydict()
-    while r:
-        re, rc = r.leading(_grlex_key)
+    n, dq = f.num_vars, f.degree - g.degree
+    lead = next(i for i, c in enumerate(g.coeffs) if c)
+    ge, gc = monomials(n, g.degree)[lead], g.coeffs[lead]
+    g_terms = [(k, b) for k, b in enumerate(g.coeffs) if b]
+    table, q_index = _product_index(n, dq, g.degree), monomial_index(n, dq)
+    r = list(f.coeffs)
+    q = [f.domain.zero] * len(q_index)
+    for k, re in enumerate(monomials(n, f.degree)):
+        if not r[k]:
+            continue
         diff = tuple(a - b for a, b in zip(re, ge))
         if any(d < 0 for d in diff):
             raise NotDivisible("leading term not divisible")
-        t = PolyDict(f.num_vars, f.domain, {diff: rc / gc})
-        q = q + t
-        r = r - t * gpd
-    return Form.from_polydict(q, f.degree - g.degree)
+        i = q_index[diff]
+        q[i] = t = r[k] / gc
+        for j, b in g_terms:
+            r[table[i][j]] -= t * b
+    return Form(f.domain, n, dq, tuple(q))
 
 
-def poly_matrix_det(mat, nvars, domain) -> PolyDict:
-    """Determinant of a small matrix of PolyDict entries (Laplace over column subsets)."""
+def poly_matrix_det(mat, nvars, domain) -> Form | None:
+    """Determinant of a small matrix of Form entries, None for a zero entry,
+    by Laplace expansion over column subsets; None when it vanishes.  Every
+    partial minor must be homogeneous, as those of a Sylvester matrix are."""
     n = len(mat)
-    if n == 0:
-        return PolyDict.const(nvars, domain, domain.one)
     if n > 12:
         raise ValueError("polynomial determinant limited to 12x12")
-    minors = {(): PolyDict.const(nvars, domain, domain.one)}
+    minors = {(): Form(domain, nvars, 0, (domain.one,))}
     for r in range(n):
         new: dict = {}
         for cols, val in minors.items():
@@ -365,32 +300,26 @@ def poly_matrix_det(mat, nvars, domain) -> PolyDict:
                 if c in cols:
                     continue
                 entry = mat[r][c]
-                if entry.is_zero:
+                if entry is None:
                     continue
                 pos = sum(1 for x in cols if x < c)
-                sign = 1 if (r + pos) % 2 == 0 else -1
-                term = entry * val if sign > 0 else -(entry * val)
+                term = entry * val if (r + pos) % 2 == 0 else -(entry * val)
                 key = tuple(sorted(cols + (c,)))
-                if key in new:
-                    new[key] = new[key] + term
-                else:
-                    new[key] = term
+                new[key] = new[key] + term if key in new else term
         minors = new
-        if not minors:
-            return PolyDict.zero(nvars, domain)
-    return minors.get(tuple(range(n)), PolyDict.zero(nvars, domain))
+    det = minors.get(tuple(range(n)))
+    return None if det is None or det.is_zero else det
 
 
-def _coeffs_in_var(pd: PolyDict, var: int):
-    """{k: PolyDict in the remaining variables} collecting powers of one variable."""
-    nv = pd.nvars
-    out: dict = {}
-    for e, c in pd.terms.items():
-        k = e[var]
-        rest = e[:var] + e[var + 1:]
-        bucket = out.setdefault(k, {})
-        bucket[rest] = bucket.get(rest, pd.domain.zero) + c
-    return {k: PolyDict(nv - 1, pd.domain, terms) for k, terms in out.items()}
+def _coeffs_in_var(f: Form, var: int):
+    """{k: Form in the remaining variables} collecting powers of one variable;
+    only the nonzero coefficient forms are listed."""
+    buckets: dict = {}
+    for m, c in zip(monomials(f.num_vars, f.degree), f.coeffs):
+        if c:
+            buckets.setdefault(m[var], {})[m[:var] + m[var + 1:]] = c
+    return {k: Form.from_terms(f.num_vars - 1, f.degree - k, terms, f.domain)
+            for k, terms in buckets.items()}
 
 
 def sylvester_resultant(f: Form, g: Form, eliminated_var: int) -> Form:
@@ -404,25 +333,24 @@ def sylvester_resultant(f: Form, g: Form, eliminated_var: int) -> Form:
     if f.num_vars != g.num_vars:
         raise DimensionMismatch("resultant of forms in different rings")
     var = eliminated_var
-    fc = _coeffs_in_var(f.to_polydict(), var)
-    gc = _coeffs_in_var(g.to_polydict(), var)
+    fc = _coeffs_in_var(f, var)
+    gc = _coeffs_in_var(g, var)
     m, n = max(fc), max(gc)
     if m == 0 or n == 0:
         raise ZeroForm("form has degree zero in the eliminated variable")
     nv = f.num_vars - 1
-    zero = PolyDict.zero(nv, f.domain)
     size = m + n
-    mat = [[zero] * size for _ in range(size)]
+    mat = [[None] * size for _ in range(size)]
     for i in range(n):  # rows of f coefficients, descending powers
         for k in range(m + 1):
-            mat[i][i + k] = fc.get(m - k, zero)
+            mat[i][i + k] = fc.get(m - k)
     for i in range(m):
         for k in range(n + 1):
-            mat[n + i][i + k] = gc.get(n - k, zero)
-    det_pd = poly_matrix_det(mat, nv, f.domain)
-    if det_pd.is_zero:
+            mat[n + i][i + k] = gc.get(n - k)
+    det = poly_matrix_det(mat, nv, f.domain)
+    if det is None:
         return Form.zero_form(nv, f.degree * g.degree, f.domain)
-    return Form.from_polydict(det_pd)
+    return det
 
 
 @lru_cache(maxsize=None)
@@ -606,6 +534,12 @@ def is_smooth_hypersurface(f: Form, primes) -> SmoothnessVerdict:
         return SmoothnessVerdict(INCONCLUSIVE,
                                  resultants={p: 0 if res is not None else None})
     raise TypeError(f"smoothness certificate not defined over {domain!r}")
+
+
+def jacobian_rank(gradients, point, domain) -> int:
+    """Rank over ``domain`` of the Jacobian matrix at ``point`` of the forms
+    whose gradients, lists of partial derivatives, are given."""
+    return linalg.rank([[evaluate(g, point) for g in grad] for grad in gradients], domain)
 
 
 def _search_singular_witness(partials, candidates):

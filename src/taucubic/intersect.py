@@ -21,11 +21,10 @@ from functools import cached_property
 
 from . import roots as uv
 from .bruteforce import projective_points_fp
-from .forms import (Form, compose_linear, evaluate, monomials, partial_derivative,
-                    sylvester_resultant)
-from .linalg import rank
+from .forms import (Form, compose_linear, evaluate, jacobian_rank, monomials,
+                    partial_derivative, sylvester_resultant)
 from .roots import BinaryRootLedger, RootEntry, binary_form_roots
-from .scalars import QuadElem
+from .scalars import point_field
 
 SHEAR_TRIES = 24
 
@@ -75,17 +74,18 @@ class PlaneIntersection:
     def points(self) -> list[PlanePoint]:
         f, g, domain = self.f, self.g, self.f.domain
         a, b = self.shear
+        grads = [[partial_derivative(h, i) for i in range(3)] for h in (f, g)]
         out = []
         for entry in self.ledger.entries:
             if entry.point is None:
                 continue
             for x2, x3, x4 in _lift_root(self.fs, self.gs, entry, domain):
-                pdom = _point_domain((x2, x3, x4), domain)
+                pdom = point_field([(x2, x3, x4)], domain)
                 coords = (x2, x3 + pdom.coerce(a) * x2, x4 + pdom.coerce(b) * x2)
                 if evaluate(f, coords) or evaluate(g, coords):
                     raise ArithmeticError("lifted intersection point fails to lie on both curves")
                 out.append(PlanePoint(coords, entry.mult, entry.field_label, pdom,
-                                      _is_transversal(f, g, coords, pdom)))
+                                      jacobian_rank(grads, coords, pdom) == 2))
         return out
 
 
@@ -94,13 +94,6 @@ def _shear_rows(domain, a, b):
     return [[one, zero, zero],
             [domain.coerce(a), one, zero],
             [domain.coerce(b), zero, one]]
-
-
-def _point_domain(pt, fallback):
-    for c in pt:
-        if isinstance(c, QuadElem):
-            return c.ext
-    return fallback
 
 
 def _slice_in_x2(f: Form, x3, x4, domain):
@@ -173,11 +166,6 @@ def _lift_root(fs: Form, gs: Form, entry: RootEntry, domain):
     # x2-values outside the root's field are not lifted
     return [(x2, x3, x4) for (x2, _one), fld in uv.low_degree_roots(g, root_domain)
             if fld == root_domain]
-
-
-def _is_transversal(f, g, coords, domain):
-    jac = [[evaluate(partial_derivative(h, i), coords) for i in range(3)] for h in (f, g)]
-    return rank(jac, domain) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -514,6 +514,25 @@ def reduce_mod_prime(x, p: int) -> FpElem:
     raise TypeError(f"cannot reduce {x!r} mod {p}")
 
 
+def point_field(points, base):
+    """The field that the coordinates of ``points`` live in: the quadratic
+    extension of ``base`` that holds their QuadElem coordinates, or ``base``
+    when there are none.  Raises ValueError on points over different
+    extensions, or over an extension of another field."""
+    ext = None
+    for pt in points:
+        for c in pt:
+            if isinstance(c, QuadElem):
+                if ext is not None and c.ext != ext:
+                    raise ValueError("points live in different quadratic extensions")
+                ext = c.ext
+    if ext is None:
+        return base
+    if ext.base != base:
+        raise ValueError("point extension is not over the base field")
+    return ext
+
+
 def _square_part(n: int, cap: int = 20000):
     """(s, core) with n = s^2 * core, core squarefree up to the factoring cap."""
     s, core = 1, 1

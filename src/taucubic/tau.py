@@ -26,7 +26,7 @@ from .forms import (Form, SymMatrix3, evaluate, compose_linear, is_smooth_conic,
                     SMOOTH_CERTIFIED)
 from .intersect import (CommonComponent, PlaneIntersection, intersect_plane_curves)
 from .roots import binary_quadratic_roots
-from .scalars import BadPrime, PrimeField, QQ, QuadElem, reduce_mod_prime
+from .scalars import BadPrime, PrimeField, QQ, point_field, reduce_mod_prime
 
 
 class UnsupportedDegree(ValueError):
@@ -375,24 +375,8 @@ def two_point_subspace(instance: TauInstance, quadric_index: int = 0):
     return gens, len(pivots), complement
 
 
-def _common_point_domain(instance, pts):
-    domain = instance.domain
-    ext = None
-    for pt in pts:
-        for c in pt:
-            if isinstance(c, QuadElem):
-                if ext is not None and c.ext != ext:
-                    raise ValueError("points live in different quadratic extensions")
-                ext = c.ext
-    if ext is None:
-        return domain
-    if ext.base != domain:
-        raise ValueError("point extension is not over the instance domain")
-    return ext
-
-
 def two_point_analysis(instance: TauInstance, P, Q, quadric_index: int = 0) -> TwoPointCubic:
-    domain = _common_point_domain(instance, (P, Q))
+    domain = point_field((P, Q), instance.domain)
     P = tuple(domain.coerce(c) for c in P)
     Q = tuple(domain.coerce(c) for c in Q)
     phi, F = instance.cubic(), instance.quadric(quadric_index)
@@ -486,10 +470,8 @@ def fixed_points_on_S(instance: TauInstance, quadric_index: int = 0,
     if not q.a00 and not q.a01 and not q.a11:
         raise DegenerateOnLine("quadric vanishes identically on the fixed line")
     roots, fld = binary_quadratic_roots(q.a00, q.a01, q.a11, domain)
-    line_points = []
-    for (x0, x1), mult in roots:
-        zero = fld.zero if hasattr(fld, "zero") else domain.zero
-        line_points.append(((x0, x1, zero, zero, zero), mult))
+    zero = fld.zero
+    line_points = [((x0, x1, zero, zero, zero), mult) for (x0, x1), mult in roots]
     line_mult = sum(m for _, m in roots)
     plane = intersect_plane_curves(q.f2, instance.f3, rng)
     line_distinct = all(m == 1 for _, m in roots)

@@ -17,7 +17,7 @@ from taucubic.discriminant import (DOUBLE_LINE, FIXES, SMOOTH_FIBER, SWAPS,
                                    points_on_conic_component,
                                    points_on_cubic_component, split_conic,
                                    tau_fiber_action)
-from taucubic.forms import Form, PolyDict, SymMatrix3, compose_linear, evaluate, exact_divide
+from taucubic.forms import Form, SymMatrix3, compose_linear, evaluate, exact_divide
 from taucubic.harness import SuiteConfig, load_instance, projective_key, run_suite
 from taucubic.intersect import intersect_plane_curves
 from taucubic.scalars import PrimeField, QQ
@@ -190,7 +190,7 @@ def _assert_line_on_form(phi, c, P, fld):
     crossings = [(fld.zero, c[2], -c[1]), (-c[2], fld.zero, c[0]), (c[1], -c[0], fld.zero)]
     a = next(q for q in crossings if any(q))
     b = next(q for q in crossings if any(_cross(a, q)))
-    plane = [PolyDict(2, fld, {(1, 0): x, (0, 1): y}) for x, y in zip(a, b)]
+    plane = [Form(fld, 2, 1, (x, y)) for x, y in zip(a, b)]
     lifted = plane[:2] + [plane[2] * fld.coerce(p) for p in P]
     assert evaluate(phi.map_coefficients(fld.coerce, fld), lifted).is_zero
 

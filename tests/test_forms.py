@@ -110,6 +110,58 @@ def test_substitute_composition_law():
     assert compose_linear(compose_linear(f, m), n) == compose_linear(f, mn)
 
 
+# --- products and substitution against pointwise evaluation -------------
+
+
+def _least_nonresidue_extension(fld):
+    return QuadraticExtension(fld, next(d for d in range(2, fld.p)
+                                        if fld.sqrt_or_none(d) is None))
+
+
+F101 = PrimeField(101)
+F101_EXT = _least_nonresidue_extension(F101)
+# (domain of the form's coefficients, domain of the point's coordinates)
+KERNEL_DOMAINS = {"QQ": (QQ, QQ), "F101": (F101, F101), "F101 at F101(sqrt D0)": (F101, F101_EXT),
+                  "F101(sqrt D0)": (F101_EXT, F101_EXT)}
+
+
+def _kernel_form(rng, nvars, degree, domain):
+    """A random form, with about half its coefficients zero every other draw."""
+    sparse = rng.random() < 0.5
+    return Form(domain, nvars, degree,
+                tuple(domain.zero if sparse and rng.random() < 0.5 else domain.random(rng, 9)
+                      for _ in monomials(nvars, degree)))
+
+
+@pytest.mark.parametrize("domains", KERNEL_DOMAINS.values(), ids=KERNEL_DOMAINS.keys())
+def test_product_matches_pointwise(domains):
+    fdom, xdom = domains
+    rng = random.Random(31)
+    for nvars in range(2, 7):
+        for d1, d2 in ((0, 0), (0, 2), (1, 1), (2, 1), (1, 3), (3, 3)):
+            f, g = _kernel_form(rng, nvars, d1, fdom), _kernel_form(rng, nvars, d2, fdom)
+            x = [xdom.random(rng, 50) for _ in range(nvars)]
+            assert evaluate(f * g, x) == evaluate(f, x) * evaluate(g, x), (nvars, d1, d2)
+
+
+@pytest.mark.parametrize("domains", KERNEL_DOMAINS.values(), ids=KERNEL_DOMAINS.keys())
+def test_compose_linear_matches_pointwise(domains):
+    # rows of A are old variables, columns new ones: A is n_old x n_new
+    fdom, xdom = domains
+    rng = random.Random(37)
+    for n_old, n_new in ((5, 6), (5, 3), (3, 2), (2, 2), (4, 4), (6, 5)):
+        for degree in range(4):
+            f = _kernel_form(rng, n_old, degree, fdom)
+            A = [[fdom.random(rng, 9) for _ in range(n_new)] for _ in range(n_old)]
+            if degree % 2:
+                A[rng.randrange(n_old)] = [fdom.zero] * n_new
+            y = [xdom.random(rng, 50) for _ in range(n_new)]
+            x = [sum((a * v for a, v in zip(row, y)), xdom.zero) for row in A]
+            g = compose_linear(f, A)
+            assert (g.num_vars, g.degree) == (n_new, degree)
+            assert evaluate(g, y) == evaluate(f, x), (n_old, n_new, degree)
+
+
 # --- derivatives --------------------------------------------------------
 
 
@@ -588,7 +640,6 @@ def test_smoothness_over_prime_field_decides():
 def test_resultant_matches_numeric_sylvester():
     # evaluate the symbolic eliminant at random points and compare with the
     # determinant of the scalar Sylvester matrix assembled at that point
-    from taucubic.forms import _coeffs_in_var
     from taucubic.linalg import det
     rng = random.Random(2024)
     done = 0
@@ -603,24 +654,25 @@ def test_resultant_matches_numeric_sylvester():
             continue
         done += 1
         pt = [QQ.coerce(rng.randint(-5, 5)) for _ in range(2)]
-        fc = _coeffs_in_var(f.to_polydict(), 0)
-        gc = _coeffs_in_var(g.to_polydict(), 0)
+
+        def coeffs_in_x0(h):
+            # {k: value at pt of the coefficient of x0^k}, nonzero coefficients only
+            out = {}
+            for e, c in zip(monomials(3, h.degree), h.coeffs):
+                if c:
+                    out[e[0]] = out.get(e[0], QQ.zero) + c * pt[0] ** e[1] * pt[1] ** e[2]
+            return out
+
+        fc, gc = coeffs_in_x0(f), coeffs_in_x0(g)
         m, n = max(fc), max(gc)
-
-        def val(pd):
-            total = QQ.zero
-            for e, c in pd.terms.items():
-                total += c * pt[0] ** e[0] * pt[1] ** e[1]
-            return total
-
         size = m + n
         mat = [[QQ.zero] * size for _ in range(size)]
         for i in range(n):
             for k in range(m + 1):
-                mat[i][i + k] = val(fc[m - k]) if (m - k) in fc else QQ.zero
+                mat[i][i + k] = fc.get(m - k, QQ.zero)
         for i in range(m):
             for k in range(n + 1):
-                mat[n + i][i + k] = val(gc[n - k]) if (n - k) in gc else QQ.zero
+                mat[n + i][i + k] = gc.get(n - k, QQ.zero)
         lhs = evaluate(res, pt) if not res.is_zero else QQ.zero
         assert lhs == det(mat, QQ)
 

@@ -187,6 +187,29 @@ def test_sampler_report_bytes_pinned(suite):
         assert hashlib.sha256(text.encode()).hexdigest() == want, (suite, seed)
 
 
+# sha256 of canonical_text() for every suite at samples=2, seeds 0-9: a change
+# that keeps every verdict and every sampled point keeps these bytes
+ALL_SUITES_DIGESTS = (
+    "e068712d50ec526351e3d246ce0b5c6752ca3419536bf39a69b84404a4fa2488",
+    "ed8fdd6ac3dfbb4c929d7767b4666b93f223b786beb5ea4f62c8a3612b73c2fc",
+    "43746da7a18084f99144dbd980d0e721ddf40991386df5f2bbddab1edd94352f",
+    "3cc7bb87585cb704f0bc24054b34733d97f80780bc9c1b2262ddaac14974fc5e",
+    "a162c6247b92ac9f4bb495212e6a02904baa9b949b4af261159f65f271573e69",
+    "77d7125e413c3e2e6c2e6ebc36f3880938e353e894def1a302e46de60afbed6c",
+    "49cf599a841fb87db41f0c23b00390e1d9a9c2b7a6c88e7d927c30c5ab574d4f",
+    "c517da414b5fd5413ccb422c8afdc57a8d4cab7b8df6bb5f497422ab7f6ffae4",
+    "fc8301cb315f4ba2b5445566141178779bbcffdb6b2617e8c7ea3b90d2ca0fad",
+    "c8fd3472ab0cb581e9a5fb8bf30c05494d35541040eef5ac30841d67b1bb46eb",
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1] + [pytest.param(s, marks=pytest.mark.sweep)
+                                           for s in range(2, 10)])
+def test_all_suites_report_bytes_pinned(seed):
+    text = run_suite(SuiteConfig(suites=("all",), samples=2, seed=seed)).canonical_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == ALL_SUITES_DIGESTS[seed]
+
+
 def test_failing_check_does_not_abort_others(monkeypatch):
     import taucubic.harness as hz
 

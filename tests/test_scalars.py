@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from taucubic.scalars import (BadPrime, ExtensionTower, FpElem, PrimeField, QQ,
-                              QuadElem, QuadraticExtension, ZeroInput, quad_sqrt,
-                              reduce_mod_prime)
+                              QuadElem, QuadraticExtension, ZeroInput, point_field,
+                              quad_sqrt, reduce_mod_prime)
 
 
 def test_reduce_half_mod_7():
@@ -193,3 +193,15 @@ def test_equal_extensions_hash_alike():
     b = QuadraticExtension(QQ, Fraction(-1)).sqrt_d
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_point_field_is_the_one_extension_of_the_points():
+    gauss, root2 = QuadraticExtension(QQ, Fraction(-1)), QuadraticExtension(QQ, Fraction(2))
+    rational = (QQ.one, QQ.zero)
+    assert point_field([rational, rational], QQ) is QQ
+    assert point_field([rational, (gauss.sqrt_d, QQ.one)], QQ) == gauss
+    with pytest.raises(ValueError):
+        point_field([(gauss.sqrt_d,), (root2.sqrt_d,)], QQ)
+    f101 = PrimeField(101)
+    with pytest.raises(ValueError):
+        point_field([(gauss.sqrt_d,)], f101)
