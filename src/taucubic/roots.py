@@ -11,6 +11,10 @@ Roots over F_p come from one distinct-degree loop (gcd with x^(p^k) - x) and
 a Cantor-Zassenhaus equal-degree split; rational roots over Q from Hensel
 lifting the roots mod a good prime, rational reconstruction and an exact
 check.  Every factor of degree <= 2 is solved by ``binary_quadratic_roots``.
+
+The F_p engine (Frobenius powers, the gcds, the splits and the deflation of
+rational roots) runs on lists of int residues in [0, p).  ``FpElem`` appears
+only where a polynomial enters it and where a factor or a root leaves it.
 """
 
 from __future__ import annotations
@@ -32,33 +36,6 @@ def trim(cs):
 
 def degree(cs) -> int:
     return len(cs) - 1
-
-
-def add(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else None
-        y = b[i] if i < len(b) else None
-        out.append(y if x is None else (x if y is None else x + y))
-    return trim(out)
-
-
-def sub(a, b, domain):
-    return add(a, [-c for c in b]) if a else trim([-c for c in b])
-
-
-def mul(a, b, domain):
-    if not a or not b:
-        return []
-    out = [domain.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return trim(out)
 
 
 def scale(a, c):
@@ -99,18 +76,6 @@ def eval_poly(cs, x, domain):
     for c in reversed(cs):
         total = total * x + c
     return total
-
-
-def powmod(base, e: int, mod, domain):
-    """base^e modulo a univariate polynomial."""
-    result = [domain.one]
-    base = divmod_poly(base, mod, domain)[1]
-    while e:
-        if e & 1:
-            result = divmod_poly(mul(result, base, domain), mod, domain)[1]
-        base = divmod_poly(mul(base, base, domain), mod, domain)[1]
-        e >>= 1
-    return result
 
 
 def distinct_root_count(cs, domain) -> int:
@@ -155,38 +120,97 @@ def squarefree_decomposition(cs, domain):
 # Hensel lifting with rational reconstruction over Q, and one quadratic solver
 
 
-def _frobenius_gcd(f, frob, domain):
+def _residues(cs, domain):
+    """The trimmed residue list of a polynomial over the prime field domain."""
+    return trim([domain.coerce(c).residue for c in cs])
+
+
+def _elements(rs, p):
+    return [FpElem._of(r, p) for r in rs]
+
+
+def _rmul(a, b, p):
+    """Product of two trimmed residue lists mod p."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return [c % p for c in out]
+
+
+def _rdivmod(a, b, p):
+    """Quotient and remainder of residue lists mod p, for a trimmed nonzero b."""
+    n = len(b) - 1
+    r = list(a)
+    q = [0] * max(0, len(r) - n)
+    inv_lead = pow(b[-1], -1, p)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + n] * inv_lead % p
+        q[k] = c
+        if c:
+            for i in range(n):
+                r[k + i] -= c * b[i]
+    return q, trim([c % p for c in r[:n]])
+
+
+def _rgcd(a, b, p):
+    """Monic gcd of two trimmed residue lists mod p."""
+    while b:
+        a, b = b, _rdivmod(a, b, p)[1]
+    if a:
+        inv_lead = pow(a[-1], -1, p)
+        a = [c * inv_lead % p for c in a]
+    return a
+
+
+def _rpowmod(base, e: int, mod, p):
+    """base^e modulo a residue polynomial mod, mod p."""
+    result = [1]
+    base = _rdivmod(base, mod, p)[1]
+    while e:
+        if e & 1:
+            result = _rdivmod(_rmul(result, base, p), mod, p)[1]
+        base = _rdivmod(_rmul(base, base, p), mod, p)[1]
+        e >>= 1
+    return result
+
+
+def _frobenius_gcd(f, frob, p):
     """gcd(frob - x, f) for frob = x^(p^k) mod f: the product of the distinct
     irreducible factors of f whose degree divides k."""
-    return gcd(sub(frob, [domain.zero, domain.one], domain), f, domain)
+    h = frob + [0] * (2 - len(frob))
+    h[1] = (h[1] - 1) % p
+    return _rgcd(trim(h), f, p)
 
 
-def _distinct_degree(f, domain):
-    """Pairs (k, g_k) for a monic squarefree f over F_p: g_k is the product of
-    the irreducible factors of degree k."""
-    frob, k = [domain.zero, domain.one], 0
+def _distinct_degree(f, p):
+    """Pairs (k, g_k) for a monic squarefree residue list f mod p: g_k is the
+    product of the irreducible factors of degree k."""
+    frob, k = [0, 1], 0
     while degree(f) > 0:
         k += 1
         if 2 * k > degree(f):
             yield degree(f), f
             return
-        frob = powmod(frob, domain.p, f, domain)
-        g = _frobenius_gcd(f, frob, domain)
+        frob = _rpowmod(frob, p, f, p)
+        g = _frobenius_gcd(f, frob, p)
         if degree(g) > 0:
             yield k, g
-            f = divmod_poly(f, g, domain)[0]
-            frob = divmod_poly(frob, f, domain)[1]
+            f = _rdivmod(f, g, p)[0]
+            frob = _rdivmod(frob, f, p)[1]
 
 
-def _equal_degree_split(g, k, domain):
-    """Cantor-Zassenhaus: split a monic g whose irreducible factors all have
-    degree k (1 or 2) into monic factors of degree <= 2.
+def _equal_degree_split(g, k, p):
+    """Cantor-Zassenhaus: split a monic residue list g mod p whose irreducible
+    factors all have degree k (1 or 2) into monic factors of degree <= 2.
 
     The random splitting polynomials come from a private fixed-seed generator,
     so the factors found do not depend on any caller's random state.
     """
     rng = random.Random(0)
-    p = domain.p
     e = (p ** k - 1) // 2
     work, done = [g], []
     while work:
@@ -195,12 +219,14 @@ def _equal_degree_split(g, k, domain):
             done.append(h)
             continue
         while True:
-            a = trim([domain.coerce(rng.randrange(p)) for _ in range(degree(h))])
+            a = trim([rng.randrange(p) for _ in range(degree(h))])
             if degree(a) < 1:
                 continue
-            s = gcd(add(powmod(a, e, h, domain), [-domain.one]), h, domain)
+            t = _rpowmod(a, e, h, p) or [0]
+            t[0] = (t[0] - 1) % p
+            s = _rgcd(trim(t), h, p)
             if 0 < degree(s) < degree(h):
-                work += [s, divmod_poly(h, s, domain)[0]]
+                work += [s, _rdivmod(h, s, p)[0]]
                 break
     return done
 
@@ -218,31 +244,32 @@ def low_degree_roots(h, domain):
 
 
 def _split_rational_roots(g, domain):
-    """The roots of a monic g over F_p that splits into distinct linear factors,
-    ascending by residue."""
+    """The residues of the roots of a monic residue list g over the prime field
+    domain that splits into distinct linear factors, ascending."""
     if degree(g) < 1:
         return []
-    roots = [pt[0] for h in _equal_degree_split(g, 1, domain)
-             for pt, _fld in low_degree_roots(h, domain)]
-    return sorted(roots, key=lambda r: r.residue)
+    p = domain.p
+    return sorted(pt[0].residue for h in _equal_degree_split(g, 1, p)
+                  for pt, _fld in low_degree_roots(_elements(h, p), domain))
 
 
 def fp_rational_roots(cs, p: int):
     """Roots in F_p with multiplicities, ascending by residue, and the cofactor
     left after dividing them out."""
     domain = PrimeField(p)
-    cs = trim(list(cs))
-    if degree(cs) <= 0:
-        return [], cs
-    frob = powmod([domain.zero, domain.one], p, cs, domain)
+    f = _residues(cs, domain)
+    if degree(f) <= 0:
+        return [], _elements(f, p)
     out = []
-    for r in _split_rational_roots(_frobenius_gcd(cs, frob, domain), domain):
+    for r in _split_rational_roots(_frobenius_gcd(f, _rpowmod([0, 1], p, f, p), p), domain):
         mult = 0
-        while not eval_poly(cs, r, domain):
-            cs = divmod_poly(cs, [-r, domain.one], domain)[0]
-            mult += 1
-        out.append((r, mult))
-    return out, cs
+        while True:
+            q, rem = _rdivmod(f, [-r % p, 1], p)
+            if rem:
+                break
+            f, mult = q, mult + 1
+        out.append((FpElem._of(r, p), mult))
+    return out, _elements(f, p)
 
 
 def _rational_reconstruction(x: int, modulus: int, n_bound: int, m_bound: int):
@@ -378,16 +405,16 @@ def _squarefree_entries(f, mult, domain):
     factors of degree <= 2 are solved.
     """
     if isinstance(domain, PrimeField):
-        out = []
-        for k, g in _distinct_degree(f, domain):
+        p, out = domain.p, []
+        for k, g in _distinct_degree(_residues(f, domain), p):
             if k == 1:
-                out += [RootEntry((r, domain.one), mult, 1, _field_label(domain), domain)
+                out += [RootEntry((FpElem._of(r, p), domain.one), mult, 1,
+                                  _field_label(domain), domain)
                         for r in _split_rational_roots(g, domain)]
             elif k == 2:
                 out += [RootEntry(pt, mult, 1, _field_label(fld), fld)
-                        for h in sorted(_equal_degree_split(g, 2, domain),
-                                        key=lambda q: [c.residue for c in q])
-                        for pt, fld in low_degree_roots(h, domain)]
+                        for h in sorted(_equal_degree_split(g, 2, p))
+                        for pt, fld in low_degree_roots(_elements(h, p), domain)]
             else:
                 out += [RootEntry(None, mult, k, _field_label(domain), domain)
                         for _ in range(degree(g) // k)]

@@ -75,13 +75,24 @@ def _check_modulus(p: int) -> int:
 
 
 class FpElem:
-    """An element of F_p, stored as the residue in [0, p)."""
+    """An element of F_p, stored as the residue in [0, p).
+
+    Sums, differences and products of two elements of one field build their
+    result with ``_of``; every other operand goes through ``_coerce``, so mixed
+    moduli still raise."""
 
     __slots__ = ("residue", "p")
 
     def __init__(self, residue: int, p: int):
         self.p = p
         self.residue = residue % p
+
+    @classmethod
+    def _of(cls, residue: int, p: int):
+        """The element of F_p whose residue, already in [0, p), is given."""
+        elem = object.__new__(cls)
+        elem.residue, elem.p = residue, p
+        return elem
 
     def _coerce(self, other):
         if isinstance(other, FpElem):
@@ -95,6 +106,8 @@ class FpElem:
         return None
 
     def __add__(self, other):
+        if type(other) is FpElem and other.p == self.p:
+            return FpElem._of((self.residue + other.residue) % self.p, self.p)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -103,6 +116,8 @@ class FpElem:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is FpElem and other.p == self.p:
+            return FpElem._of((self.residue - other.residue) % self.p, self.p)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -115,6 +130,8 @@ class FpElem:
         return FpElem(o.residue - self.residue, self.p)
 
     def __mul__(self, other):
+        if type(other) is FpElem and other.p == self.p:
+            return FpElem._of(self.residue * other.residue % self.p, self.p)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -2,19 +2,24 @@
 F_p(sqrt D0), the rational-root scan it replaced, and rational roots over Q
 with large coefficients."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from taucubic import roots as uv
-from taucubic.scalars import PrimeField, QQ, QuadElem, quad_sqrt
+from taucubic.scalars import FpElem, PrimeField, QQ, QuadElem, quad_sqrt
 
 
 def _poly_product(factors, domain):
     out = [domain.one]
     for f in factors:
-        out = uv.mul(out, f, domain)
+        prod = [domain.zero] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] = prod[i + j] + x * y
+        out = uv.trim(prod)
     return out
 
 
@@ -138,6 +143,68 @@ def test_fp_rational_roots_match_residue_scan(p):
         if uv.degree(cs) < 0:
             continue
         assert uv.fp_rational_roots(cs, p) == _scan_rational_roots(cs, p)
+
+
+def test_fp_rational_roots_coerce_their_input():
+    # an element of another field is refused, not read by its residue
+    with pytest.raises(ValueError):
+        uv.fp_rational_roots([FpElem(1, 7), FpElem(0, 7), FpElem(1, 7)], 11)
+    roots, rest = uv.fp_rational_roots([-1, 0, 1], 11)
+    assert [(r.residue, m) for r, m in roots] == [(1, 1), (10, 1)] and rest == [1]
+
+
+def test_fp_rational_roots_beyond_machine_words():
+    # residue products overflow 64 bits: the engine must stay on Python ints
+    p = 4294967311
+    fp = PrimeField(p)
+    d = next(d for d in range(2, p) if fp.sqrt_or_none(d) is None)
+    quadratic = [fp.coerce(-d), fp.zero, fp.one]
+    planted = {5: 2, 77777: 1, p - 3: 3, 2 ** 31 + 11: 2}
+    factors = [quadratic] + [[fp.coerce(-r), fp.one] for r, m in planted.items() for _ in range(m)]
+    cs = uv.scale(_poly_product(factors, fp), fp.coerce(987654321))
+    roots, rest = uv.fp_rational_roots(cs, p)
+    assert [(r.residue, m) for r, m in roots] == sorted(planted.items())
+    assert uv.scale(rest, fp.one / rest[-1]) == quadratic
+
+
+def _engine_digest(p):
+    """sha256 of the reprs of fp_rational_roots and binary_form_roots on seeded
+    polynomials over F_p: repeated roots, irreducible quadratic and cubic
+    factors, degree >= p (fp_rational_roots only) and degree drops at (1:0)."""
+    fp = PrimeField(p)
+    rng = random.Random(500 + p)
+    lines = []
+    for trial in range(30):
+        if trial % 5 == 4:
+            deg = rng.randint(p, p + 4)
+            cs = [fp.coerce(rng.randrange(p)) for _ in range(deg)] + [fp.coerce(rng.randrange(1, p))]
+        elif trial % 5 == 3:
+            roots = rng.sample(range(p), min(p, 8)) + [rng.randrange(p)] * 2
+            cs = _poly_product([[fp.coerce(-r), fp.one] for r in roots], fp)
+        else:
+            cs, _ = _random_product(rng, fp)
+        lines.append(repr(uv.fp_rational_roots(cs, p)))
+        drop = rng.choice([0, 1, 2])
+        if uv.degree(cs) + drop < p:
+            lines.append(repr(uv.binary_form_roots(cs + [fp.zero] * drop, fp)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# Pins roots, multiplicities, cofactors and the order of roots and ledger
+# entries.  The factors found, hence these digests, do not depend on the
+# Cantor-Zassenhaus draws.
+ENGINE_DIGESTS = {
+    5: "ab10238a4f1abac6a314d14ff7705dd0ab0c61bafe27d9a9658b50b3eaabab20",
+    7: "fa722008504429d5afc4f2e6af907a710d6c7624401e5f3012137059912932ad",
+    11: "5aa8fa1b63e07e68f55d9e5e5785a249d1ee34fd0803359f19712987e4e59645",
+    13: "0898c66b4f522a05ff860753dcb27f638fd0323d3072056147ac3a8caa9852c2",
+    101: "e2a86769be7cf0ba151bcfe4f86191d3e56c7b9ca7ac6d9c26ebcc936a8fb9eb",
+}
+
+
+@pytest.mark.parametrize("p", sorted(ENGINE_DIGESTS))
+def test_engine_outputs_pinned(p):
+    assert _engine_digest(p) == ENGINE_DIGESTS[p]
 
 
 def test_qq_root_beyond_trial_division_reach():

@@ -147,6 +147,19 @@ def test_fp_fraction_interop():
     assert Fraction(1, 2) * x == FpElem(5, 7)
 
 
+def test_fp_elem_same_field_fast_path():
+    # sums, differences and products within one field skip _coerce; mixed moduli still raise
+    rng = random.Random(3)
+    for _ in range(50):
+        a, b = rng.randrange(-300, 300), rng.randrange(-300, 300)
+        x, y = FpElem(a, 101), FpElem(b, 101)
+        for got, want in ((x + y, a + b), (x - y, a - b), (x * y, a * b)):
+            assert type(got) is FpElem and (got.residue, got.p) == (want % 101, 101)
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+        with pytest.raises(ValueError):
+            op(FpElem(1, 7), FpElem(1, 11))
+
+
 def test_quad_ext_arithmetic_closed():
     ext = QuadraticExtension(QQ, Fraction(-1))
     i = ext.sqrt_d
