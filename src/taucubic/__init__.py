@@ -19,7 +19,7 @@ from .discriminant import (DegenerateConicPart, DiscriminantData, FiberConic,
 from .ledgers import (Disconnected, GenusLedger, ci_curve_genus, hurwitz_double_cover,
                       ideal_section_dimension, jacobian_tau_split, koszul_h01_ledger,
                       plane_curve_genus, prym_dimension_ledger)
-from .quotient import BiForm, IdenticallyZero, branch_sextic, quotient_equation
+from .quotient import IdenticallyZero, branch_sextic, quotient_equation
 from .harness import (ConfigError, InstanceParseError, SuiteConfig,
                       VerificationReport, emit_report, load_instance, run_suite)
 

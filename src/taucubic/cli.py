@@ -30,7 +30,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="instances per sampling suite (default 1)")
     v.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     v.add_argument("--primes", default="5,7,11,13,101,103",
-                   help="comma-separated admitted primes, all > 3")
+                   help="comma-separated admitted primes, all > 3; the sampling "
+                        "suites work over the first one >= 73, the lines suite over "
+                        "11 and 13 when admitted (default 5,7,11,13,101,103)")
     v.add_argument("--bound", type=int, default=10,
                    help="coefficient bound for sampled instances (default 10)")
     v.add_argument("--instance", dest="instance_path", default=None,

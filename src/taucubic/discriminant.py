@@ -229,24 +229,21 @@ def discriminant_quintic(instance: TauInstance,
 # F_p points on the discriminant components, from the plane-curve enumerator
 
 
-def points_on_conic_component(instance: TauInstance, rng: random.Random, count: int,
-                              off_cubic: bool = True):
+def points_on_conic_component(instance: TauInstance, rng: random.Random, count: int):
+    """Up to ``count`` F_p points of the conic component off the cubic one."""
     pts = conic_rational_points(instance.conic_part(), rng, count * 3 + 10)
-    return _first_off(pts, instance.f3 if off_cubic else None, count)
+    return _first_off(pts, instance.f3, count)
 
 
-def points_on_cubic_component(instance: TauInstance, rng: random.Random, count: int,
-                              off_conic: bool = True):
+def points_on_cubic_component(instance: TauInstance, rng: random.Random, count: int):
+    """Up to ``count`` F_p points of the cubic component off the conic one."""
     pts = curve_rational_points(instance.f3, rng, count * 3 + 10)
-    return _first_off(pts, instance.conic_part() if off_conic else None, count)
+    return _first_off(pts, instance.conic_part(), count)
 
 
 def _first_off(pts, other, count: int):
-    """The first ``count`` of ``pts`` off the curve {other = 0}, or the first
-    ``count`` of them all when ``other`` is None."""
-    if other is not None:
-        pts = (pt for pt in pts if evaluate(other, pt))
-    return list(islice(pts, count))
+    """The first ``count`` of ``pts`` off the curve {other = 0}."""
+    return list(islice((pt for pt in pts if evaluate(other, pt)), count))
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +394,12 @@ class ConeReport:
     probe_undecided: str = ""  # why the off-line probes say nothing, if they do not
 
 
-def cone_and_singular_member(instance: TauInstance, quadric_index: int = 0,
+PROBE_COUNT = 8   # off-line points of the cone surface whose Jacobian rank is probed
+
+
+def cone_and_singular_member(instance: TauInstance,
                              rng: random.Random | None = None,
-                             probe_prime: int = 101,
-                             probe_count: int = 8) -> ConeReport:
+                             probe_prime: int = 101) -> ConeReport:
     """The quadric cone over the conic component has the fixed line as its exact
     singular locus; its intersection with a smooth pencil quadric is singular
     exactly at the two points cut on the fixed line."""
@@ -424,8 +423,8 @@ def cone_and_singular_member(instance: TauInstance, quadric_index: int = 0,
             row.append(g.coefficient(tuple(e)))
         rows3.append(row)
     sing_is_line = linalg.rank(rows3, domain) == 3
-    q = instance.quadrics[quadric_index]
-    F = instance.quadric(quadric_index)
+    q = instance.quadrics[0]
+    F = instance.quadric()
     gradients = (grads, [partial_derivative(F, i) for i in range(5)])
     roots, fld = binary_quadratic_roots(q.a00, q.a01, q.a11, domain)
     zero = fld.zero
@@ -433,8 +432,7 @@ def cone_and_singular_member(instance: TauInstance, quadric_index: int = 0,
     if any(evaluate(K, pt) or evaluate(F, pt) for pt in line_points):
         raise ArithmeticError("root of the line quadratic is not on the surface")
     line_singular = all(jacobian_rank(gradients, pt, fld) <= 1 for pt in line_points)
-    probes, singular, undecided = _probe_cone_surface(instance, quadric_index, rng,
-                                                      probe_prime, probe_count)
+    probes, singular, undecided = _probe_cone_surface(instance, rng, probe_prime)
     return ConeReport(
         singular_locus_is_fixed_line=sing_is_line,
         line_points=line_points,
@@ -447,9 +445,10 @@ def cone_and_singular_member(instance: TauInstance, quadric_index: int = 0,
     )
 
 
-def _probe_cone_surface(instance, quadric_index, rng, probe_prime, probe_count):
-    """Jacobian ranks at rational points of the cone surface off the fixed line,
-    one point from the fibre over each of a seeded sample of conic points.
+def _probe_cone_surface(instance, rng, probe_prime):
+    """Jacobian ranks at up to ``PROBE_COUNT`` rational points of the cone
+    surface off the fixed line, one point from the fibre over each of a seeded
+    sample of conic points.
 
     A rational instance is probed mod probe_prime, an instance over F_p in its
     own field; when its conic part drops rank there, the reduced cone is
@@ -461,13 +460,13 @@ def _probe_cone_surface(instance, quadric_index, rng, probe_prime, probe_count):
     if not is_smooth_conic(conic):
         return 0, [], f"the conic part drops rank mod {fdom.p}"
     K = embed_with_x01(conic, 0, 0)
-    F = work.quadric(quadric_index)
+    F = work.quadric()
     gradients = [[partial_derivative(h, i) for i in range(5)] for h in (K, F)]
     system = FibreSystem(K, F)
     count = 0
     singular = []
-    for c in conic_rational_points(conic, rng, probe_count * 4 + 8):
-        if count >= probe_count:
+    for c in conic_rational_points(conic, rng, PROBE_COUNT * 4 + 8):
+        if count >= PROBE_COUNT:
             break
         pt = next(system.points(c), None)
         if pt is None:

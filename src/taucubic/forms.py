@@ -6,8 +6,10 @@ lexicographic order with x0 > x1 > x2 > x3 > x4.  That order is the one wire
 format: every serialized coefficient vector uses it.
 
 The elimination machinery (Sylvester resultants with polynomial entries,
-the Macaulay resultant, smoothness certificates) lives here too, on the same
-dense forms: Form is the package's one polynomial type.
+the Macaulay resultant, and the smoothness certificate over F_p built on it)
+lives here too, on the same dense forms: Form is the package's one
+polynomial type.  Smoothness over Q is certified by reducing mod primes
+(``reduce_form``) and certifying over each F_p.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import random
 import numpy as np
 
 from . import linalg
-from .scalars import BadPrime, FpElem, PrimeField, RationalField, reduce_mod_prime
+from .scalars import FpElem, PrimeField, reduce_mod_prime
 
 
 class DimensionMismatch(ValueError):
@@ -413,16 +415,16 @@ def _macaulay_quotient(fs: list[Form]):
     return det(mat) / d_minor
 
 
-def macaulay_resultant(forms: list[Form], rng: random.Random | None = None):
+def macaulay_resultant(forms: list[Form]):
     """Classical Macaulay resultant of n forms in n variables.
 
     Zero exactly when the forms share a nonzero common solution over the
     algebraic closure.  The resultant is det(M) / det(minor) for the Macaulay
     matrix M and its non-reduced minor.  The minor's determinant comes first:
     when it vanishes, det(M) is skipped and the forms are retried after a
-    random invertible change of variables A, first from ``Random(0x5EED)``
-    unless ``rng`` is given (the resultant picks up the factor
-    det(A)^(product of the degrees), which is divided back out).
+    random invertible change of variables A drawn from ``Random(0x5EED)``
+    (the resultant picks up the factor det(A)^(product of the degrees), which
+    is divided back out).
     """
     if not forms:
         raise DimensionMismatch("no forms given")
@@ -441,7 +443,7 @@ def macaulay_resultant(forms: list[Form], rng: random.Random | None = None):
     quotient = _macaulay_quotient(forms)
     if quotient is not None:
         return quotient
-    rng = rng or random.Random(0x5EED)
+    rng = random.Random(0x5EED)
     deg_product = 1
     for f in forms:
         deg_product *= f.degree
@@ -469,84 +471,47 @@ class SmoothnessVerdict:
     resultants: dict | None = None
 
 
-def _witness_grid(nvars, domain, radius=2):
-    vals = [domain.coerce(v) for v in range(-radius, radius + 1)]
-    for pt in itertools.product(vals, repeat=nvars):
-        if any(pt):
-            yield pt
+def is_smooth_hypersurface(f: Form) -> SmoothnessVerdict:
+    """Certified smoothness of the projective hypersurface f = 0 over F_p.
 
-
-def is_smooth_hypersurface(f: Form, primes) -> SmoothnessVerdict:
-    """Certified smoothness of the projective hypersurface f = 0.
-
-    Over Q: SmoothCertified when the Macaulay resultant of the partials is
-    nonzero modulo every supplied prime (>= 2 primes).  Over F_p ``primes`` is
-    ignored: the resultant is computed in the field itself and genuinely
-    decides.  When it vanishes (or stays 0/0) and P^(n-1)(F_p) has at most
-    25,000 points, the witness is the first common zero of the partials in
-    ``projective_points_fp`` order, from the scan ``common_projective_zeros``;
-    without one the verdict is Inconclusive.  A singular verdict always
-    carries an exact witness where every partial vanishes.
+    The Macaulay resultant of the partials, computed in F_p itself, decides:
+    SmoothCertified when it is nonzero.  When it vanishes (or stays 0/0) and
+    P^(n-1)(F_p) has at most 25,000 points, the witness is the first common
+    zero of the partials in ``projective_points_fp`` order, from the scan
+    ``common_projective_zeros``; without one the verdict is Inconclusive.  A
+    singular verdict always carries an exact witness where every partial
+    vanishes.  A rational form is certified by reducing it mod primes first
+    (``reduce_form``); any other domain raises TypeError.
     """
     if f.is_zero or f.degree < 1:
         raise ZeroForm("smoothness needs a nonzero form of positive degree")
     domain = f.domain
-    partials = [partial_derivative(f, i) for i in range(f.num_vars)]
+    if not isinstance(domain, PrimeField):
+        raise TypeError(f"smoothness certificate not defined over {domain!r}")
     if f.degree == 1:
         return SmoothnessVerdict(SMOOTH_CERTIFIED, resultants={})
-    if isinstance(domain, RationalField):
-        if len(primes) < 2:
-            raise BadPrime("need at least two primes for a certificate over Q")
-        results = {}
-        all_nonzero = True
-        for p in primes:
-            reduced = [pf.map_coefficients(lambda c: reduce_mod_prime(c, p), PrimeField(p))
-                       for pf in partials]
-            try:
-                res = macaulay_resultant(reduced)
-                results[p] = res.residue
-                if not res:
-                    all_nonzero = False
-            except ResultantIndeterminate:
-                results[p] = None
-                all_nonzero = False
-        if all_nonzero:
-            return SmoothnessVerdict(SMOOTH_CERTIFIED, resultants=results)
-        witness = _search_singular_witness(partials, _witness_grid(f.num_vars, domain))
-        if witness is not None:
-            return SmoothnessVerdict(SINGULAR_CERTIFIED, witness=witness, resultants=results)
-        return SmoothnessVerdict(INCONCLUSIVE, resultants=results)
-    if isinstance(domain, PrimeField):
-        p = domain.p
-        try:
-            res = macaulay_resultant(partials)
-        except ResultantIndeterminate:
-            res = None
-        if res:
-            return SmoothnessVerdict(SMOOTH_CERTIFIED, resultants={p: res.residue})
-        npoints = sum(p ** k for k in range(f.num_vars))
-        if npoints <= 25000:
-            from .bruteforce import common_projective_zeros  # bruteforce imports this module
-            witness = common_projective_zeros(partials, p, limit=1)
-            if witness:
-                return SmoothnessVerdict(SINGULAR_CERTIFIED, witness=witness[0],
-                                         resultants={p: 0 if res is not None else None})
-        return SmoothnessVerdict(INCONCLUSIVE,
-                                 resultants={p: 0 if res is not None else None})
-    raise TypeError(f"smoothness certificate not defined over {domain!r}")
+    p = domain.p
+    partials = [partial_derivative(f, i) for i in range(f.num_vars)]
+    try:
+        res = macaulay_resultant(partials)
+    except ResultantIndeterminate:
+        res = None
+    if res:
+        return SmoothnessVerdict(SMOOTH_CERTIFIED, resultants={p: res.residue})
+    resultants = {p: 0 if res is not None else None}
+    if sum(p ** k for k in range(f.num_vars)) <= 25000:
+        from .bruteforce import common_projective_zeros  # bruteforce imports this module
+        witness = common_projective_zeros(partials, p, limit=1)
+        if witness:
+            return SmoothnessVerdict(SINGULAR_CERTIFIED, witness=witness[0],
+                                     resultants=resultants)
+    return SmoothnessVerdict(INCONCLUSIVE, resultants=resultants)
 
 
 def jacobian_rank(gradients, point, domain) -> int:
     """Rank over ``domain`` of the Jacobian matrix at ``point`` of the forms
     whose gradients, lists of partial derivatives, are given."""
     return linalg.rank([[evaluate(g, point) for g in grad] for grad in gradients], domain)
-
-
-def _search_singular_witness(partials, candidates):
-    for pt in candidates:
-        if all(not evaluate(pf, pt) for pf in partials):
-            return tuple(pt)
-    return None
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,18 @@ class ConfigError(ValueError):
     """Invalid suite configuration."""
 
 
+# fiber-action asks each discriminant component for FIBER_POINTS points and
+# passes with FIBER_POINTS_NEEDED of them.
+FIBER_POINTS, FIBER_POINTS_NEEDED = 100, 50
+# The least prime p with p + 1 - 2 sqrt(p) - 6 >= FIBER_POINTS_NEEDED: by Hasse's
+# bound a smooth plane cubic over F_p then has that many points off the six it
+# shares with the conic.
+MIN_SAMPLING_PRIME = 73
+# The suites that sample or reduce over F_p at ``SuiteConfig.big_prime()``.
+SAMPLING_SUITES = frozenset({"two-points", "discriminant", "fiber-action", "cone", "koszul",
+                             "fixed-points", "quotient"})
+
+
 class InstanceParseError(ValueError):
     """Malformed instance JSON; the message carries the offending field path."""
 
@@ -70,10 +82,18 @@ class SuiteConfig:
                 raise ConfigError(f"primes must be primes > 3, got {p}")
         if self.bound < 2:
             raise ConfigError("coefficient bound must be >= 2")
+        if SAMPLING_SUITES.intersection(self.suites):
+            self.big_prime()
 
     def big_prime(self) -> int:
-        cands = [p for p in self.primes if p >= 17]
-        return cands[0] if cands else max(self.primes)
+        """The first admitted prime >= ``MIN_SAMPLING_PRIME``, the field of the
+        sampling suites; ConfigError when there is none."""
+        for p in self.primes:
+            if p >= MIN_SAMPLING_PRIME:
+                return p
+        raise ConfigError(f"the suites {sorted(SAMPLING_SUITES.intersection(self.suites))} "
+                          f"sample over F_p for an admitted prime p >= {MIN_SAMPLING_PRIME}; "
+                          f"none in {list(self.primes)}")
 
     def small_primes(self) -> list:
         """Primes for the brute-force line counts; 11 and 13 when admitted.
@@ -455,19 +475,19 @@ def _suite_discriminant(config: SuiteConfig, loaded):
         "distinct_transversal_fraction", "general position holds in at least 95% of gated samples")
 
 
-def _suite_fiber_action(config: SuiteConfig, loaded, points_per_component: int = 100):
+def _suite_fiber_action(config: SuiteConfig, loaded):
     def body(inst, rng):
-        cubic_pts = disc.points_on_cubic_component(inst, rng, points_per_component)
-        conic_pts = disc.points_on_conic_component(inst, rng, points_per_component)
+        cubic_pts = disc.points_on_cubic_component(inst, rng, FIBER_POINTS)
+        conic_pts = disc.points_on_conic_component(inst, rng, FIBER_POINTS)
         fixes = [disc.tau_fiber_action(inst, pt).action for pt in cubic_pts]
         swaps = [disc.tau_fiber_action(inst, pt).action for pt in conic_pts]
         return [
-            _check("cubic_component_samples", points_per_component, len(cubic_pts),
+            _check("cubic_component_samples", FIBER_POINTS, len(cubic_pts),
                    "sampled points on the cubic component",
-                   ok=len(cubic_pts) >= min(points_per_component, 50)),
-            _check("conic_component_samples", points_per_component, len(conic_pts),
+                   ok=len(cubic_pts) >= FIBER_POINTS_NEEDED),
+            _check("conic_component_samples", FIBER_POINTS, len(conic_pts),
                    "sampled points on the conic component",
-                   ok=len(conic_pts) >= min(points_per_component, 50)),
+                   ok=len(conic_pts) >= FIBER_POINTS_NEEDED),
             _check("cubic_component_all_fix", "all Fixes", dict(Counter(fixes)),
                    "fibers over the cubic component keep each line",
                    ok=bool(fixes) and all(a == disc.FIXES for a in fixes)),
@@ -480,7 +500,10 @@ def _suite_fiber_action(config: SuiteConfig, loaded, points_per_component: int =
                     ":pts")
 
 
-def _suite_lines(config: SuiteConfig, loaded, points_per_instance: int = 5):
+LINE_PROBES = 5   # points of the fixed line probed per instance
+
+
+def _suite_lines(config: SuiteConfig, loaded):
     small = config.small_primes()
 
     def body(inst, rng):
@@ -490,7 +513,7 @@ def _suite_lines(config: SuiteConfig, loaded, points_per_instance: int = 5):
             raise ValueError(f"the exhaustive line oracle needs 7 <= p <= 47, got p = {p}")
         totals, fixed_flags, brute_ok = [], [], []
         guard = 0
-        while len(totals) < points_per_instance and guard < points_per_instance * 8:
+        while len(totals) < LINE_PROBES and guard < LINE_PROBES * 8:
             guard += 1
             T = (domain.one, domain.coerce(rng.randrange(p)))
             try:
@@ -505,7 +528,7 @@ def _suite_lines(config: SuiteConfig, loaded, points_per_instance: int = 5):
             brute_ok.append(elim_keys == {projective_key(d, domain) for d in brute})
         n = len(totals)
         return [
-            _check("points_probed", points_per_instance, n,
+            _check("points_probed", LINE_PROBES, n,
                    "generic points of the fixed line probed"),
             _check("total_with_multiplicity", [6] * n, totals,
                    "six lines through a general point, counted with multiplicity"),
@@ -651,17 +674,20 @@ def _suite_fixed_points(config: SuiteConfig, loaded):
         "distinct_fraction", "distinct fixed points in at least 95% of gated samples")
 
 
-def _suite_quotient(config: SuiteConfig, loaded, spot_checks: int = 50):
+SPOT_CHECKS = 50   # pointwise quotient cross-checks per instance
+
+
+def _suite_quotient(config: SuiteConfig, loaded):
     p = config.big_prime()
 
     def body(inst, rng):
-        bf = quot.quotient_equation(inst)
+        abc = quot.quotient_equation(inst)
         sext = quot.branch_sextic(inst)
         sqfree = quot.sextic_squarefree_probe(inst, p=p, rng=rng)
         work = reduce_instance(inst, p)
-        ident_ok, member_ok, probed = _quotient_spot_checks(work, rng, spot_checks)
+        ident_ok, member_ok, probed = _quotient_spot_checks(work, rng, SPOT_CHECKS)
         return [
-            _check("bidegree", [2, 3], list(bf.bidegree),
+            _check("bidegree", [2, 3], [len(abc) - 1] + sorted({f.degree for f in abc}),
                    "quotient equation is quadratic in (x0,x1) with cubic coefficients"),
             _check("branch_degree", 6, sext.degree,
                    "the branch discriminant is a plane sextic"),
@@ -684,9 +710,9 @@ def _quotient_spot_checks(inst: TauInstance, rng: random.Random, count: int):
     """Pointwise cross-checks of the quotient equation over F_p."""
     domain = inst.domain
     p = domain.p
-    phi, F = inst.cubic(), inst.quadric(0)
+    phi, F = inst.cubic(), inst.quadric()
     q = inst.quadrics[0]
-    bf = quot.quotient_equation(inst)
+    abc = quot.quotient_equation(inst)
     ident_ok = member_ok = probed = 0
     guard = 0
     while probed < count and guard < count * 10:
@@ -701,7 +727,7 @@ def _quotient_spot_checks(inst: TauInstance, rng: random.Random, count: int):
         if not f2v or not quad_f:
             continue
         probed += 1
-        a, b, c = quot.fiber_quadratic(bf, P)
+        a, b, c = (evaluate(f, P) for f in abc)
         qval = a * x0 * x0 + b * x0 * x1 + c * x1 * x1
         pt5 = (x0, x1) + P
         direct = evaluate(phi, pt5) * f2v - evaluate(F, pt5) * evaluate(inst.f3, P)

@@ -145,13 +145,15 @@ class GenusLedger:
         return asdict(self)
 
 
-def prym_dimension_ledger(conic_degree: int = 2, cubic_degree: int = 3) -> GenusLedger:
-    """The full dimension ledger, derived from the component degrees alone.
+def prym_dimension_ledger() -> GenusLedger:
+    """The full dimension ledger, derived from the component degrees alone:
+    the conic and the cubic of the discriminant quintic.
 
     The double covers of the two discriminant components branch over their
     crossing points (Bezout count), the Prym dimensions are genus differences,
     and their sum matches the middle Hodge number of the cubic threefold.
     """
+    conic_degree, cubic_degree = 2, 3
     r = conic_degree * cubic_degree
     g2 = plane_curve_genus(conic_degree)
     g3 = plane_curve_genus(cubic_degree)
@@ -174,16 +176,16 @@ def prym_dimension_ledger(conic_degree: int = 2, cubic_degree: int = 3) -> Genus
 
 
 def ideal_dimension_by_sampling(instance: TauInstance, twist: int,
-                                rng: random.Random, quadric_index: int = 0,
-                                points_factor: int = 3) -> int:
+                                rng: random.Random) -> int:
     """Nullity mod p of the evaluation matrix of the degree-``twist`` monomials
     at seeded surface points over F_p (``bruteforce.monomial_values``); the
-    sampling counterpart of ideal_section_dimension."""
+    sampling counterpart of ideal_section_dimension.  It asks for three points
+    per monomial and needs two."""
     domain = instance.domain
     if not isinstance(domain, PrimeField):
         raise TypeError("evaluation cross-check runs over a prime field")
     nmons = len(monomials(5, twist))
-    pts = random_points_on_surface(instance, rng, points_factor * nmons, quadric_index)
+    pts = random_points_on_surface(instance, rng, 3 * nmons)
     if len(pts) < 2 * nmons:
         raise RuntimeError(f"only {len(pts)} surface points found, need {2 * nmons}")
     table = monomial_values([[c.residue for c in pt] for pt in pts], twist, domain.p)

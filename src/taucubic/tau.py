@@ -7,9 +7,9 @@ fixed locus is the line {x2 = x3 = x4 = 0} together with the plane
     l00(x2,x3,x4) x0^2 + l11(x2,x3,x4) x1^2 + l01(x2,x3,x4) x0 x1 + f3(x2,x3,x4)
 
 and invariant quadrics the analogous shape with constants a00, a11, a01 and a
-ternary quadric f2.  An instance bundles one cubic with one or more quadrics;
-"general position" is made concrete by the genericity gate in
-``sample_instance``.
+ternary quadric f2.  An instance bundles one cubic with its quadrics, of which
+the first cuts the surface S = X ∩ Q; "general position" is made concrete by
+the genericity gate in ``sample_instance``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ class NoSolution(ArithmeticError):
     """Two-point linear system contradicted the guaranteed dimension bound."""
 
 
-GATE_PRIMES = (101, 103)   # the gate's smoothness certificate over Q is taken mod these
+GATE_PRIMES = (101, 103)   # the gate certifies a rational cubic smooth mod both of these
+QUADRICS_DRAWN = 2         # a draw holds a pencil's two quadrics; the checks read the first
 
 
 def monomial_tau_sign(exps) -> int:
@@ -61,15 +62,11 @@ def tau_form(f: Form) -> Form:
     return Form(f.domain, 5, f.degree, coeffs)
 
 
-def invariant_basis(degree: int, domain=QQ) -> list[Form]:
-    """Monomial basis of the invariant degree-d forms; 9 for d=2, 19 for d=3."""
+def invariant_basis(degree: int) -> list[Form]:
+    """Monomial basis over Q of the invariant degree-d forms; 9 for d=2, 19 for d=3."""
     if degree not in (2, 3):
         raise UnsupportedDegree(f"invariant basis implemented for degrees 2 and 3, not {degree}")
-    out = []
-    for m in monomials(5, degree):
-        if monomial_tau_sign(m) > 0:
-            out.append(Form.from_terms(5, degree, {m: domain.one}, domain))
-    return out
+    return [Form.from_terms(5, degree, {m: QQ.one}, QQ) for m in invariant_monomials(degree)]
 
 
 def invariant_monomials(degree: int):
@@ -88,7 +85,8 @@ class QuadricPart:
 
 @dataclass(frozen=True)
 class TauInstance:
-    """One invariant cubic plus invariant quadrics, all over a common domain."""
+    """One invariant cubic plus invariant quadrics, all over a common domain;
+    the first quadric is the one the surface is cut by."""
 
     domain: object
     l00: Form
@@ -110,8 +108,9 @@ class TauInstance:
         return (embed_with_x01(self.l00, 2, 0) + embed_with_x01(self.l11, 0, 2)
                 + embed_with_x01(self.l01, 1, 1) + embed_with_x01(self.f3, 0, 0))
 
-    def quadric(self, index: int = 0) -> Form:
-        q = self.quadrics[index]
+    def quadric(self) -> Form:
+        """The first quadric as a form on P^4."""
+        q = self.quadrics[0]
         dom = self.domain
         head = Form.from_terms(5, 2, {(2, 0, 0, 0, 0): q.a00,
                                       (0, 2, 0, 0, 0): q.a11,
@@ -210,7 +209,7 @@ def canonical_instance(domain=QQ) -> TauInstance:
 # sampling and the genericity gate
 
 
-def _draw_instance(rng: random.Random, bound: int, domain, n_quadrics: int) -> TauInstance:
+def _draw_instance(rng: random.Random, bound: int, domain) -> TauInstance:
     def rand_form(nvars, deg):
         return Form.from_terms(nvars, deg,
                                {m: domain.coerce(rng.randint(-bound, bound))
@@ -221,7 +220,7 @@ def _draw_instance(rng: random.Random, bound: int, domain, n_quadrics: int) -> T
                     domain.coerce(rng.randint(-bound, bound)),
                     domain.coerce(rng.randint(-bound, bound)),
                     rand_form(3, 2))
-        for _ in range(n_quadrics))
+        for _ in range(QUADRICS_DRAWN))
     return TauInstance(domain, rand_form(3, 1), rand_form(3, 1), rand_form(3, 1),
                        rand_form(3, 3), quadrics)
 
@@ -229,10 +228,12 @@ def _draw_instance(rng: random.Random, bound: int, domain, n_quadrics: int) -> T
 def genericity_report(instance: TauInstance, rng: random.Random | None = None) -> dict:
     """The concrete general-position conditions, each as a named boolean.
 
-    The last, ``cubic_hypersurface_smooth``, is the smoothness certificate of
-    the assembled cubic: mod ``GATE_PRIMES`` over Q, in the field itself over
-    F_p.  Over F_p the gate needs p > 6 (the multiplicity analysis of degree-6
-    eliminants); smaller p raise ValueError.
+    The last, ``cubic_hypersurface_smooth``, is the smoothness certificate
+    ``is_smooth_hypersurface`` of the assembled cubic, which runs over F_p:
+    over F_p in the field itself, over Q on the cubic reduced mod each prime of
+    ``GATE_PRIMES``, and it must be SmoothCertified at both.  A prime dividing
+    a denominator fails the key.  Over F_p the gate needs p > 6 (the
+    multiplicity analysis of degree-6 eliminants); smaller p raise ValueError.
     """
     if isinstance(instance.domain, PrimeField) and instance.domain.p < 7:
         raise ValueError("gated sampling needs characteristic > 6 "
@@ -265,26 +266,33 @@ def genericity_report(instance: TauInstance, rng: random.Random | None = None) -
         report["surface_plane_points_distinct"] = False
     disc = q.a01 * q.a01 - 4 * q.a00 * q.a11
     report["line_quadratic_separable"] = bool(disc)
-    if all(report.values()):
-        try:
-            verdict = is_smooth_hypersurface(instance.cubic(), GATE_PRIMES)
-            report["cubic_hypersurface_smooth"] = verdict.status == SMOOTH_CERTIFIED
-        except (BadPrime, ResultantIndeterminate):
-            report["cubic_hypersurface_smooth"] = False
-    else:
-        report["cubic_hypersurface_smooth"] = False
+    report["cubic_hypersurface_smooth"] = all(report.values()) and _cubic_certified(instance)
     report["passed"] = all(v for k, v in report.items() if k != "passed")
     return report
 
 
+def _cubic_certified(instance: TauInstance) -> bool:
+    """Whether the assembled cubic is SmoothCertified over the instance's F_p,
+    or, over Q, mod every prime of ``GATE_PRIMES``."""
+    cubic = instance.cubic()
+    if isinstance(instance.domain, PrimeField):
+        reductions = [cubic]
+    else:
+        try:
+            reductions = [reduce_form(cubic, p) for p in GATE_PRIMES]
+        except BadPrime:
+            return False
+    return all(is_smooth_hypersurface(f).status == SMOOTH_CERTIFIED for f in reductions)
+
+
 def sample_instance(rng_seed: int, coefficient_bound: int, domain=QQ,
-                    n_quadrics: int = 2, retries: int = 64) -> TauInstance:
+                    retries: int = 64) -> TauInstance:
     """Draw integer-coefficient instances until the genericity gate passes."""
     if coefficient_bound < 2:
         raise ValueError("coefficient bound must be at least 2")
     rng = random.Random(rng_seed)
     for _ in range(retries):
-        inst = _draw_instance(rng, coefficient_bound, domain, n_quadrics)
+        inst = _draw_instance(rng, coefficient_bound, domain)
         if genericity_report(inst, rng)["passed"]:
             return inst
     raise GenericityExhausted(f"no instance passed the gate in {retries} draws")
@@ -308,11 +316,12 @@ def restrict_to_fixed_line(f: Form) -> Form:
     return compose_linear(f, rows)
 
 
-def default_witness_points(domain, rng: random.Random | None = None, extra: int = 4):
-    rng = rng or random.Random(7)
+def default_witness_points(domain):
+    """Seven fixed points off the fixed line and four drawn from ``Random(7)``."""
+    rng = random.Random(7)
     pts = [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 0, 1, 1, 1),
            (1, 1, 1, 1, 1), (1, 0, 1, 0, 0), (0, 1, 0, 2, 1)]
-    for _ in range(extra):
+    for _ in range(4):
         pts.append(tuple(rng.randint(-5, 5) for _ in range(4)) + (1,))
     return [tuple(domain.coerce(c) for c in p) for p in pts]
 
@@ -360,10 +369,10 @@ def invariant_coordinates(f: Form):
     return vec
 
 
-def two_point_subspace(instance: TauInstance, quadric_index: int = 0):
+def two_point_subspace(instance: TauInstance):
     """Span of the cubic and quadric*(linear in x2..x4); its monomial complement."""
     domain = instance.domain
-    F = instance.quadric(quadric_index)
+    F = instance.quadric()
     gens = [instance.cubic()]
     for j in range(3):
         lin = Form.from_terms(3, 1, {tuple(1 if i == j else 0 for i in range(3)): domain.one},
@@ -375,15 +384,15 @@ def two_point_subspace(instance: TauInstance, quadric_index: int = 0):
     return gens, len(pivots), complement
 
 
-def two_point_analysis(instance: TauInstance, P, Q, quadric_index: int = 0) -> TwoPointCubic:
+def two_point_analysis(instance: TauInstance, P, Q) -> TwoPointCubic:
     domain = point_field((P, Q), instance.domain)
     P = tuple(domain.coerce(c) for c in P)
     Q = tuple(domain.coerce(c) for c in Q)
-    phi, F = instance.cubic(), instance.quadric(quadric_index)
+    phi, F = instance.cubic(), instance.quadric()
     for pt in (P, Q):
         if evaluate(phi, pt) or evaluate(F, pt):
             raise ValueError("point does not lie on the cubic-quadric surface")
-    gens, w_rank, complement = two_point_subspace(instance, quadric_index)
+    gens, w_rank, complement = two_point_subspace(instance)
     if w_rank != 4:
         raise NoSolution(f"span of cubic and quadric multiples has rank {w_rank}, not 4")
     inv = invariant_monomials(3)
@@ -462,10 +471,10 @@ class FixedPointReport:
     all_distinct: bool
 
 
-def fixed_points_on_S(instance: TauInstance, quadric_index: int = 0,
+def fixed_points_on_S(instance: TauInstance,
                       rng: random.Random | None = None) -> FixedPointReport:
     """Surface points fixed by the involution: two on the line, six in the plane."""
-    q = instance.quadrics[quadric_index]
+    q = instance.quadrics[0]
     domain = instance.domain
     if not q.a00 and not q.a01 and not q.a11:
         raise DegenerateOnLine("quadric vanishes identically on the fixed line")
@@ -670,8 +679,7 @@ def surface_points(G: Form, H: Form):
             yield pt
 
 
-def random_points_on_surface(instance: TauInstance, rng: random.Random, count: int,
-                             quadric_index: int = 0):
+def random_points_on_surface(instance: TauInstance, rng: random.Random, count: int):
     """Up to ``count`` F_p points of {cubic = quadric = 0} off the fixed line,
     one point chosen by ``rng`` from each nonempty fibre in a seeded walk over
     the fixed plane.  Points of one fibre would come in tau-conjugate pairs,
@@ -684,7 +692,7 @@ def random_points_on_surface(instance: TauInstance, rng: random.Random, count: i
     if not isinstance(domain, PrimeField):
         raise TypeError("surface points are enumerated over prime fields")
     p = domain.p
-    system = FibreSystem(instance.cubic(), instance.quadric(quadric_index))
+    system = FibreSystem(instance.cubic(), instance.quadric())
     order = list(range(p * p + p + 1))
     rng.shuffle(order)
     out = []

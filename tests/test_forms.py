@@ -389,17 +389,25 @@ def _form_through(rng, nvars, degree, domain, pt):
 
 
 def test_smooth_fermat_quadric():
-    v = is_smooth_hypersurface(fermat(5, 2), [5, 7])
-    assert v.status == SMOOTH_CERTIFIED
+    for p in (5, 7):
+        v = is_smooth_hypersurface(reduce_form(fermat(5, 2), p))
+        assert v.status == SMOOTH_CERTIFIED
 
 
 def test_singular_with_witness():
-    f = f_of(5, 3, {(2, 1, 0, 0, 0): 1})  # x0^2 x1, singular along a plane
-    v = is_smooth_hypersurface(f, [5, 7])
+    # x0^2 x1 is singular along a plane; the scan over P^4(F_7) finds a witness
+    f = reduce_form(f_of(5, 3, {(2, 1, 0, 0, 0): 1}), 7)
+    v = is_smooth_hypersurface(f)
     assert v.status == SINGULAR_CERTIFIED
     assert v.witness is not None
     for i in range(5):
         assert not evaluate(partial_derivative(f, i), v.witness)
+
+
+def test_smoothness_certificate_rejects_rational_forms():
+    # a rational form is certified through its reductions mod primes
+    with pytest.raises(TypeError):
+        is_smooth_hypersurface(fermat(5, 2))
 
 
 CANONICAL_CUBIC = f_of(5, 3, {(2, 0, 1, 0, 0): 1, (0, 2, 0, 1, 0): 1,
@@ -408,18 +416,21 @@ CANONICAL_CUBIC = f_of(5, 3, {(2, 0, 1, 0, 0): 1, (0, 2, 0, 1, 0): 1,
 
 
 def test_smoothness_canonical_cubic_good_primes():
-    # frozen oracle run: the certificate integers mod 7 and 11 are nonzero
-    v = is_smooth_hypersurface(CANONICAL_CUBIC, [7, 11])
-    assert v.status == SMOOTH_CERTIFIED
-    assert v.resultants == {7: 1, 11: 9}
+    # frozen oracle run: the certificate residues mod 7 and 11 are nonzero
+    for p, residue in ((7, 1), (11, 9)):
+        v = is_smooth_hypersurface(reduce_form(CANONICAL_CUBIC, p))
+        assert v.status == SMOOTH_CERTIFIED
+        assert v.resultants == {p: residue}
 
 
 def test_smoothness_canonical_cubic_bad_prime_five():
-    # frozen oracle run: 5 divides the certificate integer, and no rational
-    # singular witness exists, so {5,7,11} stays inconclusive by design
-    v = is_smooth_hypersurface(CANONICAL_CUBIC, [5, 7, 11])
-    assert v.status == INCONCLUSIVE
-    assert v.resultants[5] == 0 and v.resultants[7] == 1
+    # frozen oracle run: 5 divides the certificate integer, and the scan of
+    # P^4(F_5) finds no singular point, so F_5 alone stays inconclusive while
+    # 7 and 11 certify
+    verdicts = {p: is_smooth_hypersurface(reduce_form(CANONICAL_CUBIC, p)) for p in (5, 7, 11)}
+    assert {p: v.status for p, v in verdicts.items()} == {
+        5: INCONCLUSIVE, 7: SMOOTH_CERTIFIED, 11: SMOOTH_CERTIFIED}
+    assert verdicts[5].resultants == {5: 0} and verdicts[5].witness is None
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 5])
@@ -602,8 +613,8 @@ def test_prime_field_witness_is_first_bruteforce_zero(p):
     rng = random.Random(p)
     domain = PrimeField(p)
     for _ in range(40):
-        cubic = _draw_instance(rng, 3, domain, 1).cubic()
-        verdict = is_smooth_hypersurface(cubic, [])
+        cubic = _draw_instance(rng, 3, domain).cubic()
+        verdict = is_smooth_hypersurface(cubic)
         if verdict.status == SMOOTH_CERTIFIED:
             # a nonzero resultant excludes common zeros over the closure
             # (test_macaulay_matches_bruteforce); the loop below would find none
@@ -631,7 +642,7 @@ def test_vanishing_minor_skips_full_determinant(monkeypatch):
 def test_smoothness_over_prime_field_decides():
     f101 = PrimeField(101)
     f = fermat(5, 3, f101)
-    assert is_smooth_hypersurface(f, []).status == SMOOTH_CERTIFIED
+    assert is_smooth_hypersurface(f).status == SMOOTH_CERTIFIED
 
 
 # --- Gram matrices ------------------------------------------------------

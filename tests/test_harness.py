@@ -3,16 +3,18 @@ and the CLI contract."""
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from taucubic.harness import (ConfigError, InstanceParseError, SuiteConfig,
+from taucubic.harness import (FIBER_POINTS_NEEDED, MIN_SAMPLING_PRIME, SAMPLING_SUITES,
+                              SUITE_NAMES, ConfigError, InstanceParseError, SuiteConfig,
                               decode_instance, emit_report, encode_instance, encode_scalar,
                               load_instance, mix_seed, run_suite)
-from taucubic.scalars import FpElem, PrimeField, QQ
+from taucubic.scalars import FpElem, PrimeField, QQ, is_prime
 from taucubic.tau import canonical_instance, sample_instance
 from fractions import Fraction
 
@@ -32,6 +34,43 @@ def test_config_rejects_bad_primes():
         SuiteConfig(suites=("genus",), primes=(3, 7))
     with pytest.raises(ConfigError):
         SuiteConfig(suites=("genus",), primes=(9,))
+
+
+@pytest.mark.parametrize("primes", [(5,), (7,), (13,), ()])
+def test_config_rejects_primes_too_small_to_sample(primes):
+    with pytest.raises(ConfigError, match=str(MIN_SAMPLING_PRIME)):
+        SuiteConfig(suites=("fiber-action",), primes=primes)
+    with pytest.raises(ConfigError):
+        SuiteConfig(suites=("all",), primes=primes)
+
+
+def test_sampling_prime_is_the_first_admitted_from_the_bound():
+    assert SuiteConfig(suites=("all",), primes=(17, 101)).big_prime() == 101
+    assert SuiteConfig(suites=("all",)).big_prime() == 101
+    assert SuiteConfig(suites=("all",), primes=(11, 73, 101)).big_prime() == 73
+
+
+def test_min_sampling_prime_from_the_hasse_bound():
+    # Hasse: a smooth plane cubic has >= p + 1 - 2 sqrt(p) points, six of them
+    # possibly on the conic; the least p leaving FIBER_POINTS_NEEDED off it
+    least = next(p for p in range(5, 200)
+                 if is_prime(p) and p + 1 - 2 * math.sqrt(p) - 6 >= FIBER_POINTS_NEEDED)
+    assert least == MIN_SAMPLING_PRIME
+
+
+def test_sampling_suites_pass_at_the_least_sampling_prime():
+    cfg = SuiteConfig(suites=("fiber-action", "koszul", "two-points"), primes=(73,))
+    report = run_suite(cfg)
+    assert report.summary()["failed"] == 0
+    assert {e.instance_id for e in report.entries} >= {"fp73-0", "fp73-sampling"}
+
+
+def test_other_suites_need_no_sampling_prime():
+    # the lines suite works at 11 and 13, the structural ones at no prime
+    others = tuple(s for s in SUITE_NAMES if s not in SAMPLING_SUITES)
+    assert set(others) == {"series", "base-locus", "lines", "genus", "split"}
+    report = run_suite(SuiteConfig(suites=others, primes=(11, 13)))
+    assert report.summary()["failed"] == 0
 
 
 def test_config_rejects_bad_samples():
@@ -305,6 +344,12 @@ def test_cli_config_error_exit_two():
 def test_cli_bad_prime_exit_two():
     proc = _run_cli("verify", "--suite", "genus", "--primes", "2,7")
     assert proc.returncode == 2
+
+
+def test_cli_no_sampling_prime_exit_two():
+    proc = _run_cli("verify", "--suite", "fiber-action", "--primes", "13")
+    assert proc.returncode == 2
+    assert str(MIN_SAMPLING_PRIME) in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_parse_error_exit_two(tmp_path):

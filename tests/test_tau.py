@@ -1,6 +1,7 @@
 """Involution geometry: invariant series, sampling gate, base locus, two-point
 cubics, eigen split, fixed points, and F_p surface points."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -10,7 +11,8 @@ import pytest
 from taucubic import linalg
 from taucubic.bruteforce import (coefficient_matrix, common_projective_zeros,
                                  projective_points_fp)
-from taucubic.forms import Form, compose_linear, evaluate, monomials
+from taucubic.forms import (Form, compose_linear, evaluate, macaulay_resultant, monomials,
+                            partial_derivative, reduce_form)
 from taucubic.harness import projective_key
 from taucubic.intersect import conic_rational_points, curve_rational_points
 from taucubic.roots import binary_quadratic_roots
@@ -86,6 +88,23 @@ def test_gate_rejects_only_a_common_component(monkeypatch):
         genericity_report(canonical_instance())
 
 
+def test_gate_certificate_is_the_resultant_mod_both_primes():
+    # over Q the gate certifies the cubic by the Macaulay resultant of its
+    # partials reduced mod 101 and mod 103: smooth exactly when both are nonzero
+    rng = random.Random(16)
+    verdicts = []
+    for _ in range(40):
+        inst = tau_mod._draw_instance(rng, 10, QQ)
+        rep = genericity_report(inst, random.Random(0))
+        others = [v for k, v in rep.items() if k not in ("cubic_hypersurface_smooth", "passed")]
+        partials = [partial_derivative(inst.cubic(), i) for i in range(5)]
+        want = all(others) and all(macaulay_resultant([reduce_form(f, p) for f in partials])
+                                   for p in (101, 103))
+        assert rep["cubic_hypersurface_smooth"] == want
+        verdicts.append(want)
+    assert 0 < sum(verdicts) < len(verdicts)   # both outcomes occur among the draws
+
+
 def test_sampler_deterministic():
     a = sample_instance(0, 5)
     b = sample_instance(0, 5)
@@ -97,8 +116,8 @@ def test_sampled_cubic_is_invariant():
     phi = inst.cubic()
     assert tau_form(phi) == phi
     assert compose_linear(compose_linear(phi, TAU_ROWS), TAU_ROWS) == phi
-    for k in range(len(inst.quadrics)):
-        F = inst.quadric(k)
+    for q in inst.quadrics:
+        F = dataclasses.replace(inst, quadrics=(q,)).quadric()
         assert tau_form(F) == F
         assert compose_linear(compose_linear(F, TAU_ROWS), TAU_ROWS) == F
 
@@ -119,7 +138,7 @@ def test_degenerate_draw_exhausts_gate(monkeypatch):
     degenerate = TauInstance(QQ, zero1, zero1, zero1, fermat3,
                              (QuadricPart(QQ.one, QQ.one, QQ.zero, f2),))
     monkeypatch.setattr(tau_mod, "_draw_instance",
-                        lambda rng, bound, domain, n_quadrics: degenerate)
+                        lambda rng, bound, domain: degenerate)
     with pytest.raises(GenericityExhausted):
         sample_instance(0, 5, retries=8)
 
@@ -127,7 +146,7 @@ def test_degenerate_draw_exhausts_gate(monkeypatch):
 def test_small_characteristic_rejected():
     with pytest.raises(ValueError, match="characteristic > 6"):
         sample_instance(0, 5, domain=PrimeField(5))
-    draw = tau_mod._draw_instance(random.Random(1), 4, PrimeField(5), 1)
+    draw = tau_mod._draw_instance(random.Random(1), 4, PrimeField(5))
     with pytest.raises(ValueError, match="characteristic > 6"):
         genericity_report(draw)
 
@@ -297,7 +316,7 @@ def test_surface_enumeration_is_complete(p):
     field = PrimeField(p)
     for seed in (1, 2):
         inst = sample_instance(seed, 10, domain=field)
-        F = inst.quadric(0)
+        F = inst.quadric()
         on_F = common_projective_zeros([F], p)
         K = embed_with_x01(inst.conic_part(), 0, 0)
         for G in (inst.cubic(), K):
@@ -325,7 +344,7 @@ def _plain_restriction(G, P):
 def _plain_walk(inst, rng, count):
     # the reference walk: one fixed-plane point at a time, restricted by scalar evaluate
     field = inst.domain
-    phi, F = inst.cubic(), inst.quadric(0)
+    phi, F = inst.cubic(), inst.quadric()
     order = list(range(field.p ** 2 + field.p + 1))
     rng.shuffle(order)
     out = []
