@@ -8,8 +8,7 @@ format: every serialized coefficient vector uses it.
 The elimination machinery (Sylvester resultants with polynomial entries,
 the Macaulay resultant, and the smoothness certificate over F_p built on it)
 lives here too, on the same dense forms: Form is the package's one
-polynomial type.  Smoothness over Q is certified by reducing mod primes
-(``reduce_form``) and certifying over each F_p.
+polynomial type.  The genericity gate certifies plane cubics over F_p with it.
 """
 
 from __future__ import annotations
@@ -480,8 +479,9 @@ def is_smooth_hypersurface(f: Form) -> SmoothnessVerdict:
     zero of the partials in ``projective_points_fp`` order, from the scan
     ``common_projective_zeros``; without one the verdict is Inconclusive.  A
     singular verdict always carries an exact witness where every partial
-    vanishes.  A rational form is certified by reducing it mod primes first
-    (``reduce_form``); any other domain raises TypeError.
+    vanishes.  Any other domain raises TypeError.  The genericity gate certifies
+    its plane cubic f3 over F_p with it; X itself needs no certificate there
+    (``tau.genericity_report``), and the tests use it as X's oracle.
     """
     if f.is_zero or f.degree < 1:
         raise ZeroForm("smoothness needs a nonzero form of positive degree")

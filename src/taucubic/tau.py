@@ -26,7 +26,7 @@ from .forms import (Form, SymMatrix3, evaluate, compose_linear, is_smooth_conic,
                     SMOOTH_CERTIFIED)
 from .intersect import (CommonComponent, PlaneIntersection, intersect_plane_curves)
 from .roots import binary_quadratic_roots
-from .scalars import BadPrime, PrimeField, QQ, point_field, reduce_mod_prime
+from .scalars import PrimeField, QQ, point_field, reduce_mod_prime
 
 
 class UnsupportedDegree(ValueError):
@@ -45,7 +45,6 @@ class NoSolution(ArithmeticError):
     """Two-point linear system contradicted the guaranteed dimension bound."""
 
 
-GATE_PRIMES = (101, 103)   # the gate certifies a rational cubic smooth mod both of these
 QUADRICS_DRAWN = 2         # a draw holds a pencil's two quadrics; the checks read the first
 
 
@@ -228,61 +227,62 @@ def _draw_instance(rng: random.Random, bound: int, domain) -> TauInstance:
 def genericity_report(instance: TauInstance, rng: random.Random | None = None) -> dict:
     """The concrete general-position conditions, each as a named boolean.
 
-    The last, ``cubic_hypersurface_smooth``, is the smoothness certificate
-    ``is_smooth_hypersurface`` of the assembled cubic, which runs over F_p:
-    over F_p in the field itself, over Q on the cubic reduced mod each prime of
-    ``GATE_PRIMES``, and it must be SmoothCertified at both.  A prime dividing
-    a denominator fails the key.  Over F_p the gate needs p > 6 (the
-    multiplicity analysis of degree-6 eliminants); smaller p raise ValueError.
+    ``cubic_smooth`` certifies f3: by ``is_smooth_hypersurface`` over F_p, by a
+    nonzero Macaulay resultant of its partials over Q.  The gate needs p > 6
+    (degree-6 eliminant multiplicities); smaller p raise ValueError.
+
+    ``cubic_hypersurface_smooth`` is the conjunction of the other keys, since
+    ``conic_rank3``, ``cubic_smooth`` and ``six_points_distinct`` imply that X
+    is smooth (characteristic > 3).  Write Phi = x^T M(y) x + f3(y), with
+    x = (x0, x1), y = (x2, x3, x4), M_j = d_j M and C = 4 det M.  At a singular
+    point, M(y) x = 0, f3(y) = 0 and x^T M_j x = -d_j f3(y) for each j.
+    * x = 0: y is a singular point of f3.
+    * y = 0: the quadratics x^T M_j x share the root x; taking x = (1, 0)
+      kills l00, so C = -l01^2 has rank <= 1.
+    * x, y != 0: y is on C and f3; M(y) = 0 would make y singular on C, so
+      M(y) has rank 1, kernel x and adj M(y) = lam x x^T, lam != 0.  Then
+      d_j det M(y) = lam x^T M_j x = -lam d_j f3(y): C and f3 are tangent at y.
+    A smooth cubic and a rank-3 conic are irreducible and meet in six points
+    with multiplicity, so six distinct points exclude all three cases.  Rank 3
+    is needed: a singular point of a rank-2 C on f3 makes the points collide
+    while X can stay smooth, and a rank-<=1 C allows singular points with y = 0.
     """
     if isinstance(instance.domain, PrimeField) and instance.domain.p < 7:
         raise ValueError("gated sampling needs characteristic > 6 "
                          "(degree-6 eliminant multiplicity analysis)")
     rng = rng or random.Random(0xA11CE)
     report = {}
+
+    def meets_f3_in_six(conic: Form) -> bool:
+        try:
+            return intersect_plane_curves(conic, instance.f3, rng).distinct
+        except CommonComponent:
+            return False
+
     conic = instance.conic_part()
     report["conic_rank3"] = is_smooth_conic(conic)
-    try:
-        res = macaulay_resultant([partial_derivative(instance.f3, i) for i in range(3)])
-        report["cubic_smooth"] = bool(res)
-    except ResultantIndeterminate:
-        report["cubic_smooth"] = False
-    if report["conic_rank3"] and report["cubic_smooth"]:
-        try:
-            report["six_points_distinct"] = intersect_plane_curves(conic, instance.f3, rng).distinct
-        except CommonComponent:
-            report["six_points_distinct"] = False
-    else:
-        report["six_points_distinct"] = False
+    report["cubic_smooth"] = _plane_cubic_smooth(instance.f3)
+    report["six_points_distinct"] = (report["conic_rank3"] and report["cubic_smooth"]
+                                     and meets_f3_in_six(conic))
     q = instance.quadrics[0]
     report["f2_rank3"] = is_smooth_conic(q.f2)
-    if report["f2_rank3"] and report["cubic_smooth"]:
-        try:
-            report["surface_plane_points_distinct"] = intersect_plane_curves(
-                q.f2, instance.f3, rng).distinct
-        except CommonComponent:
-            report["surface_plane_points_distinct"] = False
-    else:
-        report["surface_plane_points_distinct"] = False
+    report["surface_plane_points_distinct"] = (report["f2_rank3"] and report["cubic_smooth"]
+                                               and meets_f3_in_six(q.f2))
     disc = q.a01 * q.a01 - 4 * q.a00 * q.a11
     report["line_quadratic_separable"] = bool(disc)
-    report["cubic_hypersurface_smooth"] = all(report.values()) and _cubic_certified(instance)
-    report["passed"] = all(v for k, v in report.items() if k != "passed")
+    report["cubic_hypersurface_smooth"] = all(report.values())
+    report["passed"] = all(report.values())
     return report
 
 
-def _cubic_certified(instance: TauInstance) -> bool:
-    """Whether the assembled cubic is SmoothCertified over the instance's F_p,
-    or, over Q, mod every prime of ``GATE_PRIMES``."""
-    cubic = instance.cubic()
-    if isinstance(instance.domain, PrimeField):
-        reductions = [cubic]
-    else:
-        try:
-            reductions = [reduce_form(cubic, p) for p in GATE_PRIMES]
-        except BadPrime:
-            return False
-    return all(is_smooth_hypersurface(f).status == SMOOTH_CERTIFIED for f in reductions)
+def _plane_cubic_smooth(f3: Form) -> bool:
+    """Whether the plane cubic f3 is certified smooth over the closure of its field."""
+    if isinstance(f3.domain, PrimeField) and not f3.is_zero:  # a zero f3 gets resultant 0 below
+        return is_smooth_hypersurface(f3).status == SMOOTH_CERTIFIED
+    try:
+        return bool(macaulay_resultant([partial_derivative(f3, i) for i in range(3)]))
+    except ResultantIndeterminate:
+        return False
 
 
 def sample_instance(rng_seed: int, coefficient_bound: int, domain=QQ,

@@ -11,8 +11,9 @@ import pytest
 from taucubic import linalg
 from taucubic.bruteforce import (coefficient_matrix, common_projective_zeros,
                                  projective_points_fp)
-from taucubic.forms import (Form, compose_linear, evaluate, macaulay_resultant, monomials,
-                            partial_derivative, reduce_form)
+from taucubic.forms import (SINGULAR_CERTIFIED, SMOOTH_CERTIFIED, Form, ResultantIndeterminate,
+                            compose_linear, evaluate, is_smooth_hypersurface,
+                            macaulay_resultant, monomials, partial_derivative, reduce_form)
 from taucubic.harness import projective_key
 from taucubic.intersect import conic_rational_points, curve_rational_points
 from taucubic.roots import binary_quadratic_roots
@@ -76,7 +77,7 @@ def test_gate_propagates_programming_errors(monkeypatch):
         raise TypeError("bug inside the certificate")
     monkeypatch.setattr(tau_mod, "is_smooth_hypersurface", broken)
     with pytest.raises(TypeError, match="bug inside the certificate"):
-        genericity_report(canonical_instance())
+        genericity_report(canonical_instance(F101))
 
 
 def test_gate_rejects_only_a_common_component(monkeypatch):
@@ -88,21 +89,89 @@ def test_gate_rejects_only_a_common_component(monkeypatch):
         genericity_report(canonical_instance())
 
 
-def test_gate_certificate_is_the_resultant_mod_both_primes():
-    # over Q the gate certifies the cubic by the Macaulay resultant of its
-    # partials reduced mod 101 and mod 103: smooth exactly when both are nonzero
-    rng = random.Random(16)
+def test_gate_threefold_key_is_the_conjunction_of_the_others():
+    # X's smoothness follows from the conic, the plane cubic and their six
+    # distinct points, so the key is False exactly when another key is.  Over
+    # Q every draw passes; over F_11 both outcomes occur.
     verdicts = []
-    for _ in range(40):
-        inst = tau_mod._draw_instance(rng, 10, QQ)
-        rep = genericity_report(inst, random.Random(0))
-        others = [v for k, v in rep.items() if k not in ("cubic_hypersurface_smooth", "passed")]
-        partials = [partial_derivative(inst.cubic(), i) for i in range(5)]
-        want = all(others) and all(macaulay_resultant([reduce_form(f, p) for f in partials])
-                                   for p in (101, 103))
-        assert rep["cubic_hypersurface_smooth"] == want
-        verdicts.append(want)
+    for domain in (QQ, PrimeField(11)):
+        rng = random.Random(16)
+        for i in range(40):
+            inst = tau_mod._draw_instance(rng, 10, domain)
+            rep = genericity_report(inst, random.Random(0))
+            others = [v for k, v in rep.items()
+                      if k not in ("cubic_hypersurface_smooth", "passed")]
+            assert rep["cubic_hypersurface_smooth"] == all(others) == rep["passed"]
+            verdicts.append(rep["passed"])
+            if domain == QQ and i in (7, 11, 31):
+                # bad reduction mod 101 or 103 used to reject these; mod 107 X is smooth
+                assert rep["passed"]
+                verdict = is_smooth_hypersurface(reduce_form(inst.cubic(), 107))
+                assert verdict.status == SMOOTH_CERTIFIED
     assert 0 < sum(verdicts) < len(verdicts)   # both outcomes occur among the draws
+
+
+def _old_cubic_key(f3):
+    # the gate's former inline certificate of the plane cubic
+    try:
+        return bool(macaulay_resultant([partial_derivative(f3, i) for i in range(3)]))
+    except ResultantIndeterminate:
+        return False
+
+
+@pytest.mark.parametrize("p", [11, 13, 101])
+def test_gate_cubic_key_matches_the_inline_resultant(p):
+    rng = random.Random(p)
+    domain = PrimeField(p)
+    keys = []
+    for _ in range(40):
+        inst = tau_mod._draw_instance(rng, 10, domain)
+        key = genericity_report(inst, random.Random(0))["cubic_smooth"]
+        assert key == _old_cubic_key(inst.f3)
+        keys.append(key)
+    assert any(keys)
+
+
+def test_structural_verdict_agrees_with_the_certificate_of_X():
+    # the oracle is the Macaulay certificate of the assembled cubic over F_11,
+    # with its exhaustive scan of P^4(F_11) for a singular witness
+    p = 11
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(60):
+        inst = tau_mod._draw_instance(rng, 10, PrimeField(p))
+        smooth = genericity_report(inst, random.Random(0))["cubic_hypersurface_smooth"]
+        oracle = is_smooth_hypersurface(inst.cubic())
+        vanished = oracle.resultants == {p: 0}
+        if smooth:
+            assert oracle.status != SINGULAR_CERTIFIED and not vanished
+        if vanished:
+            assert not smooth
+        seen.add((smooth, oracle.status))
+    assert (True, SMOOTH_CERTIFIED) in seen and (False, SINGULAR_CERTIFIED) in seen
+
+
+def test_gate_rejects_a_conic_tangent_to_the_cubic():
+    # C = 4 x2 x3 - 4 x4^2 and f3 = x3^3 + x4^3 - x2^2 x3 are both smooth and
+    # share the tangent x3 = 0 at (1 : 0 : 0); (0 : 1 : 1 : 0 : 0) is singular on X
+    f11 = PrimeField(11)
+
+    def ternary(terms):
+        return Form.from_terms(3, sum(next(iter(terms))), {m: f11.coerce(c)
+                                                           for m, c in terms.items()}, f11)
+    inst = TauInstance(f11, ternary({(1, 0, 0): 1}), ternary({(0, 1, 0): 1}),
+                       ternary({(0, 0, 1): 2}),
+                       ternary({(0, 3, 0): 1, (0, 0, 3): 1, (2, 1, 0): -1}),
+                       canonical_instance(f11).quadrics)
+    rep = genericity_report(inst)
+    assert rep["conic_rank3"] and rep["cubic_smooth"]
+    assert not rep["six_points_distinct"] and not rep["passed"]
+    cubic = inst.cubic()
+    partials = [partial_derivative(cubic, i) for i in range(5)]
+    assert all(not evaluate(d, [f11.coerce(c) for c in (0, 1, 1, 0, 0)]) for d in partials)
+    verdict = is_smooth_hypersurface(cubic)
+    assert verdict.status == SINGULAR_CERTIFIED
+    assert all(not evaluate(d, verdict.witness) for d in partials)
 
 
 def test_sampler_deterministic():
