@@ -26,6 +26,13 @@ and two forms give the same line when they are proportional.  Over the cubic
 component (delta = 0) both lines pass through P = (0 : 0 : 1), so c2 = 0 and
 each line is kept; over the conic component they are s = +-m(x0, x1) and
 are swapped.
+
+The fiber over a point is evaluated, split and classified on the plain
+numbers of ``scalars``: residues mod p over F_p, Fractions over Q.  The
+family's nonzero terms are tabulated once per instance (``FiberFamily.terms``),
+and an element a + b sqrt(d) of the quadratic extension a line pair may need
+is the pair (a, b), so a line form is a pair (re, im) of plain vectors.  Field
+elements are built once, for the returned ``LinePair``.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .forms import (Form, SymMatrix3, compose_linear, evaluate, is_smooth_conic,
 from .intersect import (CommonComponent, PlaneIntersection, conic_rational_points,
                         curve_rational_points, intersect_plane_curves)
 from .roots import binary_quadratic_roots
-from .scalars import PrimeField
+from .scalars import BadPrime, PrimeField, QuadElem, quad_sqrt
 from .tau import FibreSystem, TauInstance, embed_with_x01, reduce_instance
 
 
@@ -101,9 +108,8 @@ def fiber_conic(instance: TauInstance, P) -> FiberConic:
     """The fiber conic over a point of the fixed plane, from the instance's family."""
     domain = instance.domain
     P = tuple(domain.coerce(c) for c in _plane_point(P))
-    fam = instance.family
-    return FiberConic(P, evaluate(fam.l00, P), evaluate(fam.l11, P), evaluate(fam.l01, P),
-                      evaluate(fam.f3, P), domain)
+    values = instance.family.values([domain.plain(c) for c in P])
+    return FiberConic(P, *map(domain.coerce, values), domain)
 
 
 @dataclass
@@ -129,29 +135,64 @@ def split_conic(fc: FiberConic) -> LinePair | None:
     over at most one quadratic extension, give the lines k x q.  Raises
     ZeroConic when all four coefficients vanish.
     """
-    if not any(fc.coefficients()):
+    split = _split([fc.domain.plain(c) for c in fc.coefficients()], fc.domain)
+    return None if split is None else _line_pair(split, fc.domain)
+
+
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _split(values, domain):
+    """``split_conic`` on the plain values (alpha, beta, gamma, delta): None, or
+    (lines, field, d) with one line for a double line and two otherwise.  A
+    line is a pair (re, im) of plain vectors, the form re + sqrt(d) im over
+    field = domain(sqrt(d)); over field = domain, im is zero and d is 0.
+
+    The Gram matrix is diag(A, delta), A its (x0, x1) block, so the vertex is
+    (0, 0, det A) on the cubic component and (ker A, 0) on the conic one, and
+    the binary quadratic has a cross term only on {s = 0}.  A root (r : 1) at
+    (x_u, x_v) gives the line k x q = r (k x e_u) + k x e_v."""
+    alpha, beta, gamma, delta = values
+    if not any(values):
         raise ZeroConic("fiber conic is identically zero")
-    gram = fc.gram
-    if gram.det():
+    reduce, inverse = domain.reduce, domain.inverse
+    g01 = reduce(gamma * inverse(2))
+    det_a = reduce(alpha * beta - g01 * g01)
+    if det_a and delta:
         return None
-    rows = gram.entries
-    crosses = (_cross(rows[i], rows[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
-    vertex = next((k for k in crosses if any(k)), None)
-    if vertex is None:
-        row = next(r for r in rows if any(r))
-        return LinePair(row, row, True, fc.domain)
+    # the first nonzero cross product of two Gram rows (rows 0 x 1, 0 x 2, 1 x 2)
+    if det_a:
+        vertex = (0, 0, det_a)
+    elif alpha or gamma:
+        vertex = (reduce(g01 * delta), reduce(-alpha * delta), 0)
+    else:
+        vertex = (reduce(beta * delta), 0, 0)
+    zero = (0, 0, 0)
+    if not any(vertex):
+        row = (alpha, g01, 0) if alpha or gamma else (0, beta, 0) if beta else (0, 0, delta)
+        return [(row, zero)], domain, 0
     m = next(i for i in range(3) if vertex[i])
     u, v = (i for i in range(3) if i != m)
-    roots, fld = binary_quadratic_roots(rows[u][u], rows[u][v] + rows[u][v], rows[v][v],
-                                        fc.domain)
-    k = tuple(fld.coerce(c) for c in vertex)
-    lines = []
-    for (a, b), _mult in roots:
-        q = [fld.zero] * 3
-        q[u], q[v] = a, b
-        lines.append(_cross(k, q))
-    plus, minus = lines
-    return LinePair(plus, minus, False, fld)
+    ku, kv = _cross(vertex, _UNIT[u]), _cross(vertex, _UNIT[v])
+    line = lambda x, y: tuple(reduce(x * p + y * q) for p, q in zip(ku, kv))
+    a, b, c = (alpha, beta, delta)[u], gamma if v == 1 else 0, (alpha, beta, delta)[v]
+    if not a:
+        return [(line(1, 0), zero), (line(-c * inverse(b), 1), zero)], domain, 0
+    s, field = quad_sqrt(b * b - 4 * a * c, domain)
+    s0, s1, d = ((domain.plain(s), 0, 0) if field is domain else
+                 (domain.plain(s.a), domain.plain(s.b), domain.plain(field.d)))
+    w = inverse(2 * a)
+    return [(line((s0 - b) * w, 1), line(s1 * w, 0)),
+            (line((-s0 - b) * w, 1), line(-s1 * w, 0))], field, d
+
+
+def _line_pair(split, domain) -> LinePair:
+    """The LinePair of field elements for a ``_split`` result."""
+    lines, field, _d = split
+    make = ((lambda a, _b: domain.coerce(a)) if field is domain else
+            (lambda a, b: QuadElem(a, b, field)))
+    forms = [tuple(map(make, *line)) for line in lines]
+    return LinePair(forms[0], forms[-1], len(forms) == 1, field)
 
 
 def _cross(a, b):
@@ -159,7 +200,17 @@ def _cross(a, b):
 
 
 def _tau_line(c):
-    return (-c[0], -c[1], c[2])
+    """The involution on a line form (re, im): (c0, c1, c2) -> (-c0, -c1, c2)."""
+    return tuple((-x, -y, z) for x, y, z in c)
+
+
+def _proportional(c, e, d, reduce) -> bool:
+    """Whether two line forms (re, im) over K(sqrt(d)) are proportional: every
+    2x2 minor vanishes, in both its parts."""
+    (cr, ci), (er, ei) = c, e
+    return not any(reduce(cr[i] * er[j] - cr[j] * er[i] + d * (ci[i] * ei[j] - ci[j] * ei[i]))
+                   or reduce(cr[i] * ei[j] - cr[j] * ei[i] + ci[i] * er[j] - ci[j] * er[i])
+                   for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
 @dataclass
@@ -175,18 +226,22 @@ def tau_fiber_action(instance: TauInstance, P) -> FiberAction:
 
     The verified dichotomy: fibers over the cubic component (delta = 0) keep
     each line; fibers over the conic component swap them; over component
-    crossings the pair degenerates to a double line.
+    crossings the pair degenerates to a double line.  The fiber is computed
+    on plain numbers; field elements are built only for the returned pair.
     """
-    fc = fiber_conic(instance, P)
-    on_cubic = not fc.delta
-    on_conic = not (4 * fc.alpha * fc.beta - fc.gamma * fc.gamma)
-    pair = split_conic(fc)
-    if pair is None:
+    domain = instance.domain
+    values = instance.family.values([domain.plain(domain.coerce(c)) for c in _plane_point(P)])
+    alpha, beta, gamma, delta = values
+    on_cubic = not delta
+    on_conic = not domain.reduce(4 * alpha * beta - gamma * gamma)
+    split = _split(values, domain)
+    if split is None:
         return FiberAction(SMOOTH_FIBER, on_conic, on_cubic, None)
+    pair = _line_pair(split, domain)
     if pair.double:
         return FiberAction(DOUBLE_LINE, on_conic, on_cubic, pair)
-    plus, minus = pair.as_set()
-    same = linalg.proportional
+    (plus, minus), _field, d = split
+    same = lambda c, e: _proportional(c, e, d, domain.reduce)
     if same(_tau_line(plus), plus) and same(_tau_line(minus), minus):
         return FiberAction(FIXES, on_conic, on_cubic, pair)
     if same(_tau_line(plus), minus) and same(_tau_line(minus), plus):
@@ -453,8 +508,12 @@ def _probe_cone_surface(instance, rng, probe_prime):
     A rational instance is probed mod probe_prime, an instance over F_p in its
     own field; when its conic part drops rank there, the reduced cone is
     singular over the conic's vertex and the probes are skipped with that
-    reason."""
-    work = reduce_instance(instance, probe_prime)
+    reason, as they are when a denominator of the instance is divisible by
+    probe_prime."""
+    try:
+        work = reduce_instance(instance, probe_prime)
+    except BadPrime as exc:
+        return 0, [], f"bad reduction: {exc}"
     fdom = work.domain
     conic = work.conic_part()
     if not is_smooth_conic(conic):

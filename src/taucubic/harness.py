@@ -24,7 +24,7 @@ from . import discriminant as disc
 from . import ledgers
 from . import quotient as quot
 from .forms import Form, evaluate, monomials
-from .scalars import FpElem, PrimeField, QQ, QuadElem, is_prime, quad_sqrt
+from .scalars import BadPrime, FpElem, PrimeField, QQ, QuadElem, is_prime, quad_sqrt
 from .tau import (QuadricPart, TauInstance, canonical_instance,
                   default_witness_points, fixed_points_on_S, invariant_basis,
                   invariant_coordinates, invariant_monomials, random_points_on_surface,
@@ -47,6 +47,11 @@ MIN_SAMPLING_PRIME = 73
 # The suites that sample or reduce over F_p at ``SuiteConfig.big_prime()``.
 SAMPLING_SUITES = frozenset({"two-points", "discriminant", "fiber-action", "cone", "koszul",
                              "fixed-points", "quotient"})
+
+
+# The check that stands for a whole entry when a loaded rational instance has
+# no reduction mod the entry's prime; aggregates leave such entries out.
+REDUCTION_CHECK = "reduces_mod_p"
 
 
 class InstanceParseError(ValueError):
@@ -347,8 +352,10 @@ def _sampled(config: SuiteConfig, loaded, suite: str, slots, body,
     Without a loaded instance the instance is sampled over the slot's domain
     from the sub-seed of ``tag``.  A loaded rational instance is reduced mod p
     for a prime-field slot; a loaded instance over F_p is checked as it is in
-    every slot.  The entry is named ``<field>-<index>`` after the field of the
-    instance checked; the rng is seeded from ``tag + rng_suffix``.
+    every slot; when a denominator of the loaded instance is divisible by p,
+    the entry is one inconclusive ``REDUCTION_CHECK`` naming it.  The entry is
+    named ``<field>-<index>`` after the field of the instance checked; the
+    rng is seeded from ``tag + rng_suffix``.
     """
     def checks(tag, domain):
         if loaded is None:
@@ -356,7 +363,10 @@ def _sampled(config: SuiteConfig, loaded, suite: str, slots, body,
         elif domain == loaded.domain:
             inst = loaded
         else:
-            inst = reduce_instance(loaded, domain.p)
+            try:
+                inst = reduce_instance(loaded, domain.p)
+            except BadPrime as exc:
+                return [_bad_reduction(domain.p, exc)]
         return body(inst, random.Random(mix_seed(config.seed, tag + rng_suffix)))
 
     entries = []
@@ -375,12 +385,22 @@ def _slots(config: SuiteConfig, suite: str, with_qq: bool = False) -> list:
             for i in range(config.samples)]
 
 
+def _bad_reduction(p: int, exc: BadPrime) -> CheckResult:
+    return _inconclusive(REDUCTION_CHECK, True, f"bad reduction: {exc}",
+                         f"the instance reduces mod {p}")
+
+
 def _with_fraction(suite: str, entries: list, name: str, target: str) -> list:
-    """Append the aggregate entry: at least 95% of the entries pass every check."""
+    """Append the aggregate entry: at least 95% of the entries pass every check.
+    Entries with no reduction mod their prime are not counted; with none
+    left, the aggregate is inconclusive."""
     def checks():
-        good = sum(all(c.status == "pass" for c in e.checks) for e in entries)
-        return [_check(name, ">= 0.95", round(good / len(entries), 4), target,
-                       ok=good >= 0.95 * len(entries))]
+        base = [e for e in entries if all(c.name != REDUCTION_CHECK for c in e.checks)]
+        if not base:
+            return [_inconclusive(name, ">= 0.95", "no entry reduces mod its prime", target)]
+        good = sum(all(c.status == "pass" for c in e.checks) for e in base)
+        return [_check(name, ">= 0.95", round(good / len(base), 4), target,
+                       ok=good >= 0.95 * len(base))]
 
     return entries + [_entry(suite, "aggregate", checks)]
 
@@ -683,14 +703,22 @@ def _suite_quotient(config: SuiteConfig, loaded):
     def body(inst, rng):
         abc = quot.quotient_equation(inst)
         sext = quot.branch_sextic(inst)
-        sqfree = quot.sextic_squarefree_probe(inst, p=p, rng=rng)
-        work = reduce_instance(inst, p)
-        ident_ok, member_ok, probed = _quotient_spot_checks(work, rng, SPOT_CHECKS)
-        return [
+        exact = [
             _check("bidegree", [2, 3], [len(abc) - 1] + sorted({f.degree for f in abc}),
                    "quotient equation is quadratic in (x0,x1) with cubic coefficients"),
             _check("branch_degree", 6, sext.degree,
                    "the branch discriminant is a plane sextic"),
+        ]
+        genus = CheckResult("branch_genus", "degree 6 verified", "genus not computed",
+                            "inconclusive",
+                            "geometric genus of the singular branch sextic is out of scope")
+        try:
+            work = reduce_instance(inst, p)
+        except BadPrime as exc:
+            return exact + [_bad_reduction(p, exc), genus]
+        sqfree = quot.sextic_squarefree_probe(work, p=p, rng=rng)
+        ident_ok, member_ok, probed = _quotient_spot_checks(work, rng, SPOT_CHECKS)
+        return exact + [
             CheckResult("branch_squarefree_probe", "squarefree (generic)", sqfree,
                         "pass" if sqfree else "inconclusive",
                         "line sections of the sextic probe squarefreeness over F_p"),
@@ -698,9 +726,7 @@ def _suite_quotient(config: SuiteConfig, loaded):
                    "cubic*f2 - quadric*f3 reproduces the quotient equation pointwise"),
             _check("fiber_membership_samples", probed, member_ok,
                    "quotient equation vanishes exactly on images of surface points"),
-            CheckResult("branch_genus", "degree 6 verified", "genus not computed",
-                        "inconclusive",
-                        "geometric genus of the singular branch sextic is out of scope"),
+            genus,
         ]
 
     return _sampled(config, loaded, "quotient", _slots(config, "quotient", with_qq=True), body)

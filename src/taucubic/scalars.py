@@ -6,6 +6,12 @@ classes that interoperate with ``int`` and ``Fraction`` through the usual
 operator protocol, so polynomial code never needs to know which domain it is
 working over.
 
+Code on a hot path may compute with plain numbers instead: a ``Fraction``
+over Q, an ``int`` over F_p.  ``plain`` takes an element to its plain number,
+``reduce`` brings a result of ``+``, ``-`` and ``*`` on plain numbers to the
+canonical one (the residue in [0, p) over F_p), ``inverse`` inverts a nonzero
+plain number, and ``coerce`` turns a plain number back into an element.
+
 Primes 2 and 3 are rejected everywhere: the conic formulas multiply by 4 and
 divide by 2, and cubics need characteristic != 3.  Extensions are degree <= 2
 over the working field; building an extension on top of an extension raises.
@@ -327,6 +333,14 @@ class RationalField:
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
+    def plain(self, x) -> Fraction:
+        return x
+
+    reduce = staticmethod(Fraction)
+
+    def inverse(self, x) -> Fraction:
+        return 1 / Fraction(x)
+
     def sqrt_or_none(self, x):
         """Exact square root if x is a square in Q, else None."""
         x = self.coerce(x)
@@ -376,6 +390,15 @@ class PrimeField:
         if isinstance(x, Fraction):
             return reduce_mod_prime(x, self.p)
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
+
+    def plain(self, x: FpElem) -> int:
+        return x.residue
+
+    def reduce(self, n: int) -> int:
+        return n % self.p
+
+    def inverse(self, n: int) -> int:
+        return pow(n, -1, self.p)
 
     def sqrt_or_none(self, x):
         x = self.coerce(x)

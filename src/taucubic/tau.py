@@ -141,6 +141,22 @@ class FiberFamily:
     l11: Form
     f3: Form
 
+    @cached_property
+    def terms(self) -> tuple:
+        """The nonzero terms (exponent, coefficient) of l00, l11, l01 and f3, the
+        coefficients as plain numbers of the domain (see ``scalars``)."""
+        plain = self.f3.domain.plain
+        return tuple(tuple((m, plain(c)) for m, c in zip(monomials(3, f.degree), f.coeffs) if c)
+                     for f in (self.l00, self.l11, self.l01, self.f3))
+
+    def values(self, P) -> tuple:
+        """(alpha, beta, gamma, delta), the values of l00, l11, l01 and f3 at the
+        fixed-plane point P, with P and the values as plain numbers."""
+        x, y, z = ((1, c, c * c, c * c * c) for c in P)
+        reduce = self.f3.domain.reduce
+        return tuple(reduce(sum(c * x[i] * y[j] * z[k] for (i, j, k), c in terms))
+                     for terms in self.terms)
+
     @classmethod
     def of_cubic(cls, phi: Form) -> "FiberFamily":
         """Split phi by its (x0, x1)-exponents; any monomial outside the four

@@ -1,8 +1,10 @@
 """Projection geometry: fiber conics, the quintic factorization, line splitting
 and the involution dichotomy, line counts, and the cone report."""
 
+import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from taucubic.discriminant import (DOUBLE_LINE, FIXES, SMOOTH_FIBER, SWAPS,
 from taucubic.forms import Form, SymMatrix3, compose_linear, evaluate, exact_divide
 from taucubic.harness import SuiteConfig, load_instance, projective_key, run_suite
 from taucubic.intersect import intersect_plane_curves
-from taucubic.scalars import PrimeField, QQ
+from taucubic.scalars import FpElem, PrimeField, QQ, QuadElem
 from taucubic.tau import TauInstance, canonical_instance, sample_instance
 
 F101 = PrimeField(101)
@@ -140,15 +142,37 @@ def test_split_zero_conic_raises():
         split_conic(_fc(0, 0, 0, 0))
 
 
+# split points of the canonical instance over Q: on the conic component
+# 4 x2 x3 = x4^2 and on the cubic component x2^3 + x3^3 + x4^3 = 0
+CANONICAL_SPLIT_POINTS = (qq(1, 0, 0), qq(0, 1, 0), qq(1, 1, 2), qq(1, 1, -2),
+                          qq(1, -1, 0), qq(1, 0, -1), qq(0, 1, -1))
+
+
+def _split_cases(seed, bound, rng_seed, count):
+    """Points of both components of a sampled instance over F_101, then the
+    canonical instance's split points over Q."""
+    inst = sample_instance(seed, bound, domain=F101)
+    rng = random.Random(rng_seed)
+    pts = points_on_conic_component(inst, rng, count) + points_on_cubic_component(inst, rng, count)
+    canonical = canonical_instance()
+    return [(inst, P) for P in pts] + [(canonical, P) for P in CANONICAL_SPLIT_POINTS]
+
+
+def _pair_by(route, inst, P):
+    """The fiber's line pair from split_conic, or from tau_fiber_action as the
+    fiber-action suite computes it."""
+    if route == "split_conic":
+        return split_conic(fiber_conic(inst, P))
+    return tau_fiber_action(inst, P).pair
+
+
 def test_line_pair_product_recovers_conic():
     # the two plane line forms multiply back to the fiber conic (up to scale)
-    rng = random.Random(31415)
-    inst = sample_instance(900, 10, domain=F101)
-    pts = (points_on_conic_component(inst, rng, 10)
-           + points_on_cubic_component(inst, rng, 10))
-    for P in pts:
+    for (inst, P), route in product(_split_cases(900, 10, 31415, 10),
+                                    ("split_conic", "tau_fiber_action")):
         fc = fiber_conic(inst, P)
-        pair = split_conic(fc)
+        pair = _pair_by(route, inst, P)
+        assert not pair.double
         fld = pair.domain
         l1, l2 = pair.plus, pair.minus
         prod = {(2, 0, 0): l1[0] * l2[0], (0, 2, 0): l1[1] * l2[1],
@@ -171,13 +195,11 @@ def test_line_pair_product_recovers_conic():
 
 
 def test_both_lines_lie_on_cubic():
-    inst = sample_instance(31, 9, domain=F101)
-    rng = random.Random(12)
-    phi = inst.cubic()
-    pts = points_on_conic_component(inst, rng, 4) + points_on_cubic_component(inst, rng, 4)
-    for pt in pts:
-        pair = split_conic(fiber_conic(inst, pt))
+    for (inst, pt), route in product(_split_cases(31, 9, 12, 4),
+                                     ("split_conic", "tau_fiber_action")):
+        pair = _pair_by(route, inst, pt)
         assert pair is not None
+        phi = inst.cubic()
         for c in pair.as_set():
             _assert_line_on_form(phi, c, pt, pair.domain)
 
@@ -235,30 +257,49 @@ def test_dichotomy_randomized():
             assert act.on_conic_component and act.action == SWAPS
 
 
-@pytest.mark.parametrize("p, seed", ((11, 601), (13, 600)))
-def test_dichotomy_on_every_plane_point(p, seed):
-    # every point of P^2(F_p): Fixes on the cubic only, Swaps on the conic
-    # only, DoubleLine on both, SmoothFiber on neither; the components are
-    # evaluated from the instance's parts.  Each sampled instance has a
-    # crossing point over F_p.
+def _dichotomy_on_every_plane_point(p, seed):
+    """Check every point of P^2(F_p) on the canonical instance and a sampled
+    one: Fixes on the cubic only, Swaps on the conic only, DoubleLine on both,
+    SmoothFiber on neither, the components evaluated from the instance's
+    parts.  Returns the actions seen and the (action, split over F_p) pairs
+    of the split fibers."""
     dom = PrimeField(p)
-    want = {(True, False): FIXES, (False, True): SWAPS,
-            (True, True): DOUBLE_LINE, (False, False): SMOOTH_FIBER}
     seen, split_fields = set(), set()
     for inst in (canonical_instance(dom), sample_instance(seed, 10, domain=dom)):
         conic = inst.conic_part()
         for pt in projective_points_fp(3, p):
             key = (not evaluate(inst.f3, pt), not evaluate(conic, pt))
             act = tau_fiber_action(inst, pt)
-            assert act.action == want[key], (pt, key)
+            assert act.action == DICHOTOMY[key], (pt, key)
             assert (act.on_cubic_component, act.on_conic_component) == key
             seen.add(act.action)
             if act.action in (FIXES, SWAPS):
                 split_fields.add((act.action, act.pair.domain == dom))
-    assert seen == set(want.values())
-    # each kind of split fiber splits over F_p at some point and needs
-    # F_p(sqrt D) at another
-    assert split_fields == {(a, over_fp) for a in (FIXES, SWAPS) for over_fp in (True, False)}
+    return seen, split_fields
+
+
+DICHOTOMY = {(True, False): FIXES, (False, True): SWAPS,
+             (True, True): DOUBLE_LINE, (False, False): SMOOTH_FIBER}
+# each kind of split fiber splits over F_p at some point and needs F_p(sqrt D)
+# at another
+SPLIT_FIELDS = {(a, over_fp) for a in (FIXES, SWAPS) for over_fp in (True, False)}
+
+
+@pytest.mark.parametrize("p, seed", ((11, 601), (13, 600)))
+def test_dichotomy_on_every_plane_point(p, seed):
+    # each sampled instance here has a crossing point over F_p
+    assert _dichotomy_on_every_plane_point(p, seed) == (set(DICHOTOMY.values()), SPLIT_FIELDS)
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("p", (7, 11, 13))
+def test_dichotomy_on_every_plane_point_sweep(p):
+    seen, split_fields = set(), set()
+    for seed in range(600, 610):
+        s, f = _dichotomy_on_every_plane_point(p, seed)
+        seen |= s
+        split_fields |= f
+    assert (seen, split_fields) == (set(DICHOTOMY.values()), SPLIT_FIELDS)
 
 
 def test_fiber_preserved_setwise():
@@ -267,6 +308,77 @@ def test_fiber_preserved_setwise():
     for pt in points_on_conic_component(inst, rng, 10):
         act = tau_fiber_action(inst, pt)
         assert act.action in (FIXES, SWAPS, DOUBLE_LINE)
+
+
+def _exact(x):
+    """A field element as residues or fractions: a + b sqrt(D) as the pair (a, b)."""
+    if isinstance(x, QuadElem):
+        return (_exact(x.a), _exact(x.b))
+    return x.residue if isinstance(x, FpElem) else str(x)
+
+
+def _action_digest(cases):
+    """sha256 of what tau_fiber_action returns at each (instance, point): the
+    action, both component flags, and the line pair's field, double flag and
+    exact forms."""
+    lines = []
+    for inst, pt in cases:
+        act = tau_fiber_action(inst, pt)
+        pair = act.pair
+        split = None if pair is None else (repr(pair.domain), pair.double,
+                                           [[_exact(c) for c in line] for line in pair.as_set()])
+        lines.append(repr((act.action, act.on_conic_component, act.on_cubic_component, split)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _pin_cases(case):
+    """The (instance, point) pairs of one pinned case."""
+    if case == "qq":
+        inst = canonical_instance()
+        grid = [qq(*c) for c in product(range(-2, 3), repeat=3) if any(c)]
+        return [(inst, pt) for pt in [qq(1, 0, 0), qq(1, -1, 0), qq(1, 1, 1)] + grid]
+    if case == "fp101":
+        rng = random.Random(18)
+        cases = []
+        for seed in (900, 205):
+            inst = sample_instance(seed, 10, domain=F101)
+            cases += [(inst, pt) for pt in points_on_cubic_component(inst, rng, 50)
+                      + points_on_conic_component(inst, rng, 50)]
+        return cases
+    p, which = case
+    dom = PrimeField(p)
+    inst = canonical_instance(dom) if which == "canonical" else sample_instance(600 + p, 10,
+                                                                                 domain=dom)
+    return [(inst, pt) for pt in projective_points_fp(3, p)]
+
+
+# Pins the action, the component flags, the line pair's field and its exact
+# line forms, in order, at every point of P^2(F_p) for p = 7, 11, 13 on the
+# canonical and one sampled instance, at 200 component points of two sampled
+# instances over F_101 and at small points of the canonical instance over Q.
+ACTION_DIGESTS = {
+    (7, "canonical"):
+        "ee223ceb867a420acb63888662cafd52f837e4963dd1f1842d5904f511ce68a4",
+    (7, "sampled"):
+        "49608f8d9ead99c1aa077774e27ddc790d4f9d36c0d565f622da49b14633dce4",
+    (11, "canonical"):
+        "e7fd1adcdfe8a874fda05ff46ed425fd3b9954dbf62158e053d33a9b783d0452",
+    (11, "sampled"):
+        "6db6754ebc53e88559c7e5cf06506ceb576ddb1a594dff471feee3893de8c4c1",
+    (13, "canonical"):
+        "fc5c6daf21ac46a396ba8a87b5c504f31c1a183b8838a3a3a58940491c8b2994",
+    (13, "sampled"):
+        "34df6212d67352279a79661bd20d68b4d8f2ba2e11ccb2e5eea37416ebb36c97",
+    "fp101":
+        "3011197f387b7c1e881e2a70e2ddd27b0d1ac52ac273b40cd69f42d555ae7bee",
+    "qq":
+        "e58d99395dfe89cb6deb880ae7a1878941d17320d168d50e1b230ea16a3ca500",
+}
+
+
+@pytest.mark.parametrize("case", list(ACTION_DIGESTS), ids=str)
+def test_fiber_action_outputs_pinned(case):
+    assert _action_digest(_pin_cases(case)) == ACTION_DIGESTS[case]
 
 
 # --- discriminant quintic -----------------------------------------------

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from taucubic.harness import (FIBER_POINTS_NEEDED, MIN_SAMPLING_PRIME, SAMPLING_SUITES,
-                              SUITE_NAMES, ConfigError, InstanceParseError, SuiteConfig,
+from taucubic.harness import (FIBER_POINTS_NEEDED, MIN_SAMPLING_PRIME, REDUCTION_CHECK,
+                              SAMPLING_SUITES, SUITE_NAMES, CheckResult, ConfigError,
+                              InstanceParseError, SuiteConfig, SuiteEntry, _with_fraction,
                               decode_instance, emit_report, encode_instance, encode_scalar,
                               load_instance, mix_seed, run_suite)
 from taucubic.scalars import FpElem, PrimeField, QQ, is_prime
@@ -286,6 +287,39 @@ def test_loaded_instance_used_by_suites(tmp_path):
         cfg = SuiteConfig(suites=suites, samples=2, seed=0, instance_path=str(path))
         report = run_suite(cfg)
         assert report.summary()["failed"] == 0, suites
+
+
+def test_bad_reduction_is_inconclusive_with_its_reason(tmp_path):
+    # 1/101 in f3: every entry that reduces mod 101 cannot be decided, and the
+    # aggregates count only the entries checked over Q
+    data = json.loads((Path(__file__).parent / "fixtures" / "canonical_instance.json").read_text())
+    data["f3"][1] = "1/101"
+    path = tmp_path / "bad101.json"
+    path.write_text(json.dumps(data))
+    report = run_suite(SuiteConfig(suites=("all",), samples=2, seed=0, instance_path=str(path)))
+    assert report.summary()["failed"] == 0
+    undecided = {(e.suite, e.instance_id): [c for c in e.checks if c.status == "inconclusive"]
+                 for e in report.entries}
+    bad = {key for key, checks in undecided.items()
+           if any("divisible by 101" in str(c.computed) for c in checks)}
+    assert bad == {("two-points", "fp101-0"), ("two-points", "fp101-1"),
+                   ("discriminant", "fp101-0"), ("discriminant", "fp101-1"),
+                   ("fiber-action", "fp101-0"), ("fiber-action", "fp101-1"),
+                   ("cone", "qq-0"), ("cone", "fp101-1"), ("koszul", "fp101-sampling"),
+                   ("fixed-points", "fp101-1"), ("quotient", "qq-0"), ("quotient", "fp101-1")}
+    for key, checks in undecided.items():
+        assert all(c.computed for c in checks), key
+    aggregates = {e.suite: e.checks[0] for e in report.entries if e.instance_id == "aggregate"}
+    assert {s: (c.status, c.computed) for s, c in aggregates.items()} == {
+        "discriminant": ("pass", 1.0), "fixed-points": ("pass", 1.0)}
+
+
+def test_aggregate_with_no_reducible_entry_is_inconclusive():
+    entries = [SuiteEntry("fixed-points", f"fp101-{i}",
+                          [CheckResult(REDUCTION_CHECK, True, "bad reduction", "inconclusive")])
+               for i in range(2)]
+    aggregate = _with_fraction("fixed-points", entries, "distinct_fraction", "")[-1]
+    assert [c.status for c in aggregate.checks] == ["inconclusive"]
 
 
 # the slots' own fields: Q (for some suites), F_103 and F_11 / F_13 (lines)

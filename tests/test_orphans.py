@@ -14,6 +14,8 @@ KEPT = {
     "exact_divide": "factorization oracle of criteria 2 and 13",
     "encode_instance": "writes the instance wire format the frozen fixtures use",
     "surface_points": "completeness reference for the fibre walk",
+    "fiber_conic": "the fiber conic as field elements, checked against the restricted cubic",
+    "split_conic": "the line pair of a FiberConic, checked against tau_fiber_action's pairs",
 }
 
 
