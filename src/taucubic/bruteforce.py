@@ -7,7 +7,8 @@ the forms' coefficients.  Over F_p the table is ``monomial_values`` and the
 product ``form_values``; the scan finds the smoothness certificate's singular
 witness and the brute-force line directions, the table fills the Koszul
 evaluation matrix, and ``form_values`` evaluates the fibre restrictions of
-the surface walk in ``tau``.  Over F_(p^2) and F_(p^3), used by the
+the surface walk in ``tau`` and every form of the quotient spot checks in
+``harness``.  Over F_(p^2) and F_(p^3), used by the
 cross-checks of the elimination machinery, an element is the int vector of
 its coefficients in a power basis and the table is built with the field's
 multiplication tensor (``_extension``).

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import random
 import time
 import traceback
@@ -20,11 +21,14 @@ from collections import Counter
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
+import numpy as np
+
 from . import discriminant as disc
 from . import ledgers
 from . import quotient as quot
+from .bruteforce import coefficient_matrix, form_values, monomial_values
 from .forms import Form, evaluate, monomials
-from .scalars import BadPrime, FpElem, PrimeField, QQ, QuadElem, is_prime, quad_sqrt
+from .scalars import BadPrime, FpElem, PrimeField, QQ, QuadElem, is_prime
 from .tau import (QuadricPart, TauInstance, canonical_instance,
                   default_witness_points, fixed_points_on_S, invariant_basis,
                   invariant_coordinates, invariant_monomials, random_points_on_surface,
@@ -320,9 +324,27 @@ def load_instance(path) -> TauInstance:
     return decode_instance(data)
 
 
+def _provenance() -> dict:
+    """What produced a report: the package version, the git commit of the
+    source tree (``"unknown"`` outside a git checkout), Python and numpy."""
+    import subprocess   # only a written report needs it: kept off every run's imports
+    from . import __version__
+    try:
+        sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=os.path.dirname(__file__),
+                             capture_output=True, text=True, timeout=10,
+                             check=True).stdout.strip() or "unknown"
+    except (OSError, subprocess.SubprocessError):
+        sha = "unknown"
+    return {"version": __version__, "git_sha": sha,
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
 def emit_report(report: VerificationReport, path) -> None:
+    """Write the report as JSON with its ``provenance``; the provenance is
+    not part of ``canonical_text``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, sort_keys=True, indent=2)
+        json.dump({**report.to_json(), "provenance": _provenance()}, fh, sort_keys=True,
+                  indent=2)
         fh.write("\n")
 
 
@@ -722,55 +744,103 @@ def _suite_quotient(config: SuiteConfig, loaded):
             CheckResult("branch_squarefree_probe", "squarefree (generic)", sqfree,
                         "pass" if sqfree else "inconclusive",
                         "line sections of the sextic probe squarefreeness over F_p"),
-            _check("pullback_identity_samples", probed, ident_ok,
-                   "cubic*f2 - quadric*f3 reproduces the quotient equation pointwise"),
-            _check("fiber_membership_samples", probed, member_ok,
-                   "quotient equation vanishes exactly on images of surface points"),
+            _spot_check("pullback_identity_samples", ident_ok, probed,
+                        "cubic*f2 - quadric*f3 reproduces the quotient equation pointwise"),
+            _spot_check("fiber_membership_samples", member_ok, probed,
+                        "quotient equation vanishes exactly on images of surface points"),
             genus,
         ]
 
     return _sampled(config, loaded, "quotient", _slots(config, "quotient", with_qq=True), body)
 
 
+def _spot_check(name: str, ok: int, probed: int, target: str) -> CheckResult:
+    """``ok`` of ``SPOT_CHECKS`` probes agree; inconclusive when fewer than
+    ``SPOT_CHECKS`` admissible probes were drawn and all of them agree."""
+    if probed < SPOT_CHECKS and ok == probed:
+        return _inconclusive(name, SPOT_CHECKS, f"{ok} of only {probed} admissible probes",
+                             target)
+    return _check(name, SPOT_CHECKS, ok, target)
+
+
 def _quotient_spot_checks(inst: TauInstance, rng: random.Random, count: int):
-    """Pointwise cross-checks of the quotient equation over F_p."""
+    """Pointwise cross-checks of the quotient equation A x0^2 + B x0 x1 + C x1^2
+    over F_p at the first ``count`` admissible random probes (x0, x1, P) of at
+    most 10 * count draws; returns (ident_ok, member_ok, probed).
+
+    A probe is admissible when P != 0, (x0, x1) != 0, f2(P) != 0 and
+    q(x0, x1) != 0, q the (x0, x1)-part of the quadric F.  The identity check
+    compares the quotient equation with Phi f2 - F f3 at (x0, x1, P).  The
+    membership check lifts the probe to (x0 : x1 : tP), t^2 = s =
+    -q(x0, x1)/f2(P), a point of F, and asks that it lie on the cubic Phi
+    exactly when the quotient equation vanishes.  Write G = sum_k G_k, G_k of
+    degree k in (x2, x3, x4), for G = Phi, F; then
+    G(x0, x1, tP) = E + t O with E = sum_(k even) s^(k/2) G_k(x0, x1, P) and
+    O = sum_(k odd) s^((k-1)/2) G_k(x0, x1, P), and where s is not a square
+    mod p, E + t O = 0 in F_p(t) means E = O = 0.  Every form is evaluated at
+    all probes in one ``bruteforce.form_values`` table.
+    """
     domain = inst.domain
     p = domain.p
-    phi, F = inst.cubic(), inst.quadric()
+    dtype = linalg.residue_dtype(p)
     q = inst.quadrics[0]
-    abc = quot.quotient_equation(inst)
-    ident_ok = member_ok = probed = 0
-    guard = 0
-    while probed < count and guard < count * 10:
-        guard += 1
-        x0 = domain.coerce(rng.randrange(p))
-        x1 = domain.coerce(rng.randrange(p))
-        P = tuple(domain.coerce(rng.randrange(p)) for _ in range(3))
-        if not any(P) or (not x0 and not x1):
-            continue
-        f2v = evaluate(q.f2, P)
-        quad_f = q.a00 * x0 * x0 + q.a01 * x0 * x1 + q.a11 * x1 * x1
-        if not f2v or not quad_f:
-            continue
-        probed += 1
-        a, b, c = (evaluate(f, P) for f in abc)
-        qval = a * x0 * x0 + b * x0 * x1 + c * x1 * x1
-        pt5 = (x0, x1) + P
-        direct = evaluate(phi, pt5) * f2v - evaluate(F, pt5) * evaluate(inst.f3, P)
-        if qval == direct:
-            ident_ok += 1
-        # membership: a lift (x0 : x1 : t*P) on the surface with t != 0 exists
-        # exactly when the quotient equation vanishes (given f2(P), quad_f != 0)
-        t_sq = -quad_f / f2v
-        if not t_sq:
-            member_ok += 1 if not qval else 0
-            continue
-        t, fld = quad_sqrt(t_sq, domain)
-        lifted = (fld.coerce(x0), fld.coerce(x1)) + tuple(fld.coerce(c0) * t for c0 in P)
-        on_surface = (not evaluate(phi, lifted)) and (not evaluate(F, lifted))
-        if on_surface == (not qval):
-            member_ok += 1
-    return ident_ok, member_ok, probed
+    q_coeffs = np.array([c.residue for c in (q.a00, q.a01, q.a11)], dtype=dtype)
+    f2 = coefficient_matrix([q.f2], p)
+
+    def probe_values(draws):
+        """(x0, x1), P, the monomials x0^2, x0 x1, x1^2, f2(P) and q(x0, x1)."""
+        x, P = draws[:, :2], draws[:, 2:]
+        mono = monomial_values(x, 2, p)
+        return x, P, mono, form_values(P, 2, f2, p)[:, 0], (mono * q_coeffs % p).sum(axis=1) % p
+
+    # The probes are drawn in chunks, so up to a chunk's worth of draws past the
+    # last accepted probe are taken from ``rng``; its caller reads nothing from
+    # ``rng`` afterwards, so that changes no output.
+    chunks, accepted, drawn = [], 0, 0
+    while accepted < count and drawn < 10 * count:
+        need = count - accepted
+        n = min(need + need // 4 + 1, 10 * count - drawn)
+        drawn += n
+        draws = np.array([[rng.randrange(p) for _ in range(5)] for _ in range(n)], dtype=dtype)
+        x, P, _, f2v, qv = probe_values(draws)
+        keep = np.flatnonzero((P != 0).any(axis=1) & (x != 0).any(axis=1)
+                              & (f2v != 0) & (qv != 0))[:need]
+        chunks.append(draws[keep])
+        accepted += len(keep)
+    if not accepted:
+        return 0, 0, 0
+    draws = np.concatenate(chunks)
+    x, P, mono, f2v, qv = probe_values(draws)
+
+    abcf = form_values(P, 3, coefficient_matrix([*quot.quotient_equation(inst), inst.f3], p), p)
+    qval = (abcf[:, :3] * mono % p).sum(axis=1) % p
+    phi = form_values(draws, 3, _plane_degree_columns(inst.cubic(), p), p)
+    F = form_values(draws, 2, _plane_degree_columns(inst.quadric(), p), p)
+    direct = (phi.sum(axis=1) % p * f2v % p - F.sum(axis=1) % p * abcf[:, 3] % p) % p
+    ident_ok = int((qval == direct).sum())
+
+    s = [-qf * pow(f, -1, p) % p for qf, f in zip(qv.tolist(), f2v.tolist())]
+    roots = [domain.sqrt_or_none(s_i) for s_i in s]
+    split = np.array([r is not None for r in roots])
+    t = np.array([0 if r is None else r.residue for r in roots], dtype=qv.dtype)
+    s = np.array(s, dtype=qv.dtype)
+    on_surface = np.ones(accepted, dtype=bool)
+    for parts in (phi, F):
+        # s^(k // 2) G_k, k <= 3
+        weighted = [parts[:, k] * (s if k >= 2 else 1) % p for k in range(parts.shape[1])]
+        E, O = sum(weighted[0::2]) % p, sum(weighted[1::2]) % p
+        on_surface &= np.where(split, (E + t * O % p) % p == 0, (E == 0) & (O == 0))
+    member_ok = int((on_surface == (qval == 0)).sum())
+    return ident_ok, member_ok, accepted
+
+
+def _plane_degree_columns(G: Form, p: int):
+    """The coefficient matrix (``bruteforce.coefficient_matrix``) of the parts
+    G_0, ..., G_d of the quinary form G, G_k the terms of degree k in
+    (x2, x3, x4): one column per k."""
+    full = coefficient_matrix([G], p)[:, 0]
+    k = np.array([sum(m[2:]) for m in monomials(5, G.degree)])
+    return np.stack([np.where(k == j, full, 0) for j in range(G.degree + 1)], axis=1)
 
 
 _SUITE_FUNCS = {

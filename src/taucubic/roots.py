@@ -208,9 +208,10 @@ def _equal_degree_split(g, k, p):
     factors all have degree k (1 or 2) into monic factors of degree <= 2.
 
     The random splitting polynomials come from a private fixed-seed generator,
-    so the factors found do not depend on any caller's random state.
+    so the factors found do not depend on any caller's random state; it is
+    built at the first split.
     """
-    rng = random.Random(0)
+    rng = None
     e = (p ** k - 1) // 2
     work, done = [g], []
     while work:
@@ -218,6 +219,7 @@ def _equal_degree_split(g, k, p):
         if degree(h) <= 2:
             done.append(h)
             continue
+        rng = rng or random.Random(0)
         while True:
             a = trim([rng.randrange(p) for _ in range(degree(h))])
             if degree(a) < 1:

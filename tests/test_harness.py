@@ -4,19 +4,26 @@ and the CLI contract."""
 import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import taucubic.harness as hz
+import taucubic.quotient as quot
+from taucubic.forms import Form, evaluate
 from taucubic.harness import (FIBER_POINTS_NEEDED, MIN_SAMPLING_PRIME, REDUCTION_CHECK,
-                              SAMPLING_SUITES, SUITE_NAMES, CheckResult, ConfigError,
-                              InstanceParseError, SuiteConfig, SuiteEntry, _with_fraction,
-                              decode_instance, emit_report, encode_instance, encode_scalar,
-                              load_instance, mix_seed, run_suite)
-from taucubic.scalars import FpElem, PrimeField, QQ, is_prime
-from taucubic.tau import canonical_instance, sample_instance
+                              SAMPLING_SUITES, SPOT_CHECKS, SUITE_NAMES, CheckResult,
+                              ConfigError, InstanceParseError, SuiteConfig, SuiteEntry,
+                              _quotient_spot_checks, _with_fraction, decode_instance,
+                              emit_report, encode_instance, encode_scalar, load_instance,
+                              mix_seed, run_suite)
+from taucubic.scalars import FpElem, PrimeField, QQ, is_prime, quad_sqrt
+from taucubic.tau import (QuadricPart, TauInstance, canonical_instance, reduce_instance,
+                          sample_instance)
 from fractions import Fraction
 
 
@@ -279,6 +286,22 @@ def test_emit_report_and_reload(tmp_path):
     assert all("target" in c for e in data["entries"] for c in e["checks"])
 
 
+def test_report_file_has_provenance_outside_canonical_text(tmp_path):
+    import numpy
+    import platform
+    from taucubic import __version__
+    report = run_suite(SuiteConfig(suites=("split",), samples=1, seed=0))
+    out = tmp_path / "report.json"
+    assert _run_cli("verify", "--suite", "split", "--out", str(out)).returncode == 0
+    prov = json.loads(out.read_text())["provenance"]
+    assert set(prov) == {"version", "git_sha", "python", "numpy"}
+    assert (prov["version"], prov["python"], prov["numpy"]) == (
+        __version__, platform.python_version(), numpy.__version__)
+    assert prov["git_sha"] == "unknown" or len(prov["git_sha"]) == 40
+    assert "provenance" not in report.canonical_text()
+    assert prov["git_sha"] not in report.canonical_text()
+
+
 def test_loaded_instance_used_by_suites(tmp_path):
     for p, suites in ((101, ("fixed-points", "quotient")), (11, ("lines",))):
         inst = sample_instance(3, 8, domain=PrimeField(p))
@@ -351,6 +374,138 @@ def test_instance_file_entries_named_by_checked_field(tmp_path, suite):
         ids = [e.instance_id for e in run_suite(cfg).entries
                if e.instance_id not in ("aggregate", "ledger")]
         assert ids == want, inst_path
+
+
+# --- quotient spot checks -----------------------------------------------
+
+
+def _pointwise_spot_checks(inst, rng, count):
+    """Reference oracle for ``_quotient_spot_checks``: one probe and one
+    ``evaluate`` call per form at a time, the lift (x0 : x1 : tP) taken in
+    F_p(sqrt(t^2)) by ``quad_sqrt`` when t^2 is not a square mod p."""
+    domain = inst.domain
+    p = domain.p
+    phi, F = inst.cubic(), inst.quadric()
+    q = inst.quadrics[0]
+    abc = quot.quotient_equation(inst)
+    ident_ok = member_ok = probed = guard = 0
+    while probed < count and guard < count * 10:
+        guard += 1
+        x0 = domain.coerce(rng.randrange(p))
+        x1 = domain.coerce(rng.randrange(p))
+        P = tuple(domain.coerce(rng.randrange(p)) for _ in range(3))
+        if not any(P) or (not x0 and not x1):
+            continue
+        f2v = evaluate(q.f2, P)
+        quad_f = q.a00 * x0 * x0 + q.a01 * x0 * x1 + q.a11 * x1 * x1
+        if not f2v or not quad_f:
+            continue
+        probed += 1
+        a, b, c = (evaluate(f, P) for f in abc)
+        qval = a * x0 * x0 + b * x0 * x1 + c * x1 * x1
+        pt5 = (x0, x1) + P
+        direct = evaluate(phi, pt5) * f2v - evaluate(F, pt5) * evaluate(inst.f3, P)
+        ident_ok += qval == direct
+        t, fld = quad_sqrt(-quad_f / f2v, domain)
+        lifted = (fld.coerce(x0), fld.coerce(x1)) + tuple(fld.coerce(c0) * t for c0 in P)
+        on_surface = (not evaluate(phi, lifted)) and (not evaluate(F, lifted))
+        member_ok += on_surface == (not qval)
+    return ident_ok, member_ok, probed
+
+
+_QUOTIENT_EQUATION = quot.quotient_equation
+
+
+def _bent_quotient_equation(inst):
+    """The quotient equation with x2^3 added to A: wrong at most probes."""
+    a, b, c = _QUOTIENT_EQUATION(inst)
+    return a + Form.from_terms(3, 3, {(3, 0, 0): 1}, inst.domain), b, c
+
+
+_BIG_PRIME = 4294967311   # > 2^32: residues are Python ints (dtype=object)
+
+
+def _spot_check_instances():
+    for p in (11, 13, 101, 1009):
+        for s in range(2):
+            yield p, s, sample_instance(s, 10, domain=PrimeField(p))
+    for s in range(2):
+        yield _BIG_PRIME, s, reduce_instance(sample_instance(s, 10), _BIG_PRIME)
+
+
+# (p, seed): (ident, member, probed) of the instance and of the bent quotient
+# equation, both with rng Random(seed) and 50 probes
+SPOT_CHECK_PINS = {
+    (11, 0): ((50, 50, 50), (6, 44, 50)),
+    (11, 1): ((50, 50, 50), (7, 44, 50)),
+    (13, 0): ((50, 50, 50), (7, 40, 50)),
+    (13, 1): ((50, 50, 50), (9, 43, 50)),
+    (101, 0): ((50, 50, 50), (0, 49, 50)),
+    (101, 1): ((50, 50, 50), (1, 48, 50)),
+    (1009, 0): ((50, 50, 50), (0, 50, 50)),
+    (1009, 1): ((50, 50, 50), (0, 50, 50)),
+    (_BIG_PRIME, 0): ((50, 50, 50), (0, 50, 50)),
+    (_BIG_PRIME, 1): ((50, 50, 50), (0, 50, 50)),
+}
+
+
+def test_quotient_spot_checks_pinned(monkeypatch):
+    got = {}
+    for p, s, inst in _spot_check_instances():
+        true = _quotient_spot_checks(inst, random.Random(s), SPOT_CHECKS)
+        with monkeypatch.context() as m:
+            m.setattr(quot, "quotient_equation", _bent_quotient_equation)
+            bent = _quotient_spot_checks(inst, random.Random(s), SPOT_CHECKS)
+        got[p, s] = (true, bent)
+    assert got == SPOT_CHECK_PINS
+
+
+def test_quotient_spot_checks_stop_after_ten_draws_per_probe():
+    # with q(x0, x1) = 0 no draw is admissible
+    inst = sample_instance(0, 10, domain=PrimeField(13))
+    zero = PrimeField(13).zero
+    flat = replace(inst, quadrics=(QuadricPart(zero, zero, zero, inst.quadrics[0].f2),))
+    assert _quotient_spot_checks(flat, random.Random(0), SPOT_CHECKS) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_quotient_spot_checks_match_the_pointwise_oracle(monkeypatch, p):
+    # at small p a draw is often rejected and t^2 is a non-square about half the time
+    for s in range(15):
+        inst = sample_instance(100 + s, 10, domain=PrimeField(p))
+        for count in (SPOT_CHECKS, 7):
+            want = _pointwise_spot_checks(inst, random.Random(s), count)
+            assert _quotient_spot_checks(inst, random.Random(s), count) == want, (s, count)
+        with monkeypatch.context() as m:
+            m.setattr(quot, "quotient_equation", _bent_quotient_equation)
+            want = _pointwise_spot_checks(inst, random.Random(s), SPOT_CHECKS)
+            assert _quotient_spot_checks(inst, random.Random(s), SPOT_CHECKS) == want, s
+
+
+def test_quotient_spot_checks_catch_a_wrong_equation_or_quadric(monkeypatch):
+    inst = sample_instance(0, 10, domain=PrimeField(11))
+    with monkeypatch.context() as m:
+        m.setattr(quot, "quotient_equation", _bent_quotient_equation)
+        ident, member, probed = _quotient_spot_checks(inst, random.Random(0), SPOT_CHECKS)
+    assert ident < probed and member < probed
+    # another invariant quadric in place of the surface's
+    quadric = TauInstance.quadric
+    x2_sq = Form.from_terms(5, 2, {(0, 0, 2, 0, 0): 1}, inst.domain)
+    monkeypatch.setattr(TauInstance, "quadric", lambda self: quadric(self) + x2_sq)
+    ident, member, probed = _quotient_spot_checks(inst, random.Random(0), SPOT_CHECKS)
+    assert ident < probed and member < probed
+
+
+def test_too_few_spot_check_probes_are_inconclusive(monkeypatch):
+    monkeypatch.setattr(hz, "_quotient_spot_checks", lambda inst, rng, count: (3, 3, 3))
+    report = run_suite(SuiteConfig(suites=("quotient",), samples=2, seed=0))
+    spot = [c for e in report.entries for c in e.checks
+            if c.name in ("pullback_identity_samples", "fiber_membership_samples")]
+    assert len(spot) == 4
+    for c in spot:
+        assert (c.status, c.expected) == ("inconclusive", SPOT_CHECKS)
+        assert "3 of only 3 admissible probes" in c.computed
+    assert report.summary()["failed"] == 0
 
 
 # --- CLI ----------------------------------------------------------------
