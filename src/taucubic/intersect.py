@@ -21,8 +21,7 @@ from functools import cached_property
 
 from . import roots as uv
 from .bruteforce import projective_points_fp
-from .forms import (Form, compose_linear, evaluate, jacobian_rank, monomials,
-                    partial_derivative, sylvester_resultant)
+from .forms import Form, compose_linear, evaluate, monomials, sylvester_resultant
 from .roots import BinaryRootLedger, RootEntry, binary_form_roots
 from .scalars import point_field
 
@@ -39,7 +38,6 @@ class PlanePoint:
     mult: int
     field_label: str
     domain: object
-    transversal: bool | None = None
 
 
 @dataclass
@@ -74,7 +72,6 @@ class PlaneIntersection:
     def points(self) -> list[PlanePoint]:
         f, g, domain = self.f, self.g, self.f.domain
         a, b = self.shear
-        grads = [[partial_derivative(h, i) for i in range(3)] for h in (f, g)]
         out = []
         for entry in self.ledger.entries:
             if entry.point is None:
@@ -84,8 +81,7 @@ class PlaneIntersection:
                 coords = (x2, x3 + pdom.coerce(a) * x2, x4 + pdom.coerce(b) * x2)
                 if evaluate(f, coords) or evaluate(g, coords):
                     raise ArithmeticError("lifted intersection point fails to lie on both curves")
-                out.append(PlanePoint(coords, entry.mult, entry.field_label, pdom,
-                                      jacobian_rank(grads, coords, pdom) == 2))
+                out.append(PlanePoint(coords, entry.mult, entry.field_label, pdom))
         return out
 
 

@@ -10,16 +10,18 @@ from pathlib import Path
 import pytest
 
 from taucubic.bruteforce import projective_points_fp
+from taucubic import discriminant
 from taucubic.discriminant import (DOUBLE_LINE, FIXES, SMOOTH_FIBER, SWAPS,
                                    DegenerateConicPart, FiberConic, InfinitelyMany,
-                                   ZeroConic, cone_and_singular_member,
-                                   directional_expansion, discriminant_quintic,
+                                   ZeroConic, _condition_forms, cone_and_singular_member,
+                                   discriminant_quintic,
                                    fiber_conic, lines_through_point_brute,
                                    lines_through_point_of_ltau,
                                    points_on_conic_component,
                                    points_on_cubic_component, split_conic,
                                    tau_fiber_action)
-from taucubic.forms import Form, SymMatrix3, compose_linear, evaluate, exact_divide
+from taucubic.forms import (Form, SymMatrix3, compose_linear, evaluate, exact_divide,
+                            monomials)
 from taucubic.harness import SuiteConfig, load_instance, projective_key, run_suite
 from taucubic.intersect import intersect_plane_curves
 from taucubic.scalars import FpElem, PrimeField, QQ, QuadElem
@@ -81,19 +83,40 @@ def test_gram_determinant_relation():
     assert det == expected
 
 
-def test_directional_expansion_matches_direct_evaluation():
-    inst = sample_instance(22, 6)
-    phi = inst.cubic()
-    T = qq(1, 2, 0, 0, 0)
-    expansion = directional_expansion(phi, T)
+def _directional_expansion(f: Form, T):
+    """Coefficient forms of u^k in f(T + u*Q), as forms in the direction Q: by
+    homogeneity, the coefficients of s^(d-k) in f(s*T + Q), d = deg f.  The
+    generic expansion by ``compose_linear``, kept as the oracle of the closed
+    form in ``_condition_forms``."""
+    one = f.domain.one
+    rows = [[t] + [one if j == i else 0 for j in range(f.num_vars)] for i, t in enumerate(T)]
+    expanded = compose_linear(f, rows)
+    buckets: dict = {}
+    for e, c in zip(monomials(f.num_vars + 1, f.degree), expanded.coeffs):
+        if c:
+            buckets.setdefault(f.degree - e[0], {})[e[1:]] = c
+    return {k: Form.from_terms(f.num_vars, k, terms, f.domain) for k, terms in buckets.items()}
+
+
+@pytest.mark.parametrize("domain", [QQ, F11, F13], ids=str)
+def test_condition_forms_match_the_directional_expansion(domain):
+    # T = (1 : 0), T = (0 : 1) (the elimination drops x1 there) and general T
     rng = random.Random(9)
-    for _ in range(5):
-        Q = qq(*[rng.randint(-4, 4) for _ in range(5)])
-        for u in (Fraction(1), Fraction(2), Fraction(-3)):
-            shifted = tuple(t + u * q for t, q in zip(T, Q))
-            direct = evaluate(phi, shifted)
-            series = sum(u ** k * evaluate(g, Q) for k, g in expansion.items())
-            assert direct == series
+    for seed in range(4):
+        inst = sample_instance(seed, 10, domain=domain)
+        phi = inst.cubic()
+        for t in ((1, 0), (0, 1), (1, 3), (2, 5), (7, 1)):
+            T, *forms = _condition_forms(inst, tuple(map(domain.coerce, t)))
+            expansion = _directional_expansion(phi, T)
+            assert 0 not in expansion  # T lies on the cubic
+            assert forms == [expansion.get(k, Form.zero_form(5, k, domain)) for k in (1, 2, 3)]
+            for _ in range(3):
+                Q = tuple(domain.coerce(rng.randint(-4, 4)) for _ in range(5))
+                for u in map(domain.coerce, (1, 2, -3)):
+                    shifted = tuple(a + u * q for a, q in zip(T, Q))
+                    series = sum((u ** k * evaluate(g, Q) for k, g in enumerate(forms, 1)),
+                                 start=domain.zero)
+                    assert evaluate(phi, shifted) == series
 
 
 # --- splitting ----------------------------------------------------------
@@ -394,6 +417,19 @@ def test_discriminant_canonical():
     assert dd.transversal
 
 
+def test_discriminant_transversal_reads_the_jacobian_over_fp(monkeypatch):
+    # over F_101 the crossing points lift (two over F_101(sqrt 2)), so the
+    # Jacobian check sees them; over Q none lift and only Bezout is left
+    inst = sample_instance(1, 10, domain=F101)
+    dd = discriminant_quintic(inst)
+    points = dd.intersection.points
+    assert len(points) == 3 and {pp.field_label for pp in points} == {"F101", "F101(sqrt 2)"}
+    assert dd.intersection.distinct and dd.transversal
+    monkeypatch.setattr(discriminant, "jacobian_rank", lambda *args: 1)
+    assert not discriminant_quintic(inst).transversal
+    assert discriminant_quintic(canonical_instance()).transversal
+
+
 def test_discriminant_factorization_random():
     for seed, domain in ((301, QQ), (302, F101)):
         inst = sample_instance(seed, 10, domain=domain)
@@ -477,6 +513,45 @@ def test_lines_fixed_line_always_solution():
     rep = lines_through_point_of_ltau(inst, (F11.one, F11.coerce(4)))
     fixed_dirs = [d for d, _m, _l in rep.rational_directions if not any(d[2:])]
     assert len(fixed_dirs) == 1
+
+
+def _direction_key(q):
+    """A line direction scaled so its first nonzero coordinate is 1, as exact parts."""
+    inv = 1 / next(c for c in q if c)
+    return tuple(_exact(c * inv) for c in q)
+
+
+def _line_digest(p):
+    """sha256 of the line outputs at every point (1 : t) and (0 : 1) of the fixed
+    line over F_p, for the instances of seeds 0-4: the total multiplicity, the
+    sorted (direction, multiplicity, field label) triples, whether the fixed
+    line is among them, and the brute-force directions."""
+    dom = PrimeField(p)
+    lines = []
+    for seed in range(5):
+        inst = sample_instance(seed, 10, domain=dom)
+        for T in [(dom.one, dom.coerce(t)) for t in range(p)] + [(dom.zero, dom.one)]:
+            brute = sorted(_direction_key(d) for d in lines_through_point_brute(inst, T))
+            try:
+                rep = lines_through_point_of_ltau(inst, T, random.Random(seed))
+            except InfinitelyMany:
+                lines.append(repr(("InfinitelyMany", brute)))
+                continue
+            found = sorted(((_direction_key(d), m, label)
+                            for d, m, label in rep.rational_directions), key=repr)
+            lines.append(repr((rep.total_multiplicity, found, rep.contains_fixed_line, brute)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+LINE_DIGESTS = {
+    11: "aca27b25de75f3273d0126ac6f4b5fe9d8b88d1ad14e689dec00cf2808b90a2a",
+    13: "3f6b73c39617b80511f821543e2e76ce3492df1d379558cea36ba4348667d023",
+}
+
+
+@pytest.mark.parametrize("p", list(LINE_DIGESTS))
+def test_line_outputs_pinned(p):
+    assert _line_digest(p) == LINE_DIGESTS[p]
 
 
 # --- cone geometry ------------------------------------------------------

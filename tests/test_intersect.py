@@ -8,7 +8,7 @@ from taucubic import intersect
 from taucubic.forms import Form, evaluate
 from taucubic.intersect import CommonComponent, intersect_plane_curves
 from taucubic.scalars import QQ, PrimeField
-from taucubic.tau import canonical_instance
+from taucubic.tau import canonical_instance, sample_instance
 
 
 def _form(deg, terms, domain=QQ):
@@ -32,16 +32,19 @@ def test_points_reuse_the_verdict_shear(monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
     monkeypatch.setattr(intersect, "sylvester_resultant", counted)
-    inst = canonical_instance()
+    # over F_101 three of the six crossing points have coordinates over the
+    # field or F_101(sqrt 2), so they are lifted
+    inst = sample_instance(1, 10, domain=PrimeField(101))
     conic, cubic = inst.conic_part(), inst.f3
     inter = intersect_plane_curves(conic, cubic, random.Random(2))
     assert inter.distinct
     verdict_calls = len(calls)
     assert verdict_calls >= 1
     assert inter.total_multiplicity == 6
+    assert len(inter.points) == 3
     for pp in inter.points:
         assert not evaluate(conic, pp.coords) and not evaluate(cubic, pp.coords)
-        assert pp.mult == 1 and pp.transversal
+        assert pp.mult == 1
     assert len(calls) == verdict_calls
 
 
