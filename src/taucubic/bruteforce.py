@@ -11,7 +11,8 @@ the surface walk in ``tau`` and every form of the quotient spot checks in
 ``harness``.  Over F_(p^2) and F_(p^3), used by the
 cross-checks of the elimination machinery, an element is the int vector of
 its coefficients in a power basis and the table is built with the field's
-multiplication tensor (``_extension``).
+multiplication tensor (``_extension``).  The random samplers draw fixed-plane
+points and curve slices in ``random_order``, only as many as they use.
 """
 
 from __future__ import annotations
@@ -33,6 +34,20 @@ def projective_points_fp(nvars: int, p: int):
         zeros = [field.zero] * lead
         for tail in itertools.product(range(p), repeat=nvars - lead - 1):
             yield tuple(zeros + [one] + [FpElem(t, p) for t in tail])
+
+
+def random_order(rng, n: int):
+    """range(n) in a uniformly random order drawn from ``rng`` as it is
+    consumed: a sparse Fisher-Yates shuffle, which swaps entry
+    j = rng.randrange(i, n) into place i and keeps only the moved entries in a
+    dict, so that k draws cost O(k) time and memory whatever n is.  A
+    generator; it ends after n draws."""
+    moved = {}
+    for i in range(n):
+        j = rng.randrange(i, n)
+        drawn = moved.get(j, j)
+        moved[j] = moved.pop(i, i)
+        yield drawn
 
 
 def projective_point_slices(nvars: int, p: int):

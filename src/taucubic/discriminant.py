@@ -293,7 +293,7 @@ def discriminant_quintic(instance: TauInstance,
 
 
 # ---------------------------------------------------------------------------
-# F_p points on the discriminant components, from the plane-curve enumerator
+# F_p points on the discriminant components, from the plane-curve sampler
 
 
 def points_on_conic_component(instance: TauInstance, rng: random.Random, count: int):

@@ -9,8 +9,9 @@ the root ledger, its multiplicity total and the coordinates of Galois orbits of
 degree <= 2 over the working field are computed from the kept shear on first
 access.
 
-Over F_p the rational points of a single plane curve are enumerated exactly,
-slice by slice, rather than searched for.
+Over F_p the rational points of a single plane curve are drawn a slice at a
+time: the lines through (1 : 0 : 0) come in a random order drawn from the
+caller's rng, and each drawn line gives every root of its x2-slice.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import roots as uv
-from .bruteforce import projective_points_fp
+from .bruteforce import coefficient_matrix, form_values, random_order
 from .forms import Form, compose_linear, evaluate, monomials, sylvester_resultant
 from .roots import BinaryRootLedger, RootEntry, binary_form_roots
 from .scalars import point_field
@@ -165,36 +166,52 @@ def _lift_root(fs: Form, gs: Form, entry: RootEntry, domain):
 
 
 # ---------------------------------------------------------------------------
-# rational points of plane curves over F_p, by enumeration
+# rational points of plane curves over F_p, drawn a slice at a time
+
+
+def _slice_residues(f: Form, x3: int, x4: int, p: int):
+    """Residue list (ascending, trimmed) of t -> f(t, x3, x4) mod p."""
+    cs = [0] * (f.degree + 1)
+    for (e2, e3, e4), c in zip(monomials(3, f.degree), f.coeffs):
+        cs[e2] += c.residue * x3 ** e3 * x4 ** e4
+    return uv.trim([c % p for c in cs])
 
 
 def _plane_curve_points(f: Form, rng: random.Random, count: int):
-    """The first ``count`` points of a seeded shuffle of every F_p point of the
-    plane curve f = 0.  The list is complete: (1 : 0 : 0), then the roots of
-    the x2-slice over each (x3 : x4) in P^1(F_p)."""
-    domain = f.domain
-    p = domain.p
-    one, zero = domain.one, domain.zero
-    out = [] if evaluate(f, (one, zero, zero)) else [(one, zero, zero)]
-    for x3, x4 in projective_points_fp(2, p):
-        cs = _slice_in_x2(f, x3, x4, domain)
+    """Up to ``count`` F_p points of the plane curve f = 0, all of them when it
+    has no more.  The slices of P^2 are drawn in ``random_order``: index
+    k <= p is the line (t : x3 : x4) over the k-th point (x3 : x4) of
+    P^1(F_p), index p + 1 the point (1 : 0 : 0).  A drawn line gives the roots
+    t of its x2-slice in ascending order, or every t when it is a component of
+    the curve.  The points are checked on f in one ``form_values`` product."""
+    p = f.domain.p
+    out = []
+    for k in random_order(rng, p + 2):
+        if len(out) >= count:
+            break
+        if k == p + 1:
+            out += [] if f.coefficient((f.degree, 0, 0)) else [(1, 0, 0)]
+            continue
+        x3, x4 = (1, k) if k < p else (0, 1)
+        cs = _slice_residues(f, x3, x4, p)
         if cs:
-            xs = [t for t, _mult in uv.fp_rational_roots(cs, p)[0]]
+            xs = [t.residue for t, _mult in uv.fp_rational_roots(cs, p)[0]]
         else:  # the line through (1 : 0 : 0) and (0 : x3 : x4) is a component
-            xs = [domain.coerce(t) for t in range(p)]
-        out.extend((x2, x3, x4) for x2 in xs)
-    for pt in out:
-        if evaluate(f, pt):
-            raise ArithmeticError("enumerated point is off its curve")
-    rng.shuffle(out)
-    return out[:count]
+            xs = range(min(p, count - len(out)))
+        out += [(x2, x3, x4) for x2 in xs]
+    del out[count:]
+    if out and form_values(out, f.degree, coefficient_matrix([f], p), p).any():
+        raise ArithmeticError("drawn point is off its curve")
+    return [tuple(map(f.domain.coerce, pt)) for pt in out]
 
 
 def conic_rational_points(conic: Form, rng: random.Random, count: int):
-    """The first ``count`` points of a seeded shuffle of all F_p points of a conic."""
+    """Up to ``count`` F_p points of a conic, drawn a line through (1 : 0 : 0)
+    at a time in a random order (``_plane_curve_points``)."""
     return _plane_curve_points(conic, rng, count)
 
 
 def curve_rational_points(f: Form, rng: random.Random, count: int):
-    """The first ``count`` points of a seeded shuffle of all F_p points of a plane curve."""
+    """Up to ``count`` F_p points of a plane curve, drawn a line through
+    (1 : 0 : 0) at a time in a random order (``_plane_curve_points``)."""
     return _plane_curve_points(f, rng, count)

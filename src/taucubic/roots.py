@@ -8,7 +8,8 @@ higher degree, each with its intersection multiplicity.  Multiplicity totals
 and squarefreeness never require leaving the base field.
 
 Roots over F_p come from one distinct-degree loop (gcd with x^(p^k) - x) and
-a Cantor-Zassenhaus equal-degree split; rational roots over Q from Hensel
+a Cantor-Zassenhaus equal-degree split, except that ``fp_rational_roots``
+solves degree <= 2 directly; rational roots over Q from Hensel
 lifting the roots mod a good prime, rational reconstruction and an exact
 check.  Every factor of degree <= 2 is solved by ``binary_quadratic_roots``.
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .scalars import (ExtensionTower, FpElem, PrimeField, QQ, QuadraticExtension,
-                      RationalField, is_prime, quad_sqrt)
+                      RationalField, _sqrt_mod_p, is_prime, quad_sqrt)
 
 
 def trim(cs):
@@ -257,11 +258,21 @@ def _split_rational_roots(g, domain):
 
 def fp_rational_roots(cs, p: int):
     """Roots in F_p with multiplicities, ascending by residue, and the cofactor
-    left after dividing them out."""
+    left after dividing them out.  Degree <= 2 is solved directly: a linear
+    solve, or Euler's criterion and a square root of the discriminant."""
     domain = PrimeField(p)
     f = _residues(cs, domain)
     if degree(f) <= 0:
         return [], _elements(f, p)
+    if degree(f) == 1:
+        return [(FpElem._of(-f[0] * pow(f[1], -1, p) % p, p), 1)], _elements(f[1:], p)
+    if degree(f) == 2:
+        s = _sqrt_mod_p(f[1] * f[1] - 4 * f[2] * f[0], p)
+        if s is None:
+            return [], _elements(f, p)
+        inv = pow(2 * f[2], -1, p)
+        rs = sorted({(s - f[1]) * inv % p, (-s - f[1]) * inv % p})
+        return [(FpElem._of(r, p), 3 - len(rs)) for r in rs], _elements(f[2:], p)
     out = []
     for r in _split_rational_roots(_frobenius_gcd(f, _rpowmod([0, 1], p, f, p), p), domain):
         mult = 0

@@ -15,11 +15,13 @@ the genericity gate in ``sample_instance``.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from . import linalg
-from .bruteforce import coefficient_matrix, form_values, projective_points_fp
+from .bruteforce import coefficient_matrix, form_values, projective_points_fp, random_order
 from .forms import (Form, SymMatrix3, evaluate, compose_linear, is_smooth_conic,
                     macaulay_resultant, monomial_index, monomials, partial_derivative,
                     is_smooth_hypersurface, reduce_form, ResultantIndeterminate,
@@ -624,10 +626,30 @@ def _affine_conic_points(q, c, domain):
             yield from ((x0, x1 / w) for x1, w in _rational_roots(coeffs, domain) if w)
 
 
+class _Cone(Sequence):
+    """The (x0, x1) in F_p^2 on the lines through 0 over the projective points
+    ``roots``: (0, 0), then s (u, v) for s = 1, ..., p - 1 over each root in
+    turn.  Indexed, and iterated, without being listed; an index i >= 0 past
+    the end finds no root and raises IndexError."""
+
+    def __init__(self, roots, domain):
+        self.roots, self.domain = roots, domain
+
+    def __len__(self):
+        return 1 + len(self.roots) * (self.domain.p - 1)
+
+    def __getitem__(self, i):
+        if not i:
+            return (self.domain.zero, self.domain.zero)
+        k, s = divmod(i - 1, self.domain.p - 1)
+        (u, v), s = self.roots[k], self.domain.coerce(s + 1)
+        return (s * u, s * v)
+
+
 def _fibre_solutions(rG, rH, domain):
     """The (x0, x1) in F_p^2 with q_G + c_G = q_H + c_H = 0, from the residues
-    (a, m, b, c) of both restrictions; a list, or a generator when one affine
-    conic is scanned.
+    (a, m, b, c) of both restrictions; a list, a generator when one affine
+    conic is scanned, or a ``_Cone`` when both constants vanish.
 
     With E = c_H q_G - c_G q_H every solution x satisfies E(x) = 0.  If E is
     not identically zero, x = s (u, v) over its rational roots (u : v), with
@@ -656,22 +678,25 @@ def _fibre_solutions(rG, rH, domain):
         common = [r for r in _rational_roots(q, domain) if not _binary_value(other, *r)]
     else:
         common = list(projective_points_fp(2, domain.p))
-    units = [domain.coerce(t) for t in range(1, domain.p)]
-    return [(domain.zero, domain.zero)] + [(s * u, s * v) for u, v in common for s in units]
+    return _Cone(common, domain)
 
 
 def _fibres(system: FibreSystem, Ps, wanted=None):
-    """The F_p points of {G = H = 0} over each fixed-plane point of ``Ps``, one
-    list per point in order, every point checked on G and H in one batch.
-    With ``wanted``, the fibres stop after the ``wanted``-th nonempty one."""
+    """The solutions (x0, x1) of {G = H = 0} over each fixed-plane point P of
+    ``Ps``, as pairs (P, solutions) in order, checked on G and H in one batch.
+    A ``_Cone`` is checked at (0, 0) and at its roots: both restrictions are
+    binary quadratics there, so these decide the rest.  With ``wanted``, the
+    fibres stop after the ``wanted``-th nonempty one."""
     fibres = []
     nonempty = 0
     for P, (rG, rH) in zip(Ps, system.restrictions(Ps)):
         if nonempty == wanted:
             break
-        fibres.append([x + P for x in _fibre_solutions(rG, rH, system.domain)])
-        nonempty += bool(fibres[-1])
-    system.check([pt for fibre in fibres for pt in fibre])
+        xs = _fibre_solutions(rG, rH, system.domain)
+        fibres.append((P, xs if isinstance(xs, _Cone) else list(xs)))
+        nonempty += bool(fibres[-1][1])
+    system.check([x + P for P, xs in fibres
+                  for x in ([xs[0]] + xs.roots if isinstance(xs, _Cone) else xs)])
     return fibres
 
 
@@ -686,8 +711,8 @@ def surface_points(G: Form, H: Form):
     system = FibreSystem(G, H)
     for start in range(0, plane, p):
         Ps = [_fixed_plane_point(k, domain) for k in range(start, min(start + p, plane))]
-        for fibre in _fibres(system, Ps):
-            yield from fibre
+        for P, xs in _fibres(system, Ps):
+            yield from (x + P for x in xs)
     zero = domain.zero
     for x0, x1 in projective_points_fp(2, p):
         pt = (x0, x1, zero, zero, zero)
@@ -701,23 +726,24 @@ def random_points_on_surface(instance: TauInstance, rng: random.Random, count: i
     the fixed plane.  Points of one fibre would come in tau-conjugate pairs,
     which impose the same condition on invariant forms.
 
-    The walk takes the shuffled fixed-plane points in batches of twice the
-    points still wanted plus a few (``_fibres``), so it solves the same fibres
-    and draws from ``rng`` exactly as a point-by-point walk would."""
+    The walk draws the indices of fixed-plane points from ``rng`` lazily
+    (``random_order``), in batches of twice the points still wanted plus a
+    few, and solves each batch's fibres together (``_fibres``); the draws cost
+    O(count) whatever p is.  A batch's last indices may be drawn and not
+    used."""
     domain = instance.domain
     if not isinstance(domain, PrimeField):
         raise TypeError("surface points are enumerated over prime fields")
     p = domain.p
     system = FibreSystem(instance.cubic(), instance.quadric())
-    order = list(range(p * p + p + 1))
-    rng.shuffle(order)
+    order = random_order(rng, p * p + p + 1)
     out = []
-    pos = 0
-    while len(out) < count and pos < len(order):
-        wanted = count - len(out)
-        batch = order[pos:pos + 2 * wanted + 8]
-        pos += len(batch)
-        for fibre in _fibres(system, [_fixed_plane_point(k, domain) for k in batch], wanted):
-            if fibre:
-                out.append(rng.choice(fibre))
+    while len(out) < count:
+        batch = list(islice(order, 2 * (count - len(out)) + 8))
+        if not batch:
+            break
+        Ps = [_fixed_plane_point(k, domain) for k in batch]
+        for P, xs in _fibres(system, Ps, count - len(out)):
+            if xs:
+                out.append(rng.choice(xs) + P)
     return out

@@ -393,7 +393,7 @@ ACTION_DIGESTS = {
     (13, "sampled"):
         "34df6212d67352279a79661bd20d68b4d8f2ba2e11ccb2e5eea37416ebb36c97",
     "fp101":
-        "3011197f387b7c1e881e2a70e2ddd27b0d1ac52ac273b40cd69f42d555ae7bee",
+        "d1aaeed684d6125b398316af80e142ec4e95a8c391fa8f07d32e2c1f408c60c2",
     "qq":
         "e58d99395dfe89cb6deb880ae7a1878941d17320d168d50e1b230ea16a3ca500",
 }

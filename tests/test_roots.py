@@ -3,6 +3,7 @@ F_p(sqrt D0), the rational-root scan it replaced, and rational roots over Q
 with large coefficients."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -143,6 +144,32 @@ def test_fp_rational_roots_match_residue_scan(p):
         if uv.degree(cs) < 0:
             continue
         assert uv.fp_rational_roots(cs, p) == _scan_rational_roots(cs, p)
+
+
+def _oracle_low_degree_roots(cs, p):
+    """Roots of a polynomial of degree <= 2 by evaluation at every residue, a
+    root being double where the derivative vanishes too, and the cofactor by
+    division."""
+    fp = PrimeField(p)
+    cs = uv.trim([fp.coerce(c) for c in cs])
+    if uv.degree(cs) <= 0:
+        return [], cs
+    dcs = uv.derivative(cs, fp)
+    roots = [(x, 1 + (not uv.eval_poly(dcs, x, fp))) for x in map(fp.coerce, range(p))
+             if not uv.eval_poly(cs, x, fp)]
+    rest = cs
+    for x, mult in roots:
+        for _ in range(mult):
+            rest, rem = uv.divmod_poly(rest, [-x, fp.one], fp)
+            assert not rem
+    return roots, rest
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_low_degree_roots_match_evaluation(p):
+    # every coefficient triple: roots, multiplicities, ascending order and cofactor
+    for cs in itertools.product(range(p), repeat=3):
+        assert uv.fp_rational_roots(list(cs), p) == _oracle_low_degree_roots(cs, p), cs
 
 
 def test_fp_rational_roots_coerce_their_input():

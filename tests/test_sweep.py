@@ -40,3 +40,13 @@ def test_gate_suites_slice(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_sampling_suites_slice(seed):
     assert not _failures(SuiteConfig(suites=("two-points", "koszul"), samples=3, seed=seed))
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 4294967311])
+@pytest.mark.parametrize("seed", range(2))
+def test_sampling_suites_at_big_primes(p, seed):
+    # the samplers draw what they use, so their cost does not grow with p;
+    # above 2^32 the batched products run on Python ints (dtype=object)
+    assert not _failures(SuiteConfig(suites=("fiber-action", "koszul", "two-points", "cone"),
+                                     samples=2, seed=seed, primes=(11, 13, p)))

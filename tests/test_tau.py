@@ -10,7 +10,7 @@ import pytest
 
 from taucubic import linalg
 from taucubic.bruteforce import (coefficient_matrix, common_projective_zeros,
-                                 projective_points_fp)
+                                 projective_points_fp, random_order)
 from taucubic.forms import (SINGULAR_CERTIFIED, SMOOTH_CERTIFIED, Form, ResultantIndeterminate,
                             compose_linear, evaluate, is_smooth_hypersurface,
                             macaulay_resultant, monomials, partial_derivative, reduce_form)
@@ -24,6 +24,7 @@ from taucubic.tau import (GenericityExhausted, QuadricPart, TauInstance,
                           invariant_coordinates, random_points_on_surface,
                           sample_instance, surface_points, sym2_eigensplit, tau_form,
                           two_point_analysis, two_point_subspace, verify_base_locus)
+import taucubic.intersect as intersect_mod
 import taucubic.tau as tau_mod
 
 F101 = PrimeField(101)
@@ -411,20 +412,26 @@ def _plain_restriction(G, P):
 
 
 def _plain_walk(inst, rng, count):
-    # the reference walk: one fixed-plane point at a time, restricted by scalar evaluate
+    # the reference walk: one fixed-plane point at a time, restricted by scalar
+    # evaluate; it takes the indices of random_order in the walk's batch sizes,
+    # twice the points still wanted plus 8, so that both draw from rng alike
     field = inst.domain
     phi, F = inst.cubic(), inst.quadric()
-    order = list(range(field.p ** 2 + field.p + 1))
-    rng.shuffle(order)
+    order = random_order(rng, field.p ** 2 + field.p + 1)
     out = []
-    for k in order:
-        if len(out) >= count:
+    while len(out) < count:
+        batch = list(itertools.islice(order, 2 * (count - len(out)) + 8))
+        if not batch:
             break
-        P = tau_mod._fixed_plane_point(k, field)
-        xs = tau_mod._fibre_solutions(_plain_restriction(phi, P), _plain_restriction(F, P), field)
-        fibre = [x + P for x in xs]
-        if fibre:
-            out.append(rng.choice(fibre))
+        for k in batch:
+            if len(out) >= count:
+                break
+            P = tau_mod._fixed_plane_point(k, field)
+            xs = tau_mod._fibre_solutions(_plain_restriction(phi, P), _plain_restriction(F, P),
+                                          field)
+            fibre = [x + P for x in xs]
+            if fibre:
+                out.append(rng.choice(fibre))
     return out
 
 
@@ -549,3 +556,117 @@ def test_enumeration_is_seed_deterministic():
                 == curve_rational_points(inst.f3, random.Random(seed), 30))
         assert (conic_rational_points(inst.conic_part(), random.Random(seed), 30)
                 == conic_rational_points(inst.conic_part(), random.Random(seed), 30))
+
+
+# --- lazy draws ------------------------------------------------------------
+
+
+def test_random_order_is_a_seeded_permutation():
+    for n in (0, 1, 2, 7, 100):
+        for seed in (0, 1, 2):
+            drawn = list(random_order(random.Random(seed), n))
+            assert sorted(drawn) == list(range(n))
+            assert drawn == list(random_order(random.Random(seed), n))
+    # a prefix costs what it draws, whatever n is
+    head = list(itertools.islice(random_order(random.Random(0), 2 ** 64), 5))
+    assert len(set(head)) == 5 and all(0 <= k < 2 ** 64 for k in head)
+
+
+def _ternary(field, terms):
+    degree = sum(next(iter(terms)))
+    return Form.from_terms(3, degree, terms, field)
+
+
+def _plane_curves(field):
+    """A conic, a smooth cubic, a cubic through (1 : 0 : 0) and a cubic that
+    contains the line x3 = 2 x4 through (1 : 0 : 0), in (x2, x3, x4)."""
+    conic = _ternary(field, {(2, 0, 0): 1, (0, 1, 1): 1, (0, 0, 2): 2})
+    fermat = _ternary(field, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+    weierstrass = _ternary(field, {(2, 1, 0): 1, (0, 0, 3): -1, (0, 2, 1): -1,
+                                   (0, 3, 0): -1})
+    line = _ternary(field, {(0, 1, 0): 1, (0, 0, 1): -2})
+    return [conic, fermat, weierstrass, line * conic]
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_curve_draws_are_the_curve_points(p):
+    field = PrimeField(p)
+    for f in _plane_curves(field):
+        want = common_projective_zeros([f], p)
+        for seed in (0, 1):
+            for sample in (curve_rational_points, conic_rational_points):
+                got = sample(f, random.Random(seed), len(want) + seed)
+                _assert_same_points(got, want, field)
+                for count in (1, 5, len(want) - 1):
+                    got = sample(f, random.Random(seed), count)
+                    assert len(got) == count
+                    keys = {projective_key(pt, field) for pt in got}
+                    assert len(keys) == count
+                    assert keys <= {projective_key(pt, field) for pt in want}
+
+
+def test_curve_check_sees_a_wrong_slice(monkeypatch):
+    # shift the constant coefficient of every drawn slice: its roots are then
+    # off the curve and the batched check must object
+    slice_residues = intersect_mod._slice_residues
+
+    def shifted(f, x3, x4, p):
+        cs = slice_residues(f, x3, x4, p) or [0]
+        return [(cs[0] + 1) % p] + cs[1:]
+
+    field = PrimeField(13)
+    monkeypatch.setattr(intersect_mod, "_slice_residues", shifted)
+    for f in _plane_curves(field):
+        with pytest.raises(ArithmeticError):
+            curve_rational_points(f, random.Random(0), 10 ** 6)
+
+
+def test_cone_fibre_is_indexed_not_listed():
+    # f2 and f3 both vanish at P = (1 : 0 : 0) of the fixed plane, and the
+    # x0, x1-parts of the cubic and the quadric share the root (0 : 1): the
+    # fibre over P is x = 0 plus a whole line, p points at p > 2^32
+    p = 4294967311
+    field = PrimeField(p)
+
+    def linear(*cs):
+        return _ternary(field, dict(zip([(1, 0, 0), (0, 1, 0), (0, 0, 1)], cs)))
+
+    f3 = _ternary(field, {(2, 1, 0): 3, (0, 3, 0): 1, (1, 0, 2): p - 5, (0, 0, 3): 7})
+    f2 = _ternary(field, {(1, 1, 0): 2, (0, 2, 0): 1, (0, 0, 2): p - 1})
+    inst = TauInstance(field, linear(1, 2, 3), linear(0, 1, 1), linear(4, 0, 1), f3,
+                       (QuadricPart(field.one, field.zero, field.coerce(5), f2),))
+    P = (field.one, field.zero, field.zero)
+    system = tau_mod.FibreSystem(inst.cubic(), inst.quadric())
+    zero = field.zero
+    assert list(itertools.islice(system.points(P), 3)) == [
+        (zero, zero) + P, (zero, field.one) + P, (zero, field.coerce(2)) + P]
+    ((Q, xs),) = tau_mod._fibres(system, [P])
+    assert Q == P and len(xs) == p
+    assert xs[p - 1] == (zero, field.coerce(-1))
+    for seed in range(5):
+        system.check([random.Random(seed).choice(xs) + P])
+
+
+def test_surface_walk_draws_scale_with_count(monkeypatch):
+    # the fixed plane has p^2 + p + 1 ~ 10^8 points at p = 10007: the walk
+    # restricts and draws O(count) of them instead of listing the plane
+    class CountingRandom(random.Random):
+        draws = 0
+
+        def getrandbits(self, k):
+            self.draws += 1
+            return super().getrandbits(k)
+
+    inst = sample_instance(1, 10, domain=PrimeField(10007))
+    rows = []
+    restrictions = tau_mod.FibreSystem.restrictions
+
+    def counted(self, Ps):
+        rows.append(len(Ps))
+        return restrictions(self, Ps)
+
+    monkeypatch.setattr(tau_mod.FibreSystem, "restrictions", counted)
+    rng = CountingRandom(0)
+    assert len(random_points_on_surface(inst, rng, 2)) == 2
+    assert sum(rows) <= 3 * (2 * 2 + 8)
+    assert rng.draws <= 100
