@@ -45,9 +45,9 @@ from . import linalg
 from .bruteforce import common_projective_zeros
 from .forms import (Form, SymMatrix3, compose_linear, evaluate, is_smooth_conic,
                     jacobian_rank, monomials, partial_derivative)
-from .intersect import (CommonComponent, PlaneIntersection, conic_rational_points,
-                        curve_rational_points, intersect_plane_curves)
-from .roots import binary_quadratic_roots
+from .intersect import (PlaneIntersection, conic_rational_points, curve_rational_points,
+                        intersect_plane_curves)
+from .roots import binary_form_roots, binary_quadratic_roots
 from .scalars import BadPrime, PrimeField, QuadElem, quad_sqrt
 from .tau import FibreSystem, TauInstance, embed_with_x01, reduce_instance
 
@@ -273,19 +273,17 @@ class DiscriminantData:
     transversal: bool
 
 
-def discriminant_quintic(instance: TauInstance,
-                         rng: random.Random | None = None) -> DiscriminantData:
+def discriminant_quintic(instance: TauInstance) -> DiscriminantData:
     """The quintic discriminant, 4 * det of the family's Gram matrix, next to
     the conic and cubic parts of the instance and the six crossing points of
     their curves.  Whether the quintic is conic * cubic is left to the caller."""
-    rng = rng or random.Random(0xD15C)
     domain = instance.domain
     conic = instance.conic_part()
     if not is_smooth_conic(conic):
         raise DegenerateConicPart("conic factor of the discriminant is degenerate")
     quintic = instance.family.gram().det().scale(domain.coerce(4))
     cubic = instance.f3
-    inter = intersect_plane_curves(conic, cubic, rng)
+    inter = intersect_plane_curves(conic, cubic)
     grads = [[partial_derivative(h, i) for i in range(3)] for h in (conic, cubic)]
     transversal = (inter.distinct and inter.total_multiplicity == 6
                    and all(jacobian_rank(grads, p.coords, p.domain) == 2 for p in inter.points))
@@ -356,69 +354,72 @@ def drop_variable(f: Form, var: int) -> Form:
     return Form.from_terms(f.num_vars - 1, f.degree, terms, f.domain)
 
 
-def lines_through_point_of_ltau(instance: TauInstance, T,
-                                rng: random.Random | None = None) -> LineCountReport:
+def lines_through_point_of_ltau(instance: TauInstance, T) -> LineCountReport:
     """Multiplicity-aware count of the lines on the cubic through a point of
     the fixed line; six with multiplicity for a general point, the fixed line
-    itself always among them."""
-    rng = rng or random.Random(0x11E5)
+    itself always among them.
+
+    On the slice {x_drop = 0}, with x the kept one of x0 and x1, the condition
+    forms are g1(y), g2 = x L(y) and g3 = Phi, so every direction lies on one
+    of the two lines {x = 0} and {L = 0} of the plane {g1 = 0}.  Each line is
+    parametrised by a kernel basis, and the root ledger of the binary cubic
+    g3 restricted to it gives the directions on it with their multiplicities.
+    Intersection multiplicity is additive in the factors x and L, so a
+    direction on both lines gets the sum, and the total is the sum of the two
+    ledger totals.  Every direction Q found is checked on the cubic itself:
+    Phi(T + u Q) = 0 for u = 0, 1, 2, 3."""
     domain = instance.domain
     T, *forms = _condition_forms(instance, T)
     drop = 0 if T[0] else 1
     g1r, g2r, g3r = (drop_variable(g, drop) for g in forms)
-    if g1r.is_zero or g2r.is_zero or g3r.is_zero:
-        raise InfinitelyMany("a condition form vanished identically")
-    lin = [g1r.coefficient(tuple(1 if j == i else 0 for j in range(4)))
-           for i in range(4)]
-    j = next(i for i in range(3, -1, -1) if lin[i])
-    keep = [i for i in range(4) if i != j]
-    rows = []
-    inv = domain.one / lin[j]
-    for i in range(4):
-        if i != j:
-            k = keep.index(i)
-            rows.append([domain.one if kk == k else domain.zero for kk in range(3)])
-        else:
-            rows.append([-(lin[keep[k]]) * inv for k in range(3)])
-    g2s = compose_linear(g2r, rows)
-    g3s = compose_linear(g3r, rows)
-    if g2s.is_zero or g3s.is_zero:
-        raise InfinitelyMany("condition system degenerated after elimination")
-    try:
-        inter = intersect_plane_curves(g2s, g3s, rng)
-    except CommonComponent as exc:
-        raise InfinitelyMany("positive-dimensional family of lines") from exc
-    directions = []
-    fixed_found = False
-    for pp in inter.points:
-        y = pp.coords
-        pdom = pp.domain
-        q4 = [pdom.zero] * 4
-        for k, i in enumerate(keep):
-            q4[i] = y[k]
-        q4[j] = sum((rows[j][k] * y[k] for k in range(3)), start=pdom.zero)
-        if any(evaluate(form, q4) for form in (g1r, g2r, g3r)):
-            raise ArithmeticError("reconstructed line direction fails a condition form")
-        q5 = tuple(q4[:drop] + [pdom.zero] + q4[drop:])
-        if not any(q5[2:]):
-            fixed_found = True
-        directions.append((q5, pp.mult, pp.field_label))
+    # slice coordinates (x, y): g1r is linear in y, g2r = x L(y)
+    x_row = [domain.one, domain.zero, domain.zero, domain.zero]
+    l_row = [domain.zero] + [g2r.coefficient((1,) + e) for e in _UNIT]
+    total = 0
+    directions = []   # [direction, multiplicity, field label]
+    for row in (x_row, l_row):
+        basis = linalg.nullspace([row, list(g1r.coeffs)], domain)
+        if len(basis) != 2:
+            raise InfinitelyMany("a component of the condition system is a plane")
+        cubic = compose_linear(g3r, list(zip(*basis)))
+        if cubic.is_zero:
+            raise InfinitelyMany("the cubic contains a line of the condition plane")
+        ledger = binary_form_roots(list(reversed(cubic.coeffs)), domain)
+        total += ledger.total_multiplicity
+        for e in ledger.entries:
+            if e.point is None:
+                continue
+            s, t = e.point
+            q = [s * b0 + t * b1 for b0, b1 in zip(*basis)]
+            q = tuple(q[:drop] + [e.domain.zero] + q[drop:])
+            same = next((d for d in directions
+                         if d[2] == e.field_label and linalg.proportional(d[0], q)), None)
+            if same:
+                same[1] += e.mult
+            else:
+                directions.append([q, e.mult, e.field_label])
+    # Phi(T + u Q) is a cubic in u: four zeros put the whole line on the cubic
+    phi = instance.cubic()
+    if evaluate(phi, T) or any(evaluate(phi, [a + u * b for a, b in zip(T, q)])
+                               for q, _m, _label in directions for u in range(1, 4)):
+        raise ArithmeticError("a found line direction does not lie on the cubic")
     return LineCountReport(
-        total_multiplicity=inter.total_multiplicity,
-        rational_directions=directions,
-        contains_fixed_line=fixed_found,
+        total_multiplicity=total,
+        rational_directions=[tuple(d) for d in directions],
+        contains_fixed_line=any(not any(q[2:]) for q, _m, _label in directions),
     )
 
 
 def lines_through_point_brute(instance: TauInstance, T):
     """The rational line directions through T over F_p, on the same hyperplane
-    slice as the elimination route, by the exhaustive scan of P^3(F_p) in
-    ``common_projective_zeros``.  It shares one step with the elimination: the
-    condition forms g1, g2, g3 of ``_condition_forms``, restricted to the
-    slice; it replaces the elimination, the plane-curve intersection and the
-    lifting.  The numpy scan in ``bench/reference.py``, which evaluates the
-    cubic itself on T + u Q, shares no step with either.  Directions come as
-    5-tuples, the dropped coordinate 0."""
+    slice as ``lines_through_point_of_ltau``, by the exhaustive scan of
+    P^3(F_p) in ``common_projective_zeros``.  It shares one step with that
+    route: the condition forms g1, g2, g3 of ``_condition_forms``, restricted
+    to the slice; it replaces the split of {g1 = g2 = 0} into two lines, their
+    kernel bases and the root ledgers of the cubic restricted to them.  The
+    numpy scan in ``bench/reference.py``, which evaluates the cubic itself on
+    T + u Q, shares no step with either.  Directions come as 5-tuples, the
+    dropped coordinate 0."""
     domain = instance.domain
     if not isinstance(domain, PrimeField):
         raise TypeError("brute-force line count works over prime fields")

@@ -486,8 +486,8 @@ def _suite_two_points(config: SuiteConfig, loaded):
     return _sampled(config, loaded, "two-points", _slots(config, "two-points"), body, ":pts")
 
 
-def _discriminant_checks(inst: TauInstance, rng) -> list:
-    dd = disc.discriminant_quintic(inst, rng)
+def _discriminant_checks(inst: TauInstance, _rng) -> list:
+    dd = disc.discriminant_quintic(inst)
     return [
         _check("quintic_degree", 5, dd.quintic.degree,
                "the degenerate-fiber locus is a plane quintic"),
@@ -559,7 +559,7 @@ def _suite_lines(config: SuiteConfig, loaded):
             guard += 1
             T = (domain.one, domain.coerce(rng.randrange(p)))
             try:
-                rep = disc.lines_through_point_of_ltau(inst, T, rng)
+                rep = disc.lines_through_point_of_ltau(inst, T)
             except disc.InfinitelyMany:
                 continue
             totals.append(rep.total_multiplicity)
@@ -696,8 +696,8 @@ def _split_checks():
 
 
 def _suite_fixed_points(config: SuiteConfig, loaded):
-    def body(inst, rng):
-        rep = fixed_points_on_S(inst, rng=rng)
+    def body(inst, _rng):
+        rep = fixed_points_on_S(inst)
         return [
             _check("line_point_total", 2, sum(m for _, m in rep.line_points),
                    "the quadric cuts two points on the fixed line"),

@@ -1,13 +1,17 @@
 """Plane-curve intersection through sheared eliminants.
 
-Two curves in P^2 are intersected through one coordinate shear, which gives
-the eliminated variable a constant leading coefficient, and the Sylvester
-resultant of the sheared forms.  One rule keeps the shear: the first usable one
-whose eliminant is squarefree, else the one of three usable shears whose
-eliminant has the most distinct roots.  Distinctness is decided by that rule;
-the root ledger, its multiplicity total and the coordinates of Galois orbits of
-degree <= 2 over the working field are computed from the kept shear on first
-access.
+Four callers meet a conic with a cubic: the gate's two keys (the conic part
+with f3, and f2 with f3), ``discriminant_quintic`` (the conic part with f3) and
+``fixed_points_on_S`` (f2 with f3).  Two curves in P^2 are intersected through
+one coordinate shear, which gives the eliminated variable a constant leading
+coefficient, and the Sylvester resultant of the sheared forms.  The shears are
+drawn from a private fixed-seed generator built inside each call, so a verdict
+depends on the curves alone and draws nothing from a caller's rng.  One rule
+keeps the shear: the first usable one whose eliminant is squarefree, else the
+one of three usable shears whose eliminant has the most distinct roots.
+Distinctness is decided by that rule; the root ledger, its multiplicity total
+and the coordinates of Galois orbits of degree <= 2 over the working field are
+computed from the kept shear on first access.
 
 Over F_p the rational points of a single plane curve are drawn a slice at a
 time: the lines through (1 : 0 : 0) come in a random order drawn from the
@@ -37,7 +41,6 @@ class CommonComponent(ValueError):
 class PlanePoint:
     coords: tuple
     mult: int
-    field_label: str
     domain: object
 
 
@@ -45,8 +48,8 @@ class PlanePoint:
 class PlaneIntersection:
     """The intersection of f and g read off the eliminant of one kept shear
     (x3 += a x2, x4 += b x2); ``eliminant`` lists its coefficients ascending
-    in x3.  ``distinct`` is settled when the shear is kept; the ledger, the
-    points and the clusters are computed on first access."""
+    in x3.  ``distinct`` is settled when the shear is kept; the ledger and the
+    points are computed on first access."""
 
     f: Form
     g: Form
@@ -65,11 +68,6 @@ class PlaneIntersection:
         return self.ledger.total_multiplicity
 
     @cached_property
-    def clusters(self) -> list[RootEntry]:
-        """Root orbits with no coordinates over the field or a quadratic extension."""
-        return [e for e in self.ledger.entries if e.point is None]
-
-    @cached_property
     def points(self) -> list[PlanePoint]:
         f, g, domain = self.f, self.g, self.f.domain
         a, b = self.shear
@@ -82,7 +80,7 @@ class PlaneIntersection:
                 coords = (x2, x3 + pdom.coerce(a) * x2, x4 + pdom.coerce(b) * x2)
                 if evaluate(f, coords) or evaluate(g, coords):
                     raise ArithmeticError("lifted intersection point fails to lie on both curves")
-                out.append(PlanePoint(coords, entry.mult, entry.field_label, pdom))
+                out.append(PlanePoint(coords, entry.mult, pdom))
         return out
 
 
@@ -110,12 +108,11 @@ def _slice_in_x2(f: Form, x3, x4, domain):
     return uv.trim([domain.zero if c is None else c for c in coeffs])
 
 
-def intersect_plane_curves(f: Form, g: Form,
-                           rng: random.Random | None = None) -> PlaneIntersection:
+def intersect_plane_curves(f: Form, g: Form) -> PlaneIntersection:
     """Intersection of two ternary forms with no common component."""
     if f.num_vars != 3 or g.num_vars != 3:
         raise ValueError("plane-curve intersection expects ternary forms")
-    rng = rng or random.Random(0xC0FFEE)
+    rng = random.Random(0xC0FFEE)
     domain = f.domain
     expected = f.degree * g.degree
     kept = None  # (distinct roots, shear, fs, gs, eliminant)

@@ -242,7 +242,7 @@ def _draw_instance(rng: random.Random, bound: int, domain) -> TauInstance:
                        rand_form(3, 3), quadrics)
 
 
-def genericity_report(instance: TauInstance, rng: random.Random | None = None) -> dict:
+def genericity_report(instance: TauInstance) -> dict:
     """The concrete general-position conditions, each as a named boolean.
 
     ``cubic_smooth`` certifies f3: by ``is_smooth_hypersurface`` over F_p, by a
@@ -268,12 +268,11 @@ def genericity_report(instance: TauInstance, rng: random.Random | None = None) -
     if isinstance(instance.domain, PrimeField) and instance.domain.p < 7:
         raise ValueError("gated sampling needs characteristic > 6 "
                          "(degree-6 eliminant multiplicity analysis)")
-    rng = rng or random.Random(0xA11CE)
     report = {}
 
     def meets_f3_in_six(conic: Form) -> bool:
         try:
-            return intersect_plane_curves(conic, instance.f3, rng).distinct
+            return intersect_plane_curves(conic, instance.f3).distinct
         except CommonComponent:
             return False
 
@@ -305,13 +304,14 @@ def _plane_cubic_smooth(f3: Form) -> bool:
 
 def sample_instance(rng_seed: int, coefficient_bound: int, domain=QQ,
                     retries: int = 64) -> TauInstance:
-    """Draw integer-coefficient instances until the genericity gate passes."""
+    """The first of the integer-coefficient draws from ``Random(rng_seed)`` that
+    passes the genericity gate; the gate draws nothing from that generator."""
     if coefficient_bound < 2:
         raise ValueError("coefficient bound must be at least 2")
     rng = random.Random(rng_seed)
     for _ in range(retries):
         inst = _draw_instance(rng, coefficient_bound, domain)
-        if genericity_report(inst, rng)["passed"]:
+        if genericity_report(inst)["passed"]:
             return inst
     raise GenericityExhausted(f"no instance passed the gate in {retries} draws")
 
@@ -489,8 +489,7 @@ class FixedPointReport:
     all_distinct: bool
 
 
-def fixed_points_on_S(instance: TauInstance,
-                      rng: random.Random | None = None) -> FixedPointReport:
+def fixed_points_on_S(instance: TauInstance) -> FixedPointReport:
     """Surface points fixed by the involution: two on the line, six in the plane."""
     q = instance.quadrics[0]
     domain = instance.domain
@@ -500,7 +499,7 @@ def fixed_points_on_S(instance: TauInstance,
     zero = fld.zero
     line_points = [((x0, x1, zero, zero, zero), mult) for (x0, x1), mult in roots]
     line_mult = sum(m for _, m in roots)
-    plane = intersect_plane_curves(q.f2, instance.f3, rng)
+    plane = intersect_plane_curves(q.f2, instance.f3)
     line_distinct = all(m == 1 for _, m in roots)
     return FixedPointReport(
         line_points=line_points,

@@ -57,7 +57,7 @@ BATCH = None
 def _batch():
     global BATCH
     if BATCH is None:
-        BATCH = [(label, inst, disc.discriminant_quintic(inst, random.Random(7)))
+        BATCH = [(label, inst, disc.discriminant_quintic(inst))
                  for label, inst in _batch_instances(100)]
     return BATCH
 
@@ -146,7 +146,7 @@ def test_criterion_09_fixed_points():
     for i in range(n):
         domain = QQ if i % 2 == 0 else F101
         inst = sample_instance(60_000 + i, 10, domain=domain)
-        rep = fixed_points_on_S(inst, rng=random.Random(61_000 + i))
+        rep = fixed_points_on_S(inst)
         if rep.total_multiplicity != 8:
             totals_ok = False
         if rep.all_distinct:
@@ -170,7 +170,7 @@ def test_criterion_10_lines_through_fixed_line():
             if probed >= 5:
                 break
             try:
-                rep = disc.lines_through_point_of_ltau(inst, (dom.one, dom.coerce(t)), rng)
+                rep = disc.lines_through_point_of_ltau(inst, (dom.one, dom.coerce(t)))
             except disc.InfinitelyMany:
                 continue
             probed += 1

@@ -14,18 +14,18 @@ from taucubic import discriminant
 from taucubic.discriminant import (DOUBLE_LINE, FIXES, SMOOTH_FIBER, SWAPS,
                                    DegenerateConicPart, FiberConic, InfinitelyMany,
                                    ZeroConic, _condition_forms, cone_and_singular_member,
-                                   discriminant_quintic,
+                                   discriminant_quintic, drop_variable,
                                    fiber_conic, lines_through_point_brute,
                                    lines_through_point_of_ltau,
                                    points_on_conic_component,
                                    points_on_cubic_component, split_conic,
                                    tau_fiber_action)
 from taucubic.forms import (Form, SymMatrix3, compose_linear, evaluate, exact_divide,
-                            monomials)
+                            jacobian_rank, monomials, partial_derivative)
 from taucubic.harness import SuiteConfig, load_instance, projective_key, run_suite
-from taucubic.intersect import intersect_plane_curves
-from taucubic.scalars import FpElem, PrimeField, QQ, QuadElem
-from taucubic.tau import TauInstance, canonical_instance, sample_instance
+from taucubic.intersect import CommonComponent, intersect_plane_curves
+from taucubic.scalars import FpElem, PrimeField, QQ, QuadElem, quad_sqrt
+from taucubic.tau import TauInstance, canonical_instance, embed_with_x01, sample_instance
 
 F101 = PrimeField(101)
 F11 = PrimeField(11)
@@ -260,8 +260,7 @@ def test_action_double_line_on_crossings():
     # z = (u/v)^3, whose discriminant 60 is a square mod 11, and cube roots
     # are bijective since 11 = 2 mod 3
     inst = canonical_instance(F11)
-    rng = random.Random(3)
-    inter = intersect_plane_curves(inst.conic_part(), inst.f3, rng)
+    inter = intersect_plane_curves(inst.conic_part(), inst.f3)
     pts = [p.coords for p in inter.points if p.domain == inst.domain]
     assert pts, "crossing points should be rational here"
     for pt in pts:
@@ -383,7 +382,7 @@ ACTION_DIGESTS = {
     (7, "canonical"):
         "ee223ceb867a420acb63888662cafd52f837e4963dd1f1842d5904f511ce68a4",
     (7, "sampled"):
-        "49608f8d9ead99c1aa077774e27ddc790d4f9d36c0d565f622da49b14633dce4",
+        "437445f9a6902e45102f1aa81227f4cc01f072e8509d14739001301b2368c3d6",
     (11, "canonical"):
         "e7fd1adcdfe8a874fda05ff46ed425fd3b9954dbf62158e053d33a9b783d0452",
     (11, "sampled"):
@@ -391,7 +390,7 @@ ACTION_DIGESTS = {
     (13, "canonical"):
         "fc5c6daf21ac46a396ba8a87b5c504f31c1a183b8838a3a3a58940491c8b2994",
     (13, "sampled"):
-        "34df6212d67352279a79661bd20d68b4d8f2ba2e11ccb2e5eea37416ebb36c97",
+        "72ee3829cf56ed4a18c34a65949a4ee82c9a6a2422568079c98cea944fae95fe",
     "fp101":
         "d1aaeed684d6125b398316af80e142ec4e95a8c391fa8f07d32e2c1f408c60c2",
     "qq":
@@ -402,6 +401,21 @@ ACTION_DIGESTS = {
 @pytest.mark.parametrize("case", list(ACTION_DIGESTS), ids=str)
 def test_fiber_action_outputs_pinned(case):
     assert _action_digest(_pin_cases(case)) == ACTION_DIGESTS[case]
+
+
+@pytest.mark.parametrize("domain", [F13, QQ], ids=["F13", "QQ"])
+def test_proportional_reads_the_product_of_the_im_parts(domain):
+    # forms re + sqrt(2) im over F_13(sqrt 2) and Q(sqrt 2) whose im parts are
+    # not parallel: (1 + sqrt 2) c is proportional to c only through the
+    # d (im x im) term, and sqrt 2 s, sqrt 2 r are not proportional only
+    # through it
+    r, s, zero = (1, 2, 0), (0, 1, 3), (0, 0, 0)
+    c = (r, s)
+    e = (tuple(x + 2 * y for x, y in zip(r, s)), tuple(x + y for x, y in zip(r, s)))
+    same = lambda u, v: discriminant._proportional(u, v, 2, domain.reduce)
+    assert same(c, e) and same(e, c)
+    assert not same((zero, s), (zero, r))
+    assert same((zero, s), (zero, tuple(5 * x for x in s)))
 
 
 # --- discriminant quintic -----------------------------------------------
@@ -423,7 +437,8 @@ def test_discriminant_transversal_reads_the_jacobian_over_fp(monkeypatch):
     inst = sample_instance(1, 10, domain=F101)
     dd = discriminant_quintic(inst)
     points = dd.intersection.points
-    assert len(points) == 3 and {pp.field_label for pp in points} == {"F101", "F101(sqrt 2)"}
+    assert len(points) == 3
+    assert {repr(pp.domain) for pp in points} == {repr(F101), repr(quad_sqrt(2, F101)[1])}
     assert dd.intersection.distinct and dd.transversal
     monkeypatch.setattr(discriminant, "jacobian_rank", lambda *args: 1)
     assert not discriminant_quintic(inst).transversal
@@ -488,12 +503,11 @@ def test_lines_count_and_bruteforce():
     for p, seed in ((11, 401), (13, 402)):
         dom = PrimeField(p)
         inst = sample_instance(seed, 10, domain=dom)
-        rng = random.Random(seed)
         checked = 0
         t1 = 0
         while checked < 3 and t1 < p:
             try:
-                rep = lines_through_point_of_ltau(inst, (dom.one, dom.coerce(t1)), rng)
+                rep = lines_through_point_of_ltau(inst, (dom.one, dom.coerce(t1)))
             except InfinitelyMany:
                 t1 += 1
                 continue
@@ -533,7 +547,7 @@ def _line_digest(p):
         for T in [(dom.one, dom.coerce(t)) for t in range(p)] + [(dom.zero, dom.one)]:
             brute = sorted(_direction_key(d) for d in lines_through_point_brute(inst, T))
             try:
-                rep = lines_through_point_of_ltau(inst, T, random.Random(seed))
+                rep = lines_through_point_of_ltau(inst, T)
             except InfinitelyMany:
                 lines.append(repr(("InfinitelyMany", brute)))
                 continue
@@ -544,14 +558,117 @@ def _line_digest(p):
 
 
 LINE_DIGESTS = {
-    11: "aca27b25de75f3273d0126ac6f4b5fe9d8b88d1ad14e689dec00cf2808b90a2a",
-    13: "3f6b73c39617b80511f821543e2e76ce3492df1d379558cea36ba4348667d023",
+    11: "32a85a3e54f0c31433ae492973269b89bd271a8e3fe318887a5f0359529bf2c7",
+    13: "97e80cacdb6356b3202aeb151e0671fde85de1edd2d0df2a2df386b58b052506",
 }
 
 
 @pytest.mark.parametrize("p", list(LINE_DIGESTS))
 def test_line_outputs_pinned(p):
     assert _line_digest(p) == LINE_DIGESTS[p]
+
+
+def _eliminated_lines(inst, T):
+    """The former lines route, kept as a reference: on the slice {x_drop = 0},
+    solve g1 for its last variable, meet the eliminated g2 and g3 with
+    ``intersect_plane_curves`` and lift the points.  Returns the total and the
+    projective keys of the F_p directions, or None for infinitely many lines."""
+    dom = inst.domain
+    T, *forms = _condition_forms(inst, T)
+    drop = 0 if T[0] else 1
+    g1r, g2r, g3r = (drop_variable(g, drop) for g in forms)
+    if g1r.is_zero or g2r.is_zero or g3r.is_zero:
+        return None
+    lin = list(g1r.coeffs)
+    j = next(i for i in range(3, -1, -1) if lin[i])
+    keep = [i for i in range(4) if i != j]
+    rows = [[-lin[k] / lin[j] for k in keep] if i == j else
+            [dom.one if k == i else dom.zero for k in keep] for i in range(4)]
+    g2s, g3s = compose_linear(g2r, rows), compose_linear(g3r, rows)
+    if g2s.is_zero or g3s.is_zero:
+        return None
+    try:
+        inter = intersect_plane_curves(g2s, g3s)
+    except CommonComponent:
+        return None
+    keys = set()
+    for pp in inter.points:
+        if pp.domain == dom:
+            q4 = [sum((r * y for r, y in zip(row, pp.coords)), dom.zero) for row in rows]
+            keys.add(projective_key(q4[:drop] + [dom.zero] + q4[drop:], dom))
+    return inter.total_multiplicity, keys
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_lines_agree_with_the_elimination_and_the_jacobian(p):
+    # at every point of the fixed line for seeds 0-4: the same F_p directions
+    # and total as the elimination, and multiplicity 1 exactly where the
+    # condition forms meet transversally (Jacobian rank 3 on the slice)
+    dom = PrimeField(p)
+    simple = multiple = 0
+    for seed in range(5):
+        inst = sample_instance(seed, 10, domain=dom)
+        for T in [(dom.one, dom.coerce(t)) for t in range(p)] + [(dom.zero, dom.one)]:
+            reference = _eliminated_lines(inst, T)
+            try:
+                rep = lines_through_point_of_ltau(inst, T)
+            except InfinitelyMany:
+                assert reference is None, (seed, T)
+                continue
+            rational = [(d, m) for d, m, label in rep.rational_directions if label == f"F{p}"]
+            assert reference == (rep.total_multiplicity,
+                                 {projective_key(d, dom) for d, _m in rational}), (seed, T)
+            _, *forms = _condition_forms(inst, T)
+            drop = 0 if T[0] else 1
+            grads = [[partial_derivative(drop_variable(g, drop), i) for i in range(4)]
+                     for g in forms]
+            for d, m in rational:
+                assert (m == 1) == (jacobian_rank(grads, d[:drop] + d[drop + 1:], dom) == 3)
+                simple += m == 1
+                multiple += m > 1
+    assert simple and multiple
+
+
+@pytest.mark.parametrize("name, ts", [("lines_overcount_p11_seed1.json", [6]),
+                                      ("lines_overcount_p13_seed4.json", [0, 1])])
+def test_lines_multiplicities_sum_to_the_total(name, ts):
+    # the elimination gave one direction at each of these points multiplicity
+    # 2, because two simple directions shared a projection under its shear; all
+    # six lines are rational there, so no cluster carries weight
+    inst = load_instance(str(Path(__file__).parent / "fixtures" / name))
+    dom = inst.domain
+    for t in ts:
+        rep = lines_through_point_of_ltau(inst, (dom.one, dom.coerce(t)))
+        mults = [m for _d, m, label in rep.rational_directions if label == f"F{dom.p}"]
+        assert mults == [1] * 6
+        assert sum(m for _d, m, _label in rep.rational_directions) == rep.total_multiplicity == 6
+
+
+def _mutant_condition_forms(mutant):
+    """``_condition_forms`` with g1 missing its t0 t1 l01 term ("g1"), with
+    t1 l11 in place of 2 t1 l11 in g2 ("g2"), or unchanged (None)."""
+    def forms(inst, T):
+        dom = inst.domain
+        t0, t1 = (dom.coerce(c) for c in T[:2])
+        l00, l01, l11 = inst.l00, inst.l01, inst.l11
+        g1 = l00.scale(t0 * t0) + l11.scale(t1 * t1)
+        if mutant != "g1":
+            g1 = g1 + l01.scale(t0 * t1)
+        g2 = (embed_with_x01(l00.scale(t0 + t0) + l01.scale(t1), 1, 0)
+              + embed_with_x01(l01.scale(t0) + l11.scale(t1 if mutant == "g2" else t1 + t1),
+                               0, 1))
+        return (t0, t1, dom.zero, dom.zero, dom.zero), embed_with_x01(g1, 0, 0), g2, inst.cubic()
+    return forms
+
+
+@pytest.mark.parametrize("mutant", [None, "g1", "g2"])
+def test_lines_suite_sees_a_wrong_condition_form(monkeypatch, mutant):
+    # both routes share the condition forms; the check of every found line on
+    # the cubic itself is what turns a wrong form into a fail
+    monkeypatch.setattr(discriminant, "_condition_forms", _mutant_condition_forms(mutant))
+    report = run_suite(SuiteConfig(suites=("lines",), samples=4, primes=(11, 13)))
+    failed = [e.instance_id for e in report.entries for c in e.checks if c.status == "fail"]
+    assert bool(failed) == (mutant is not None)
 
 
 # --- cone geometry ------------------------------------------------------

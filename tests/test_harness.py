@@ -438,7 +438,7 @@ def _spot_check_instances():
 SPOT_CHECK_PINS = {
     (11, 0): ((50, 50, 50), (6, 44, 50)),
     (11, 1): ((50, 50, 50), (7, 44, 50)),
-    (13, 0): ((50, 50, 50), (7, 40, 50)),
+    (13, 0): ((50, 50, 50), (6, 45, 50)),
     (13, 1): ((50, 50, 50), (9, 43, 50)),
     (101, 0): ((50, 50, 50), (0, 49, 50)),
     (101, 1): ((50, 50, 50), (1, 48, 50)),

@@ -1,7 +1,5 @@
 """Plane-curve intersection: one kept shear, the ledger and points on demand."""
 
-import random
-
 import pytest
 
 from taucubic import intersect
@@ -20,7 +18,7 @@ def test_distinct_needs_no_root_ledger(monkeypatch):
         raise AssertionError("the verdict computed a root ledger")
     monkeypatch.setattr(intersect, "binary_form_roots", forbidden)
     inst = canonical_instance()
-    inter = intersect_plane_curves(inst.conic_part(), inst.f3, random.Random(1))
+    inter = intersect_plane_curves(inst.conic_part(), inst.f3)
     assert inter.distinct
 
 
@@ -36,7 +34,7 @@ def test_points_reuse_the_verdict_shear(monkeypatch):
     # field or F_101(sqrt 2), so they are lifted
     inst = sample_instance(1, 10, domain=PrimeField(101))
     conic, cubic = inst.conic_part(), inst.f3
-    inter = intersect_plane_curves(conic, cubic, random.Random(2))
+    inter = intersect_plane_curves(conic, cubic)
     assert inter.distinct
     verdict_calls = len(calls)
     assert verdict_calls >= 1
@@ -52,7 +50,7 @@ def test_tangent_conics_have_a_double_point():
     # x^2 + y^2 - z^2 and x^2 - y^2 + z^2 are tangent at (0 : 1 : +-1)
     g2 = _form(2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1})
     h2 = _form(2, {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): 1})
-    inter = intersect_plane_curves(g2, h2, random.Random(3))
+    inter = intersect_plane_curves(g2, h2)
     assert not inter.distinct
     assert inter.ledger.total_multiplicity == 4
     assert any(e.mult == 2 for e in inter.ledger.entries)
@@ -65,4 +63,4 @@ def test_shared_component_raises(domain):
     f = _form(2, {(1, 1, 0): 1}, domain)
     g = _form(2, {(1, 0, 1): 1}, domain)
     with pytest.raises(CommonComponent):
-        intersect_plane_curves(f, g, random.Random(4))
+        intersect_plane_curves(f, g)

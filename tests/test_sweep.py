@@ -50,3 +50,11 @@ def test_sampling_suites_at_big_primes(p, seed):
     # above 2^32 the batched products run on Python ints (dtype=object)
     assert not _failures(SuiteConfig(suites=("fiber-action", "koszul", "two-points", "cone"),
                                      samples=2, seed=seed, primes=(11, 13, p)))
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("p", [17, 19, 23, 29, 31, 37, 41, 43, 47])
+def test_lines_suite_at_every_small_prime(p):
+    # the lines suite runs where its exhaustive oracle does, 7 <= p <= 47
+    for seed in range(5):
+        assert not _failures(SuiteConfig(suites=("lines",), samples=2, seed=seed, primes=(p,)))
