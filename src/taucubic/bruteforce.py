@@ -3,14 +3,15 @@
 ``common_projective_zeros`` is the one exhaustive scan: it walks
 P^(n-1)(F_q), q = p^k with k <= 3, a slice at a time and evaluates every form
 at every point of a slice as the table of all monomials of one degree times
-the forms' coefficients.  Over F_p the table is ``monomial_values`` and the
+the forms' coefficients, until no point is left; the table is built a
+degree at a time.  Over F_p the table is ``monomial_values`` and the
 product ``form_values``; the scan finds the smoothness certificate's singular
 witness and the brute-force line directions, the table fills the Koszul
 evaluation matrix, and ``form_values`` evaluates the fibre restrictions of
 the surface walk in ``tau`` and every form of the quotient spot checks in
 ``harness``.  Over F_(p^2) and F_(p^3), used by the
 cross-checks of the elimination machinery, an element is the int vector of
-its coefficients in a power basis and the table is built with the field's
+its coefficients in a power basis and the products are taken with the field's
 multiplication tensor (``_extension``).  The random samplers draw fixed-plane
 points and curve slices in ``random_order``, only as many as they use.
 """
@@ -23,7 +24,7 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .forms import Form, monomials
+from .forms import Form, monomial_index, monomials
 from .scalars import FpElem, PrimeField
 
 
@@ -58,8 +59,8 @@ def projective_point_slices(nvars: int, p: int):
     for lead in range(nvars):
         free = nvars - lead - 1
         fixed = max(free - max(nvars - 2, 1), 0)   # leading free coordinates held per slice
-        grid = np.array(list(itertools.product(range(p), repeat=free - fixed)),
-                        dtype=np.int64).reshape(p ** (free - fixed), free - fixed)
+        grid = np.indices((p,) * (free - fixed), dtype=np.int64)
+        grid = grid.reshape(free - fixed, p ** (free - fixed)).T
         for head in itertools.product(range(p), repeat=fixed):
             pts = np.zeros((len(grid), nvars), dtype=np.int64)
             pts[:, lead] = 1
@@ -69,29 +70,32 @@ def projective_point_slices(nvars: int, p: int):
 
 
 @lru_cache(maxsize=None)
-def _exponent_rows(nvars: int, degree: int):
-    """``monomials(nvars, degree)`` as an index array, one row per monomial;
-    built on first use."""
-    return np.array(monomials(nvars, degree), dtype=np.intp).reshape(-1, nvars)
+def _monomial_steps(nvars: int, degree: int):
+    """For each monomial of ``monomials(nvars, degree)``, degree >= 1, the index
+    in ``monomials(nvars, degree - 1)`` of the monomial it comes from and the
+    variable it adds, its first one: two index arrays, built on first use."""
+    lower = monomial_index(nvars, degree - 1)
+    steps = []
+    for m in monomials(nvars, degree):
+        i = next(i for i, e in enumerate(m) if e)
+        steps.append((lower[m[:i] + (m[i] - 1,) + m[i + 1:]], i))
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*steps))
 
 
 def monomial_values(pts, degree: int, p: int):
     """The table of every degree-``degree`` monomial, in ``monomials`` order, at
     every row of the integer point array ``pts``, mod p: entry (t, k) is
-    pts[t]^m_k.  int64 while a product of two residues fits in it
-    (``linalg.residue_dtype``), else Python ints."""
+    pts[t]^m_k.  It is built a degree at a time, each monomial as the one it
+    comes from (``_monomial_steps``) times the variable it adds.  int64 while
+    a product of two residues fits in it (``linalg.residue_dtype``), else
+    Python ints."""
     dtype = linalg.residue_dtype(p)
-    if degree == 0:
-        return np.ones((len(pts), 1), dtype=dtype)
-    pts = np.array(pts, dtype=dtype) % p
-    exps = _exponent_rows(pts.shape[1], degree)
-    powers = [np.ones_like(pts)]
-    for _ in range(degree):
-        powers.append(powers[-1] * pts % p)
-    powers = np.stack(powers, axis=2)          # powers[t, i, e] = x_i^e at point t
-    table = powers[:, 0, exps[:, 0]]
-    for i in range(1, pts.shape[1]):
-        table = table * powers[:, i, exps[:, i]] % p
+    table = np.ones((len(pts), 1), dtype=dtype)
+    if degree:
+        pts = np.array(pts, dtype=dtype) % p
+    for k in range(1, degree + 1):
+        parents, variables = _monomial_steps(pts.shape[1], k)
+        table = table[:, parents] * pts[:, variables] % p
     return table
 
 
@@ -144,14 +148,10 @@ def _extension_form_values(xs, degree: int, coeffs, p: int, tensor):
     """The value of every form whose coefficients are a column of ``coeffs``
     at every point of the F_(p^k) array ``xs`` (points, nvars, k): one row per
     point, one column per basis coordinate of each form's value."""
-    powers = [np.broadcast_to(np.eye(1, xs.shape[2], dtype=np.int64), xs.shape)]
-    for _ in range(degree):
-        powers.append(_extension_product(powers[-1], xs, tensor, p))
-    powers = np.stack(powers, axis=2)          # powers[t, i, e] = x_i^e at point t
-    exps = _exponent_rows(xs.shape[1], degree)
-    table = powers[:, 0, exps[:, 0]]
-    for i in range(1, xs.shape[1]):
-        table = _extension_product(table, powers[:, i, exps[:, i]], tensor, p)
+    table = np.broadcast_to(np.eye(1, xs.shape[2], dtype=np.int64), (len(xs), 1, xs.shape[2]))
+    for k in range(1, degree + 1):
+        parents, variables = _monomial_steps(xs.shape[1], k)
+        table = _extension_product(table[:, parents], xs[:, variables], tensor, p)
     values = table.transpose(0, 2, 1).astype(coeffs.dtype, copy=False) @ coeffs % p
     return values.reshape(len(xs), xs.shape[2] * coeffs.shape[1])
 
@@ -195,6 +195,8 @@ def common_projective_zeros(fs: list[Form], p: int, ext_degree: int = 1, limit=N
     for rows in projective_point_slices(nvars, p ** ext_degree):
         for d, coeffs in systems:
             rows = rows[~values(rows, d, coeffs).any(axis=1)]
+            if not len(rows):
+                break
         out += [point(row) for row in rows.tolist()]
         if limit is not None and len(out) >= limit:
             return out[:limit]

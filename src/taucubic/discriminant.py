@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 
 from . import linalg
 from .bruteforce import common_projective_zeros
@@ -366,10 +366,12 @@ def lines_through_point_of_ltau(instance: TauInstance, T) -> LineCountReport:
     g3 restricted to it gives the directions on it with their multiplicities.
     Intersection multiplicity is additive in the factors x and L, so a
     direction on both lines gets the sum, and the total is the sum of the two
-    ledger totals.  Every direction Q found is checked on the cubic itself:
-    Phi(T + u Q) = 0 for u = 0, 1, 2, 3."""
+    ledger totals.  The lines found are checked on the cubic itself: T with
+    ``evaluate``, and each direction on plain numbers (``_check_on_cubic``)."""
     domain = instance.domain
     T, *forms = _condition_forms(instance, T)
+    if evaluate(instance.cubic(), T):
+        raise ArithmeticError("the point T does not lie on the cubic")
     drop = 0 if T[0] else 1
     g1r, g2r, g3r = (drop_variable(g, drop) for g in forms)
     # slice coordinates (x, y): g1r is linear in y, g2r = x L(y)
@@ -398,16 +400,41 @@ def lines_through_point_of_ltau(instance: TauInstance, T) -> LineCountReport:
                 same[1] += e.mult
             else:
                 directions.append([q, e.mult, e.field_label])
-    # Phi(T + u Q) is a cubic in u: four zeros put the whole line on the cubic
-    phi = instance.cubic()
-    if evaluate(phi, T) or any(evaluate(phi, [a + u * b for a, b in zip(T, q)])
-                               for q, _m, _label in directions for u in range(1, 4)):
-        raise ArithmeticError("a found line direction does not lie on the cubic")
+    _check_on_cubic(instance, T, [q for q, _m, _label in directions])
     return LineCountReport(
         total_multiplicity=total,
         rational_directions=[tuple(d) for d in directions],
         contains_fixed_line=any(not any(q[2:]) for q, _m, _label in directions),
     )
+
+
+def _check_on_cubic(instance: TauInstance, T, directions):
+    """Raise ArithmeticError unless the cubic Phi vanishes at T + u Q for
+    u = 1, 2, 3 and every direction Q through the point T of the fixed line;
+    Phi(T + u Q) is a cubic in u, so with Phi(T) = 0 the line lies on Phi.
+    Plain numbers, a + b sqrt(d) as the pair (a, b), and the ``family``, read
+    off the cubic: with y = (x2, x3, x4), Phi at (w0, w1, u y(Q)) is
+    u (w0^2 l00 + w0 w1 l01 + w1^2 l11)(y(Q)) + u^3 f3(y(Q))."""
+    plain, reduce = instance.domain.plain, instance.domain.reduce
+    t0, t1 = plain(T[0]), plain(T[1])
+    for q in directions:
+        d = plain(q[0].ext.d) if isinstance(q[0], QuadElem) else 0
+        q = [(plain(c.a), plain(c.b)) if d else (plain(c), 0) for c in q]
+
+        def mul(x, y):
+            return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+        def at_y(terms):    # a family form at y(Q), from the powers y_i(Q)^e
+            monos = [(c, mul(mul(pw[0][i], pw[1][j]), pw[2][k])) for (i, j, k), c in terms]
+            return sum(c * a for c, (a, _b) in monos), sum(c * b for c, (_a, b) in monos)
+
+        pw = [list(accumulate([c] * 3, mul, initial=(1, 0))) for c in q[2:]]
+        l00, l11, l01, f3 = map(at_y, instance.family.terms)
+        for u in (1, 2, 3):
+            w0, w1 = (t0 + u * q[0][0], u * q[0][1]), (t1 + u * q[1][0], u * q[1][1])
+            parts = zip(mul(mul(w0, w0), l00), mul(mul(w0, w1), l01), mul(mul(w1, w1), l11), f3)
+            if any(reduce(u * (a + b + c) + u ** 3 * e) for a, b, c, e in parts):
+                raise ArithmeticError("a found line direction does not lie on the cubic")
 
 
 def lines_through_point_brute(instance: TauInstance, T):

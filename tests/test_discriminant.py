@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from taucubic.bruteforce import projective_points_fp
-from taucubic import discriminant
+from taucubic import discriminant, linalg
 from taucubic.discriminant import (DOUBLE_LINE, FIXES, SMOOTH_FIBER, SWAPS,
                                    DegenerateConicPart, FiberConic, InfinitelyMany,
                                    ZeroConic, _condition_forms, cone_and_singular_member,
@@ -669,6 +669,104 @@ def test_lines_suite_sees_a_wrong_condition_form(monkeypatch, mutant):
     report = run_suite(SuiteConfig(suites=("lines",), samples=4, primes=(11, 13)))
     failed = [e.instance_id for e in report.entries for c in e.checks if c.status == "fail"]
     assert bool(failed) == (mutant is not None)
+
+
+def _on_cubic_by_evaluate(inst, T, q):
+    """The former check of a found direction, kept as an oracle: ``evaluate`` on
+    the cubic's Form at T + u Q for u = 1, 2, 3."""
+    phi = inst.cubic()
+    return not any(evaluate(phi, [a + u * b for a, b in zip(T, q)]) for u in range(1, 4))
+
+
+@pytest.mark.parametrize("p", [11, 13, 17])
+def test_on_cubic_check_matches_evaluate(p):
+    # every direction found at every point of the fixed line for seeds 0-4 is
+    # on the cubic for both checks.  With one coordinate moved, in its F_p part
+    # or, over F_p(sqrt d), in its sqrt d part, the two checks agree, and the
+    # plain-number one raises where the line is off the cubic.  A move in the
+    # plane of T and Q gives the same line; about 1 in p of the others lands
+    # on another line through T.
+    dom = PrimeField(p)
+    moved = {"F_p": 0, "F_p(sqrt d), F_p part": 0, "F_p(sqrt d), sqrt d part": 0}
+    on_lines = 0      # moves onto another line through T
+    for seed in range(5):
+        inst = sample_instance(seed, 10, domain=dom)
+        for T in [(dom.one, dom.coerce(t)) for t in range(p)] + [(dom.zero, dom.one)]:
+            try:
+                rep = lines_through_point_of_ltau(inst, T)
+            except InfinitelyMany:
+                continue
+            T = T + (dom.zero,) * 3
+            for q, _m, _label in rep.rational_directions:
+                assert _on_cubic_by_evaluate(inst, T, q), (seed, T, q)
+                discriminant._check_on_cubic(inst, T, [q])
+                i = sum(moved.values()) % 5
+                if isinstance(q[i], QuadElem):
+                    field = q[i].ext
+                    steps = {"F_p(sqrt d), F_p part": field.one,
+                             "F_p(sqrt d), sqrt d part": field.sqrt_d}
+                else:
+                    field, steps = dom, {"F_p": dom.one}
+                for kind, step in steps.items():
+                    off = q[:i] + (q[i] + step,) + q[i + 1:]
+                    if _on_cubic_by_evaluate(inst, T, off):
+                        discriminant._check_on_cubic(inst, T, [off])
+                        on_lines += linalg.rank([T, q, off], field) == 3
+                        continue
+                    with pytest.raises(ArithmeticError):
+                        discriminant._check_on_cubic(inst, T, [off])
+                    moved[kind] += 1
+    assert all(moved.values()) and on_lines < sum(moved.values()) / 4, (moved, on_lines)
+
+
+# sample_instance(0, 10, QQ): at each (t0 : t1), the directions found, each
+# scaled to a leading 1 (``_direction_key``), its multiplicity and its field
+QQ_LINES = {
+    (1, 2): [(("0", "1", "0", "0", "0"), 1, "Q"),
+             ((("0", "0"), ("1", "0"), ("0", "42/1186487"), ("0", "1356/5932435"),
+               ("0", "-528/5932435")), 1, "Q(sqrt -1186487)"),
+             ((("0", "0"), ("1", "0"), ("0", "-42/1186487"), ("0", "-1356/5932435"),
+               ("0", "528/5932435")), 1, "Q(sqrt -1186487)")],
+    (1, 0): [(("0", "1", "0", "0", "0"), 1, "Q"),
+             ((("0", "0"), ("1", "0"), ("0", "-210/287089"), ("0", "372/287089"),
+               ("0", "-336/287089")), 1, "Q(sqrt -861267)"),
+             ((("0", "0"), ("1", "0"), ("0", "210/287089"), ("0", "-372/287089"),
+               ("0", "336/287089")), 1, "Q(sqrt -861267)")],
+    (0, 1): [(("1", "0", "0", "0", "0"), 1, "Q"),
+             ((("1", "0"), ("0", "0"), ("0", "-30/1300651"), ("0", "516/1300651"),
+               ("0", "-48/1300651")), 1, "Q(sqrt -3901953)"),
+             ((("1", "0"), ("0", "0"), ("0", "30/1300651"), ("0", "-516/1300651"),
+               ("0", "48/1300651")), 1, "Q(sqrt -3901953)")],
+}
+
+
+def test_lines_over_q_pinned():
+    # the route over Q, its check on Fractions and pairs of Fractions included
+    inst = sample_instance(0, 10, QQ)
+    for T, directions in QQ_LINES.items():
+        rep = lines_through_point_of_ltau(inst, qq(*T))
+        assert rep.total_multiplicity == 6 and rep.contains_fixed_line
+        assert [(_direction_key(d), m, label)
+                for d, m, label in rep.rational_directions] == directions
+
+
+def test_lines_suite_evaluates_the_cubic_at_every_probed_point(monkeypatch):
+    # the route checks each probed T on the cubic's Form with ``evaluate``,
+    # the calls the benchmark's line-oracles workload expects to see
+    calls = []
+
+    def counted_evaluate(f, pt):
+        calls[-1] += 1
+        return evaluate(f, pt)
+
+    def counted_route(inst, T, route=discriminant.lines_through_point_of_ltau):
+        calls.append(0)
+        return route(inst, T)
+
+    monkeypatch.setattr(discriminant, "evaluate", counted_evaluate)
+    monkeypatch.setattr(discriminant, "lines_through_point_of_ltau", counted_route)
+    run_suite(SuiteConfig(suites=("lines",), samples=2, primes=(11,)))
+    assert calls and all(calls), calls
 
 
 # --- cone geometry ------------------------------------------------------

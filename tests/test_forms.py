@@ -433,13 +433,49 @@ def test_smoothness_canonical_cubic_bad_prime_five():
     assert verdicts[5].resultants == {5: 0} and verdicts[5].witness is None
 
 
-@pytest.mark.parametrize("nvars", [1, 2, 3, 5])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
 def test_point_slices_follow_projective_points_fp(nvars):
+    # nvars = 4 at p = 13 is the shape of the brute-force line directions
     from taucubic.bruteforce import projective_point_slices
-    slices = list(projective_point_slices(nvars, 5))
-    assert max(len(s) for s in slices) <= 5 ** max(nvars - 2, 1)
+    p = 13 if nvars == 4 else 5
+    slices = list(projective_point_slices(nvars, p))
+    assert all(s.dtype == np.int64 and s.shape[1] == nvars for s in slices)
+    assert max(len(s) for s in slices) <= p ** max(nvars - 2, 1)
     assert [tuple(row) for s in slices for row in s.tolist()] == \
-        [tuple(c.residue for c in pt) for pt in projective_points_fp(nvars, 5)]
+        [tuple(c.residue for c in pt) for pt in projective_points_fp(nvars, p)]
+
+
+def _stacked_monomial_values(pts, degree, p):
+    """The former ``monomial_values``, kept as an oracle: every coordinate's
+    powers stacked per point, then one gather and product per variable."""
+    dtype = linalg.residue_dtype(p)
+    if degree == 0:
+        return np.ones((len(pts), 1), dtype=dtype)
+    pts = np.array(pts, dtype=dtype) % p
+    exps = np.array(monomials(pts.shape[1], degree), dtype=np.intp).reshape(-1, pts.shape[1])
+    powers = [np.ones_like(pts)]
+    for _ in range(degree):
+        powers.append(powers[-1] * pts % p)
+    powers = np.stack(powers, axis=2)          # powers[t, i, e] = x_i^e at point t
+    table = powers[:, 0, exps[:, 0]]
+    for i in range(1, pts.shape[1]):
+        table = table * powers[:, i, exps[:, i]] % p
+    return table
+
+
+@pytest.mark.parametrize("p", [7, 101, 4294967311])
+def test_monomial_values_match_stacked_powers(p):
+    # the degree-by-degree table against the stacked powers, on points with
+    # coordinates outside [0, p) and a row of p - 1; 4294967311 takes the
+    # Python-int path
+    rng = random.Random(p)
+    for nvars in range(1, 6):
+        pts = [[rng.randrange(-p, 2 * p) for _ in range(nvars)] for _ in range(12)]
+        pts.append([p - 1] * nvars)
+        for degree in range(5):
+            table, oracle = monomial_values(pts, degree, p), _stacked_monomial_values(pts, degree, p)
+            assert table.dtype == oracle.dtype and table.shape == oracle.shape
+            assert table.tolist() == oracle.tolist()
 
 
 def _plain_common_zeros(fs, p, limit=None):
