@@ -11,11 +11,9 @@ from .tau import (DegenerateOnLine, GenericityExhausted, NoSolution, QuadricPart
                   TauInstance, UnsupportedDegree, canonical_instance, fixed_points_on_S,
                   invariant_basis, sample_instance, sym2_eigensplit, tau_form,
                   verify_base_locus)
-from .discriminant import (DegenerateConicPart, DiscriminantData, FiberConic,
-                           InfinitelyMany, LinePair, ZeroConic,
+from .discriminant import (DegenerateConicPart, DiscriminantData, InfinitelyMany, ZeroConic,
                            cone_and_singular_member, discriminant_quintic,
-                           fiber_conic, lines_through_point_of_ltau, split_conic,
-                           tau_fiber_action)
+                           lines_through_point_of_ltau, tau_fiber_action)
 from .ledgers import (Disconnected, GenusLedger, ci_curve_genus, hurwitz_double_cover,
                       ideal_section_dimension, jacobian_tau_split, koszul_h01_ledger,
                       plane_curve_genus, prym_dimension_ledger)

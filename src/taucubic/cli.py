@@ -55,8 +55,7 @@ def main(argv=None) -> int:
         primes = tuple(int(p.strip()) for p in args.primes.split(",") if p.strip())
         config = SuiteConfig(suites=tuple(suites), samples=args.samples,
                              seed=args.seed, primes=primes, bound=args.bound,
-                             instance_path=args.instance_path,
-                             out_path=args.out_path)
+                             instance_path=args.instance_path)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -73,9 +72,9 @@ def main(argv=None) -> int:
                   f"expected={c.expected!r} computed={c.computed!r}")
     print(f"summary: {summary['passed']} passed, {summary['failed']} failed, "
           f"{summary['inconclusive']} inconclusive")
-    if config.out_path:
-        emit_report(report, config.out_path)
-        print(f"report written to {config.out_path}")
+    if args.out_path:
+        emit_report(report, args.out_path)
+        print(f"report written to {args.out_path}")
     return 0 if summary["failed"] == 0 else 1
 
 

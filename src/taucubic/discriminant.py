@@ -31,8 +31,8 @@ The fiber over a point is evaluated, split and classified on the plain
 numbers of ``scalars``: residues mod p over F_p, Fractions over Q.  The
 family's nonzero terms are tabulated once per instance (``FiberFamily.terms``),
 and an element a + b sqrt(d) of the quadratic extension a line pair may need
-is the pair (a, b), so a line form is a pair (re, im) of plain vectors.  Field
-elements are built once, for the returned ``LinePair``.
+is the pair (a, b), so a line form is a pair (re, im) of plain vectors
+(``_split``).  No field element is built for a fiber.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from itertools import accumulate, islice
 
 from . import linalg
 from .bruteforce import common_projective_zeros
-from .forms import (Form, SymMatrix3, compose_linear, evaluate, is_smooth_conic,
-                    jacobian_rank, monomials, partial_derivative)
+from .forms import (Form, compose_linear, evaluate, is_smooth_conic, jacobian_rank,
+                    monomials, partial_derivative)
 from .intersect import (PlaneIntersection, conic_rational_points, curve_rational_points,
                         intersect_plane_curves)
 from .roots import binary_form_roots, binary_quadratic_roots
@@ -81,77 +81,25 @@ def _plane_point(P):
     return tuple(P)
 
 
-@dataclass
-class FiberConic:
-    """Residual conic of one projection fiber, in plane coordinates (x0, x1, s)."""
-
-    base_point: tuple
-    alpha: object
-    beta: object
-    gamma: object
-    delta: object
-    domain: object
-
-    def coefficients(self):
-        return (self.alpha, self.beta, self.gamma, self.delta)
-
-    @property
-    def gram(self) -> SymMatrix3:
-        half = self.domain.one / self.domain.coerce(2)
-        zero = self.domain.zero
-        return SymMatrix3.from_rows([[self.alpha, self.gamma * half, zero],
-                                     [self.gamma * half, self.beta, zero],
-                                     [zero, zero, self.delta]])
-
-
-def fiber_conic(instance: TauInstance, P) -> FiberConic:
-    """The fiber conic over a point of the fixed plane, from the instance's family."""
-    domain = instance.domain
-    P = tuple(domain.coerce(c) for c in _plane_point(P))
-    values = instance.family.values([domain.plain(c) for c in P])
-    return FiberConic(P, *map(domain.coerce, values), domain)
-
-
-@dataclass
-class LinePair:
-    """The two line forms (c0, c1, c2) of a degenerate fiber conic over ``domain``."""
-
-    plus: tuple
-    minus: tuple
-    double: bool
-    domain: object
-
-    def as_set(self):
-        return (self.plus, self.minus)
-
-
-def split_conic(fc: FiberConic) -> LinePair | None:
-    """Factor a degenerate fiber conic into its line pair.
-
-    Rank 3 returns None (smooth conic, nothing splits).  Rank 1 is a double
-    line, the nonzero row of the Gram matrix.  Rank 2 is two distinct lines
-    through the vertex k, the kernel of the Gram matrix: on a coordinate line
-    {x_m = 0} with k_m != 0 the conic is a binary quadratic whose two roots q,
-    over at most one quadratic extension, give the lines k x q.  Raises
-    ZeroConic when all four coefficients vanish.
-    """
-    split = _split([fc.domain.plain(c) for c in fc.coefficients()], fc.domain)
-    return None if split is None else _line_pair(split, fc.domain)
-
-
 _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _split(values, domain):
-    """``split_conic`` on the plain values (alpha, beta, gamma, delta): None, or
-    (lines, field, d) with one line for a double line and two otherwise.  A
-    line is a pair (re, im) of plain vectors, the form re + sqrt(d) im over
+    """The line pair of the fiber conic with the plain values (alpha, beta,
+    gamma, delta): None for a smooth conic (rank 3), else (lines, field, d)
+    with one line for a double line (rank 1) and two otherwise.  A line is a
+    pair (re, im) of plain vectors, the form re + sqrt(d) im over
     field = domain(sqrt(d)); over field = domain, im is zero and d is 0.
+    Raises ZeroConic when all four values vanish.
 
-    The Gram matrix is diag(A, delta), A its (x0, x1) block, so the vertex is
-    (0, 0, det A) on the cubic component and (ker A, 0) on the conic one, and
-    the binary quadratic has a cross term only on {s = 0}.  A root (r : 1) at
-    (x_u, x_v) gives the line k x q = r (k x e_u) + k x e_v."""
+    Rank 1 is the nonzero row of the Gram matrix.  Rank 2 is two distinct
+    lines through the vertex k, the kernel of the Gram matrix: on a coordinate
+    line {x_m = 0} with k_m != 0 the conic is a binary quadratic whose two
+    roots q give the lines k x q.  The Gram matrix is diag(A, delta), A its
+    (x0, x1) block, so the vertex is (0, 0, det A) on the cubic component and
+    (ker A, 0) on the conic one, and the binary quadratic has a cross term
+    only on {s = 0}.  A root (r : 1) at (x_u, x_v) gives the line
+    k x q = r (k x e_u) + k x e_v."""
     alpha, beta, gamma, delta = values
     if not any(values):
         raise ZeroConic("fiber conic is identically zero")
@@ -186,15 +134,6 @@ def _split(values, domain):
             (line((-s0 - b) * w, 1), line(-s1 * w, 0))], field, d
 
 
-def _line_pair(split, domain) -> LinePair:
-    """The LinePair of field elements for a ``_split`` result."""
-    lines, field, _d = split
-    make = ((lambda a, _b: domain.coerce(a)) if field is domain else
-            (lambda a, b: QuadElem(a, b, field)))
-    forms = [tuple(map(make, *line)) for line in lines]
-    return LinePair(forms[0], forms[-1], len(forms) == 1, field)
-
-
 def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
@@ -218,7 +157,6 @@ class FiberAction:
     action: str
     on_conic_component: bool
     on_cubic_component: bool
-    pair: LinePair | None
 
 
 def tau_fiber_action(instance: TauInstance, P) -> FiberAction:
@@ -227,7 +165,7 @@ def tau_fiber_action(instance: TauInstance, P) -> FiberAction:
     The verified dichotomy: fibers over the cubic component (delta = 0) keep
     each line; fibers over the conic component swap them; over component
     crossings the pair degenerates to a double line.  The fiber is computed
-    on plain numbers; field elements are built only for the returned pair.
+    on plain numbers.
     """
     domain = instance.domain
     values = instance.family.values([domain.plain(domain.coerce(c)) for c in _plane_point(P)])
@@ -236,16 +174,16 @@ def tau_fiber_action(instance: TauInstance, P) -> FiberAction:
     on_conic = not domain.reduce(4 * alpha * beta - gamma * gamma)
     split = _split(values, domain)
     if split is None:
-        return FiberAction(SMOOTH_FIBER, on_conic, on_cubic, None)
-    pair = _line_pair(split, domain)
-    if pair.double:
-        return FiberAction(DOUBLE_LINE, on_conic, on_cubic, pair)
-    (plus, minus), _field, d = split
+        return FiberAction(SMOOTH_FIBER, on_conic, on_cubic)
+    lines, _field, d = split
+    if len(lines) == 1:
+        return FiberAction(DOUBLE_LINE, on_conic, on_cubic)
+    plus, minus = lines
     same = lambda c, e: _proportional(c, e, d, domain.reduce)
     if same(_tau_line(plus), plus) and same(_tau_line(minus), minus):
-        return FiberAction(FIXES, on_conic, on_cubic, pair)
+        return FiberAction(FIXES, on_conic, on_cubic)
     if same(_tau_line(plus), minus) and same(_tau_line(minus), plus):
-        return FiberAction(SWAPS, on_conic, on_cubic, pair)
+        return FiberAction(SWAPS, on_conic, on_cubic)
     raise ArithmeticError("involution did not preserve the fiber's line pair")
 
 

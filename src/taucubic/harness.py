@@ -33,7 +33,7 @@ from .tau import (QuadricPart, TauInstance, canonical_instance,
                   default_witness_points, fixed_points_on_S, invariant_basis,
                   invariant_coordinates, invariant_monomials, random_points_on_surface,
                   reduce_instance, sample_instance, sym2_eigensplit, two_point_analysis,
-                  two_point_subspace, verify_base_locus)
+                  two_point_subspace, verify_base_locus, _tau_split)
 from . import linalg
 
 
@@ -70,7 +70,6 @@ class SuiteConfig:
     primes: tuple = (5, 7, 11, 13, 101, 103)
     bound: int = 10
     instance_path: str | None = None
-    out_path: str | None = None
 
     def __post_init__(self):
         names = []
@@ -738,7 +737,7 @@ def _suite_quotient(config: SuiteConfig, loaded):
             work = reduce_instance(inst, p)
         except BadPrime as exc:
             return exact + [_bad_reduction(p, exc), genus]
-        sqfree = quot.sextic_squarefree_probe(work, p=p, rng=rng)
+        sqfree = quot.sextic_squarefree_probe(work, rng)
         ident_ok, member_ok, probed = _quotient_spot_checks(work, rng, SPOT_CHECKS)
         return exact + [
             CheckResult("branch_squarefree_probe", "squarefree (generic)", sqfree,
@@ -769,19 +768,21 @@ def _quotient_spot_checks(inst: TauInstance, rng: random.Random, count: int):
     most 10 * count draws; returns (ident_ok, member_ok, probed).
 
     A probe is admissible when P != 0, (x0, x1) != 0, f2(P) != 0 and
-    q(x0, x1) != 0, q the (x0, x1)-part of the quadric F.  The identity check
-    compares the quotient equation with Phi f2 - F f3 at (x0, x1, P).  The
-    membership check lifts the probe to (x0 : x1 : tP), t^2 = s =
-    -q(x0, x1)/f2(P), a point of F, and asks that it lie on the cubic Phi
-    exactly when the quotient equation vanishes.  Write G = sum_k G_k, G_k of
-    degree k in (x2, x3, x4), for G = Phi, F; then
-    G(x0, x1, tP) = E + t O with E = sum_(k even) s^(k/2) G_k(x0, x1, P) and
-    O = sum_(k odd) s^((k-1)/2) G_k(x0, x1, P), and where s is not a square
-    mod p, E + t O = 0 in F_p(t) means E = O = 0.  Every form is evaluated at
-    all probes in one ``bruteforce.form_values`` table.
+    q(x0, x1) != 0, q the (x0, x1)-part of the quadric F.  Write the tau-split
+    (l00, l01, l11, c) of G = Phi, F as q_G = l00 x0^2 + l01 x0 x1 + l11 x1^2
+    and c_G, so G(x, P) = q_G(x, P) + c_G(P): Phi's split is ``inst.family``,
+    F's is read off ``inst.quadric()``, and a monomial odd in (x0, x1) raises
+    ArithmeticError.  The identity check compares the quotient equation with
+    Phi f2 - F f3 at (x0, x1, P).  The membership check lifts the probe to
+    (x0 : x1 : tP), t^2 = s = -q(x0, x1)/f2(P), a point of F, and asks that it
+    lie on Phi and F exactly when the quotient equation vanishes.  The l's of
+    Phi are linear and c_Phi is cubic in P, those of F constant and quadratic,
+    so Phi(x, tP) = t (q_Phi + s c_Phi) and F(x, tP) = q_F + s c_F.  On an
+    admissible probe s != 0, so t != 0, and the lift lies on G exactly when
+    f2(P) q_G - q(x0, x1) c_G = 0: no square root is taken.  Every form is
+    evaluated at all probes in one ``bruteforce.form_values`` table.
     """
-    domain = inst.domain
-    p = domain.p
+    p = inst.domain.p
     dtype = linalg.residue_dtype(p)
     q = inst.quadrics[0]
     q_coeffs = np.array([c.residue for c in (q.a00, q.a01, q.a11)], dtype=dtype)
@@ -812,35 +813,24 @@ def _quotient_spot_checks(inst: TauInstance, rng: random.Random, count: int):
     draws = np.concatenate(chunks)
     x, P, mono, f2v, qv = probe_values(draws)
 
+    def split_values(l00, l01, l11, c):
+        """q_G(x0, x1, P) and c_G(P) at every probe."""
+        heads = form_values(P, l00.degree, coefficient_matrix([l00, l01, l11], p), p)
+        return ((heads * mono % p).sum(axis=1) % p,
+                form_values(P, c.degree, coefficient_matrix([c], p), p)[:, 0])
+
     abcf = form_values(P, 3, coefficient_matrix([*quot.quotient_equation(inst), inst.f3], p), p)
     qval = (abcf[:, :3] * mono % p).sum(axis=1) % p
-    phi = form_values(draws, 3, _plane_degree_columns(inst.cubic(), p), p)
-    F = form_values(draws, 2, _plane_degree_columns(inst.quadric(), p), p)
-    direct = (phi.sum(axis=1) % p * f2v % p - F.sum(axis=1) % p * abcf[:, 3] % p) % p
+    fam = inst.family
+    phi = split_values(fam.l00, fam.l01, fam.l11, fam.f3)
+    F = split_values(*_tau_split(inst.quadric()))
+    direct = (sum(phi) % p * f2v % p - sum(F) % p * abcf[:, 3] % p) % p
     ident_ok = int((qval == direct).sum())
-
-    s = [-qf * pow(f, -1, p) % p for qf, f in zip(qv.tolist(), f2v.tolist())]
-    roots = [domain.sqrt_or_none(s_i) for s_i in s]
-    split = np.array([r is not None for r in roots])
-    t = np.array([0 if r is None else r.residue for r in roots], dtype=qv.dtype)
-    s = np.array(s, dtype=qv.dtype)
     on_surface = np.ones(accepted, dtype=bool)
-    for parts in (phi, F):
-        # s^(k // 2) G_k, k <= 3
-        weighted = [parts[:, k] * (s if k >= 2 else 1) % p for k in range(parts.shape[1])]
-        E, O = sum(weighted[0::2]) % p, sum(weighted[1::2]) % p
-        on_surface &= np.where(split, (E + t * O % p) % p == 0, (E == 0) & (O == 0))
+    for q_g, c_g in (phi, F):
+        on_surface &= (f2v * q_g % p - qv * c_g % p) % p == 0
     member_ok = int((on_surface == (qval == 0)).sum())
     return ident_ok, member_ok, accepted
-
-
-def _plane_degree_columns(G: Form, p: int):
-    """The coefficient matrix (``bruteforce.coefficient_matrix``) of the parts
-    G_0, ..., G_d of the quinary form G, G_k the terms of degree k in
-    (x2, x3, x4): one column per k."""
-    full = coefficient_matrix([G], p)[:, 0]
-    k = np.array([sum(m[2:]) for m in monomials(5, G.degree)])
-    return np.stack([np.where(k == j, full, 0) for j in range(G.degree + 1)], axis=1)
 
 
 _SUITE_FUNCS = {

@@ -12,8 +12,7 @@ import random
 
 from .forms import Form, compose_linear, monomials
 from .roots import is_squarefree, trim
-from .scalars import RationalField
-from .tau import TauInstance, reduce_instance
+from .tau import TauInstance
 
 
 class IdenticallyZero(ValueError):
@@ -41,17 +40,12 @@ def branch_sextic(instance: TauInstance) -> Form:
     return disc
 
 
-def sextic_squarefree_probe(instance: TauInstance, p: int | None = None,
-                            rng: random.Random | None = None) -> bool | None:
-    """Squarefreeness of the branch sextic, probed on five random line
-    sections over F_p.  A squarefree section certifies a squarefree sextic;
-    None means too few probed sections were informative."""
-    rng = rng or random.Random(0x5EC71C)
-    if p is None and isinstance(instance.domain, RationalField):
-        raise ValueError("probing a rational instance needs a prime")
-    work = reduce_instance(instance, p)
-    fdom = work.domain
-    sextic = branch_sextic(work)
+def sextic_squarefree_probe(instance: TauInstance, rng: random.Random) -> bool | None:
+    """Squarefreeness of the branch sextic of an instance over F_p, probed on
+    five random line sections.  A squarefree section certifies a squarefree
+    sextic; None means too few probed sections were informative."""
+    fdom = instance.domain
+    sextic = branch_sextic(instance)
     informative = 0
     for _ in range(5):
         a = tuple(fdom.coerce(rng.randrange(fdom.p)) for _ in range(3))

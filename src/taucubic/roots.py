@@ -372,10 +372,6 @@ class BinaryRootLedger:
     def total_multiplicity(self):
         return sum(e.weight for e in self.entries)
 
-    @property
-    def squarefree(self):
-        return all(e.mult == 1 for e in self.entries)
-
 
 def _field_label(domain):
     if isinstance(domain, RationalField):

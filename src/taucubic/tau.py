@@ -106,16 +106,24 @@ class TauInstance:
                 raise ValueError("f2 must be a ternary quadratic")
 
     def cubic(self) -> Form:
+        """The cubic as a form on P^4, built once."""
+        return self._cubic
+
+    def quadric(self) -> Form:
+        """The first quadric as a form on P^4, built once."""
+        return self._quadric
+
+    @cached_property
+    def _cubic(self) -> Form:
         return (embed_with_x01(self.l00, 2, 0) + embed_with_x01(self.l11, 0, 2)
                 + embed_with_x01(self.l01, 1, 1) + embed_with_x01(self.f3, 0, 0))
 
-    def quadric(self) -> Form:
-        """The first quadric as a form on P^4."""
+    @cached_property
+    def _quadric(self) -> Form:
         q = self.quadrics[0]
-        dom = self.domain
         head = Form.from_terms(5, 2, {(2, 0, 0, 0, 0): q.a00,
                                       (0, 2, 0, 0, 0): q.a11,
-                                      (1, 1, 0, 0, 0): q.a01}, dom)
+                                      (1, 1, 0, 0, 0): q.a01}, self.domain)
         return head + embed_with_x01(q.f2, 0, 0)
 
     def conic_part(self) -> Form:

@@ -12,13 +12,13 @@ import pytest
 from taucubic.bruteforce import projective_points_fp
 from taucubic import discriminant, linalg
 from taucubic.discriminant import (DOUBLE_LINE, FIXES, SMOOTH_FIBER, SWAPS,
-                                   DegenerateConicPart, FiberConic, InfinitelyMany,
-                                   ZeroConic, _condition_forms, cone_and_singular_member,
+                                   DegenerateConicPart, InfinitelyMany,
+                                   ZeroConic, _condition_forms, _split, cone_and_singular_member,
                                    discriminant_quintic, drop_variable,
-                                   fiber_conic, lines_through_point_brute,
+                                   lines_through_point_brute,
                                    lines_through_point_of_ltau,
                                    points_on_conic_component,
-                                   points_on_cubic_component, split_conic,
+                                   points_on_cubic_component,
                                    tau_fiber_action)
 from taucubic.forms import (Form, SymMatrix3, compose_linear, evaluate, exact_divide,
                             jacobian_rank, monomials, partial_derivative)
@@ -39,18 +39,33 @@ def qq(*cs):
 # --- fiber conics -------------------------------------------------------
 
 
+def _values(inst, P):
+    """The fiber conic's plain values (alpha, beta, gamma, delta) over the
+    fixed-plane point P, as ``tau_fiber_action`` reads them."""
+    dom = inst.domain
+    return inst.family.values([dom.plain(dom.coerce(c)) for c in P])
+
+
+def _line_forms(domain, split):
+    """The lines of a ``_split`` result over ``domain`` as forms of field
+    elements, a + b sqrt(d) as a QuadElem, and the field they lie over."""
+    lines, field, _d = split
+    make = ((lambda a, _b: domain.coerce(a)) if field is domain else
+            (lambda a, b: QuadElem(a, b, field)))
+    return [tuple(map(make, *line)) for line in lines], field
+
+
 def test_fiber_coefficients_canonical():
     inst = canonical_instance()
-    fc = fiber_conic(inst, qq(1, 0, 0))
-    assert fc.coefficients() == (1, 0, 0, 1)
-    fc = fiber_conic(inst, qq(1, -1, 0))
-    assert fc.coefficients() == (1, -1, 0, 0)
+    assert _values(inst, qq(1, 0, 0)) == (1, 0, 0, 1)
+    assert _values(inst, qq(1, -1, 0)) == (1, -1, 0, 0)
 
 
 def test_fiber_accepts_five_coordinates():
     inst = canonical_instance()
-    fc = fiber_conic(inst, qq(0, 0, 1, 2, 3))
-    assert fc.base_point == qq(1, 2, 3)
+    assert tau_fiber_action(inst, qq(0, 0, 1, -1, 0)) == tau_fiber_action(inst, qq(1, -1, 0))
+    with pytest.raises(ValueError):
+        tau_fiber_action(inst, qq(1, 0, 1, -1, 0))
 
 
 def test_fiber_restriction_identity_random():
@@ -60,10 +75,10 @@ def test_fiber_restriction_identity_random():
     rng = random.Random(3)
     for _ in range(10):
         pt = qq(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(1, 5))
-        fc = fiber_conic(inst, pt)
+        alpha, beta, gamma, delta = _values(inst, pt)
         rows = [[1, 0, 0], [0, 1, 0], [0, 0, pt[0]], [0, 0, pt[1]], [0, 0, pt[2]]]
-        expected = Form.from_terms(3, 3, {(2, 0, 1): fc.alpha, (0, 2, 1): fc.beta,
-                                          (1, 1, 1): fc.gamma, (0, 0, 3): fc.delta}, QQ)
+        expected = Form.from_terms(3, 3, {(2, 0, 1): alpha, (0, 2, 1): beta,
+                                          (1, 1, 1): gamma, (0, 0, 3): delta}, QQ)
         assert compose_linear(phi, rows) == expected
 
 
@@ -76,11 +91,11 @@ def test_family_read_off_cubic():
 
 
 def test_gram_determinant_relation():
-    inst = canonical_instance()
-    fc = fiber_conic(inst, qq(2, 3, 1))
-    det = fc.gram.det()
-    expected = fc.delta * (fc.alpha * fc.beta - fc.gamma * fc.gamma / 4)
-    assert det == expected
+    alpha, beta, gamma, delta = _values(canonical_instance(), qq(2, 3, 1))
+    zero = QQ.zero
+    gram = SymMatrix3.from_rows([[alpha, gamma / 2, zero], [gamma / 2, beta, zero],
+                                 [zero, zero, delta]])
+    assert gram.det() == delta * (alpha * beta - gamma * gamma / 4)
 
 
 def _directional_expansion(f: Form, T):
@@ -122,47 +137,41 @@ def test_condition_forms_match_the_directional_expansion(domain):
 # --- splitting ----------------------------------------------------------
 
 
-def _fc(alpha, beta, gamma, delta):
-    return FiberConic(qq(1, 0, 0), *qq(alpha, beta, gamma, delta), QQ)
-
-
 def _on_line(c, pt3):
     return not (c[0] * pt3[0] + c[1] * pt3[1] + c[2] * pt3[2])
 
 
 def test_split_rank2_gaussian():
-    pair = split_conic(_fc(1, 0, 0, 1))  # x0^2 + s^2
-    assert pair is not None and not pair.double
-    assert pair.domain.d == -1
+    lines, fld = _line_forms(QQ, _split(qq(1, 0, 0, 1), QQ))  # x0^2 + s^2
+    assert len(lines) == 2 and fld.d == -1
     # the lines are x0 = +-i s: the witness (i, 0, 1) lies on one, (-i, 0, 1) on the other
-    i, zero, one = pair.domain.sqrt_d, pair.domain.zero, pair.domain.one
-    assert [_on_line(c, (i, zero, one)) for c in pair.as_set()].count(True) == 1
-    assert [_on_line(c, (-i, zero, one)) for c in pair.as_set()].count(True) == 1
+    i, zero, one = fld.sqrt_d, fld.zero, fld.one
+    assert [_on_line(c, (i, zero, one)) for c in lines].count(True) == 1
+    assert [_on_line(c, (-i, zero, one)) for c in lines].count(True) == 1
 
 
 def test_split_difference_of_squares():
-    pair = split_conic(_fc(1, -1, 0, 0))  # x0^2 - x1^2
-    assert pair is not None and not pair.double
-    assert pair.domain is QQ
+    lines, fld = _line_forms(QQ, _split(qq(1, -1, 0, 0), QQ))  # x0^2 - x1^2
+    assert len(lines) == 2 and fld is QQ
     one, zero = QQ.one, QQ.zero
     # lines x0 = x1 and x0 = -x1 in the plane, through the fiber base point
-    assert any(_on_line(c, (one, one, zero)) for c in pair.as_set())
-    assert any(_on_line(c, (one, -one, zero)) for c in pair.as_set())
-    assert all(_on_line(c, (zero, zero, one)) for c in pair.as_set())
+    assert any(_on_line(c, (one, one, zero)) for c in lines)
+    assert any(_on_line(c, (one, -one, zero)) for c in lines)
+    assert all(_on_line(c, (zero, zero, one)) for c in lines)
 
 
 def test_split_double_line():
-    pair = split_conic(_fc(1, 0, 0, 0))  # x0^2
-    assert pair is not None and pair.double
+    split = _split(qq(1, 0, 0, 0), QQ)  # x0^2
+    assert split is not None and len(split[0]) == 1
 
 
 def test_split_smooth_conic_returns_none():
-    assert split_conic(_fc(1, 1, 0, 1)) is None
+    assert _split(qq(1, 1, 0, 1), QQ) is None
 
 
 def test_split_zero_conic_raises():
     with pytest.raises(ZeroConic):
-        split_conic(_fc(0, 0, 0, 0))
+        _split(qq(0, 0, 0, 0), QQ)
 
 
 # split points of the canonical instance over Q: on the conic component
@@ -181,30 +190,18 @@ def _split_cases(seed, bound, rng_seed, count):
     return [(inst, P) for P in pts] + [(canonical, P) for P in CANONICAL_SPLIT_POINTS]
 
 
-def _pair_by(route, inst, P):
-    """The fiber's line pair from split_conic, or from tau_fiber_action as the
-    fiber-action suite computes it."""
-    if route == "split_conic":
-        return split_conic(fiber_conic(inst, P))
-    return tau_fiber_action(inst, P).pair
-
-
 def test_line_pair_product_recovers_conic():
     # the two plane line forms multiply back to the fiber conic (up to scale)
-    for (inst, P), route in product(_split_cases(900, 10, 31415, 10),
-                                    ("split_conic", "tau_fiber_action")):
-        fc = fiber_conic(inst, P)
-        pair = _pair_by(route, inst, P)
-        assert not pair.double
-        fld = pair.domain
-        l1, l2 = pair.plus, pair.minus
+    for inst, P in _split_cases(900, 10, 31415, 10):
+        alpha, beta, gamma, delta = values = _values(inst, P)
+        (l1, l2), fld = _line_forms(inst.domain, _split(values, inst.domain))
         prod = {(2, 0, 0): l1[0] * l2[0], (0, 2, 0): l1[1] * l2[1],
                 (0, 0, 2): l1[2] * l2[2],
                 (1, 1, 0): l1[0] * l2[1] + l1[1] * l2[0],
                 (1, 0, 1): l1[0] * l2[2] + l1[2] * l2[0],
                 (0, 1, 1): l1[1] * l2[2] + l1[2] * l2[1]}
-        conic = {(2, 0, 0): fld.coerce(fc.alpha), (0, 2, 0): fld.coerce(fc.beta),
-                 (0, 0, 2): fld.coerce(fc.delta), (1, 1, 0): fld.coerce(fc.gamma),
+        conic = {(2, 0, 0): fld.coerce(alpha), (0, 2, 0): fld.coerce(beta),
+                 (0, 0, 2): fld.coerce(delta), (1, 1, 0): fld.coerce(gamma),
                  (1, 0, 1): fld.zero, (0, 1, 1): fld.zero}
         lam = None
         for key, c in conic.items():
@@ -218,13 +215,11 @@ def test_line_pair_product_recovers_conic():
 
 
 def test_both_lines_lie_on_cubic():
-    for (inst, pt), route in product(_split_cases(31, 9, 12, 4),
-                                     ("split_conic", "tau_fiber_action")):
-        pair = _pair_by(route, inst, pt)
-        assert pair is not None
-        phi = inst.cubic()
-        for c in pair.as_set():
-            _assert_line_on_form(phi, c, pt, pair.domain)
+    for inst, pt in _split_cases(31, 9, 12, 4):
+        lines, fld = _line_forms(inst.domain, _split(_values(inst, pt), inst.domain))
+        assert len(lines) == 2
+        for c in lines:
+            _assert_line_on_form(inst.cubic(), c, pt, fld)
 
 
 def _assert_line_on_form(phi, c, P, fld):
@@ -296,7 +291,7 @@ def _dichotomy_on_every_plane_point(p, seed):
             assert (act.on_cubic_component, act.on_conic_component) == key
             seen.add(act.action)
             if act.action in (FIXES, SWAPS):
-                split_fields.add((act.action, act.pair.domain == dom))
+                split_fields.add((act.action, _split(_values(inst, pt), dom)[1] == dom))
     return seen, split_fields
 
 
@@ -340,15 +335,17 @@ def _exact(x):
 
 
 def _action_digest(cases):
-    """sha256 of what tau_fiber_action returns at each (instance, point): the
-    action, both component flags, and the line pair's field, double flag and
-    exact forms."""
+    """sha256 of the fiber at each (instance, point): the action and both
+    component flags ``tau_fiber_action`` returns, and the field, double flag
+    and exact forms of the line pair ``_split`` gives, a double line repeated."""
     lines = []
     for inst, pt in cases:
         act = tau_fiber_action(inst, pt)
-        pair = act.pair
-        split = None if pair is None else (repr(pair.domain), pair.double,
-                                           [[_exact(c) for c in line] for line in pair.as_set()])
+        split = _split(_values(inst, pt), inst.domain)
+        if split is not None:
+            forms, fld = _line_forms(inst.domain, split)
+            split = (repr(fld), len(forms) == 1,
+                     [[_exact(c) for c in line] for line in (forms[0], forms[-1])])
         lines.append(repr((act.action, act.on_conic_component, act.on_cubic_component, split)))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 

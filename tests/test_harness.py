@@ -496,6 +496,21 @@ def test_quotient_spot_checks_catch_a_wrong_equation_or_quadric(monkeypatch):
     assert ident < probed and member < probed
 
 
+def test_quotient_suite_errors_on_a_tau_odd_cubic(monkeypatch):
+    # x0 x2^2 is odd in (x0, x1): the spot checks read the cubic's tau-split,
+    # which raises on it, instead of evaluating the monomial
+    cubic = TauInstance.cubic
+    monkeypatch.setattr(TauInstance, "cubic", lambda self: cubic(self) + Form.from_terms(
+        5, 3, {(1, 0, 2, 0, 0): 1}, self.domain))
+    report = run_suite(SuiteConfig(suites=("quotient",), samples=2, seed=0))
+    assert len(report.entries) == 2
+    for entry in report.entries:
+        [check] = entry.checks
+        assert (check.name, check.status) == ("no_error", "fail")
+        assert check.computed.startswith("ArithmeticError: the form has the monomial")
+        assert "not tau-invariant" in check.computed
+
+
 def test_too_few_spot_check_probes_are_inconclusive(monkeypatch):
     monkeypatch.setattr(hz, "_quotient_spot_checks", lambda inst, rng, count: (3, 3, 3))
     report = run_suite(SuiteConfig(suites=("quotient",), samples=2, seed=0))

@@ -1,21 +1,22 @@
-"""Every top-level public function and class in `src/taucubic` is used by the
-package itself, apart from a short list of references that tests compare
-against.  `__init__.py` only re-exports, so it neither defines nor uses."""
+"""Every top-level public function and class in `src/taucubic`, and every
+public method and property of a public class, is used by the package itself,
+apart from a short list of references that tests compare against.
+`__init__.py` only re-exports, so it neither defines nor uses."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "taucubic"
 
-# name -> why it stays although nothing in src/ calls it
+# name or "Class.method" -> why it stays although nothing in src/ reads it
 KEPT = {
     "has_common_projective_zero": "brute-force reference for the Macaulay resultant (criterion 13)",
     "tau_form": "invariance oracle of the tau tests",
     "exact_divide": "factorization oracle of criteria 2 and 13",
     "encode_instance": "writes the instance wire format the frozen fixtures use",
     "surface_points": "completeness reference for the fibre walk",
-    "fiber_conic": "the fiber conic as field elements, checked against the restricted cubic",
-    "split_conic": "the line pair of a FiberConic, checked against tau_fiber_action's pairs",
+    "VerificationReport.canonical_text": "the text the report digests hash",
 }
 
 
@@ -25,22 +26,36 @@ def _modules():
 
 
 def _definitions(modules):
-    return {node.name: (stem, node) for stem, tree in modules.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+    """name -> (module, node) of every public top-level function and class, and
+    "Class.method" -> (module, node) of every public method of a public class."""
+    out = {}
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                out[node.name] = (stem, node)
+                for meth in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(meth, ast.FunctionDef) and not meth.name.startswith("_"):
+                        out[f"{node.name}.{meth.name}"] = (stem, meth)
+    return out
 
 
-def _names_read(node):
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+def _reads(node):
+    """How often each name or attribute is read in ``node``."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
 
 
 def _orphans():
-    """The public names read nowhere in the package outside their own definition."""
+    """The public names read nowhere in the package outside their own
+    definition; a method counts as read wherever an attribute of its name is."""
     modules = _modules()
-    reads = [(node, _names_read(node)) for tree in modules.values() for node in tree.body]
-    return {name: stem for name, (stem, own) in _definitions(modules).items()
-            if not any(name in names for node, names in reads if node is not own)}
+    everywhere = sum(map(_reads, modules.values()), Counter())
+    out = {}
+    for name, (stem, own) in _definitions(modules).items():
+        read = name.rsplit(".", 1)[-1]
+        if everywhere[read] == _reads(own)[read]:
+            out[name] = stem
+    return out
 
 
 def test_no_orphans_outside_the_kept_list():

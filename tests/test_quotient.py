@@ -11,7 +11,7 @@ from taucubic.quotient import (IdenticallyZero, branch_sextic, quotient_equation
                                sextic_squarefree_probe)
 from taucubic.scalars import PrimeField, QQ, quad_sqrt
 from taucubic.tau import (QuadricPart, TauInstance, canonical_instance, embed_with_x01,
-                          sample_instance)
+                          reduce_instance, sample_instance)
 
 F101 = PrimeField(101)
 
@@ -69,7 +69,7 @@ def test_branch_with_zero_f2_is_scaled_cubic_square():
     scale = q.a01 * q.a01 - 4 * q.a00 * q.a11
     assert sext == (inst.f3 * inst.f3).scale(scale)
     assert sext.degree == 6
-    assert sextic_squarefree_probe(bad, p=101) is False
+    assert sextic_squarefree_probe(reduce_instance(bad, 101), random.Random(0x5EC71C)) is False
 
 
 def test_branch_identically_zero():
@@ -82,7 +82,7 @@ def test_branch_identically_zero():
 
 def test_squarefree_probe_generic():
     inst = sample_instance(603, 10, domain=F101)
-    assert sextic_squarefree_probe(inst) is True
+    assert sextic_squarefree_probe(inst, random.Random(0x5EC71C)) is True
 
 
 def test_pullback_identity_random_points():

@@ -242,7 +242,7 @@ def test_qq_root_beyond_trial_division_reach():
     assert ledger.entries[0].point == (Fraction(20011, 5), QQ.one)
     assert ledger.entries[0].field_label == "Q"
     assert [e.field_label for e in ledger.entries[1:]] == ["Q(sqrt -80083)"] * 2
-    assert ledger.total_multiplicity == 3 and ledger.squarefree
+    assert ledger.total_multiplicity == 3 and all(e.mult == 1 for e in ledger.entries)
 
 
 def test_field_label_names_the_radicand():
