@@ -5,15 +5,21 @@ dense coefficient vector over all monomials of its degree in graded
 lexicographic order with x0 > x1 > x2 > x3 > x4.  That order is the one wire
 format: every serialized coefficient vector uses it.
 
-The elimination machinery (Sylvester resultants with polynomial entries,
-the Macaulay resultant, and the smoothness certificate over F_p built on it)
-lives here too, on the same dense forms: Form is the package's one
-polynomial type.  The genericity gate certifies plane cubics over F_p with it.
+The elimination machinery (Sylvester resultants, the Macaulay resultant, and
+the smoothness certificate over F_p built on it) lives here too, on the same
+dense forms: Form is the package's one polynomial type.  The genericity gate
+certifies plane cubics over F_p with it.
+
+``sylvester_resultant`` and ``compose_linear`` take their coefficients to
+plain numbers once (``_plain``), run on coefficient lists, and build one Form
+at the end: over Q integers cleared of denominators, over F_p residues
+reduced once per step, over a quadratic extension the elements themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 import itertools
 import random
@@ -21,7 +27,7 @@ import random
 import numpy as np
 
 from . import linalg
-from .scalars import FpElem, PrimeField, reduce_mod_prime
+from .scalars import FpElem, PrimeField, RationalField, reduce_mod_prime
 
 
 class DimensionMismatch(ValueError):
@@ -66,6 +72,47 @@ def _product_index(nvars: int, d1: int, d2: int) -> tuple[tuple[int, ...], ...]:
     idx = monomial_index(nvars, d1 + d2)
     return tuple(tuple(idx[tuple(a + b for a, b in zip(m1, m2))] for m2 in monomials(nvars, d2))
                  for m1 in monomials(nvars, d1))
+
+
+def _plain(values, domain):
+    """(numbers, L): ``values`` as plain numbers and the factor L they were
+    scaled by.  Over Q the integers of ``linalg.cleared``, over F_p the
+    residues (L = 1), over any other domain the elements themselves (L = 1)."""
+    if isinstance(domain, RationalField):
+        return linalg.cleared(values)
+    if isinstance(domain, PrimeField):
+        return [domain.coerce(x).residue for x in values], 1
+    return [domain.coerce(x) for x in values], 1
+
+
+def _plain_form(domain, nvars, degree, values, scale) -> Form:
+    """The Form whose coefficients are the plain ``values`` divided by ``scale``."""
+    if isinstance(domain, RationalField):
+        coeffs = (Fraction(v, scale) for v in values)
+    else:
+        coeffs = map(domain.coerce, values)
+    return Form(domain, nvars, degree, tuple(coeffs))
+
+
+def _modulus(domain):
+    return domain.p if isinstance(domain, PrimeField) else None
+
+
+def _add_product(acc, a, da, b, db, nvars):
+    """Add to ``acc`` the product of the coefficient lists ``a`` (degree da)
+    and ``b`` (degree db) in ``nvars`` variables; ``b`` is given as its
+    nonzero (index, value) pairs."""
+    for row, x in zip(_product_index(nvars, da, db), a):
+        if x:
+            for k, y in b:
+                acc[row[k]] += x * y
+
+
+def _times(a, da, b, db, nvars, p):
+    """The product of two coefficient lists, reduced mod p when p is given."""
+    acc = [0] * len(monomials(nvars, da + db))
+    _add_product(acc, a, da, [(k, y) for k, y in enumerate(b) if y], db, nvars)
+    return [v % p for v in acc] if p else acc
 
 
 def _summed(domain, nvars, degree, terms) -> Form:
@@ -207,30 +254,40 @@ def compose_linear(f: Form, rows) -> Form:
     """f with each old variable replaced by a linear combination of new ones.
 
     ``rows`` has one row per old variable; row length is the new variable
-    count (rectangular rows restrict to a linear subspace).  The powers of
-    each substituted linear form are built once, and each monomial's term is
-    added into one coefficient list.
+    count (rectangular rows restrict to a linear subspace).  The run is on
+    plain numbers (``_plain``): over Q, f is cleared by its L_f and all rows
+    by one common L, so the result is divided by L_f * L^deg(f).  The powers
+    of each substituted linear form are built once as coefficient lists, and
+    each monomial's term is added into one list.
     """
     if len(rows) != f.num_vars:
         raise DimensionMismatch("substitution needs one row per variable")
-    domain, m_new = f.domain, len(rows[0])
-    one = Form(domain, m_new, 0, (domain.one,))
+    domain, m_new, degree = f.domain, len(rows[0]), f.degree
+    p = _modulus(domain)
+    cs, scale = _plain(f.coeffs, domain)
+    flat, row_scale = _plain([c for row in rows for c in row], domain)
     powers = []
-    for row in rows:
-        lin = Form(domain, m_new, 1, tuple(domain.coerce(c) for c in row))
-        pw = [one, lin]
-        for _ in range(2, f.degree + 1):
-            pw.append(pw[-1] * lin)
+    for i in range(len(rows)):
+        lin = flat[i * m_new:(i + 1) * m_new]
+        pw = [None, lin]
+        for e in range(2, degree + 1):
+            pw.append(_times(pw[-1], e - 1, lin, 1, m_new, p))
         powers.append(pw)
-    terms = []
-    for m, c in zip(monomials(f.num_vars, f.degree), f.coeffs):
-        if c:
-            term = one
-            for i, e in enumerate(m):
-                if e:
-                    term = powers[i][e] if term is one else term * powers[i][e]
-            terms.extend((k, c * v) for k, v in enumerate(term.coeffs) if v)
-    return _summed(domain, m_new, f.degree, terms)
+    out = [0] * len(monomials(m_new, degree))
+    for m, c in zip(monomials(f.num_vars, degree), cs):
+        if not c:
+            continue
+        term, d = [1], 0
+        for i, e in enumerate(m):
+            if e:
+                term = powers[i][e] if not d else _times(term, d, powers[i][e], e, m_new, p)
+                d += e
+        for k, v in enumerate(term):
+            if v:
+                out[k] += c * v
+    if p:
+        out = [v % p for v in out]
+    return _plain_form(domain, m_new, degree, out, scale * row_scale ** degree)
 
 
 def partial_derivative(f: Form, var_index: int) -> Form:
@@ -284,43 +341,17 @@ def exact_divide(f: Form, g: Form) -> Form:
     return Form(f.domain, n, dq, tuple(q))
 
 
-def poly_matrix_det(mat, nvars, domain) -> Form | None:
-    """Determinant of a small matrix of Form entries, None for a zero entry,
-    by Laplace expansion over column subsets; None when it vanishes.  Every
-    partial minor must be homogeneous, as those of a Sylvester matrix are."""
-    n = len(mat)
-    if n > 12:
-        raise ValueError("polynomial determinant limited to 12x12")
-    minors = {(): Form(domain, nvars, 0, (domain.one,))}
-    for r in range(n):
-        new: dict = {}
-        for cols, val in minors.items():
-            if val.is_zero:
-                continue
-            for c in range(n):
-                if c in cols:
-                    continue
-                entry = mat[r][c]
-                if entry is None:
-                    continue
-                pos = sum(1 for x in cols if x < c)
-                term = entry * val if (r + pos) % 2 == 0 else -(entry * val)
-                key = tuple(sorted(cols + (c,)))
-                new[key] = new[key] + term if key in new else term
-        minors = new
-    det = minors.get(tuple(range(n)))
-    return None if det is None or det.is_zero else det
-
-
-def _coeffs_in_var(f: Form, var: int):
-    """{k: Form in the remaining variables} collecting powers of one variable;
-    only the nonzero coefficient forms are listed."""
-    buckets: dict = {}
-    for m, c in zip(monomials(f.num_vars, f.degree), f.coeffs):
+def _coeffs_in_var(values, f: Form, var: int) -> dict:
+    """{k: coefficient list of x_var^k, a form in the other variables} for the
+    plain coefficients ``values`` of f; only the nonzero lists are kept."""
+    nv, out = f.num_vars - 1, {}
+    for m, c in zip(monomials(f.num_vars, f.degree), values):
         if c:
-            buckets.setdefault(m[var], {})[m[:var] + m[var + 1:]] = c
-    return {k: Form.from_terms(f.num_vars - 1, f.degree - k, terms, f.domain)
-            for k, terms in buckets.items()}
+            k = m[var]
+            if k not in out:
+                out[k] = [0] * len(monomials(nv, f.degree - k))
+            out[k][monomial_index(nv, f.degree - k)[m[:var] + m[var + 1:]]] = c
+    return out
 
 
 def sylvester_resultant(f: Form, g: Form, eliminated_var: int) -> Form:
@@ -328,30 +359,59 @@ def sylvester_resultant(f: Form, g: Form, eliminated_var: int) -> Form:
 
     Convention: Res(f, g) = lc(f)^deg(g) * product of g over the roots of f,
     both degrees taken in the eliminated variable.
+
+    The determinant of the Sylvester matrix, whose entries are forms in the
+    remaining variables, is a Laplace expansion row by row over the column
+    subsets, on plain coefficient lists (``_plain``), reduced mod p once per
+    row.  Over Q, f and g are cleared by L_f and L_g, so the result is
+    divided by L_f^n * L_g^m for m, n their degrees in the eliminated variable.
     """
     if f.is_zero or g.is_zero:
         raise ZeroForm("resultant of a zero form")
     if f.num_vars != g.num_vars:
         raise DimensionMismatch("resultant of forms in different rings")
-    var = eliminated_var
-    fc = _coeffs_in_var(f, var)
-    gc = _coeffs_in_var(g, var)
+    domain, var, nv = f.domain, eliminated_var, f.num_vars - 1
+    p = _modulus(domain)
+    fv, f_scale = _plain(f.coeffs, domain)
+    gv, g_scale = _plain(g.coeffs, domain)
+    fc, gc = _coeffs_in_var(fv, f, var), _coeffs_in_var(gv, g, var)
     m, n = max(fc), max(gc)
     if m == 0 or n == 0:
         raise ZeroForm("form has degree zero in the eliminated variable")
-    nv = f.num_vars - 1
-    size = m + n
-    mat = [[None] * size for _ in range(size)]
-    for i in range(n):  # rows of f coefficients, descending powers
-        for k in range(m + 1):
-            mat[i][i + k] = fc.get(m - k)
-    for i in range(m):
-        for k in range(n + 1):
-            mat[n + i][i + k] = gc.get(n - k)
-    det = poly_matrix_det(mat, nv, f.domain)
+    # row r: (column, degree, nonzero pairs, their negatives) of each nonzero
+    # entry; the n rows of f and the m rows of g hold descending powers
+    rows = []
+    for shifts, coeffs, top, h in ((n, fc, m, f), (m, gc, n, g)):
+        for i in range(shifts):
+            row = []
+            for k in range(top + 1):
+                if top - k in coeffs:
+                    nz = [(j, c) for j, c in enumerate(coeffs[top - k]) if c]
+                    row.append((i + k, h.degree - top + k, nz, [(j, -c) for j, c in nz]))
+            rows.append(row)
+    minors = {0: (0, [1])}  # column set as a bit mask -> (degree, coefficients)
+    for r, row in enumerate(rows):
+        new: dict = {}
+        for cols, (deg, val) in minors.items():
+            for c, edeg, pos, neg in row:
+                bit = 1 << c
+                if cols & bit:
+                    continue
+                key = cols | bit
+                if key not in new:
+                    new[key] = (deg + edeg, [0] * len(monomials(nv, deg + edeg)))
+                odd = (r + (cols & (bit - 1)).bit_count()) & 1
+                _add_product(new[key][1], val, deg, neg if odd else pos, edeg, nv)
+        minors = {}
+        for key, (deg, acc) in new.items():
+            if p:
+                acc = [v % p for v in acc]
+            if any(acc):
+                minors[key] = (deg, acc)
+    det = minors.get((1 << (m + n)) - 1)
     if det is None:
-        return Form.zero_form(nv, f.degree * g.degree, f.domain)
-    return det
+        return Form.zero_form(nv, f.degree * g.degree, domain)
+    return _plain_form(domain, nv, det[0], det[1], f_scale ** n * g_scale ** m)
 
 
 @lru_cache(maxsize=None)

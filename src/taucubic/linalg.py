@@ -1,23 +1,27 @@
 """Exact linear algebra over any of the coefficient domains.
 
-Small dense matrices only (the largest exact case is 36x36 over Q); the
-elimination is plain Gauss with first-nonzero pivoting.  Determinants of the
-big Macaulay matrices and ranks of sampled evaluation matrices are taken mod p
-by one numpy forward elimination with delayed reduction.
+Small dense matrices only (the largest exact case is 36x36 over Q).  Row
+reduction and ranks are plain Gauss with first-nonzero pivoting.  ``det`` is
+fraction-free (Bareiss): over Q it runs on integers, each row cleared of its
+denominators once.  Determinants of the big Macaulay matrices and ranks of
+sampled evaluation matrices are taken mod p by one numpy forward elimination
+with delayed reduction.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from fractions import Fraction
+
 import numpy as np
 
-
-def _clone(rows):
-    return [list(r) for r in rows]
+from .scalars import RationalField
 
 
 def rref(rows, domain):
     """Reduced row echelon form; returns (matrix, pivot_column_list)."""
-    m = _clone(rows)
+    m = [list(r) for r in rows]
     if not m:
         return m, []
     nrows, ncols = len(m), len(m[0])
@@ -68,28 +72,49 @@ def proportional(u, v) -> bool:
                for i in range(len(u)) for j in range(i + 1, len(u)))
 
 
+def cleared(values):
+    """(ints, L): the rationals (or ints) ``values`` times L, the lcm of their
+    denominators, as Python ints."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
 def det(rows, domain):
-    """Determinant by fraction-full Gaussian elimination."""
-    m = _clone(rows)
-    n = len(m)
-    if any(len(r) != n for r in m):
+    """Determinant by fraction-free (Bareiss) elimination with first-nonzero
+    pivoting.
+
+    Step k replaces each entry below and right of the pivot by the 2x2 minor
+    with the pivot, divided exactly by the previous pivot.  Over Q each row is
+    first cleared of its denominators (``cleared``), the loop divides integers
+    with ``//``, and the result is divided by the product of the row scales;
+    over any other field the loop divides the elements with ``/``.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    result = domain.one
+    if not n:
+        return domain.one
+    rational = isinstance(domain, RationalField)
+    if rational:
+        m, scales = map(list, zip(*map(cleared, rows)))
+    else:
+        m = [[domain.coerce(x) for x in r] for r in rows]
+    div = operator.floordiv if rational else operator.truediv
+    negate, prev = False, 1
     for k in range(n):
         pr = next((i for i in range(k, n) if m[i][k]), None)
         if pr is None:
             return domain.zero
         if pr != k:
             m[k], m[pr] = m[pr], m[k]
-            result = -result
-        piv = m[k][k]
-        result = result * piv
-        inv = domain.one / piv
+            negate = not negate
+        piv, tail = m[k][k], m[k][k + 1:]
         for i in range(k + 1, n):
-            if m[i][k]:
-                f = m[i][k] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return result
+            row, a = m[i], m[i][k]
+            row[k + 1:] = [div(piv * x - a * y, prev) for x, y in zip(row[k + 1:], tail)]
+        prev = piv
+    value = -prev if negate else prev
+    return Fraction(value, math.prod(scales)) if rational else value
 
 
 def residue_dtype(p: int):

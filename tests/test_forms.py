@@ -821,3 +821,233 @@ def test_mod_p_elimination_matches_exact(p, kind):
     assert linalg.rank_mod_p(mat, p) == linalg.rank(exact, fp)
     if kind == "singular":
         assert linalg.det_mod_p(mat, p) == 0 and linalg.rank_mod_p(mat, p) == 29
+
+
+# --- plain-number elimination against element-wise oracles --------------
+#
+# sylvester_resultant, compose_linear and linalg.det run on plain numbers:
+# integers cleared of denominators over Q, residues over F_p.  The oracles
+# below are the element-wise versions they replaced.
+
+F_BIG = PrimeField(4294967311)
+
+
+def _random_scalar(rng, domain):
+    """A Fraction with denominator 2-9 over Q, a full-range residue over F_p,
+    and a + b*sqrt(D) with such parts over an extension."""
+    if domain == QQ:
+        return Fraction(rng.randint(-9, 9), rng.randint(2, 9))
+    if isinstance(domain, PrimeField):
+        return domain.coerce(rng.randrange(domain.p))
+    return domain.coerce(_random_scalar(rng, domain.base)) + domain.sqrt_d * _random_scalar(
+        rng, domain.base)
+
+
+def _random_form(rng, nvars, degree, domain):
+    return Form(domain, nvars, degree, tuple(
+        domain.zero if rng.random() < 0.3 else _random_scalar(rng, domain)
+        for _ in monomials(nvars, degree)))
+
+
+def _laplace_det(mat, nvars, domain):
+    """Determinant of a matrix of Form entries (None for a zero entry) by
+    Laplace expansion over column subsets, with Form arithmetic throughout;
+    None when it vanishes."""
+    n = len(mat)
+    minors = {(): Form(domain, nvars, 0, (domain.one,))}
+    for r in range(n):
+        new = {}
+        for cols, val in minors.items():
+            if val.is_zero:
+                continue
+            for c in range(n):
+                if c in cols or mat[r][c] is None:
+                    continue
+                pos = sum(1 for x in cols if x < c)
+                term = mat[r][c] * val if (r + pos) % 2 == 0 else -(mat[r][c] * val)
+                key = tuple(sorted(cols + (c,)))
+                new[key] = new[key] + term if key in new else term
+        minors = new
+    det = minors.get(tuple(range(n)))
+    return None if det is None or det.is_zero else det
+
+
+def _sylvester_oracle(f, g, var):
+    """The Sylvester resultant as a Form-valued Laplace expansion."""
+    def coeffs_in_var(h):
+        buckets = {}
+        for m, c in zip(monomials(h.num_vars, h.degree), h.coeffs):
+            if c:
+                buckets.setdefault(m[var], {})[m[:var] + m[var + 1:]] = c
+        return {k: Form.from_terms(h.num_vars - 1, h.degree - k, terms, h.domain)
+                for k, terms in buckets.items()}
+
+    fc, gc = coeffs_in_var(f), coeffs_in_var(g)
+    m, n = max(fc), max(gc)
+    if m == 0 or n == 0:
+        raise ZeroForm("form has degree zero in the eliminated variable")
+    mat = [[None] * (m + n) for _ in range(m + n)]
+    for i in range(n):
+        for k in range(m + 1):
+            mat[i][i + k] = fc.get(m - k)
+    for i in range(m):
+        for k in range(n + 1):
+            mat[n + i][i + k] = gc.get(n - k)
+    det = _laplace_det(mat, f.num_vars - 1, f.domain)
+    return Form.zero_form(f.num_vars - 1, f.degree * g.degree, f.domain) if det is None else det
+
+
+def _without_top_power(h, var):
+    """h with its coefficient of x_var^deg(h) set to zero."""
+    coeffs = list(h.coeffs)
+    coeffs[monomials(h.num_vars, h.degree).index(
+        tuple(h.degree if i == var else 0 for i in range(h.num_vars)))] = h.domain.zero
+    return Form(h.domain, h.num_vars, h.degree, tuple(coeffs))
+
+
+@pytest.mark.parametrize("domain", [QQ, F101, F_BIG], ids=["QQ", "F101", "F4294967311"])
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_sylvester_matches_laplace_oracle(domain, nvars):
+    rng = random.Random(41 + nvars)
+    compared = dropped = fractional = 0
+    for trial in range(60):
+        var = trial % nvars
+        f = _random_form(rng, nvars, rng.randint(1, 4), domain)
+        g = _random_form(rng, nvars, rng.randint(1, 3), domain)
+        if trial % 3 == 0:  # a zero leading coefficient in the eliminated variable
+            f = _without_top_power(f, var)
+            dropped += 1
+        if f.is_zero or g.is_zero:
+            continue
+        try:
+            want = _sylvester_oracle(f, g, var)
+        except ZeroForm:
+            with pytest.raises(ZeroForm):
+                sylvester_resultant(f, g, var)
+            continue
+        assert sylvester_resultant(f, g, var) == want, (trial, f, g)
+        compared += 1
+        fractional += domain == QQ and any(c.denominator > 1 for c in f.coeffs + g.coeffs)
+    assert compared >= 30 and dropped == 20
+    assert fractional == (compared if domain == QQ else 0)
+
+
+def _compose_oracle(f, rows):
+    """f composed with the linear rows through products of Forms."""
+    domain, m_new = f.domain, len(rows[0])
+    one = Form(domain, m_new, 0, (domain.one,))
+    powers = []
+    for row in rows:
+        lin = Form(domain, m_new, 1, tuple(domain.coerce(c) for c in row))
+        pw = [one, lin]
+        for _ in range(2, f.degree + 1):
+            pw.append(pw[-1] * lin)
+        powers.append(pw)
+    total = Form.zero_form(m_new, f.degree, domain)
+    for m, c in zip(monomials(f.num_vars, f.degree), f.coeffs):
+        if c:
+            term = one
+            for i, e in enumerate(m):
+                term = term * powers[i][e]
+            total = total + term.scale(c)
+    return total
+
+
+@pytest.mark.parametrize("domain", [QQ, F101, F101_EXT], ids=["QQ", "F101", "F101(sqrt D0)"])
+@pytest.mark.parametrize("n_old, n_new", [(4, 2), (3, 2), (5, 3)])
+@pytest.mark.parametrize("degree", [0, 3, 6])
+def test_compose_linear_matches_product_oracle(domain, n_old, n_new, degree):
+    # the rows are a kernel basis from linalg.nullspace, as on the lines route
+    # (over Q with Fraction entries), or plain random rows with one zero row
+    rng = random.Random(100 * n_old + 10 * n_new + degree)
+    for kind in ("nullspace", "random"):
+        if kind == "nullspace":
+            equations = [[_random_scalar(rng, domain) for _ in range(n_old)]
+                         for _ in range(n_old - n_new)]
+            basis = linalg.nullspace(equations, domain)
+            assert len(basis) == n_new
+            rows = [list(r) for r in zip(*basis)]
+        else:
+            rows = [[_random_scalar(rng, domain) for _ in range(n_new)] for _ in range(n_old)]
+            rows[rng.randrange(n_old)] = [domain.zero] * n_new
+        f = _random_form(rng, n_old, degree, domain)
+        assert compose_linear(f, rows) == _compose_oracle(f, rows), kind
+
+
+def _gauss_det(rows, domain):
+    """Determinant by fraction-full Gaussian elimination on field elements."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    result = domain.one
+    for k in range(n):
+        pr = next((i for i in range(k, n) if m[i][k]), None)
+        if pr is None:
+            return domain.zero
+        if pr != k:
+            m[k], m[pr] = m[pr], m[k]
+            result = -result
+        result = result * m[k][k]
+        inv = domain.one / m[k][k]
+        for i in range(k + 1, n):
+            if m[i][k]:
+                f = m[i][k] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return result
+
+
+def _det_cases(rng, domain, sizes):
+    """Random matrices over ``domain``, then for each size one whose first
+    pivot is zero, one singular (the last row a combination of two others)
+    and one with an all-zero row."""
+    def rand(n):
+        return [[_random_scalar(rng, domain) for _ in range(n)] for _ in range(n)]
+    for n in sizes:
+        yield rand(n)
+        if n >= 2:
+            mat = rand(n)
+            mat[0][0] = domain.zero
+            yield mat
+            mat = rand(n)
+            mat[-1] = [a - b * domain.coerce(3) for a, b in zip(mat[0], mat[1])]
+            yield mat
+        if n >= 1:
+            mat = rand(n)
+            mat[rng.randrange(n)] = [domain.zero] * n
+            yield mat
+
+
+@pytest.mark.parametrize("domain, sizes", [(QQ, range(16)), (F101, range(7)),
+                                           (F101_EXT, range(6))],
+                         ids=["QQ", "F101", "F101(sqrt D0)"])
+def test_det_matches_fraction_full_oracle(domain, sizes):
+    rng = random.Random(59)
+    singular = 0
+    for mat in _det_cases(rng, domain, sizes):
+        want = _gauss_det(mat, domain)
+        got = linalg.det(mat, domain)
+        assert got == want and type(got) is type(want), mat
+        singular += not want
+    assert singular >= 2 * (len(sizes) - 2)
+
+
+def test_det_with_zero_first_pivot_in_every_column():
+    # the pivot of each step is found below the diagonal
+    mat = [[0, 0, 1], [0, 2, 0], [Fraction(1, 3), 0, 0]]
+    assert linalg.det(mat, QQ) == Fraction(-2, 3)
+    assert linalg.det([[0, 1], [1, 0]], F101) == F101.coerce(-1)
+
+
+# sha256 of the reprs of the Macaulay resultants of the partials of f3 over Q,
+# for sample_instance(seed, 10) and seeds 0-19; pinned before the determinant
+# over Q moved to cleared integers.
+MACAULAY_F3_DIGEST = "74764412f8e9ac0d3916861c255d8805230ded422d95e1702098de66ba3dce21"
+
+
+def test_macaulay_f3_partials_pinned():
+    from taucubic.tau import sample_instance
+    import hashlib
+    values = []
+    for seed in range(20):
+        f3 = sample_instance(seed, 10, domain=QQ).f3
+        values.append(repr(macaulay_resultant([partial_derivative(f3, i) for i in range(3)])))
+    assert hashlib.sha256("\n".join(values).encode()).hexdigest() == MACAULAY_F3_DIGEST
