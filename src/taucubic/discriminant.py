@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 
 from . import linalg
-from .bruteforce import common_projective_zeros
+from .bruteforce import coefficient_matrix, common_projective_zeros, form_values
 from .forms import (Form, compose_linear, evaluate, is_smooth_conic, jacobian_rank,
                     monomials, partial_derivative)
 from .intersect import (PlaneIntersection, conic_rational_points, curve_rational_points,
@@ -168,7 +168,7 @@ def tau_fiber_action(instance: TauInstance, P) -> FiberAction:
     on plain numbers.
     """
     domain = instance.domain
-    values = instance.family.values([domain.plain(domain.coerce(c)) for c in _plane_point(P)])
+    values = instance.family.values([domain.plain(c) for c in _plane_point(P)])
     alpha, beta, gamma, delta = values
     on_cubic = not delta
     on_conic = not domain.reduce(4 * alpha * beta - gamma * gamma)
@@ -245,8 +245,14 @@ def points_on_cubic_component(instance: TauInstance, rng: random.Random, count: 
 
 
 def _first_off(pts, other, count: int):
-    """The first ``count`` of ``pts`` off the curve {other = 0}."""
-    return list(islice((pt for pt in pts if evaluate(other, pt)), count))
+    """The first ``count`` of ``pts`` off the curve {other = 0}, all of them
+    evaluated in one ``form_values`` product."""
+    if not pts:
+        return []
+    p = other.domain.p
+    values = form_values([[c.residue for c in pt] for pt in pts], other.degree,
+                         coefficient_matrix([other], p), p)
+    return [pt for pt, v in zip(pts, values[:, 0]) if v][:count]
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,15 @@ Roots over F_p come from one distinct-degree loop (gcd with x^(p^k) - x) and
 a Cantor-Zassenhaus equal-degree split, except that ``fp_rational_roots``
 solves degree <= 2 directly; rational roots over Q from Hensel
 lifting the roots mod a good prime, rational reconstruction and an exact
-check.  Every factor of degree <= 2 is solved by ``binary_quadratic_roots``.
+check.  A factor of degree <= 2 with roots in F_p is solved on residues by
+``fp_binary_quadratic_roots``, every other one by ``binary_quadratic_roots``.
 
-The F_p engine (Frobenius powers, the gcds, the splits and the deflation of
-rational roots) runs on lists of int residues in [0, p).  ``FpElem`` appears
-only where a polynomial enters it and where a factor or a root leaves it.
+The F_p engine (Frobenius powers, the gcds, the splits, the rational roots of
+the split factors and their deflation) runs on lists of int residues in
+[0, p).  ``FpElem`` enters only as a coefficient that is not an int, and
+leaves only in the results: the roots and cofactor of ``fp_rational_roots``,
+the ledger points of ``binary_form_roots`` and the quadratic factors solved
+over F_p(sqrt D0).  ``fp_binary_quadratic_roots`` takes and returns residues.
 """
 
 from __future__ import annotations
@@ -122,8 +126,10 @@ def squarefree_decomposition(cs, domain):
 
 
 def _residues(cs, domain):
-    """The trimmed residue list of a polynomial over the prime field domain."""
-    return trim([domain.coerce(c).residue for c in cs])
+    """The trimmed residue list of a polynomial over the prime field domain,
+    whose coefficients are elements, ints or Fractions."""
+    p = domain.p
+    return trim([c % p if type(c) is int else domain.coerce(c).residue for c in cs])
 
 
 def _elements(rs, p):
@@ -246,35 +252,30 @@ def low_degree_roots(h, domain):
     return [(pt, fld) for pt, _mult in roots]
 
 
-def _split_rational_roots(g, domain):
-    """The residues of the roots of a monic residue list g over the prime field
-    domain that splits into distinct linear factors, ascending."""
+def _split_rational_roots(g, p):
+    """The residues of the roots of a monic residue list g mod p that splits
+    into distinct linear factors, ascending; a linear factor h is read as the
+    binary quadratic h[1] u v + h[0] v^2, whose root (1 : 0) is dropped."""
     if degree(g) < 1:
         return []
-    p = domain.p
-    return sorted(pt[0].residue for h in _equal_degree_split(g, 1, p)
-                  for pt, _fld in low_degree_roots(_elements(h, p), domain))
+    return sorted(u for h in _equal_degree_split(g, 1, p)
+                  for u, v in fp_binary_quadratic_roots(*reversed((h + [0])[:3]), p) if v)
 
 
 def fp_rational_roots(cs, p: int):
     """Roots in F_p with multiplicities, ascending by residue, and the cofactor
     left after dividing them out.  Degree <= 2 is solved directly: a linear
-    solve, or Euler's criterion and a square root of the discriminant."""
-    domain = PrimeField(p)
-    f = _residues(cs, domain)
+    solve, or ``fp_binary_quadratic_roots``."""
+    f = _residues(cs, PrimeField(p))
     if degree(f) <= 0:
         return [], _elements(f, p)
     if degree(f) == 1:
         return [(FpElem._of(-f[0] * pow(f[1], -1, p) % p, p), 1)], _elements(f[1:], p)
     if degree(f) == 2:
-        s = _sqrt_mod_p(f[1] * f[1] - 4 * f[2] * f[0], p)
-        if s is None:
-            return [], _elements(f, p)
-        inv = pow(2 * f[2], -1, p)
-        rs = sorted({(s - f[1]) * inv % p, (-s - f[1]) * inv % p})
-        return [(FpElem._of(r, p), 3 - len(rs)) for r in rs], _elements(f[2:], p)
+        rs = sorted(u for u, _v in fp_binary_quadratic_roots(f[2], f[1], f[0], p))
+        return [(FpElem._of(r, p), 3 - len(rs)) for r in rs], _elements(f[2:] if rs else f, p)
     out = []
-    for r in _split_rational_roots(_frobenius_gcd(f, _rpowmod([0, 1], p, f, p), p), domain):
+    for r in _split_rational_roots(_frobenius_gcd(f, _rpowmod([0, 1], p, f, p), p), p):
         mult = 0
         while True:
             q, rem = _rdivmod(f, [-r % p, 1], p)
@@ -419,7 +420,7 @@ def _squarefree_entries(f, mult, domain):
             if k == 1:
                 out += [RootEntry((FpElem._of(r, p), domain.one), mult, 1,
                                   _field_label(domain), domain)
-                        for r in _split_rational_roots(g, domain)]
+                        for r in _split_rational_roots(g, p)]
             elif k == 2:
                 out += [RootEntry(pt, mult, 1, _field_label(fld), fld)
                         for h in sorted(_equal_degree_split(g, 2, p))
@@ -438,6 +439,21 @@ def _squarefree_entries(f, mult, domain):
     if degree(rest) > 0 and not pts:
         out.append(RootEntry(None, mult, degree(rest), _field_label(domain), domain))
     return out
+
+
+def fp_binary_quadratic_roots(a, b, c, p: int):
+    """The distinct F_p-rational projective roots (u : v), as residue pairs, of
+    the nonzero binary quadratic a u^2 + b u v + c v^2 with residues a, b, c;
+    in the order of ``binary_quadratic_roots``: (1 : 0) first when a = 0, then
+    (-b + s) / 2a before (-b - s) / 2a, s the square root of b^2 - 4ac that
+    ``_sqrt_mod_p`` gives.  Empty when a != 0 and b^2 - 4ac is a non-square."""
+    if not a:
+        return [(1, 0)] + ([(-c * pow(b, -1, p) % p, 1)] if b else [])
+    s = _sqrt_mod_p(b * b - 4 * a * c, p)
+    if s is None:
+        return []
+    w = pow(2 * a, -1, p)
+    return [((s - b) * w % p, 1)] + ([((-s - b) * w % p, 1)] if s else [])
 
 
 def binary_quadratic_roots(a, b, c, domain):

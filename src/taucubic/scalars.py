@@ -589,6 +589,12 @@ def _square_part(n: int, cap: int = 20000):
     return s, core * n
 
 
+@functools.lru_cache(maxsize=None)
+def _fp_extension(p: int) -> QuadraticExtension:
+    """F_p(sqrt D0) for the least non-residue D0, built once per p."""
+    return QuadraticExtension(PrimeField(p), _least_non_residue(p))
+
+
 def quad_sqrt(d, domain):
     """A square root of d: in ``domain`` when d is a square there, else in domain(sqrt(d)).
 
@@ -614,8 +620,7 @@ def quad_sqrt(d, domain):
         ext = QuadraticExtension(domain, core)
         return QuadElem(Fraction(0), scale, ext), ext
     if isinstance(domain, PrimeField):
-        d0 = _least_non_residue(domain.p)
-        ext = QuadraticExtension(domain, d0)
-        return QuadElem(domain.zero, domain.sqrt_or_none(d / d0), ext), ext
+        ext = _fp_extension(domain.p)
+        return QuadElem(domain.zero, domain.sqrt_or_none(d / ext.d), ext), ext
     ext = QuadraticExtension(domain, d)
     return ext.sqrt_d, ext

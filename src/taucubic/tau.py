@@ -27,8 +27,8 @@ from .forms import (Form, SymMatrix3, evaluate, compose_linear, is_smooth_conic,
                     is_smooth_hypersurface, reduce_form, ResultantIndeterminate,
                     SMOOTH_CERTIFIED)
 from .intersect import (CommonComponent, PlaneIntersection, intersect_plane_curves)
-from .roots import binary_quadratic_roots
-from .scalars import PrimeField, QQ, point_field, reduce_mod_prime
+from .roots import binary_quadratic_roots, fp_binary_quadratic_roots
+from .scalars import PrimeField, QQ, _sqrt_mod_p, point_field, reduce_mod_prime
 
 
 class UnsupportedDegree(ValueError):
@@ -545,14 +545,14 @@ def reduce_instance(instance: TauInstance, p: int) -> TauInstance:
 # of fixed-plane points at once with ``bruteforce.form_values``.
 
 
-def _fixed_plane_point(k: int, domain):
-    """The k-th normalised point of the fixed plane P^2(F_p), 0 <= k < p^2 + p + 1."""
-    p = domain.p
+def _fixed_plane_point(k: int, p: int):
+    """The k-th normalised point of the fixed plane P^2(F_p), 0 <= k < p^2 + p + 1,
+    as residues."""
     if k < p * p:
-        return (domain.one, domain.coerce(k // p), domain.coerce(k % p))
+        return (1, k // p, k % p)
     if k < p * p + p:
-        return (domain.zero, domain.one, domain.coerce(k - p * p))
-    return (domain.zero, domain.zero, domain.one)
+        return (0, 1, k - p * p)
+    return (0, 0, 1)
 
 
 class FibreSystem:
@@ -571,25 +571,24 @@ class FibreSystem:
         self.full = [(f.degree, coefficient_matrix([f], p)) for f in (G, H)]
 
     def restrictions(self, Ps):
-        """One pair per fixed-plane point P of ``Ps``: the residues (a, m, b, c)
-        with G(x0, x1, P) = a x0^2 + m x0 x1 + b x1^2 + c, and those of H."""
+        """One pair per fixed-plane point P of ``Ps``, a residue triple: the
+        residues (a, m, b, c) with G(x0, x1, P) = a x0^2 + m x0 x1 + b x1^2 + c,
+        and those of H."""
         p = self.domain.p
-        ys = [[c.residue for c in P] for P in Ps]
         per_form = []
         for head_degree, head, rest_degree, rest in self.parts:
-            quads = form_values(ys, head_degree, head, p).tolist()
-            consts = form_values(ys, rest_degree, rest, p).tolist()
+            quads = form_values(Ps, head_degree, head, p).tolist()
+            consts = form_values(Ps, rest_degree, rest, p).tolist()
             per_form.append([q + c for q, c in zip(quads, consts)])
         return list(zip(*per_form))
 
     def check(self, pts):
         """Raise ArithmeticError unless the full forms G and H vanish at every
-        point of ``pts``; one ``form_values`` product per form."""
+        residue point of ``pts``; one ``form_values`` product per form."""
         if not pts:
             return
-        rows = [[c.residue for c in pt] for pt in pts]
         for degree, coeffs in self.full:
-            if form_values(rows, degree, coeffs, self.domain.p).any():
+            if form_values(pts, degree, coeffs, self.domain.p).any():
                 raise ArithmeticError("fibre point is off the surface")
 
     def points(self, P):
@@ -598,39 +597,27 @@ class FibreSystem:
         solved by ``_fibre_solutions``.  A generator, so a caller wanting one
         point scans no further; each point is checked on the full G and H as
         it is yielded."""
-        P = tuple(self.domain.coerce(c) for c in P)
+        P = tuple(self.domain.coerce(c).residue for c in P)
         ((rG, rH),) = self.restrictions([P])
-        for x in _fibre_solutions(rG, rH, self.domain):
-            pt = x + P
-            self.check([pt])
-            yield pt
+        for x in _fibre_solutions(rG, rH, self.domain.p):
+            self.check([x + P])
+            yield tuple(map(self.domain.coerce, x + P))
 
 
-def _binary_value(q, u, v):
-    return q[0] * u * u + q[1] * u * v + q[2] * v * v
+def _binary_value(q, u, v, p: int) -> int:
+    return (q[0] * u * u + q[1] * u * v + q[2] * v * v) % p
 
 
-def _rational_roots(q, domain):
-    """The F_p-rational projective roots (u : v) of a nonzero binary quadratic;
-    none, without solving over F_p(sqrt D), when q[0] != 0 and the discriminant
-    D is a non-square (Euler's criterion)."""
-    p = domain.p
-    if q[0] and pow((q[1] * q[1] - 4 * q[0] * q[2]).residue, (p - 1) // 2, p) == p - 1:
-        return []
-    roots, fld = binary_quadratic_roots(q[0], q[1], q[2], domain)
-    return [r for r, _mult in roots] if fld == domain else []
-
-
-def _affine_conic_points(q, c, domain):
+def _affine_conic_points(q, c, p: int):
     """All (x0, x1) in F_p^2 with q(x0, x1) + c = 0, scanning x0; a generator."""
     a, m, b = q
-    for x0 in (domain.coerce(t) for t in range(domain.p)):
+    for x0 in range(p):
         # b x1^2 + (m x0) x1 + (a x0^2 + c) as a binary form in (x1 : 1)
-        coeffs = (b, m * x0, a * x0 * x0 + c)
+        coeffs = (b, m * x0 % p, (a * x0 * x0 + c) % p)
         if not any(coeffs):
-            yield from ((x0, domain.coerce(t)) for t in range(domain.p))
+            yield from ((x0, x1) for x1 in range(p))
         else:
-            yield from ((x0, x1 / w) for x1, w in _rational_roots(coeffs, domain) if w)
+            yield from ((x0, x1) for x1, w in fp_binary_quadratic_roots(*coeffs, p) if w)
 
 
 class _Cone(Sequence):
@@ -639,24 +626,25 @@ class _Cone(Sequence):
     turn.  Indexed, and iterated, without being listed; an index i >= 0 past
     the end finds no root and raises IndexError."""
 
-    def __init__(self, roots, domain):
-        self.roots, self.domain = roots, domain
+    def __init__(self, roots, p: int):
+        self.roots, self.p = roots, p
 
     def __len__(self):
-        return 1 + len(self.roots) * (self.domain.p - 1)
+        return 1 + len(self.roots) * (self.p - 1)
 
     def __getitem__(self, i):
         if not i:
-            return (self.domain.zero, self.domain.zero)
-        k, s = divmod(i - 1, self.domain.p - 1)
-        (u, v), s = self.roots[k], self.domain.coerce(s + 1)
-        return (s * u, s * v)
+            return (0, 0)
+        k, s = divmod(i - 1, self.p - 1)
+        u, v = self.roots[k]
+        return ((s + 1) * u % self.p, (s + 1) * v % self.p)
 
 
-def _fibre_solutions(rG, rH, domain):
+def _fibre_solutions(rG, rH, p: int):
     """The (x0, x1) in F_p^2 with q_G + c_G = q_H + c_H = 0, from the residues
-    (a, m, b, c) of both restrictions; a list, a generator when one affine
-    conic is scanned, or a ``_Cone`` when both constants vanish.
+    (a, m, b, c) of both restrictions, as residue pairs; a list, a generator
+    when one affine conic is scanned, or a ``_Cone`` when both constants
+    vanish.
 
     With E = c_H q_G - c_G q_H every solution x satisfies E(x) = 0.  If E is
     not identically zero, x = s (u, v) over its rational roots (u : v), with
@@ -665,41 +653,42 @@ def _fibre_solutions(rG, rH, domain):
     and its affine conic is scanned.  If both constants vanish, x = 0 and the
     whole lines over the common roots of q_G and q_H are solutions.
     """
-    *qG, cG = map(domain.coerce, rG)
-    *qH, cH = map(domain.coerce, rH)
-    E = tuple(cH * g - cG * h for g, h in zip(qG, qH))
+    *qG, cG = rG
+    *qH, cH = rH
+    E = [(cH * g - cG * h) % p for g, h in zip(qG, qH)]
     if any(E):
         xs = []
-        for u, v in _rational_roots(E, domain):
-            val, c = _binary_value(qG, u, v), cG
+        for u, v in fp_binary_quadratic_roots(*E, p):
+            val, c = _binary_value(qG, u, v, p), cG
             if not val:
-                val, c = _binary_value(qH, u, v), cH
-            s = domain.sqrt_or_none(-c / val) if val else None
+                val, c = _binary_value(qH, u, v, p), cH
+            s = _sqrt_mod_p(-c * pow(val, -1, p), p) if val else None
             if s:
-                xs += [(s * u, s * v), (-s * u, -s * v)]
+                xs += [(s * u % p, s * v % p), (-s * u % p, -s * v % p)]
         return xs
     if cG or cH:
-        return _affine_conic_points(*((qG, cG) if cG else (qH, cH)), domain)
+        return _affine_conic_points(*((qG, cG) if cG else (qH, cH)), p)
     if any(qG) or any(qH):
         q, other = (qG, qH) if any(qG) else (qH, qG)
-        common = [r for r in _rational_roots(q, domain) if not _binary_value(other, *r)]
+        common = [r for r in fp_binary_quadratic_roots(*q, p) if not _binary_value(other, *r, p)]
     else:
-        common = list(projective_points_fp(2, domain.p))
-    return _Cone(common, domain)
+        common = [(1, t) for t in range(p)] + [(0, 1)]
+    return _Cone(common, p)
 
 
 def _fibres(system: FibreSystem, Ps, wanted=None):
     """The solutions (x0, x1) of {G = H = 0} over each fixed-plane point P of
-    ``Ps``, as pairs (P, solutions) in order, checked on G and H in one batch.
-    A ``_Cone`` is checked at (0, 0) and at its roots: both restrictions are
-    binary quadratics there, so these decide the rest.  With ``wanted``, the
-    fibres stop after the ``wanted``-th nonempty one."""
+    ``Ps``, as pairs (P, solutions) in order, P and the solutions in residues,
+    checked on G and H in one batch.  A ``_Cone`` is checked at (0, 0) and at
+    its roots: both restrictions are binary quadratics there, so these decide
+    the rest.  With ``wanted``, the fibres stop after the ``wanted``-th
+    nonempty one."""
     fibres = []
     nonempty = 0
     for P, (rG, rH) in zip(Ps, system.restrictions(Ps)):
         if nonempty == wanted:
             break
-        xs = _fibre_solutions(rG, rH, system.domain)
+        xs = _fibre_solutions(rG, rH, system.domain.p)
         fibres.append((P, xs if isinstance(xs, _Cone) else list(xs)))
         nonempty += bool(fibres[-1][1])
     system.check([x + P for P, xs in fibres
@@ -717,9 +706,9 @@ def surface_points(G: Form, H: Form):
     plane = p * p + p + 1
     system = FibreSystem(G, H)
     for start in range(0, plane, p):
-        Ps = [_fixed_plane_point(k, domain) for k in range(start, min(start + p, plane))]
+        Ps = [_fixed_plane_point(k, p) for k in range(start, min(start + p, plane))]
         for P, xs in _fibres(system, Ps):
-            yield from (x + P for x in xs)
+            yield from (tuple(map(domain.coerce, x + P)) for x in xs)
     zero = domain.zero
     for x0, x1 in projective_points_fp(2, p):
         pt = (x0, x1, zero, zero, zero)
@@ -749,8 +738,8 @@ def random_points_on_surface(instance: TauInstance, rng: random.Random, count: i
         batch = list(islice(order, 2 * (count - len(out)) + 8))
         if not batch:
             break
-        Ps = [_fixed_plane_point(k, domain) for k in batch]
+        Ps = [_fixed_plane_point(k, p) for k in batch]
         for P, xs in _fibres(system, Ps, count - len(out)):
             if xs:
-                out.append(rng.choice(xs) + P)
+                out.append(tuple(map(domain.coerce, rng.choice(xs) + P)))
     return out

@@ -4,6 +4,7 @@ cubics, eigen split, fixed points, and F_p surface points."""
 import dataclasses
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from taucubic.forms import (SINGULAR_CERTIFIED, SMOOTH_CERTIFIED, Form, Resultan
                             macaulay_resultant, monomials, partial_derivative, reduce_form)
 from taucubic.harness import projective_key
 from taucubic.intersect import conic_rational_points, curve_rational_points
-from taucubic.roots import binary_quadratic_roots
+from taucubic.roots import binary_quadratic_roots, fp_binary_quadratic_roots
 from taucubic.scalars import PrimeField, QQ, QuadraticExtension
 from taucubic.tau import (GenericityExhausted, QuadricPart, TauInstance,
                           UnsupportedDegree, canonical_instance, embed_with_x01,
@@ -424,10 +425,74 @@ def _plain_restriction(G, P):
     return [a.residue, m.residue, b.residue, c.residue]
 
 
+# The fibre solver on field elements, which the residue solver replaced: the
+# oracle of the residue one.  Its rational roots come from
+# ``binary_quadratic_roots`` and its square roots from ``sqrt_or_none``.
+
+
+def _element_value(q, u, v):
+    return q[0] * u * u + q[1] * u * v + q[2] * v * v
+
+
+def _element_rational_roots(q, domain):
+    roots, fld = binary_quadratic_roots(q[0], q[1], q[2], domain)
+    return [r for r, _mult in roots] if fld == domain else []
+
+
+def _element_affine_conic_points(q, c, domain):
+    a, m, b = q
+    for x0 in (domain.coerce(t) for t in range(domain.p)):
+        coeffs = (b, m * x0, a * x0 * x0 + c)
+        if not any(coeffs):
+            yield from ((x0, domain.coerce(t)) for t in range(domain.p))
+        else:
+            yield from ((x0, x1 / w) for x1, w in _element_rational_roots(coeffs, domain) if w)
+
+
+class _ElementCone:
+    def __init__(self, roots, domain):
+        self.roots, self.domain = roots, domain
+
+    def __len__(self):
+        return 1 + len(self.roots) * (self.domain.p - 1)
+
+    def __getitem__(self, i):
+        if not i:
+            return (self.domain.zero, self.domain.zero)
+        k, s = divmod(i - 1, self.domain.p - 1)
+        (u, v), s = self.roots[k], self.domain.coerce(s + 1)
+        return (s * u, s * v)
+
+
+def _element_fibre_solutions(rG, rH, domain):
+    *qG, cG = map(domain.coerce, rG)
+    *qH, cH = map(domain.coerce, rH)
+    E = tuple(cH * g - cG * h for g, h in zip(qG, qH))
+    if any(E):
+        xs = []
+        for u, v in _element_rational_roots(E, domain):
+            val, c = _element_value(qG, u, v), cG
+            if not val:
+                val, c = _element_value(qH, u, v), cH
+            s = domain.sqrt_or_none(-c / val) if val else None
+            if s:
+                xs += [(s * u, s * v), (-s * u, -s * v)]
+        return xs
+    if cG or cH:
+        return _element_affine_conic_points(*((qG, cG) if cG else (qH, cH)), domain)
+    if any(qG) or any(qH):
+        q, other = (qG, qH) if any(qG) else (qH, qG)
+        common = [r for r in _element_rational_roots(q, domain) if not _element_value(other, *r)]
+    else:
+        common = list(projective_points_fp(2, domain.p))
+    return _ElementCone(common, domain)
+
+
 def _plain_walk(inst, rng, count):
     # the reference walk: one fixed-plane point at a time, restricted by scalar
-    # evaluate; it takes the indices of random_order in the walk's batch sizes,
-    # twice the points still wanted plus 8, so that both draw from rng alike
+    # evaluate and solved on field elements; it takes the indices of
+    # random_order in the walk's batch sizes, twice the points still wanted
+    # plus 8, so that both draw from rng alike
     field = inst.domain
     phi, F = inst.cubic(), inst.quadric()
     order = random_order(rng, field.p ** 2 + field.p + 1)
@@ -439,8 +504,8 @@ def _plain_walk(inst, rng, count):
         for k in batch:
             if len(out) >= count:
                 break
-            P = tau_mod._fixed_plane_point(k, field)
-            xs = tau_mod._fibre_solutions(_plain_restriction(phi, P), _plain_restriction(F, P),
+            P = tuple(map(field.coerce, tau_mod._fixed_plane_point(k, field.p)))
+            xs = _element_fibre_solutions(_plain_restriction(phi, P), _plain_restriction(F, P),
                                           field)
             fibre = [x + P for x in xs]
             if fibre:
@@ -496,26 +561,97 @@ def test_fibre_points_python_int_path():
     assert coefficient_matrix([G], p).dtype == object
     found = []
     for k in range(40):
-        P = tau_mod._fixed_plane_point(k * 7919, field)
-        rG, rH = _plain_restriction(G, P), _plain_restriction(H, P)
+        P = tau_mod._fixed_plane_point(k * 7919, p)
+        Pe = tuple(map(field.coerce, P))
+        rG, rH = _plain_restriction(G, Pe), _plain_restriction(H, Pe)
         system = tau_mod.FibreSystem(G, H)
         assert system.restrictions([P]) == [(rG, rH)]
-        got = list(system.points(P))
-        assert got == [x + P for x in tau_mod._fibre_solutions(rG, rH, field)]
+        got = list(system.points(Pe))
+        assert got == [x + Pe for x in _element_fibre_solutions(rG, rH, field)]
         found += got
     assert found, "no fixed-plane point had a rational fibre"
 
 
 def test_rational_roots_match_binary_quadratic_roots():
-    # every nonzero binary quadratic over F_7: the non-square shortcut returns
-    # what the solver over F_7(sqrt D) gives once its irrational roots are dropped
-    field = PrimeField(7)
-    for q in itertools.product(range(7), repeat=3):
-        if any(q):
-            q = tuple(map(field.coerce, q))
-            roots, fld = binary_quadratic_roots(*q, field)
-            assert tau_mod._rational_roots(q, field) == \
-                ([r for r, _mult in roots] if fld == field else [])
+    # every nonzero binary quadratic over F_7 and F_11: the residue solver
+    # returns what the solver over F_p(sqrt D) gives once its irrational roots
+    # are dropped, in its order, a double root once
+    for p in (7, 11):
+        field = PrimeField(p)
+        for q in itertools.product(range(p), repeat=3):
+            if any(q):
+                roots, fld = binary_quadratic_roots(*q, field)
+                want = [(u.residue, v.residue) for (u, v), _m in roots] if fld == field else []
+                assert fp_binary_quadratic_roots(*q, p) == want, q
+
+
+def _random_restrictions(rng, p, kind):
+    """Restrictions (a, m, b, c) of G and H whose fibre takes the branch
+    ``kind`` of ``_fibre_solutions``; entries lean to 0, 1 and -1 so that
+    vanishing leading terms, double roots and shared roots come up."""
+    def r():
+        return rng.choice((0, 0, 1, p - 1, rng.randrange(p)))
+
+    qG, qH = [r() for _ in range(3)], [r() for _ in range(3)]
+    cG, cH = r(), r()
+    if kind == "proportional":    # E = 0, and a nonzero constant
+        lam, cG = rng.randrange(p), rng.randrange(1, p)
+        if p > 200:   # a scan of p values of x0 must meet points early
+            qG = [rng.randrange(p) for _ in range(3)]
+        qH, cH = [lam * g % p for g in qG], lam * cG % p
+        if rng.random() < 0.5:
+            (qG, cG), (qH, cH) = (qH, cH), (qG, cG)
+    elif kind == "cone":          # both constants zero
+        cG = cH = 0
+        if rng.random() < 0.5:    # q_H = (u x1 - v x0) (linear) shares a root with q_G
+            u, v = r(), r()
+            w0, w1 = r(), r()
+            qH = [-v * w0 % p, (u * w0 - v * w1) % p, u * w1 % p]
+    elif kind == "zero":
+        qG = qH = [0, 0, 0]
+        cG = cH = 0
+    return qG + [cG], qH + [cH]
+
+
+def _branch(rG, rH, p):
+    *qG, cG = rG
+    *qH, cH = rH
+    if any((cH * g - cG * h) % p for g, h in zip(qG, qH)):
+        return "E"
+    if cG or cH:
+        return "proportional"
+    return "cone" if any(qG) or any(qH) else "zero"
+
+
+@pytest.mark.parametrize("p", [7, 11, 101, 4294967311])
+def test_fibre_solutions_match_the_element_solver(p):
+    # the residue solver against the element one on random restrictions, in
+    # every branch: the same solutions in the same order; an affine conic scan
+    # compared over its first points, a cone by its length, its roots and some
+    # of its indices.  Both solvers list all p + 1 points of P^1 when both
+    # restrictions vanish, so that branch is left out at the big prime
+    field = PrimeField(p)
+    rng = random.Random(p)
+    kinds = ("E", "proportional", "cone", "zero")[:3 if p > 200 else 4]
+    seen = Counter()
+    for trial in range(400):
+        rG, rH = _random_restrictions(rng, p, kinds[trial % len(kinds)])
+        branch = _branch(rG, rH, p)
+        if branch not in kinds:
+            continue
+        seen[branch] += 1
+        got = tau_mod._fibre_solutions(rG, rH, p)
+        want = _element_fibre_solutions(rG, rH, field)
+        if isinstance(want, _ElementCone):
+            assert isinstance(got, tau_mod._Cone) and len(got) == len(want)
+            assert got.roots == [(u.residue, v.residue) for u, v in want.roots]
+            for i in {i for i in (0, 1, p - 1, p, len(want) - 1) if i < len(want)}:
+                assert got[i] == tuple(c.residue for c in want[i])
+            continue
+        n = None if p < 200 else 20
+        got, want = list(itertools.islice(got, n)), list(itertools.islice(want, n))
+        assert got == [(u.residue, v.residue) for u, v in want]
+    assert set(seen) == set(kinds), seen
 
 
 def _random_conic(rng, field):
@@ -653,11 +789,11 @@ def test_cone_fibre_is_indexed_not_listed():
     zero = field.zero
     assert list(itertools.islice(system.points(P), 3)) == [
         (zero, zero) + P, (zero, field.one) + P, (zero, field.coerce(2)) + P]
-    ((Q, xs),) = tau_mod._fibres(system, [P])
-    assert Q == P and len(xs) == p
-    assert xs[p - 1] == (zero, field.coerce(-1))
+    ((Q, xs),) = tau_mod._fibres(system, [(1, 0, 0)])
+    assert Q == (1, 0, 0) and len(xs) == p
+    assert xs[p - 1] == (0, p - 1)
     for seed in range(5):
-        system.check([random.Random(seed).choice(xs) + P])
+        system.check([random.Random(seed).choice(xs) + Q])
 
 
 def test_surface_walk_draws_scale_with_count(monkeypatch):
