@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import linalg
-from .bruteforce import coefficient_matrix, common_projective_zeros, form_values
+from .bruteforce import common_projective_zeros
 from .forms import (Form, compose_linear, evaluate, is_smooth_conic, jacobian_rank,
                     monomials, partial_derivative)
 from .intersect import (PlaneIntersection, conic_rational_points, curve_rational_points,
@@ -234,25 +234,12 @@ def discriminant_quintic(instance: TauInstance) -> DiscriminantData:
 
 def points_on_conic_component(instance: TauInstance, rng: random.Random, count: int):
     """Up to ``count`` F_p points of the conic component off the cubic one."""
-    pts = conic_rational_points(instance.conic_part(), rng, count * 3 + 10)
-    return _first_off(pts, instance.f3, count)
+    return conic_rational_points(instance.conic_part(), rng, count, off=instance.f3)
 
 
 def points_on_cubic_component(instance: TauInstance, rng: random.Random, count: int):
     """Up to ``count`` F_p points of the cubic component off the conic one."""
-    pts = curve_rational_points(instance.f3, rng, count * 3 + 10)
-    return _first_off(pts, instance.conic_part(), count)
-
-
-def _first_off(pts, other, count: int):
-    """The first ``count`` of ``pts`` off the curve {other = 0}, all of them
-    evaluated in one ``form_values`` product."""
-    if not pts:
-        return []
-    p = other.domain.p
-    values = form_values([[c.residue for c in pt] for pt in pts], other.degree,
-                         coefficient_matrix([other], p), p)
-    return [pt for pt, v in zip(pts, values[:, 0]) if v][:count]
+    return curve_rational_points(instance.f3, rng, count, off=instance.conic_part())
 
 
 # ---------------------------------------------------------------------------

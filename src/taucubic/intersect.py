@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from . import roots as uv
 from .bruteforce import coefficient_matrix, form_values, random_order
@@ -174,41 +175,49 @@ def _slice_residues(f: Form, x3: int, x4: int, p: int):
     return uv.trim([c % p for c in cs])
 
 
-def _plane_curve_points(f: Form, rng: random.Random, count: int):
+def _plane_curve_points(f: Form, rng: random.Random, count: int, off=None):
     """Up to ``count`` F_p points of the plane curve f = 0, all of them when it
-    has no more.  The slices of P^2 are drawn in ``random_order``: index
-    k <= p is the line (t : x3 : x4) over the k-th point (x3 : x4) of
-    P^1(F_p), index p + 1 the point (1 : 0 : 0).  A drawn line gives the roots
-    t of its x2-slice in ascending order, or every t when it is a component of
-    the curve.  The points are checked on f in one ``form_values`` product."""
+    has no more; with the form ``off``, only points where ``off`` does not
+    vanish are kept, and no slice is drawn once ``count`` are.  The slices of
+    P^2 are drawn in ``random_order``: index k <= p is the line (t : x3 : x4)
+    over the k-th point (x3 : x4) of P^1(F_p), index p + 1 the point
+    (1 : 0 : 0), read as t = 1 on the slice x3 = x4 = 0.  A drawn line gives the
+    roots t of its x2-slice in ascending order, or every t when it is a
+    component of the curve; ``off`` is read on the same slice.  The points are
+    checked on f, and off ``off``, in one ``form_values`` product each."""
     p = f.domain.p
     out = []
     for k in random_order(rng, p + 2):
         if len(out) >= count:
             break
         if k == p + 1:
-            out += [] if f.coefficient((f.degree, 0, 0)) else [(1, 0, 0)]
-            continue
-        x3, x4 = (1, k) if k < p else (0, 1)
-        cs = _slice_residues(f, x3, x4, p)
-        if cs:
-            xs = [t.residue for t, _mult in uv.fp_rational_roots(cs, p)[0]]
-        else:  # the line through (1 : 0 : 0) and (0 : x3 : x4) is a component
-            xs = range(min(p, count - len(out)))
-        out += [(x2, x3, x4) for x2 in xs]
-    del out[count:]
+            x3, x4, xs = 0, 0, [] if f.coefficient((f.degree, 0, 0)) else [1]
+        else:
+            x3, x4 = (1, k) if k < p else (0, 1)
+            cs = _slice_residues(f, x3, x4, p)
+            # no slice: the line through (1 : 0 : 0) and (0 : x3 : x4) is a component
+            xs = [t.residue for t, _mult in uv.fp_rational_roots(cs, p)[0]] if cs else range(p)
+        if off is not None:
+            other = _slice_residues(off, x3, x4, p)
+            xs = (t for t in xs if uv.eval_mod(other, t, p))
+        out += [(x2, x3, x4) for x2 in islice(xs, count - len(out))]
     if out and form_values(out, f.degree, coefficient_matrix([f], p), p).any():
         raise ArithmeticError("drawn point is off its curve")
+    if out and off is not None and not form_values(out, off.degree,
+                                                   coefficient_matrix([off], p), p).all():
+        raise ArithmeticError("drawn point is on the curve it must avoid")
     return [tuple(map(f.domain.coerce, pt)) for pt in out]
 
 
-def conic_rational_points(conic: Form, rng: random.Random, count: int):
+def conic_rational_points(conic: Form, rng: random.Random, count: int, off=None):
     """Up to ``count`` F_p points of a conic, drawn a line through (1 : 0 : 0)
-    at a time in a random order (``_plane_curve_points``)."""
-    return _plane_curve_points(conic, rng, count)
+    at a time in a random order (``_plane_curve_points``); with ``off``, only
+    points off the curve {off = 0}."""
+    return _plane_curve_points(conic, rng, count, off)
 
 
-def curve_rational_points(f: Form, rng: random.Random, count: int):
+def curve_rational_points(f: Form, rng: random.Random, count: int, off=None):
     """Up to ``count`` F_p points of a plane curve, drawn a line through
-    (1 : 0 : 0) at a time in a random order (``_plane_curve_points``)."""
-    return _plane_curve_points(f, rng, count)
+    (1 : 0 : 0) at a time in a random order (``_plane_curve_points``); with
+    ``off``, only points off the curve {off = 0}."""
+    return _plane_curve_points(f, rng, count, off)

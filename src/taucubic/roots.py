@@ -298,7 +298,7 @@ def _rational_reconstruction(x: int, modulus: int, n_bound: int, m_bound: int):
     return Fraction(r1, t1) if 0 < t1 <= m_bound else None
 
 
-def _eval_mod(cs, x: int, modulus: int) -> int:
+def eval_mod(cs, x: int, modulus: int) -> int:
     total = 0
     for c in reversed(cs):
         total = (total * x + c) % modulus
@@ -336,7 +336,7 @@ def _qq_rational_roots(f):
         x, modulus = r.residue, p
         while modulus <= bound:
             modulus *= modulus
-            x = (x - _eval_mod(a, x, modulus) * pow(_eval_mod(da, x, modulus), -1, modulus)) % modulus
+            x = (x - eval_mod(a, x, modulus) * pow(eval_mod(da, x, modulus), -1, modulus)) % modulus
         cand = _rational_reconstruction(x, modulus, abs(a[0]), abs(a[-1]))
         if cand is not None and not eval_poly(f, cand, QQ):
             out.append(cand)

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from taucubic.bruteforce import projective_points_fp
-from taucubic import discriminant, linalg
+from taucubic.bruteforce import coefficient_matrix, projective_points_fp
+from taucubic import discriminant, linalg, roots
 from taucubic.discriminant import (DOUBLE_LINE, FIXES, SMOOTH_FIBER, SWAPS,
                                    DegenerateConicPart, InfinitelyMany,
                                    ZeroConic, _condition_forms, _split, cone_and_singular_member,
@@ -23,7 +23,8 @@ from taucubic.discriminant import (DOUBLE_LINE, FIXES, SMOOTH_FIBER, SWAPS,
 from taucubic.forms import (Form, SymMatrix3, compose_linear, evaluate, exact_divide,
                             jacobian_rank, monomials, partial_derivative)
 from taucubic.harness import SuiteConfig, load_instance, projective_key, run_suite
-from taucubic.intersect import CommonComponent, intersect_plane_curves
+from taucubic.intersect import (CommonComponent, conic_rational_points, curve_rational_points,
+                                intersect_plane_curves)
 from taucubic.scalars import FpElem, PrimeField, QQ, QuadElem, quad_sqrt
 from taucubic.tau import TauInstance, canonical_instance, embed_with_x01, sample_instance
 
@@ -274,6 +275,35 @@ def test_dichotomy_randomized():
             assert act.on_conic_component and act.action == SWAPS
 
 
+def test_component_draws_match_evaluate_at_the_big_prime():
+    # at p > 2^32 coefficient_matrix holds Python ints; the component draws,
+    # which stop once enough points lie off the other curve, return the first
+    # points of the full draw from the same rng that evaluate puts off it
+    p = 4294967311
+    inst = sample_instance(3, 10, domain=PrimeField(p))
+    conic = inst.conic_part()
+    assert coefficient_matrix([conic], p).dtype == object
+    for seed in (0, 1):
+        for draw, sample, f, other in (
+                (points_on_cubic_component, curve_rational_points, inst.f3, conic),
+                (points_on_conic_component, conic_rational_points, conic, inst.f3)):
+            want = [pt for pt in sample(f, random.Random(seed), 300) if evaluate(other, pt)]
+            assert len(want) >= 100
+            assert draw(inst, random.Random(seed), 100) == want[:100]
+
+
+def test_component_check_sees_a_wrong_filter(monkeypatch):
+    # a filter that keeps every point lets a crossing point of the two curves
+    # through, and the batched check must object
+    field = PrimeField(101)
+    inst = next(inst for inst in (sample_instance(s, 10, domain=field) for s in range(50))
+                if any(not evaluate(inst.f3, pt) for pt in
+                       conic_rational_points(inst.conic_part(), random.Random(0), 10 ** 6)))
+    monkeypatch.setattr(roots, "eval_mod", lambda cs, x, modulus: 1)
+    with pytest.raises(ArithmeticError):
+        points_on_conic_component(inst, random.Random(0), 10 ** 6)
+
+
 def _dichotomy_on_every_plane_point(p, seed):
     """Check every point of P^2(F_p) on the canonical instance and a sampled
     one: Fixes on the cubic only, Swaps on the conic only, DoubleLine on both,
@@ -389,7 +419,7 @@ ACTION_DIGESTS = {
     (13, "sampled"):
         "72ee3829cf56ed4a18c34a65949a4ee82c9a6a2422568079c98cea944fae95fe",
     "fp101":
-        "d1aaeed684d6125b398316af80e142ec4e95a8c391fa8f07d32e2c1f408c60c2",
+        "48fd1dc2ce961130d1827d4e7a22afd6fd74fe85481936ba1e96c8c0abd67cda",
     "qq":
         "e58d99395dfe89cb6deb880ae7a1878941d17320d168d50e1b230ea16a3ca500",
 }
