@@ -571,9 +571,9 @@ class FibreSystem:
         self.full = [(f.degree, coefficient_matrix([f], p)) for f in (G, H)]
 
     def restrictions(self, Ps):
-        """One pair per fixed-plane point P of ``Ps``, a residue triple: the
-        residues (a, m, b, c) with G(x0, x1, P) = a x0^2 + m x0 x1 + b x1^2 + c,
-        and those of H."""
+        """One pair per fixed-plane point P of ``Ps``, each P a triple of
+        residues: the residues (a, m, b, c) with
+        G(x0, x1, P) = a x0^2 + m x0 x1 + b x1^2 + c, and those of H."""
         p = self.domain.p
         per_form = []
         for head_degree, head, rest_degree, rest in self.parts:
