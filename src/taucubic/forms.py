@@ -10,10 +10,11 @@ the smoothness certificate over F_p built on it) lives here too, on the same
 dense forms: Form is the package's one polynomial type.  The genericity gate
 certifies plane cubics over F_p with it.
 
-``sylvester_resultant`` and ``compose_linear`` take their coefficients to
-plain numbers once (``_plain``), run on coefficient lists, and build one Form
-at the end: over Q integers cleared of denominators, over F_p residues
-reduced once per step, over a quadratic extension the elements themselves.
+``sylvester_resultant``, ``compose_linear`` and products of forms take
+their coefficients to plain numbers once (``_plain``), run on coefficient
+lists, and build one Form at the end: over Q integers cleared of denominators,
+over F_p residues reduced once per step, over a quadratic extension the
+elements themselves.
 """
 
 from __future__ import annotations
@@ -115,17 +116,6 @@ def _times(a, da, b, db, nvars, p):
     return [v % p for v in acc] if p else acc
 
 
-def _summed(domain, nvars, degree, terms) -> Form:
-    """The form whose coefficient k is the sum of the values v over the
-    (k, v) in ``terms``; a coefficient no term reaches is zero."""
-    out = [None] * len(monomials(nvars, degree))
-    for k, v in terms:
-        acc = out[k]
-        out[k] = v if acc is None else acc + v
-    zero = domain.zero
-    return Form(domain, nvars, degree, tuple(zero if v is None else v for v in out))
-
-
 @dataclass(frozen=True)
 class Form:
     """Homogeneous polynomial: dense coefficients in graded-lex monomial order."""
@@ -188,11 +178,11 @@ class Form:
         if isinstance(other, Form):
             if other.num_vars != self.num_vars:
                 raise DimensionMismatch("multiplying forms in different rings")
-            table = _product_index(self.num_vars, self.degree, other.degree)
-            terms = [(k, b) for k, b in enumerate(other.coeffs) if b]
-            return _summed(self.domain, self.num_vars, self.degree + other.degree,
-                           ((row[k], a * b) for row, a in zip(table, self.coeffs) if a
-                            for k, b in terms))
+            domain, n = self.domain, self.num_vars
+            (a, sa), (b, sb) = _plain(self.coeffs, domain), _plain(other.coeffs, domain)
+            return _plain_form(domain, n, self.degree + other.degree,
+                               _times(a, self.degree, b, other.degree, n, _modulus(domain)),
+                               sa * sb)
         return Form(self.domain, self.num_vars, self.degree,
                     tuple(c * other for c in self.coeffs))
 
@@ -601,7 +591,7 @@ class SymMatrix3:
         """Gram matrix of a quadratic form in 3 variables."""
         if q.num_vars != 3 or q.degree != 2:
             raise DimensionMismatch("expected a ternary quadratic form")
-        half = _half_of(q.domain)
+        half = q.domain.one / q.domain.coerce(2)
 
         def coef(i, j):
             e = [0, 0, 0]
@@ -616,17 +606,10 @@ class SymMatrix3:
         ((a, b, c), (_, d, e), (_, _, f)) = self.entries
         return a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
 
-    def rank(self, domain) -> int:
-        return linalg.rank([list(r) for r in self.entries], domain)
-
 
 def is_smooth_conic(q: Form) -> bool:
-    """Whether the ternary quadric q = 0 is a smooth conic: its Gram matrix has rank 3."""
-    return not q.is_zero and SymMatrix3.gram_of_ternary(q).rank(q.domain) == 3
-
-
-def _half_of(domain):
-    return domain.one / domain.coerce(2)
+    """Whether q = 0 is a smooth conic: its Gram matrix has rank 3, det != 0."""
+    return bool(SymMatrix3.gram_of_ternary(q).det())
 
 
 def reduce_form(f: Form, p: int) -> Form:

@@ -9,9 +9,11 @@ drawn from a private fixed-seed generator built inside each call, so a verdict
 depends on the curves alone and draws nothing from a caller's rng.  One rule
 keeps the shear: the first usable one whose eliminant is squarefree, else the
 one of three usable shears whose eliminant has the most distinct roots.
-Distinctness is decided by that rule; the root ledger, its multiplicity total
-and the coordinates of Galois orbits of degree <= 2 over the working field are
-computed from the kept shear on first access.
+``distinct`` is whether the kept shear has deg f * deg g of them, as
+``distinct_root_count`` counts them: over Q certified at one prime, else by the
+exact gcd, over F_p on residues.  The root ledger, its multiplicity total and
+the Galois orbits of degree <= 2 are computed from the kept shear on first
+access.
 
 Over F_p the rational points of a single plane curve are drawn a slice at a
 time: the lines through (1 : 0 : 0) come in a random order drawn from the

@@ -5,7 +5,10 @@ consumers are the plane-curve eliminants: a binary form of degree d is turned
 into a root ledger whose entries are either explicit points (rational over
 the working field or over one quadratic extension) or conjugate clusters of
 higher degree, each with its intersection multiplicity.  Multiplicity totals
-and squarefreeness never require leaving the base field.
+and squarefreeness never require leaving the base field.  Over Q
+squarefreeness is first certified at the one prime P = 2^31 - 1
+(``_squarefree_at_prime``), and only a failed certificate runs the gcd on
+Fractions; over F_p ``distinct_root_count`` runs on residues.
 
 Roots over F_p come from one distinct-degree loop (gcd with x^(p^k) - x) and
 a Cantor-Zassenhaus equal-degree split, except that ``fp_rational_roots``
@@ -27,8 +30,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
+from . import linalg
 from .scalars import (ExtensionTower, FpElem, PrimeField, QQ, QuadraticExtension,
                       RationalField, _sqrt_mod_p, is_prime, quad_sqrt)
 
@@ -83,13 +86,30 @@ def eval_poly(cs, x, domain):
     return total
 
 
+SQUAREFREE_PRIME = 2 ** 31 - 1  # the prime that certifies squarefreeness over Q
+
+
+def _squarefree_at_prime(cs) -> bool:
+    """Whether a rational f of degree >= 1 is certified squarefree: P =
+    ``SQUAREFREE_PRIME`` keeps the degree of the cleared f, and so of f' (every
+    degree here is below P), and gcd(f, f') mod P is constant, so disc f is
+    nonzero mod P and over Q.  False decides nothing."""
+    a = [c % SQUAREFREE_PRIME for c in linalg.cleared(cs)[0]]
+    return bool(a[-1]) and len(_rsquare_part(a, SQUAREFREE_PRIME)) == 1
+
+
 def distinct_root_count(cs, domain) -> int:
     """deg f - deg gcd(f, f'), the number of distinct roots of f over the
-    algebraic closure; valid in characteristic 0 or p > deg f."""
+    algebraic closure; valid in characteristic 0 or p > deg f.  Over Q a
+    ``_squarefree_at_prime`` certificate gives deg f; F_p runs on residues."""
     if degree(cs) <= 0:
         return 0
     if domain.char and domain.char <= degree(cs):
         raise ValueError(f"squarefreeness test needs characteristic > {degree(cs)}")
+    if isinstance(domain, RationalField) and _squarefree_at_prime(cs):
+        return degree(cs)
+    if isinstance(domain, PrimeField):
+        return degree(cs) - degree(_rsquare_part(_residues(cs, domain), domain.p))
     return degree(cs) - degree(gcd(cs, derivative(cs, domain), domain))
 
 
@@ -106,6 +126,8 @@ def squarefree_decomposition(cs, domain):
     d = degree(cs)
     if domain.char and domain.char <= d:
         raise ValueError(f"multiplicity analysis needs characteristic > {d}")
+    if d > 0 and isinstance(domain, RationalField) and _squarefree_at_prime(cs):
+        return [(scale(cs, domain.one / cs[-1]), 1)]
     out = []
     g = gcd(cs, derivative(cs, domain), domain)
     w = divmod_poly(cs, g, domain)[0]
@@ -171,6 +193,11 @@ def _rgcd(a, b, p):
         inv_lead = pow(a[-1], -1, p)
         a = [c * inv_lead % p for c in a]
     return a
+
+
+def _rsquare_part(f, p):
+    """gcd(f, f') of a trimmed residue list f mod p."""
+    return _rgcd(f, trim([k * c % p for k, c in enumerate(f)][1:]), p)
 
 
 def _rpowmod(base, e: int, mod, p):
@@ -314,8 +341,7 @@ def _qq_rational_roots(f):
     0 < m <= |a_d| (the bounds of the rational root theorem), and verified
     exactly.  Every rational root is found.
     """
-    den = lcm(*(c.denominator for c in f))
-    a = [int(c * den) for c in f]
+    a = linalg.cleared(f)[0]
     out = []
     if not a[0]:  # squarefree: t divides f once
         out.append(QQ.zero)
@@ -325,9 +351,8 @@ def _qq_rational_roots(f):
     p = max(5, len(a))  # p > deg f
     while True:
         if is_prime(p) and a[-1] % p:
-            fp = PrimeField(p)
-            abar = [fp.coerce(c) for c in a]
-            if is_squarefree(abar, fp):
+            abar = [c % p for c in a]
+            if is_squarefree(abar, PrimeField(p)):
                 break
         p += 1
     da = [k * c for k, c in enumerate(a)][1:]

@@ -847,7 +847,7 @@ def test_cone_probes_undecided_when_conic_drops_rank_mod_probe_prime():
     # cone is singular over the conic's vertex, which says nothing about S
     path = str(Path(__file__).parent / "fixtures" / "cone_conic_rank2_mod101.json")
     inst = load_instance(path)
-    assert SymMatrix3.gram_of_ternary(inst.conic_part()).rank(QQ) == 3
+    assert linalg.rank(SymMatrix3.gram_of_ternary(inst.conic_part()).entries, QQ) == 3
     rep = cone_and_singular_member(inst, probe_prime=101)
     assert rep.probe_undecided == "the conic part drops rank mod 101"
     assert rep.probe_count == 0 and rep.singular_locus_is_fixed_line

@@ -14,9 +14,9 @@ from taucubic import linalg
 from taucubic.bruteforce import (common_projective_zeros, has_common_projective_zero,
                                  monomial_values, projective_points_fp)
 from taucubic.forms import (DimensionMismatch, Form, NotDivisible, SymMatrix3, ZeroForm,
-                            compose_linear, evaluate, exact_divide,
-                            is_smooth_hypersurface, macaulay_resultant, monomials,
-                            partial_derivative, reduce_form, sylvester_resultant,
+                            _product_index, compose_linear, evaluate, exact_divide,
+                            is_smooth_conic, is_smooth_hypersurface, macaulay_resultant,
+                            monomials, partial_derivative, reduce_form, sylvester_resultant,
                             SMOOTH_CERTIFIED, SINGULAR_CERTIFIED, INCONCLUSIVE)
 from taucubic.scalars import PrimeField, QQ, QuadraticExtension
 from taucubic.tau import _draw_instance
@@ -118,6 +118,7 @@ def _least_nonresidue_extension(fld):
                                         if fld.sqrt_or_none(d) is None))
 
 
+F11 = PrimeField(11)
 F101 = PrimeField(101)
 F101_EXT = _least_nonresidue_extension(F101)
 # (domain of the form's coefficients, domain of the point's coordinates)
@@ -750,13 +751,38 @@ def test_gram_of_conic():
     g = SymMatrix3.gram_of_ternary(CONIC)
     assert g.entries[0][1] == 2 and g.entries[1][0] == 2
     assert g.entries[2][2] == -1
-    assert g.rank(QQ) == 3
+    assert linalg.rank(g.entries, QQ) == 3
     assert g.det() == 4
 
 
 def test_gram_rank_degenerate():
     g = SymMatrix3.gram_of_ternary(f_of(3, 2, {(2, 0, 0): 1}))
-    assert g.rank(QQ) == 1
+    assert linalg.rank(g.entries, QQ) == 1
+
+
+def _conic_rank_oracle(q):
+    """The rank route of is_smooth_conic: q is nonzero and its Gram matrix has rank 3."""
+    return not q.is_zero and linalg.rank(SymMatrix3.gram_of_ternary(q).entries, q.domain) == 3
+
+
+@pytest.mark.parametrize("domain", [QQ, F11, F101_EXT],
+                         ids=["QQ", "F11", "F101(sqrt D0)"])
+def test_smooth_conic_matches_rank_oracle(domain):
+    # sum of r squares of the rows of an invertible A: Gram rank r
+    rng = random.Random(67)
+    assert not is_smooth_conic(Form.zero_form(3, 2, domain))
+    seen = set()
+    for trial in range(120):
+        r = trial % 4
+        c = [domain.random(rng, 9) or domain.one for _ in range(r)] + [domain.zero] * (3 - r)
+        diag = Form.from_terms(3, 2, {(2, 0, 0): c[0], (0, 2, 0): c[1], (0, 0, 2): c[2]}, domain)
+        A = [[domain.random(rng, 9) for _ in range(3)] for _ in range(3)]
+        q = compose_linear(diag, A)
+        if linalg.det(A, domain):
+            assert linalg.rank(SymMatrix3.gram_of_ternary(q).entries, domain) == r
+            seen.add(r)
+        assert is_smooth_conic(q) == _conic_rank_oracle(q), (trial, q)
+    assert seen == {0, 1, 2, 3}
 
 
 # --- modular linear algebra ---------------------------------------------
@@ -825,9 +851,9 @@ def test_mod_p_elimination_matches_exact(p, kind):
 
 # --- plain-number elimination against element-wise oracles --------------
 #
-# sylvester_resultant, compose_linear and linalg.det run on plain numbers:
-# integers cleared of denominators over Q, residues over F_p.  The oracles
-# below are the element-wise versions they replaced.
+# sylvester_resultant, compose_linear, products of forms and linalg.det run
+# on plain numbers: integers cleared of denominators over Q, residues over
+# F_p.  The oracles below are the element-wise versions they replaced.
 
 F_BIG = PrimeField(4294967311)
 
@@ -972,6 +998,32 @@ def test_compose_linear_matches_product_oracle(domain, n_old, n_new, degree):
             rows[rng.randrange(n_old)] = [domain.zero] * n_new
         f = _random_form(rng, n_old, degree, domain)
         assert compose_linear(f, rows) == _compose_oracle(f, rows), kind
+
+
+def _product_oracle(f, g):
+    """f * g on field elements: each coefficient the sum of the products of two
+    nonzero coefficients landing on it, zero where none lands."""
+    out = [None] * len(monomials(f.num_vars, f.degree + g.degree))
+    for row, a in zip(_product_index(f.num_vars, f.degree, g.degree), f.coeffs):
+        for k, b in enumerate(g.coeffs):
+            if a and b:
+                out[row[k]] = a * b if out[row[k]] is None else out[row[k]] + a * b
+    return Form(f.domain, f.num_vars, f.degree + g.degree,
+                tuple(f.domain.zero if v is None else v for v in out))
+
+
+@pytest.mark.parametrize("domain", [QQ, F11, F101, F101_EXT],
+                         ids=["QQ", "F11", "F101", "F101(sqrt D0)"])
+def test_product_matches_elementwise_oracle(domain):
+    rng = random.Random(61)
+    for nvars in range(1, 6):
+        for d1, d2 in ((0, 0), (0, 3), (1, 1), (2, 1), (2, 2), (3, 2), (1, 4)):
+            f, g = _random_form(rng, nvars, d1, domain), _random_form(rng, nvars, d2, domain)
+            if d1 == 2:
+                f = Form.zero_form(nvars, d1, domain)
+            got, want = f * g, _product_oracle(f, g)
+            assert got == want, (nvars, d1, d2)
+            assert all(type(x) is type(y) for x, y in zip(got.coeffs, want.coeffs))
 
 
 def _gauss_det(rows, domain):

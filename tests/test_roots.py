@@ -1,6 +1,6 @@
 """Univariate root engine: F_p ledgers against brute-force scans of F_p and
-F_p(sqrt D0), the rational-root scan it replaced, and rational roots over Q
-with large coefficients."""
+F_p(sqrt D0), the rational-root scan it replaced, rational roots over Q
+with large coefficients, and squarefreeness against the exact gcd."""
 
 import hashlib
 import itertools
@@ -274,3 +274,85 @@ def test_quad_sqrt_fp_uses_least_non_residue():
         root, fld = quad_sqrt(d, f13)
         assert fld.d == 2 and not root.a
         assert root * root == fld.coerce(d)
+
+
+# --- squarefreeness over Q certified at one prime, against the exact gcd ----
+
+
+def _exact_distinct_root_count(cs, domain):
+    """deg f - deg gcd(f, f') by the gcd on field elements."""
+    return uv.degree(cs) - uv.degree(uv.gcd(cs, uv.derivative(cs, domain), domain))
+
+
+def _yun(cs, domain):
+    """Yun's squarefree decomposition by the gcd on field elements."""
+    out = []
+    g = uv.gcd(cs, uv.derivative(cs, domain), domain)
+    w = uv.divmod_poly(cs, g, domain)[0]
+    i = 1
+    while uv.degree(w) > 0:
+        y = uv.gcd(w, g, domain)
+        z = uv.divmod_poly(w, y, domain)[0]
+        if uv.degree(z) > 0:
+            out.append((uv.scale(z, domain.one / z[-1]), i))
+        w, g = y, uv.divmod_poly(g, y, domain)[0]
+        i += 1
+    return out
+
+
+def _random_qq_poly(rng, squared):
+    """A product of degree 1-7 of random factors of degree 1-3 with Fraction
+    coefficients; with ``squared``, one factor appears twice."""
+    target = rng.randint(2 if squared else 1, 7)
+    factors = []
+    while sum(len(f) - 1 for f in factors) < target:
+        room = target - sum(len(f) - 1 for f in factors)
+        if squared and not factors:
+            f = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(min(room // 2, 2))]
+            factors += [f + [QQ.one]] * 2
+            continue
+        f = [Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+             for _ in range(rng.randint(1, min(room, 3)))]
+        factors.append(f + [Fraction(rng.randint(1, 9), rng.randint(1, 9))])
+    return _poly_product(factors, QQ)
+
+
+def test_squarefree_certificate_matches_exact_gcd():
+    rng = random.Random(71)
+    certified = repeated = 0
+    for trial in range(400):
+        cs = _random_qq_poly(rng, squared=trial % 3 == 0)
+        want = _exact_distinct_root_count(cs, QQ)
+        assert uv.distinct_root_count(cs, QQ) == want, cs
+        assert uv.is_squarefree(cs, QQ) == (want == uv.degree(cs))
+        assert uv.squarefree_decomposition(cs, QQ) == _yun(cs, QQ), cs
+        certified += uv._squarefree_at_prime(cs)
+        repeated += want < uv.degree(cs)
+    # every squarefree draw is certified, and no draw with a repeated factor
+    assert repeated >= 133 and certified + repeated == 400
+
+
+def test_squarefree_certificate_falls_back_to_exact_gcd():
+    P = uv.SQUAREFREE_PRIME
+    x_minus_1, x_minus_1_p = [Fraction(-1), QQ.one], [Fraction(-1 - P), QQ.one]
+    cases = {
+        # P divides the leading coefficient: P x^2 + 1, and P (x - 1)^2
+        "lc": ([QQ.one, QQ.zero, Fraction(P)], 2),
+        "lc, repeated": (uv.scale(_poly_product([x_minus_1] * 2, QQ), Fraction(P)), 1),
+        # (x - 1)(x - 1 - P) is (x - 1)^2 mod P, and squarefree over Q
+        "square mod P": (_poly_product([x_minus_1, x_minus_1_p], QQ), 2),
+        "square mod P, repeated": (_poly_product([x_minus_1] * 2 + [x_minus_1_p], QQ), 2),
+    }
+    for name, (cs, distinct) in cases.items():
+        assert not uv._squarefree_at_prime(cs), name
+        assert uv.distinct_root_count(cs, QQ) == distinct == _exact_distinct_root_count(cs, QQ)
+        assert uv.squarefree_decomposition(cs, QQ) == _yun(cs, QQ), name
+    assert uv._squarefree_at_prime([Fraction(1, 3), QQ.zero, QQ.one])
+
+
+@pytest.mark.parametrize("p", [11, 101])
+def test_fp_distinct_root_count_matches_exact_gcd(p):
+    fp, rng = PrimeField(p), random.Random(73)
+    for _ in range(100):
+        cs, _cubics = _random_product(rng, fp)
+        assert uv.distinct_root_count(cs, fp) == _exact_distinct_root_count(cs, fp), cs

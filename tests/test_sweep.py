@@ -8,7 +8,9 @@ the surface-point suites (two-points, koszul).
 
 import pytest
 
+from taucubic import roots
 from taucubic.harness import SuiteConfig, run_suite
+from taucubic.tau import genericity_report, sample_instance
 
 SUITES = ("two-points", "discriminant", "fiber-action", "lines", "cone", "koszul",
           "fixed-points", "quotient")
@@ -58,3 +60,24 @@ def test_lines_suite_at_every_small_prime(p):
     # the lines suite runs where its exhaustive oracle does, 7 <= p <= 47
     for seed in range(5):
         assert not _failures(SuiteConfig(suites=("lines",), samples=2, seed=seed, primes=(p,)))
+
+
+@pytest.mark.sweep
+def test_gate_verdicts_match_without_squarefree_certificate(monkeypatch):
+    # the acceptance size, 200 gated draws over Q: every gate key, and every
+    # draw sample_instance rejects on the way, is the same when the
+    # certificate at one prime is forced to fail and the exact gcd decides
+    certify, certified = roots._squarefree_at_prime, []
+
+    def counted(cs):
+        certified.append(certify(cs))
+        return certified[-1]
+
+    monkeypatch.setattr(roots, "_squarefree_at_prime", counted)
+    gated = [sample_instance(s, 10) for s in range(200)]
+    reports = [genericity_report(inst) for inst in gated]
+    assert sum(certified) > 400  # 806 of 806 calls are certified
+    monkeypatch.setattr(roots, "_squarefree_at_prime", lambda cs: False)
+    for s, inst, report in zip(range(200), gated, reports):
+        assert genericity_report(inst) == report, s
+        assert sample_instance(s, 10) == inst, s
