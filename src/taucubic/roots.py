@@ -23,6 +23,8 @@ the split factors and their deflation) runs on lists of int residues in
 leaves only in the results: the roots and cofactor of ``fp_rational_roots``,
 the ledger points of ``binary_form_roots`` and the quadratic factors solved
 over F_p(sqrt D0).  ``fp_binary_quadratic_roots`` takes and returns residues.
+Powers modulo a cubic, the x^p and the splitting powers of every cubic slice,
+run on residue triples (``_cubic_powmod``) instead of list products.
 """
 
 from __future__ import annotations
@@ -201,15 +203,40 @@ def _rsquare_part(f, p):
 
 
 def _rpowmod(base, e: int, mod, p):
-    """base^e modulo a residue polynomial mod, mod p."""
+    """base^e modulo a residue polynomial mod, mod p; a cubic mod takes
+    ``_cubic_powmod``."""
+    if len(base) >= len(mod):
+        base = _rdivmod(base, mod, p)[1]
+    if len(mod) == 4 and e:
+        return _cubic_powmod(base, e, mod, p)
     result = [1]
-    base = _rdivmod(base, mod, p)[1]
     while e:
         if e & 1:
             result = _rdivmod(_rmul(result, base, p), mod, p)[1]
         base = _rdivmod(_rmul(base, base, p), mod, p)[1]
         e >>= 1
     return result
+
+
+def _cubic_powmod(base, e: int, mod, p):
+    """base^e modulo a cubic residue list mod, for a reduced base and e >= 1:
+    square-and-multiply on the residue triple (r0, r1, r2) of r0 + r1 x + r2 x^2,
+    the products folded by x^3 = -(a x^2 + b x + c) with mod made monic once."""
+    inv = pow(mod[3], -1, p)
+    c, b, a = (k * inv % p for k in mod[:3])
+    s0, s1, s2 = base + [0] * (3 - len(base))
+    r0, r1, r2 = s0, s1, s2
+    for bit in bin(e)[3:]:
+        t4 = r2 * r2
+        t3 = 2 * r1 * r2 - a * t4
+        r0, r1, r2 = ((r0 * r0 - c * t3) % p, (2 * r0 * r1 - c * t4 - b * t3) % p,
+                      (2 * r0 * r2 + r1 * r1 - b * t4 - a * t3) % p)
+        if bit == "1":
+            t4 = r2 * s2
+            t3 = r1 * s2 + r2 * s1 - a * t4
+            r0, r1, r2 = ((r0 * s0 - c * t3) % p, (r0 * s1 + r1 * s0 - c * t4 - b * t3) % p,
+                          (r0 * s2 + r1 * s1 + r2 * s0 - b * t4 - a * t3) % p)
+    return trim([r0, r1, r2])
 
 
 def _frobenius_gcd(f, frob, p):

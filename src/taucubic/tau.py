@@ -609,28 +609,50 @@ def _binary_value(q, u, v, p: int) -> int:
 
 
 def _affine_conic_points(q, c, p: int):
-    """All (x0, x1) in F_p^2 with q(x0, x1) + c = 0, scanning x0; a generator."""
+    """All (x0, x1) in F_p^2 with q(x0, x1) + c = 0 for a constant c != 0, by
+    ascending x0 and, for one x0, in the order of ``fp_binary_quadratic_roots``;
+    a generator.  A nondegenerate q is scanned by x0.  A degenerate one is
+    solved in closed form: q = 0 has no point, and q = lam l^2 (m^2 = 4ab) has
+    the two lines l = +-s where s^2 = -c/lam, or no point when -c/lam is a
+    non-square."""
     a, m, b = q
+    if not (m * m - 4 * a * b) % p:
+        if b:  # every x0 has the two roots (+-s - m x0) / 2b, s^2 = -4bc
+            s = _sqrt_mod_p(-4 * b * c, p)
+            w = pow(2 * b, -1, p)
+            if s is not None:
+                for x0 in range(p):
+                    yield (x0, (s - m * x0) * w % p)
+                    yield (x0, (-s - m * x0) * w % p)
+        elif a:  # m = 0: the lines a x0^2 = -c, each with every x1
+            s = _sqrt_mod_p(-c * pow(a, -1, p), p)
+            if s is not None:
+                for x0 in sorted((s, p - s)):
+                    yield from ((x0, x1) for x1 in range(p))
+        return
     for x0 in range(p):
-        # b x1^2 + (m x0) x1 + (a x0^2 + c) as a binary form in (x1 : 1)
+        # b x1^2 + (m x0) x1 + (a x0^2 + c) as a binary form in (x1 : 1), never
+        # zero: b = 0 forces m != 0, and then x0 = 0 leaves c
         coeffs = (b, m * x0 % p, (a * x0 * x0 + c) % p)
-        if not any(coeffs):
-            yield from ((x0, x1) for x1 in range(p))
-        else:
-            yield from ((x0, x1) for x1, w in fp_binary_quadratic_roots(*coeffs, p) if w)
+        yield from ((x0, x1) for x1, w in fp_binary_quadratic_roots(*coeffs, p) if w)
 
 
 class _Cone(Sequence):
     """The (x0, x1) in F_p^2 on the lines through 0 over the projective points
     ``roots``: (0, 0), then s (u, v) for s = 1, ..., p - 1 over each root in
     turn.  Indexed, and iterated, without being listed; an index i >= 0 past
-    the end finds no root and raises IndexError."""
+    the end finds no root and raises IndexError.  ``size`` is its length,
+    which over all of P^1 can pass what ``len`` takes (p^2 >= 2^63)."""
 
     def __init__(self, roots, p: int):
         self.roots, self.p = roots, p
+        self.size = 1 + len(roots) * (p - 1)
 
     def __len__(self):
-        return 1 + len(self.roots) * (self.p - 1)
+        return self.size
+
+    def __bool__(self):
+        return True
 
     def __getitem__(self, i):
         if not i:
@@ -638,6 +660,22 @@ class _Cone(Sequence):
         k, s = divmod(i - 1, self.p - 1)
         u, v = self.roots[k]
         return ((s + 1) * u % self.p, (s + 1) * v % self.p)
+
+
+class _ProjectiveLine(Sequence):
+    """The points of P^1(F_p) as residue pairs, (1, t) for t = 0, ..., p - 1
+    and then (0, 1); indexed, and iterated, without being listed."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __len__(self):
+        return self.p + 1
+
+    def __getitem__(self, k):
+        if not 0 <= k <= self.p:
+            raise IndexError(k)
+        return (1, k) if k < self.p else (0, 1)
 
 
 def _fibre_solutions(rG, rH, p: int):
@@ -650,8 +688,9 @@ def _fibre_solutions(rG, rH, p: int):
     not identically zero, x = s (u, v) over its rational roots (u : v), with
     s^2 read off whichever equation is not degenerate at (u, v).  If E vanishes
     but one constant does not, the other equation is a multiple of that one
-    and its affine conic is scanned.  If both constants vanish, x = 0 and the
-    whole lines over the common roots of q_G and q_H are solutions.
+    and its affine conic is solved (``_affine_conic_points``).  If both
+    constants vanish, x = 0 and the whole lines over the common roots of q_G
+    and q_H are solutions, over a ``_ProjectiveLine`` when both q vanish too.
     """
     *qG, cG = rG
     *qH, cH = rH
@@ -672,7 +711,7 @@ def _fibre_solutions(rG, rH, p: int):
         q, other = (qG, qH) if any(qG) else (qH, qG)
         common = [r for r in fp_binary_quadratic_roots(*q, p) if not _binary_value(other, *r, p)]
     else:
-        common = [(1, t) for t in range(p)] + [(0, 1)]
+        common = _ProjectiveLine(p)
     return _Cone(common, p)
 
 
@@ -680,9 +719,10 @@ def _fibres(system: FibreSystem, Ps, wanted=None):
     """The solutions (x0, x1) of {G = H = 0} over each fixed-plane point P of
     ``Ps``, as pairs (P, solutions) in order, P and the solutions in residues,
     checked on G and H in one batch.  A ``_Cone`` is checked at (0, 0) and at
-    its roots: both restrictions are binary quadratics there, so these decide
-    the rest.  With ``wanted``, the fibres stop after the ``wanted``-th
-    nonempty one."""
+    its first three roots: both restrictions are binary quadratics there, and
+    three points of P^1 fix one, so these decide the rest; a cone over all of
+    P^1 is not listed.  With ``wanted``, the fibres stop after the
+    ``wanted``-th nonempty one."""
     fibres = []
     nonempty = 0
     for P, (rG, rH) in zip(Ps, system.restrictions(Ps)):
@@ -692,7 +732,7 @@ def _fibres(system: FibreSystem, Ps, wanted=None):
         fibres.append((P, xs if isinstance(xs, _Cone) else list(xs)))
         nonempty += bool(fibres[-1][1])
     system.check([x + P for P, xs in fibres
-                  for x in ([xs[0]] + xs.roots if isinstance(xs, _Cone) else xs)])
+                  for x in ([xs[0], *islice(xs.roots, 3)] if isinstance(xs, _Cone) else xs)])
     return fibres
 
 
@@ -741,5 +781,7 @@ def random_points_on_surface(instance: TauInstance, rng: random.Random, count: i
         Ps = [_fixed_plane_point(k, p) for k in batch]
         for P, xs in _fibres(system, Ps, count - len(out)):
             if xs:
-                out.append(tuple(map(domain.coerce, rng.choice(xs) + P)))
+                # rng.randrange(n) draws as rng.choice does from n items
+                n = xs.size if isinstance(xs, _Cone) else len(xs)
+                out.append(tuple(map(domain.coerce, xs[rng.randrange(n)] + P)))
     return out

@@ -1,16 +1,20 @@
 """Univariate root engine: F_p ledgers against brute-force scans of F_p and
-F_p(sqrt D0), the rational-root scan it replaced, rational roots over Q
-with large coefficients, and squarefreeness against the exact gcd."""
+F_p(sqrt D0), the rational-root scan it replaced, powers modulo a polynomial
+against the list route, rational roots over Q with large coefficients, and
+squarefreeness against the exact gcd."""
 
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from taucubic import roots as uv
+from taucubic.discriminant import points_on_cubic_component
 from taucubic.scalars import FpElem, PrimeField, QQ, QuadElem, quad_sqrt
+from taucubic.tau import sample_instance
 
 
 def _poly_product(factors, domain):
@@ -167,9 +171,16 @@ def _oracle_low_degree_roots(cs, p):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_low_degree_roots_match_evaluation(p):
-    # every coefficient triple: roots, multiplicities, ascending order and cofactor
+    # every coefficient triple: roots, multiplicities, ascending order and
+    # cofactor; at p = 5 and 7 also every cubic, whose Frobenius and
+    # Cantor-Zassenhaus powers run modulo a cubic
+    fp = PrimeField(p)
     for cs in itertools.product(range(p), repeat=3):
         assert uv.fp_rational_roots(list(cs), p) == _oracle_low_degree_roots(cs, p), cs
+        for lead in range(1, p) if p <= 7 else ():
+            cubic = list(cs) + [lead]
+            assert uv.fp_rational_roots(cubic, p) == _scan_rational_roots(
+                [fp.coerce(c) for c in cubic], p), cubic
 
 
 def test_fp_rational_roots_coerce_their_input():
@@ -192,6 +203,68 @@ def test_fp_rational_roots_beyond_machine_words():
     roots, rest = uv.fp_rational_roots(cs, p)
     assert [(r.residue, m) for r, m in roots] == sorted(planted.items())
     assert uv.scale(rest, fp.one / rest[-1]) == quadratic
+    # one cubic of each shape; p = 1 mod 3, so x^3 - k is irreducible for a non-cube k
+    assert p % 3 == 1
+    k = next(k for k in range(2, p) if pow(k, (p - 1) // 3, p) != 1)
+    lin = {r: [fp.coerce(-r), fp.one] for r in (5, 77777, p - 3)}
+    shapes = [
+        ([lin[5], lin[77777], lin[p - 3]], [(5, 1), (77777, 1), (p - 3, 1)], [fp.one]),
+        ([lin[p - 3], lin[5], lin[p - 3]], [(5, 1), (p - 3, 2)], [fp.one]),
+        ([lin[77777]] * 3, [(77777, 3)], [fp.one]),
+        ([lin[p - 3], quadratic], [(p - 3, 1)], quadratic),
+        ([[fp.coerce(-k), fp.zero, fp.zero, fp.one]], [], [fp.coerce(-k), fp.zero, fp.zero, fp.one]),
+    ]
+    for factors, want, monic_rest in shapes:
+        roots, rest = uv.fp_rational_roots(uv.scale(_poly_product(factors, fp), fp.coerce(3)), p)
+        assert [(r.residue, m) for r, m in roots] == want
+        assert uv.scale(rest, fp.one / rest[-1]) == monic_rest
+
+
+def _list_rpowmod(base, e, mod, p):
+    """base^e modulo mod by square-and-multiply on residue lists, reducing with
+    ``_rdivmod`` after every product: the route every modulus took before the
+    cubic kernel, and the oracle of ``_rpowmod``."""
+    result = [1]
+    base = uv._rdivmod(base, mod, p)[1]
+    while e:
+        if e & 1:
+            result = uv._rdivmod(uv._rmul(result, base, p), mod, p)[1]
+        base = uv._rdivmod(uv._rmul(base, base, p), mod, p)[1]
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p", [7, 11, 101, 2 ** 31 - 1, 4294967311])
+def test_rpowmod_matches_the_list_route(p):
+    # moduli of degree 1-6, monic and not; bases zero, x, reduced and
+    # unreduced; the exponents of the Frobenius and Cantor-Zassenhaus steps
+    rng = random.Random(p)
+    for deg in range(1, 7):
+        for trial in range(4):
+            mod = [rng.randrange(p) for _ in range(deg)] + [1 if trial % 2 else rng.randrange(2, p)]
+            reduced = uv.trim([rng.randrange(p) for _ in range(deg)])
+            unreduced = [rng.randrange(p) for _ in range(deg + rng.randint(0, 3))] + [
+                rng.randrange(1, p)]
+            for base in ([], [0, 1], reduced, unreduced):
+                for e in (0, 1, p, (p - 1) // 2, (p * p - 1) // 2):
+                    assert uv._rpowmod(base, e, mod, p) == _list_rpowmod(base, e, mod, p), (
+                        base, e, mod)
+
+
+def test_cubic_slices_multiply_no_lists(monkeypatch):
+    # the cubic component's slices are cubics in x2: their Frobenius and
+    # Cantor-Zassenhaus powers run on residue triples, not on list products
+    calls = Counter()
+    rmul, roots = uv._rmul, uv.fp_rational_roots
+
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    monkeypatch.setattr(uv, "_rmul", counted("_rmul", rmul))
+    monkeypatch.setattr(uv, "fp_rational_roots", counted("roots", roots))
+    inst = sample_instance(1, 10, domain=PrimeField(101))
+    assert len(points_on_cubic_component(inst, random.Random(0), 100)) == 100
+    assert calls["roots"] > 0 and calls["_rmul"] == 0, calls
 
 
 def _engine_digest(p):

@@ -596,8 +596,16 @@ def _random_restrictions(rng, p, kind):
     cG, cH = r(), r()
     if kind == "proportional":    # E = 0, and a nonzero constant
         lam, cG = rng.randrange(p), rng.randrange(1, p)
-        if p > 200:   # a scan of p values of x0 must meet points early
-            qG = [rng.randrange(p) for _ in range(3)]
+        if p > 200:   # a general q, q = 0, or q = k l^2 for l = al x0 + be x1
+            shape = rng.choice(("general", "zero", "square", "square"))
+            if shape == "general":
+                qG = [rng.randrange(p) for _ in range(3)]
+            elif shape == "zero":
+                qG = [0, 0, 0]
+            else:
+                k, be = rng.randrange(1, p), rng.choice((0, rng.randrange(1, p)))
+                al = rng.randrange(0 if be else 1, p)
+                qG = [k * al * al % p, 2 * k * al * be % p, k * be * be % p]
         qH, cH = [lam * g % p for g in qG], lam * cG % p
         if rng.random() < 0.5:
             (qG, cG), (qH, cH) = (qH, cH), (qG, cG)
@@ -619,39 +627,74 @@ def _branch(rG, rH, p):
     if any((cH * g - cG * h) % p for g, h in zip(qG, qH)):
         return "E"
     if cG or cH:
-        return "proportional"
+        a, m, b = qG if cG else qH
+        return "degenerate" if (m * m - 4 * a * b) % p == 0 else "proportional"
     return "cone" if any(qG) or any(qH) else "zero"
+
+
+def _assert_closed_form(got, rG, rH, p):
+    """A fibre that the element solver takes O(p) steps for, against its
+    closed form.  Both restrictions zero: the cone over all of P^1, p^2
+    points.  A degenerate affine conic q + c = 0, q = lam l^2: no point when
+    q = 0 or -c/lam is a non-square, else the lines l = +-s by ascending x0."""
+    if not any(rG) and not any(rH):
+        assert isinstance(got, tau_mod._Cone) and got.size == p * p
+        assert len(got.roots) == p + 1 and got.roots[p] == (0, 1)
+        assert [got.roots[k] for k in (0, 1, p - 1)] == [(1, 0), (1, 1), (1, p - 1)]
+        assert [got[i] for i in (0, 1, p - 1, p, p * p - 1)] == [
+            (0, 0), (1, 0), (p - 1, 0), (1, 1), (0, p - 1)]
+        with pytest.raises(IndexError):
+            got[p * p]
+        return
+    (a, m, b), c = (rG[:3], rG[3]) if rG[3] else (rH[:3], rH[3])
+    head = list(itertools.islice(got, 20))
+    lam = b or a   # b l^2 with l = x1 + m x0 / 2b, or a x0^2
+    if not lam or pow(-c * pow(lam, -1, p) % p, (p - 1) // 2, p) != 1:
+        assert head == []
+        return
+    assert len(set(head)) == 20
+    assert all((a * x0 * x0 + m * x0 * x1 + b * x1 * x1 + c) % p == 0 for x0, x1 in head)
+    if b:   # two points over each x0 = 0, 1, ..., in the element solver's order
+        field = PrimeField(p)
+        want = itertools.islice(_element_affine_conic_points((a, m, b), c, field), 20)
+        assert head == [(u.residue, v.residue) for u, v in want]
+    else:   # the line x0 = r, r the lesser root of a r^2 = -c, then the other
+        r = PrimeField(p).sqrt_or_none(-c * pow(a, -1, p)).residue
+        assert head == [(min(r, p - r), x1) for x1 in range(20)]
 
 
 @pytest.mark.parametrize("p", [7, 11, 101, 4294967311])
 def test_fibre_solutions_match_the_element_solver(p):
     # the residue solver against the element one on random restrictions, in
-    # every branch: the same solutions in the same order; an affine conic scan
+    # every branch: the same solutions in the same order; an affine conic
     # compared over its first points, a cone by its length, its roots and some
-    # of its indices.  Both solvers list all p + 1 points of P^1 when both
-    # restrictions vanish, so that branch is left out at the big prime
+    # of its indices.  At the big prime the element solver scans p values of
+    # x0 for a degenerate affine conic and lists all p + 1 points of P^1 when
+    # both restrictions vanish, so there those two branches are checked
+    # against their closed form instead
     field = PrimeField(p)
     rng = random.Random(p)
-    kinds = ("E", "proportional", "cone", "zero")[:3 if p > 200 else 4]
+    kinds = ("E", "proportional", "cone", "zero")
     seen = Counter()
     for trial in range(400):
         rG, rH = _random_restrictions(rng, p, kinds[trial % len(kinds)])
         branch = _branch(rG, rH, p)
-        if branch not in kinds:
-            continue
         seen[branch] += 1
         got = tau_mod._fibre_solutions(rG, rH, p)
+        if p > 200 and branch in ("degenerate", "zero"):
+            _assert_closed_form(got, rG, rH, p)
+            continue
         want = _element_fibre_solutions(rG, rH, field)
         if isinstance(want, _ElementCone):
             assert isinstance(got, tau_mod._Cone) and len(got) == len(want)
-            assert got.roots == [(u.residue, v.residue) for u, v in want.roots]
+            assert list(got.roots) == [(u.residue, v.residue) for u, v in want.roots]
             for i in {i for i in (0, 1, p - 1, p, len(want) - 1) if i < len(want)}:
                 assert got[i] == tuple(c.residue for c in want[i])
             continue
         n = None if p < 200 else 20
         got, want = list(itertools.islice(got, n)), list(itertools.islice(want, n))
         assert got == [(u.residue, v.residue) for u, v in want]
-    assert set(seen) == set(kinds), seen
+    assert set(seen) == set(kinds) | {"degenerate"}, seen
 
 
 def _random_conic(rng, field):
@@ -794,6 +837,33 @@ def test_cone_fibre_is_indexed_not_listed():
     assert xs[p - 1] == (0, p - 1)
     for seed in range(5):
         system.check([random.Random(seed).choice(xs) + Q])
+
+
+def test_plane_fibre_is_indexed_not_listed():
+    # every part of the cubic and the quadric vanishes at P = (1 : 0 : 0): the
+    # fibre over P is the whole (x0, x1)-plane, p^2 points at p > 2^32, over
+    # all p + 1 points of P^1, and neither the solver nor the check lists them
+    p = 4294967311
+    field = PrimeField(p)
+
+    def linear(*cs):
+        return _ternary(field, dict(zip([(1, 0, 0), (0, 1, 0), (0, 0, 1)], cs)))
+
+    f3 = _ternary(field, {(2, 1, 0): 3, (0, 3, 0): 1, (1, 0, 2): p - 5, (0, 0, 3): 7})
+    f2 = _ternary(field, {(1, 1, 0): 2, (0, 2, 0): 1, (0, 0, 2): p - 1})
+    zero = field.zero
+    inst = TauInstance(field, linear(0, 2, 3), linear(0, 1, 1), linear(0, 0, 1), f3,
+                       (QuadricPart(zero, zero, zero, f2),))
+    system = tau_mod.FibreSystem(inst.cubic(), inst.quadric())
+    P = (field.one, zero, zero)
+    assert list(itertools.islice(system.points(P), 3)) == [
+        (zero, zero) + P, (field.one, zero) + P, (field.coerce(2), zero) + P]
+    ((Q, xs),) = tau_mod._fibres(system, [(1, 0, 0)], wanted=1)
+    assert Q == (1, 0, 0) and xs and xs.size == p * p
+    assert isinstance(xs.roots, tau_mod._ProjectiveLine)
+    assert xs[xs.size - 1] == (0, p - 1)
+    for seed in range(5):
+        system.check([xs[random.Random(seed).randrange(xs.size)] + Q])
 
 
 def test_surface_walk_draws_scale_with_count(monkeypatch):
