@@ -29,10 +29,12 @@ are swapped.
 
 The fiber over a point is evaluated, split and classified on the plain
 numbers of ``scalars``: residues mod p over F_p, Fractions over Q.  The
-family's nonzero terms are tabulated once per instance (``FiberFamily.terms``),
-and an element a + b sqrt(d) of the quadratic extension a line pair may need
-is the pair (a, b), so a line form is a pair (re, im) of plain vectors
-(``_split``).  No field element is built for a fiber.
+family's forms are one dense table of plain coefficients, built once per
+instance (``FiberFamily.table``).  An element a + b sqrt(d) of the quadratic
+extension a line pair may need is the pair (a, b), so a line form is a pair
+(re, im) of plain vectors (``_split``), and its square root is the plain
+(s0, s1, d) of the domain's ``plain_sqrt``.  Over F_p no field element is
+built for a fiber; over Q a non-square's root is read off ``quad_sqrt``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .forms import (Form, compose_linear, evaluate, is_smooth_conic, jacobian_ra
 from .intersect import (PlaneIntersection, conic_rational_points, curve_rational_points,
                         intersect_plane_curves)
 from .roots import binary_form_roots, binary_quadratic_roots
-from .scalars import BadPrime, PrimeField, QuadElem, quad_sqrt
+from .scalars import BadPrime, PrimeField, QuadElem
 from .tau import FibreSystem, TauInstance, embed_with_x01, reduce_instance
 
 
@@ -121,14 +123,13 @@ def _split(values, domain):
         return [(row, zero)], domain, 0
     m = next(i for i in range(3) if vertex[i])
     u, v = (i for i in range(3) if i != m)
-    ku, kv = _cross(vertex, _UNIT[u]), _cross(vertex, _UNIT[v])
-    line = lambda x, y: tuple(reduce(x * p + y * q) for p, q in zip(ku, kv))
+    (p0, p1, p2), (q0, q1, q2) = _cross(vertex, _UNIT[u]), _cross(vertex, _UNIT[v])
+    line = lambda x, y: (reduce(x * p0 + y * q0), reduce(x * p1 + y * q1),
+                         reduce(x * p2 + y * q2))
     a, b, c = (alpha, beta, delta)[u], gamma if v == 1 else 0, (alpha, beta, delta)[v]
     if not a:
         return [(line(1, 0), zero), (line(-c * inverse(b), 1), zero)], domain, 0
-    s, field = quad_sqrt(b * b - 4 * a * c, domain)
-    s0, s1, d = ((domain.plain(s), 0, 0) if field is domain else
-                 (domain.plain(s.a), domain.plain(s.b), domain.plain(field.d)))
+    s0, s1, d, field = domain.plain_sqrt(b * b - 4 * a * c)
     w = inverse(2 * a)
     return [(line((s0 - b) * w, 1), line(s1 * w, 0)),
             (line((-s0 - b) * w, 1), line(-s1 * w, 0))], field, d
@@ -140,16 +141,20 @@ def _cross(a, b):
 
 def _tau_line(c):
     """The involution on a line form (re, im): (c0, c1, c2) -> (-c0, -c1, c2)."""
-    return tuple((-x, -y, z) for x, y, z in c)
+    (r0, r1, r2), (i0, i1, i2) = c
+    return (-r0, -r1, r2), (-i0, -i1, i2)
 
 
 def _proportional(c, e, d, reduce) -> bool:
     """Whether two line forms (re, im) over K(sqrt(d)) are proportional: every
     2x2 minor vanishes, in both its parts."""
-    (cr, ci), (er, ei) = c, e
-    return not any(reduce(cr[i] * er[j] - cr[j] * er[i] + d * (ci[i] * ei[j] - ci[j] * ei[i]))
-                   or reduce(cr[i] * ei[j] - cr[j] * ei[i] + ci[i] * er[j] - ci[j] * er[i])
-                   for i, j in ((0, 1), (0, 2), (1, 2)))
+    ((a0, a1, a2), (b0, b1, b2)), ((c0, c1, c2), (e0, e1, e2)) = c, e
+    return not (reduce(a0 * c1 - a1 * c0 + d * (b0 * e1 - b1 * e0))
+                or reduce(a0 * e1 - a1 * e0 + b0 * c1 - b1 * c0)
+                or reduce(a0 * c2 - a2 * c0 + d * (b0 * e2 - b2 * e0))
+                or reduce(a0 * e2 - a2 * e0 + b0 * c2 - b2 * c0)
+                or reduce(a1 * c2 - a2 * c1 + d * (b1 * e2 - b2 * e1))
+                or reduce(a1 * e2 - a2 * e1 + b1 * c2 - b2 * c1))
 
 
 @dataclass
@@ -348,6 +353,7 @@ def _check_on_cubic(instance: TauInstance, T, directions):
     u (w0^2 l00 + w0 w1 l01 + w1^2 l11)(y(Q)) + u^3 f3(y(Q))."""
     plain, reduce = instance.domain.plain, instance.domain.reduce
     t0, t1 = plain(T[0]), plain(T[1])
+    r00, r11, r01, r3 = instance.family.table
     for q in directions:
         d = plain(q[0].ext.d) if isinstance(q[0], QuadElem) else 0
         q = [(plain(c.a), plain(c.b)) if d else (plain(c), 0) for c in q]
@@ -355,12 +361,12 @@ def _check_on_cubic(instance: TauInstance, T, directions):
         def mul(x, y):
             return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
-        def at_y(terms):    # a family form at y(Q), from the powers y_i(Q)^e
-            monos = [(c, mul(mul(pw[0][i], pw[1][j]), pw[2][k])) for (i, j, k), c in terms]
-            return sum(c * a for c, (a, _b) in monos), sum(c * b for c, (_a, b) in monos)
+        def at(row, ys):    # a family form at y(Q), from its row of the table
+            return tuple(sum(c * y[k] for c, y in zip(row, ys)) for k in (0, 1))
 
         pw = [list(accumulate([c] * 3, mul, initial=(1, 0))) for c in q[2:]]
-        l00, l11, l01, f3 = map(at_y, instance.family.terms)
+        l00, l11, l01 = (at(row, q[2:]) for row in (r00, r11, r01))
+        f3 = at(r3, [mul(mul(pw[0][i], pw[1][j]), pw[2][k]) for i, j, k in monomials(3, 3)])
         for u in (1, 2, 3):
             w0, w1 = (t0 + u * q[0][0], u * q[0][1]), (t1 + u * q[1][0], u * q[1][1])
             parts = zip(mul(mul(w0, w0), l00), mul(mul(w0, w1), l01), mul(mul(w1, w1), l11), f3)

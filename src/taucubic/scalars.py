@@ -352,6 +352,11 @@ class RationalField:
             return Fraction(rn, rd)
         return None
 
+    def plain_sqrt(self, n):
+        """``quad_sqrt`` of n as plain numbers (s0, s1, d, field), s0 + s1 sqrt(d)."""
+        s, field = quad_sqrt(n, self)
+        return (s, 0, 0, self) if field is self else (s.a, s.b, field.d, field)
+
     def random(self, rng: random.Random, bound: int) -> Fraction:
         return Fraction(rng.randint(-bound, bound))
 
@@ -406,6 +411,14 @@ class PrimeField:
             return x
         r = _sqrt_mod_p(x.residue, self.p)
         return None if r is None else FpElem(r, self.p)
+
+    def plain_sqrt(self, n: int):
+        """``quad_sqrt`` of the residue n as plain numbers (s0, s1, d, field), no element built."""
+        r = _sqrt_mod_p(n, self.p)
+        if r is not None:
+            return r, 0, 0, self
+        d = _least_non_residue(self.p)
+        return 0, _sqrt_mod_p(n * pow(d, -1, self.p), self.p), d, _fp_extension(self.p)
 
     def random(self, rng: random.Random, bound: int) -> FpElem:
         return FpElem(rng.randint(-bound, bound), self.p)

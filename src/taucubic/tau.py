@@ -19,6 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from operator import mul
 
 from . import linalg
 from .bruteforce import coefficient_matrix, form_values, projective_points_fp, random_order
@@ -152,20 +153,22 @@ class FiberFamily:
     f3: Form
 
     @cached_property
-    def terms(self) -> tuple:
-        """The nonzero terms (exponent, coefficient) of l00, l11, l01 and f3, the
-        coefficients as plain numbers of the domain (see ``scalars``)."""
+    def table(self) -> tuple:
+        """One dense row of plain coefficients (see ``scalars``) per form: l00,
+        l11 and l01 at (x2, x3, x4), and f3 at the cubic ``monomials(3, 3)``."""
         plain = self.f3.domain.plain
-        return tuple(tuple((m, plain(c)) for m, c in zip(monomials(3, f.degree), f.coeffs) if c)
-                     for f in (self.l00, self.l11, self.l01, self.f3))
+        return tuple(tuple(map(plain, f.coeffs)) for f in (self.l00, self.l11, self.l01, self.f3))
 
     def values(self, P) -> tuple:
         """(alpha, beta, gamma, delta), the values of l00, l11, l01 and f3 at the
         fixed-plane point P, with P and the values as plain numbers."""
-        x, y, z = ((1, c, c * c, c * c * c) for c in P)
+        x, y, z = P
+        xx, yy, zz = x * x, y * y, z * z
+        cubic = (xx * x, xx * y, xx * z, x * yy, x * y * z, x * zz, yy * y, yy * z, y * zz, zz * z)
+        (a0, a1, a2), (b0, b1, b2), (g0, g1, g2), f3 = self.table
         reduce = self.f3.domain.reduce
-        return tuple(reduce(sum(c * x[i] * y[j] * z[k] for (i, j, k), c in terms))
-                     for terms in self.terms)
+        return (reduce(a0 * x + a1 * y + a2 * z), reduce(b0 * x + b1 * y + b2 * z),
+                reduce(g0 * x + g1 * y + g2 * z), reduce(sum(map(mul, f3, cubic))))
 
     @classmethod
     def of_cubic(cls, phi: Form) -> "FiberFamily":
@@ -467,20 +470,10 @@ class Sym2Split:
 
 def sym2_eigensplit() -> Sym2Split:
     """Dimension split of the 15 degree-2 monomials under the involution."""
-    minus = mixed = plus = inv = anti = 0
-    for m in monomials(5, 2):
-        s = m[0] + m[1]
-        if s == 2:
-            minus += 1
-        elif s == 1:
-            mixed += 1
-        else:
-            plus += 1
-        if monomial_tau_sign(m) > 0:
-            inv += 1
-        else:
-            anti += 1
-    return Sym2Split(minus, mixed, plus, inv, anti, minus + mixed + plus)
+    degrees = [m[0] + m[1] for m in monomials(5, 2)]   # the (x0, x1)-degree of each
+    minus, mixed, plus = map(degrees.count, (2, 1, 0))
+    inv = sum(monomial_tau_sign(m) > 0 for m in monomials(5, 2))
+    return Sym2Split(minus, mixed, plus, inv, len(degrees) - inv, len(degrees))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ and the involution dichotomy, line counts, and the cone report."""
 
 import hashlib
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -443,6 +445,201 @@ def test_proportional_reads_the_product_of_the_im_parts(domain):
     assert same(c, e) and same(e, c)
     assert not same((zero, s), (zero, r))
     assert same((zero, s), (zero, tuple(5 * x for x in s)))
+
+
+def test_tau_line_negates_c0_and_c1_of_both_parts():
+    # (c0, c1, -c2) is the same line up to -1, so only the form itself, not a
+    # proportionality check, tells it from the documented (-c0, -c1, c2)
+    c = ((1, 2, 3), (4, 5, 6))
+    assert discriminant._tau_line(c) == ((-1, -2, 3), (-4, -5, 6))
+    assert discriminant._tau_line(discriminant._tau_line(c)) == c
+
+
+# --- the element oracle of the plain fiber route -------------------------
+#
+# The fiber route as it stood before the family table and ``plain_sqrt``: the
+# family forms summed term by term, and ``_split`` with its square root taken
+# by ``quad_sqrt`` on field elements.  The plain route must agree with it.
+
+
+def _oracle_values(family, P):
+    """(alpha, beta, gamma, delta) at the plain point P, each form summed over
+    its nonzero terms."""
+    dom = family.f3.domain
+    x, y, z = ((1, c, c * c, c * c * c) for c in P)
+    return tuple(dom.reduce(sum(dom.plain(c) * x[i] * y[j] * z[k]
+                                for (i, j, k), c in zip(monomials(3, f.degree), f.coeffs) if c))
+                 for f in (family.l00, family.l11, family.l01, family.f3))
+
+
+def _oracle_split(values, domain):
+    """``_split`` by the element route, and the branch it took."""
+    alpha, beta, gamma, delta = values
+    reduce, inverse = domain.reduce, domain.inverse
+    g01 = reduce(gamma * inverse(2))
+    det_a = reduce(alpha * beta - g01 * g01)
+    if det_a and delta:
+        return None, "smooth"
+    if det_a:
+        vertex = (0, 0, det_a)
+    elif alpha or gamma:
+        vertex = (reduce(g01 * delta), reduce(-alpha * delta), 0)
+    else:
+        vertex = (reduce(beta * delta), 0, 0)
+    zero = (0, 0, 0)
+    if not any(vertex):
+        row = (alpha, g01, 0) if alpha or gamma else (0, beta, 0) if beta else (0, 0, delta)
+        return ([(row, zero)], domain, 0), "rank-1 row " + "abd"[next(i for i in range(3) if row[i])]
+    m = next(i for i in range(3) if vertex[i])
+    u, v = (i for i in range(3) if i != m)
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    ku, kv = _cross(vertex, unit[u]), _cross(vertex, unit[v])
+    line = lambda x, y: tuple(reduce(x * p + y * q) for p, q in zip(ku, kv))
+    a, b, c = (alpha, beta, delta)[u], gamma if v == 1 else 0, (alpha, beta, delta)[v]
+    if not a:
+        return ([(line(1, 0), zero), (line(-c * inverse(b), 1), zero)], domain, 0), "a = 0"
+    s, field = quad_sqrt(b * b - 4 * a * c, domain)
+    s0, s1, d = ((domain.plain(s), 0, 0) if field is domain else
+                 (domain.plain(s.a), domain.plain(s.b), domain.plain(field.d)))
+    w = inverse(2 * a)
+    return ([(line((s0 - b) * w, 1), line(s1 * w, 0)),
+             (line((-s0 - b) * w, 1), line(-s1 * w, 0))], field, d), (
+        "square" if field is domain else "non-square")
+
+
+def _oracle_proportional(c, e, d, reduce):
+    (cr, ci), (er, ei) = c, e
+    return not any(reduce(cr[i] * er[j] - cr[j] * er[i] + d * (ci[i] * ei[j] - ci[j] * ei[i]))
+                   or reduce(cr[i] * ei[j] - cr[j] * ei[i] + ci[i] * er[j] - ci[j] * er[i])
+                   for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
+def _oracle_action(values, domain):
+    """(action, on_conic, on_cubic) of the fiber with these values, by the
+    element route; None where the involution moves the pair elsewhere."""
+    alpha, beta, gamma, delta = values
+    flags = (not domain.reduce(4 * alpha * beta - gamma * gamma), not delta)
+    split, _branch = _oracle_split(values, domain)
+    if split is None:
+        return (SMOOTH_FIBER, *flags)
+    lines, _field, d = split
+    if len(lines) == 1:
+        return (DOUBLE_LINE, *flags)
+    plus, minus = lines
+    tau = lambda c: tuple((-x, -y, z) for x, y, z in c)
+    same = lambda c, e: _oracle_proportional(c, e, d, domain.reduce)
+    if same(tau(plus), plus) and same(tau(minus), minus):
+        return (FIXES, *flags)
+    if same(tau(plus), minus) and same(tau(minus), plus):
+        return (SWAPS, *flags)
+    return None
+
+
+ORACLE_DOMAINS = [QQ, F11, F101, PrimeField(103), PrimeField(4294967311)]
+SPLIT_BRANCHES = {"smooth", "rank-1 row a", "rank-1 row b", "rank-1 row d", "a = 0", "square",
+                  "non-square"}
+
+
+def _plain_draw(domain, rng):
+    """A random plain number of the domain, zero one time in three."""
+    if rng.randrange(3) == 0:
+        return domain.reduce(0)
+    if domain == QQ:
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 5))
+    return rng.randrange(1, domain.p)
+
+
+def _fiber_values(domain, rng):
+    """Random fiber values (alpha, beta, gamma, delta): every other draw lies
+    over the conic component, alpha, gamma, beta = k t^2, 2 k t u, k u^2."""
+    draw = lambda: _plain_draw(domain, rng)
+    delta = draw()
+    if rng.randrange(2):
+        return draw(), draw(), draw(), delta
+    k, t, u = draw(), draw(), draw()
+    return tuple(domain.reduce(v) for v in (k * t * t, k * u * u, 2 * k * t * u, delta))
+
+
+def _instance_with_values(domain, values, rng):
+    """A tau instance with random forms whose family has ``values`` at (1 : 0 : 0)."""
+    def form(degree, head):
+        coeffs = [head] + [_plain_draw(domain, rng) for _ in monomials(3, degree)[1:]]
+        return Form(domain, 3, degree, tuple(map(domain.coerce, coeffs)))
+    alpha, beta, gamma, delta = values
+    return TauInstance(domain, form(1, alpha), form(1, beta), form(1, gamma), form(3, delta), ())
+
+
+@pytest.mark.parametrize("domain", ORACLE_DOMAINS, ids=str)
+def test_family_table_values_match_the_term_sums(domain):
+    rng = random.Random(41)
+    for _ in range(20):
+        inst = _instance_with_values(domain, [_plain_draw(domain, rng) for _ in range(4)], rng)
+        for _ in range(5):
+            P = [_plain_draw(domain, rng) for _ in range(3)]
+            assert inst.family.values(P) == _oracle_values(inst.family, P)
+
+
+@pytest.mark.parametrize("domain", ORACLE_DOMAINS, ids=str)
+def test_plain_split_and_action_match_the_element_oracle(domain):
+    # every branch of _split, at random values: smooth, the three rank-1 rows,
+    # a = 0, and square and non-square discriminants
+    rng = random.Random(43)
+    branches = set()
+    one, zero = domain.coerce(1), domain.coerce(0)
+    for _ in range(300):
+        values = _fiber_values(domain, rng)
+        if not any(values):
+            continue
+        want, branch = _oracle_split(values, domain)
+        branches.add(branch)
+        assert _split(values, domain) == want, (values, branch)
+        act = tau_fiber_action(_instance_with_values(domain, values, rng), (one, zero, zero))
+        assert (act.action, act.on_conic_component, act.on_cubic_component) == _oracle_action(
+            values, domain)
+    assert branches == SPLIT_BRANCHES
+
+
+@pytest.mark.parametrize("domain", ORACLE_DOMAINS, ids=str)
+def test_plain_proportional_matches_the_element_oracle(domain):
+    # pairs of line forms proportional up to one perturbed entry, at d = 0 and d != 0
+    rng = random.Random(47)
+    seen = set()
+    for _ in range(200):
+        d = rng.choice([0, _plain_draw(domain, rng)])
+        c = tuple(tuple(_plain_draw(domain, rng) for _ in range(3)) for _ in range(2))
+        lam = _plain_draw(domain, rng) or 1
+        e = [[domain.reduce(lam * x) for x in part] for part in c]
+        if rng.randrange(2):
+            e[rng.randrange(2)][rng.randrange(3)] = _plain_draw(domain, rng)
+        e = tuple(map(tuple, e))
+        want = _oracle_proportional(c, e, d, domain.reduce)
+        seen.add(want)
+        assert discriminant._proportional(c, e, d, domain.reduce) == want
+    assert seen == {True, False}
+
+
+def test_fiber_action_over_fp_builds_no_field_elements():
+    # over F_101 component points are classified on residues: no quad_sqrt
+    # call and no element of F_101(sqrt d), though some splits need it
+    inst = sample_instance(205, 10, domain=F101)
+    rng = random.Random(5)
+    pts = points_on_cubic_component(inst, rng, 50) + points_on_conic_component(inst, rng, 50)
+    assert any(_split(_values(inst, pt), F101)[1] != F101 for pt in pts)
+    watched = {quad_sqrt.__code__: "quad_sqrt", QuadElem.__init__.__code__: "QuadElem",
+               QuadElem._of.__func__.__code__: "QuadElem"}
+    calls = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        actions = Counter(tau_fiber_action(inst, pt).action for pt in pts)
+    finally:
+        sys.setprofile(None)
+    assert actions[FIXES] and actions[SWAPS]
+    assert not calls, calls
 
 
 # --- discriminant quintic -----------------------------------------------
