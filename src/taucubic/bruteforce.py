@@ -103,8 +103,7 @@ def coefficient_matrix(fs: list[Form], p: int):
     """The coefficients of the same-degree forms ``fs`` as residues mod p, one
     column per form: int64 when nterms * (p - 1)^2 < 2^63, so that no entry of
     ``monomial_values @ matrix`` overflows, else Python ints."""
-    field = PrimeField(p)
-    rows = [[field.coerce(c).residue for c in f.coeffs] for f in fs]
+    rows = [PrimeField(p).plain_list(f.coeffs)[0] for f in fs]
     fits = len(rows[0]) * (p - 1) ** 2 < 2 ** 63
     return np.array(rows, dtype=np.int64 if fits else object).T
 

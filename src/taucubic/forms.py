@@ -11,16 +11,15 @@ dense forms: Form is the package's one polynomial type.  The genericity gate
 certifies plane cubics over F_p with it.
 
 ``sylvester_resultant``, ``compose_linear`` and products of forms take
-their coefficients to plain numbers once (``_plain``), run on coefficient
-lists, and build one Form at the end: over Q integers cleared of denominators,
-over F_p residues reduced once per step, over a quadratic extension the
-elements themselves.
+their coefficients to plain numbers once (the domain's ``plain_list``), run
+on coefficient lists, and build one Form at the end (``from_plain``): over Q
+integers cleared of denominators, over F_p residues reduced once per step,
+over a quadratic extension the elements themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 import itertools
 import random
@@ -28,7 +27,7 @@ import random
 import numpy as np
 
 from . import linalg
-from .scalars import FpElem, PrimeField, RationalField, reduce_mod_prime
+from .scalars import PrimeField, reduce_mod_prime
 
 
 class DimensionMismatch(ValueError):
@@ -73,30 +72,6 @@ def _product_index(nvars: int, d1: int, d2: int) -> tuple[tuple[int, ...], ...]:
     idx = monomial_index(nvars, d1 + d2)
     return tuple(tuple(idx[tuple(a + b for a, b in zip(m1, m2))] for m2 in monomials(nvars, d2))
                  for m1 in monomials(nvars, d1))
-
-
-def _plain(values, domain):
-    """(numbers, L): ``values`` as plain numbers and the factor L they were
-    scaled by.  Over Q the integers of ``linalg.cleared``, over F_p the
-    residues (L = 1), over any other domain the elements themselves (L = 1)."""
-    if isinstance(domain, RationalField):
-        return linalg.cleared(values)
-    if isinstance(domain, PrimeField):
-        return [domain.coerce(x).residue for x in values], 1
-    return [domain.coerce(x) for x in values], 1
-
-
-def _plain_form(domain, nvars, degree, values, scale) -> Form:
-    """The Form whose coefficients are the plain ``values`` divided by ``scale``."""
-    if isinstance(domain, RationalField):
-        coeffs = (Fraction(v, scale) for v in values)
-    else:
-        coeffs = map(domain.coerce, values)
-    return Form(domain, nvars, degree, tuple(coeffs))
-
-
-def _modulus(domain):
-    return domain.p if isinstance(domain, PrimeField) else None
 
 
 def _add_product(acc, a, da, b, db, nvars):
@@ -179,10 +154,10 @@ class Form:
             if other.num_vars != self.num_vars:
                 raise DimensionMismatch("multiplying forms in different rings")
             domain, n = self.domain, self.num_vars
-            (a, sa), (b, sb) = _plain(self.coeffs, domain), _plain(other.coeffs, domain)
-            return _plain_form(domain, n, self.degree + other.degree,
-                               _times(a, self.degree, b, other.degree, n, _modulus(domain)),
-                               sa * sb)
+            (a, sa), (b, sb) = domain.plain_list(self.coeffs), domain.plain_list(other.coeffs)
+            product = _times(a, self.degree, b, other.degree, n, domain.modulus)
+            return Form(domain, n, self.degree + other.degree,
+                        tuple(domain.from_plain(product, sa * sb)))
         return Form(self.domain, self.num_vars, self.degree,
                     tuple(c * other for c in self.coeffs))
 
@@ -245,17 +220,17 @@ def compose_linear(f: Form, rows) -> Form:
 
     ``rows`` has one row per old variable; row length is the new variable
     count (rectangular rows restrict to a linear subspace).  The run is on
-    plain numbers (``_plain``): over Q, f is cleared by its L_f and all rows
-    by one common L, so the result is divided by L_f * L^deg(f).  The powers
-    of each substituted linear form are built once as coefficient lists, and
-    each monomial's term is added into one list.
+    plain numbers (``plain_list``): over Q, f is cleared by its L_f and all
+    rows by one common L, so the result is divided by L_f * L^deg(f).  The
+    powers of each substituted linear form are built once as coefficient
+    lists, and each monomial's term is added into one list.
     """
     if len(rows) != f.num_vars:
         raise DimensionMismatch("substitution needs one row per variable")
     domain, m_new, degree = f.domain, len(rows[0]), f.degree
-    p = _modulus(domain)
-    cs, scale = _plain(f.coeffs, domain)
-    flat, row_scale = _plain([c for row in rows for c in row], domain)
+    p = domain.modulus
+    cs, scale = domain.plain_list(f.coeffs)
+    flat, row_scale = domain.plain_list([c for row in rows for c in row])
     powers = []
     for i in range(len(rows)):
         lin = flat[i * m_new:(i + 1) * m_new]
@@ -277,7 +252,8 @@ def compose_linear(f: Form, rows) -> Form:
                 out[k] += c * v
     if p:
         out = [v % p for v in out]
-    return _plain_form(domain, m_new, degree, out, scale * row_scale ** degree)
+    coeffs = domain.from_plain(out, scale * row_scale ** degree)
+    return Form(domain, m_new, degree, tuple(coeffs))
 
 
 def partial_derivative(f: Form, var_index: int) -> Form:
@@ -352,8 +328,8 @@ def sylvester_resultant(f: Form, g: Form, eliminated_var: int) -> Form:
 
     The determinant of the Sylvester matrix, whose entries are forms in the
     remaining variables, is a Laplace expansion row by row over the column
-    subsets, on plain coefficient lists (``_plain``), reduced mod p once per
-    row.  Over Q, f and g are cleared by L_f and L_g, so the result is
+    subsets, on plain coefficient lists (``plain_list``), reduced mod p once
+    per row.  Over Q, f and g are cleared by L_f and L_g, so the result is
     divided by L_f^n * L_g^m for m, n their degrees in the eliminated variable.
     """
     if f.is_zero or g.is_zero:
@@ -361,9 +337,9 @@ def sylvester_resultant(f: Form, g: Form, eliminated_var: int) -> Form:
     if f.num_vars != g.num_vars:
         raise DimensionMismatch("resultant of forms in different rings")
     domain, var, nv = f.domain, eliminated_var, f.num_vars - 1
-    p = _modulus(domain)
-    fv, f_scale = _plain(f.coeffs, domain)
-    gv, g_scale = _plain(g.coeffs, domain)
+    p = domain.modulus
+    fv, f_scale = domain.plain_list(f.coeffs)
+    gv, g_scale = domain.plain_list(g.coeffs)
     fc, gc = _coeffs_in_var(fv, f, var), _coeffs_in_var(gv, g, var)
     m, n = max(fc), max(gc)
     if m == 0 or n == 0:
@@ -401,7 +377,8 @@ def sylvester_resultant(f: Form, g: Form, eliminated_var: int) -> Form:
     det = minors.get((1 << (m + n)) - 1)
     if det is None:
         return Form.zero_form(nv, f.degree * g.degree, domain)
-    return _plain_form(domain, nv, det[0], det[1], f_scale ** n * g_scale ** m)
+    coeffs = domain.from_plain(det[1], f_scale ** n * g_scale ** m)
+    return Form(domain, nv, det[0], tuple(coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -444,13 +421,14 @@ def _macaulay_quotient(fs: list[Form]):
     field, ``linalg.det`` of field elements."""
     size, rows, cols, src, keep = _macaulay_plan(tuple(f.degree for f in fs), fs[0].num_vars)
     domain = fs[0].domain
-    if isinstance(domain, PrimeField):
-        p = domain.p
-        vals = np.array([c.residue for f in fs for c in f.coeffs], dtype=linalg.residue_dtype(p))
+    p = domain.modulus
+    if p:
+        vals = np.array(domain.plain_list([c for f in fs for c in f.coeffs])[0],
+                        dtype=linalg.residue_dtype(p))
         mat = np.zeros((size, size), dtype=vals.dtype)
 
         def det(m):
-            return FpElem(linalg.det_mod_p(m, p), p)
+            return domain.coerce(linalg.det_mod_p(m, p))
     else:
         vals = np.array([c for f in fs for c in f.coeffs], dtype=object)
         mat = np.full((size, size), domain.zero, dtype=object)
@@ -547,7 +525,7 @@ def is_smooth_hypersurface(f: Form) -> SmoothnessVerdict:
     except ResultantIndeterminate:
         res = None
     if res:
-        return SmoothnessVerdict(SMOOTH_CERTIFIED, resultants={p: res.residue})
+        return SmoothnessVerdict(SMOOTH_CERTIFIED, resultants={p: domain.plain(res)})
     resultants = {p: 0 if res is not None else None}
     if sum(p ** k for k in range(f.num_vars)) <= 25000:
         from .bruteforce import common_projective_zeros  # bruteforce imports this module

@@ -173,19 +173,19 @@ class VerificationReport:
 def _check(name, expected, computed, target="", ok=None):
     if ok is None:
         ok = expected == computed
-    return CheckResult(name, _plain(expected), _plain(computed),
+    return CheckResult(name, _encoded(expected), _encoded(computed),
                        "pass" if ok else "fail", target)
 
 
 def _inconclusive(name, expected, computed, target=""):
-    return CheckResult(name, _plain(expected), _plain(computed), "inconclusive", target)
+    return CheckResult(name, _encoded(expected), _encoded(computed), "inconclusive", target)
 
 
-def _plain(v):
+def _encoded(v):
     if isinstance(v, (Fraction, FpElem, QuadElem)):
         return encode_scalar(v)
     if isinstance(v, tuple):
-        return [_plain(x) for x in v]
+        return [_encoded(x) for x in v]
     return v
 
 
@@ -587,7 +587,7 @@ def _suite_lines(config: SuiteConfig, loaded):
 def projective_key(pt, domain) -> tuple:
     """Residues of an F_p point scaled so its first nonzero coordinate is 1."""
     inv = domain.one / next(c for c in pt if c)
-    return tuple((c * inv).residue for c in pt)
+    return tuple(domain.plain(c * inv) for c in pt)
 
 
 def _suite_cone(config: SuiteConfig, loaded):
@@ -785,7 +785,7 @@ def _quotient_spot_checks(inst: TauInstance, rng: random.Random, count: int):
     p = inst.domain.p
     dtype = linalg.residue_dtype(p)
     q = inst.quadrics[0]
-    q_coeffs = np.array([c.residue for c in (q.a00, q.a01, q.a11)], dtype=dtype)
+    q_coeffs = np.array(inst.domain.plain_list((q.a00, q.a01, q.a11))[0], dtype=dtype)
     f2 = coefficient_matrix([q.f2], p)
 
     def probe_values(draws):

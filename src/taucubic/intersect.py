@@ -169,11 +169,12 @@ def _lift_root(fs: Form, gs: Form, entry: RootEntry, domain):
 # rational points of plane curves over F_p, drawn a slice at a time
 
 
-def _slice_residues(f: Form, x3: int, x4: int, p: int):
-    """Residue list (ascending, trimmed) of t -> f(t, x3, x4) mod p."""
-    cs = [0] * (f.degree + 1)
-    for (e2, e3, e4), c in zip(monomials(3, f.degree), f.coeffs):
-        cs[e2] += c.residue * x3 ** e3 * x4 ** e4
+def _slice_residues(residues, degree: int, x3: int, x4: int, p: int):
+    """Residue list (ascending, trimmed) of t -> f(t, x3, x4) mod p, for the
+    plane form f of degree ``degree`` with the coefficient ``residues``."""
+    cs = [0] * (degree + 1)
+    for (e2, e3, e4), c in zip(monomials(3, degree), residues):
+        cs[e2] += c * x3 ** e3 * x4 ** e4
     return uv.trim([c % p for c in cs])
 
 
@@ -187,7 +188,10 @@ def _plane_curve_points(f: Form, rng: random.Random, count: int, off=None):
     roots t of its x2-slice in ascending order, or every t when it is a
     component of the curve; ``off`` is read on the same slice.  The points are
     checked on f, and off ``off``, in one ``form_values`` product each."""
-    p = f.domain.p
+    field, p = f.domain, f.domain.p
+    residues = field.plain_list(f.coeffs)[0]
+    if off is not None:
+        off_residues = field.plain_list(off.coeffs)[0]
     out = []
     for k in random_order(rng, p + 2):
         if len(out) >= count:
@@ -196,11 +200,11 @@ def _plane_curve_points(f: Form, rng: random.Random, count: int, off=None):
             x3, x4, xs = 0, 0, [] if f.coefficient((f.degree, 0, 0)) else [1]
         else:
             x3, x4 = (1, k) if k < p else (0, 1)
-            cs = _slice_residues(f, x3, x4, p)
+            cs = _slice_residues(residues, f.degree, x3, x4, p)
             # no slice: the line through (1 : 0 : 0) and (0 : x3 : x4) is a component
-            xs = [t.residue for t, _mult in uv.fp_rational_roots(cs, p)[0]] if cs else range(p)
+            xs = [field.plain(t) for t, _ in uv.fp_rational_roots(cs, p)[0]] if cs else range(p)
         if off is not None:
-            other = _slice_residues(off, x3, x4, p)
+            other = _slice_residues(off_residues, off.degree, x3, x4, p)
             xs = (t for t in xs if uv.eval_mod(other, t, p))
         out += [(x2, x3, x4) for x2 in islice(xs, count - len(out))]
     if out and form_values(out, f.degree, coefficient_matrix([f], p), p).any():
@@ -208,7 +212,7 @@ def _plane_curve_points(f: Form, rng: random.Random, count: int, off=None):
     if out and off is not None and not form_values(out, off.degree,
                                                    coefficient_matrix([off], p), p).all():
         raise ArithmeticError("drawn point is on the curve it must avoid")
-    return [tuple(map(f.domain.coerce, pt)) for pt in out]
+    return [tuple(field.from_plain(pt)) for pt in out]
 
 
 def conic_rational_points(conic: Form, rng: random.Random, count: int, off=None):

@@ -188,5 +188,5 @@ def ideal_dimension_by_sampling(instance: TauInstance, twist: int,
     pts = random_points_on_surface(instance, rng, 3 * nmons)
     if len(pts) < 2 * nmons:
         raise RuntimeError(f"only {len(pts)} surface points found, need {2 * nmons}")
-    table = monomial_values([[c.residue for c in pt] for pt in pts], twist, domain.p)
+    table = monomial_values([domain.plain_list(pt)[0] for pt in pts], twist, domain.p)
     return nmons - linalg.rank_mod_p(table, domain.p)

@@ -3,9 +3,9 @@
 Small dense matrices only (the largest exact case is 36x36 over Q).  Row
 reduction and ranks are plain Gauss with first-nonzero pivoting.  ``det`` is
 fraction-free (Bareiss): over Q it runs on integers, each row cleared of its
-denominators once.  Determinants of the big Macaulay matrices and ranks of
-sampled evaluation matrices are taken mod p by one numpy forward elimination
-with delayed reduction.
+denominators once by the domain's ``plain_list``.  Determinants of the big
+Macaulay matrices and ranks of sampled evaluation matrices are taken mod p by
+one numpy forward elimination with delayed reduction.
 """
 
 from __future__ import annotations
@@ -72,20 +72,13 @@ def proportional(u, v) -> bool:
                for i in range(len(u)) for j in range(i + 1, len(u)))
 
 
-def cleared(values):
-    """(ints, L): the rationals (or ints) ``values`` times L, the lcm of their
-    denominators, as Python ints."""
-    scale = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values], scale
-
-
 def det(rows, domain):
     """Determinant by fraction-free (Bareiss) elimination with first-nonzero
     pivoting.
 
     Step k replaces each entry below and right of the pivot by the 2x2 minor
     with the pivot, divided exactly by the previous pivot.  Over Q each row is
-    first cleared of its denominators (``cleared``), the loop divides integers
+    first cleared by the domain's ``plain_list``, the loop divides integers
     with ``//``, and the result is divided by the product of the row scales;
     over any other field the loop divides the elements with ``/``.
     """
@@ -96,7 +89,7 @@ def det(rows, domain):
         return domain.one
     rational = isinstance(domain, RationalField)
     if rational:
-        m, scales = map(list, zip(*map(cleared, rows)))
+        m, scales = map(list, zip(*map(domain.plain_list, rows)))
     else:
         m = [[domain.coerce(x) for x in r] for r in rows]
     div = operator.floordiv if rational else operator.truediv

@@ -33,9 +33,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
-from .scalars import (ExtensionTower, FpElem, PrimeField, QQ, QuadraticExtension,
-                      RationalField, _sqrt_mod_p, is_prime, quad_sqrt)
+from .scalars import (ExtensionTower, PrimeField, QQ, QuadraticExtension, RationalField,
+                      _sqrt_mod_p, is_prime, quad_sqrt)
 
 
 def trim(cs):
@@ -96,7 +95,7 @@ def _squarefree_at_prime(cs) -> bool:
     ``SQUAREFREE_PRIME`` keeps the degree of the cleared f, and so of f' (every
     degree here is below P), and gcd(f, f') mod P is constant, so disc f is
     nonzero mod P and over Q.  False decides nothing."""
-    a = [c % SQUAREFREE_PRIME for c in linalg.cleared(cs)[0]]
+    a = [c % SQUAREFREE_PRIME for c in QQ.plain_list(cs)[0]]
     return bool(a[-1]) and len(_rsquare_part(a, SQUAREFREE_PRIME)) == 1
 
 
@@ -111,7 +110,7 @@ def distinct_root_count(cs, domain) -> int:
     if isinstance(domain, RationalField) and _squarefree_at_prime(cs):
         return degree(cs)
     if isinstance(domain, PrimeField):
-        return degree(cs) - degree(_rsquare_part(_residues(cs, domain), domain.p))
+        return degree(cs) - degree(_rsquare_part(trim(domain.plain_list(cs)[0]), domain.p))
     return degree(cs) - degree(gcd(cs, derivative(cs, domain), domain))
 
 
@@ -147,17 +146,6 @@ def squarefree_decomposition(cs, domain):
 # ---------------------------------------------------------------------------
 # root extraction: distinct-degree and Cantor-Zassenhaus splitting over F_p,
 # Hensel lifting with rational reconstruction over Q, and one quadratic solver
-
-
-def _residues(cs, domain):
-    """The trimmed residue list of a polynomial over the prime field domain,
-    whose coefficients are elements, ints or Fractions."""
-    p = domain.p
-    return trim([c % p if type(c) is int else domain.coerce(c).residue for c in cs])
-
-
-def _elements(rs, p):
-    return [FpElem._of(r, p) for r in rs]
 
 
 def _rmul(a, b, p):
@@ -320,14 +308,15 @@ def fp_rational_roots(cs, p: int):
     """Roots in F_p with multiplicities, ascending by residue, and the cofactor
     left after dividing them out.  Degree <= 2 is solved directly: a linear
     solve, or ``fp_binary_quadratic_roots``."""
-    f = _residues(cs, PrimeField(p))
+    field = PrimeField(p)
+    f = trim(field.plain_list(cs)[0])
     if degree(f) <= 0:
-        return [], _elements(f, p)
+        return [], field.from_plain(f)
     if degree(f) == 1:
-        return [(FpElem._of(-f[0] * pow(f[1], -1, p) % p, p), 1)], _elements(f[1:], p)
+        return [(field.coerce(-f[0] * pow(f[1], -1, p)), 1)], field.from_plain(f[1:])
     if degree(f) == 2:
         rs = sorted(u for u, _v in fp_binary_quadratic_roots(f[2], f[1], f[0], p))
-        return [(FpElem._of(r, p), 3 - len(rs)) for r in rs], _elements(f[2:] if rs else f, p)
+        return [(field.coerce(r), 3 - len(rs)) for r in rs], field.from_plain(f[2:] if rs else f)
     out = []
     for r in _split_rational_roots(_frobenius_gcd(f, _rpowmod([0, 1], p, f, p), p), p):
         mult = 0
@@ -336,8 +325,8 @@ def fp_rational_roots(cs, p: int):
             if rem:
                 break
             f, mult = q, mult + 1
-        out.append((FpElem._of(r, p), mult))
-    return out, _elements(f, p)
+        out.append((field.coerce(r), mult))
+    return out, field.from_plain(f)
 
 
 def _rational_reconstruction(x: int, modulus: int, n_bound: int, m_bound: int):
@@ -368,7 +357,7 @@ def _qq_rational_roots(f):
     0 < m <= |a_d| (the bounds of the rational root theorem), and verified
     exactly.  Every rational root is found.
     """
-    a = linalg.cleared(f)[0]
+    a = QQ.plain_list(f)[0]
     out = []
     if not a[0]:  # squarefree: t divides f once
         out.append(QQ.zero)
@@ -385,7 +374,7 @@ def _qq_rational_roots(f):
     da = [k * c for k, c in enumerate(a)][1:]
     bound = 2 * abs(a[0] * a[-1])
     for r, _mult in fp_rational_roots(abar, p)[0]:
-        x, modulus = r.residue, p
+        x, modulus = PrimeField(p).plain(r), p
         while modulus <= bound:
             modulus *= modulus
             x = (x - eval_mod(a, x, modulus) * pow(eval_mod(da, x, modulus), -1, modulus)) % modulus
@@ -432,8 +421,7 @@ def _field_label(domain):
     if isinstance(domain, PrimeField):
         return f"F{domain.p}"
     if isinstance(domain, QuadraticExtension):
-        d = domain.d.residue if isinstance(domain.d, FpElem) else domain.d
-        return f"{_field_label(domain.base)}(sqrt {d})"
+        return f"{_field_label(domain.base)}(sqrt {domain.base.plain(domain.d)})"
     return repr(domain)
 
 
@@ -468,15 +456,14 @@ def _squarefree_entries(f, mult, domain):
     """
     if isinstance(domain, PrimeField):
         p, out = domain.p, []
-        for k, g in _distinct_degree(_residues(f, domain), p):
+        for k, g in _distinct_degree(trim(domain.plain_list(f)[0]), p):
             if k == 1:
-                out += [RootEntry((FpElem._of(r, p), domain.one), mult, 1,
-                                  _field_label(domain), domain)
-                        for r in _split_rational_roots(g, p)]
+                out += [RootEntry((r, domain.one), mult, 1, _field_label(domain), domain)
+                        for r in domain.from_plain(_split_rational_roots(g, p))]
             elif k == 2:
                 out += [RootEntry(pt, mult, 1, _field_label(fld), fld)
                         for h in sorted(_equal_degree_split(g, 2, p))
-                        for pt, fld in low_degree_roots(_elements(h, p), domain)]
+                        for pt, fld in low_degree_roots(domain.from_plain(h), domain)]
             else:
                 out += [RootEntry(None, mult, k, _field_label(domain), domain)
                         for _ in range(degree(g) // k)]

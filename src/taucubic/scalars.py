@@ -11,6 +11,11 @@ over Q, an ``int`` over F_p.  ``plain`` takes an element to its plain number,
 ``reduce`` brings a result of ``+``, ``-`` and ``*`` on plain numbers to the
 canonical one (the residue in [0, p) over F_p), ``inverse`` inverts a nonzero
 plain number, and ``coerce`` turns a plain number back into an element.
+For a list, ``plain_list`` gives plain numbers and the factor L they were
+scaled by, and ``from_plain`` divides by L and builds the elements: integers
+cleared by the lcm L of the denominators over Q, residues in [0, p) over F_p
+and the elements themselves over an extension (L = 1 for both); ``modulus``
+is p over F_p, the modulus plain results are reduced by, and None elsewhere.
 
 Primes 2 and 3 are rejected everywhere: the conic formulas multiply by 4 and
 divide by 2, and cubics need characteristic != 3.  Extensions are degree <= 2
@@ -317,6 +322,7 @@ class RationalField:
     """The field of rationals; elements are ``fractions.Fraction``."""
 
     char = 0
+    modulus = None
 
     @property
     def zero(self):
@@ -340,6 +346,14 @@ class RationalField:
 
     def inverse(self, x) -> Fraction:
         return 1 / Fraction(x)
+
+    def plain_list(self, values):
+        """(ints, L): ``values`` times L, the lcm of their denominators."""
+        scale = math.lcm(*(x.denominator for x in values))
+        return [x.numerator * (scale // x.denominator) for x in values], scale
+
+    def from_plain(self, numbers, scale=1) -> list:
+        return [Fraction(v, scale) for v in numbers]
 
     def sqrt_or_none(self, x):
         """Exact square root if x is a square in Q, else None."""
@@ -376,6 +390,7 @@ class PrimeField:
     def __init__(self, p: int):
         self.p = _check_modulus(p)
         self.char = self.p
+        self.modulus = self.p
 
     @property
     def zero(self):
@@ -404,6 +419,14 @@ class PrimeField:
 
     def inverse(self, n: int) -> int:
         return pow(n, -1, self.p)
+
+    def plain_list(self, values):
+        """(residues, 1) of elements, ints or Fractions; raises as ``coerce``."""
+        return [x % self.p if type(x) is int else self.coerce(x).residue for x in values], 1
+
+    def from_plain(self, numbers, scale=1) -> list:
+        """The elements of residues that are already in [0, p); scale is 1."""
+        return [FpElem._of(r, self.p) for r in numbers]
 
     def sqrt_or_none(self, x):
         x = self.coerce(x)
@@ -473,6 +496,8 @@ class QuadraticExtension:
     K is QQ or a PrimeField; towers are rejected.
     """
 
+    modulus = None
+
     def __init__(self, base, d):
         if isinstance(base, QuadraticExtension):
             raise ExtensionTower("extensions of extensions are not supported")
@@ -483,9 +508,6 @@ class QuadraticExtension:
         if base.sqrt_or_none(self.d) is not None:
             raise ValueError(f"{d!r} is already a square in {base!r}")
         self.char = base.char
-
-    def _dkey(self):
-        return self.d if isinstance(self.d, Fraction) else (self.d.residue, self.d.p)
 
     @property
     def zero(self):
@@ -505,6 +527,12 @@ class QuadraticExtension:
                 raise ValueError("element of a different quadratic extension")
             return x
         return QuadElem(self.base.coerce(x), self.base.zero, self)
+
+    def plain_list(self, values):
+        return [self.coerce(x) for x in values], 1
+
+    def from_plain(self, numbers, scale=1) -> list:
+        return [self.coerce(x) for x in numbers]
 
     def sqrt_or_none(self, x):
         """Square root inside this extension, or None.
@@ -546,7 +574,7 @@ class QuadraticExtension:
                 and other.base == self.base and other.d == self.d)
 
     def __hash__(self):
-        return hash(("ext", self.base, self._dkey()))
+        return hash(("ext", self.base, self.d))
 
     def __repr__(self):
         return f"{self.base!r}(sqrt({self.d}))"

@@ -590,11 +590,11 @@ class FibreSystem:
         solved by ``_fibre_solutions``.  A generator, so a caller wanting one
         point scans no further; each point is checked on the full G and H as
         it is yielded."""
-        P = tuple(self.domain.coerce(c).residue for c in P)
+        P = tuple(self.domain.plain_list(P)[0])
         ((rG, rH),) = self.restrictions([P])
         for x in _fibre_solutions(rG, rH, self.domain.p):
             self.check([x + P])
-            yield tuple(map(self.domain.coerce, x + P))
+            yield tuple(self.domain.from_plain(x + P))
 
 
 def _binary_value(q, u, v, p: int) -> int:
@@ -741,7 +741,7 @@ def surface_points(G: Form, H: Form):
     for start in range(0, plane, p):
         Ps = [_fixed_plane_point(k, p) for k in range(start, min(start + p, plane))]
         for P, xs in _fibres(system, Ps):
-            yield from (tuple(map(domain.coerce, x + P)) for x in xs)
+            yield from (tuple(domain.from_plain(x + P)) for x in xs)
     zero = domain.zero
     for x0, x1 in projective_points_fp(2, p):
         pt = (x0, x1, zero, zero, zero)
@@ -776,5 +776,5 @@ def random_points_on_surface(instance: TauInstance, rng: random.Random, count: i
             if xs:
                 # rng.randrange(n) draws as rng.choice does from n items
                 n = xs.size if isinstance(xs, _Cone) else len(xs)
-                out.append(tuple(map(domain.coerce, xs[rng.randrange(n)] + P)))
+                out.append(tuple(domain.from_plain(xs[rng.randrange(n)] + P)))
     return out

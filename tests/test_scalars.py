@@ -218,3 +218,40 @@ def test_point_field_is_the_one_extension_of_the_points():
     f101 = PrimeField(101)
     with pytest.raises(ValueError):
         point_field([(gauss.sqrt_d,)], f101)
+
+
+# The list form of the plain protocol: each domain writes its own elements as
+# plain numbers and builds them back.
+F101_D0 = quad_sqrt(2, PrimeField(101))[1]  # 2 is a non-residue mod 101
+
+
+@pytest.mark.parametrize("domain", [QQ, PrimeField(11), PrimeField(4294967311), F101_D0,
+                                    QuadraticExtension(QQ, -3)], ids=repr)
+def test_from_plain_inverts_plain_list(domain):
+    rng = random.Random(35)
+    for n in (0, 1, 6):
+        values = [domain.random(rng, 50) / domain.coerce(rng.randint(1, 9)) for _ in range(n)]
+        numbers, scale = domain.plain_list(values)
+        assert domain.from_plain(numbers, scale) == values
+        assert scale == 1 or domain is QQ
+
+
+def test_rational_plain_list_clears_by_the_lcm_of_the_denominators():
+    values = [Fraction(1, 6), Fraction(-3, 4), 5, Fraction(0), Fraction(7, 9)]
+    assert QQ.plain_list(values) == ([6, -27, 180, 0, 28], 36)
+    assert QQ.plain_list([]) == ([], 1)
+
+
+def test_prime_field_plain_list_takes_ints_fractions_and_elements():
+    p = 4294967311
+    values = [-1, p + 3, Fraction(1, 2), FpElem(25, p), PrimeField(p).coerce(Fraction(-2, 3))]
+    numbers, scale = PrimeField(p).plain_list(values)
+    assert (numbers, scale) == ([p - 1, 3, (p + 1) // 2, 25, (p - 2) * pow(3, -1, p) % p], 1)
+    assert PrimeField(p).from_plain(numbers) == [PrimeField(p).coerce(v) for v in values]
+
+
+@pytest.mark.parametrize("value, error", [(FpElem(1, 7), ValueError),
+                                          (Fraction(5, 22), BadPrime), (0.5, TypeError)])
+def test_prime_field_plain_list_raises_as_coerce(value, error):
+    with pytest.raises(error):
+        PrimeField(11).plain_list([1, value])

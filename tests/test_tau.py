@@ -802,8 +802,8 @@ def test_curve_check_sees_a_wrong_slice(monkeypatch):
     # off the curve and the batched check must object
     slice_residues = intersect_mod._slice_residues
 
-    def shifted(f, x3, x4, p):
-        cs = slice_residues(f, x3, x4, p) or [0]
+    def shifted(residues, degree, x3, x4, p):
+        cs = slice_residues(residues, degree, x3, x4, p) or [0]
         return [(cs[0] + 1) % p] + cs[1:]
 
     field = PrimeField(13)
