@@ -1,17 +1,17 @@
 """Exhaustive projective search over small finite fields.
 
 ``common_projective_zeros`` is the one exhaustive scan: it walks
-P^(n-1)(F_q), q = p^k with k <= 3, a slice at a time and evaluates every form
-at every point of a slice as the table of all monomials of one degree times
-the forms' coefficients, until no point is left; the table is built a
-degree at a time.  Over F_p the table is ``monomial_values`` and the
-product ``form_values``; the scan finds the smoothness certificate's singular
-witness and the brute-force line directions, the table fills the Koszul
-evaluation matrix, and ``form_values`` evaluates the fibre restrictions of
-the surface walk in ``tau`` and every form of the quotient spot checks in
-``harness``.  Over F_(p^2) and F_(p^3), used by the
-cross-checks of the elimination machinery, an element is the int vector of
-its coefficients in a power basis and the products are taken with the field's
+P^(n-1)(F_q), q = p^k with k <= 3, in slices of up to max(q^(n-2), q, 4096)
+points and evaluates every form at every point of a slice as the table of all
+monomials of one degree times the forms' coefficients, until no point is left;
+the table is built a degree at a time.  Over F_p the table is
+``monomial_values`` and the product ``form_values``; the scan finds the
+smoothness certificate's singular witness and the brute-force line directions,
+the table fills the Koszul evaluation matrix, and ``form_values`` evaluates the
+fibre restrictions of the surface walk in ``tau`` and every form of the
+quotient spot checks in ``harness``.  Over F_(p^2) and F_(p^3), used by the
+cross-checks of the elimination machinery, an element is the int vector of its
+coefficients in a power basis and the products are taken with the field's
 multiplication tensor (``_extension``).  The random samplers draw fixed-plane
 points and curve slices in ``random_order``, only as many as they use.
 """
@@ -26,6 +26,8 @@ import numpy as np
 from . import linalg
 from .forms import Form, monomial_index, monomials
 from .scalars import FpElem, PrimeField
+
+_SLICE_ROWS = 4096   # a numpy call costs about the same up to this many rows
 
 
 def projective_points_fp(nvars: int, p: int):
@@ -53,12 +55,14 @@ def random_order(rng, n: int):
 
 def projective_point_slices(nvars: int, p: int):
     """The points of ``projective_points_fp(nvars, p)``, in its order, as int64
-    arrays of residues, one point per row and at most p^max(nvars-2, 1) rows
-    each.  Called with q = p^k, the same walk lists P^(nvars-1)(F_q) in
-    element indices (``_extension``), the leading one being index 1."""
+    arrays of residues, one point per row and p^j rows at most, j the largest
+    with p^j <= max(p^max(nvars-2, 1), ``_SLICE_ROWS``).  Called with q = p^k,
+    the same walk lists P^(nvars-1)(F_q) in ``_extension``'s element indices,
+    1 leading."""
+    width = max(nvars - 2, 1, next(j for j in itertools.count() if p ** (j + 1) > _SLICE_ROWS))
     for lead in range(nvars):
         free = nvars - lead - 1
-        fixed = max(free - max(nvars - 2, 1), 0)   # leading free coordinates held per slice
+        fixed = max(free - width, 0)   # leading free coordinates held per slice
         grid = np.indices((p,) * (free - fixed), dtype=np.int64)
         grid = grid.reshape(free - fixed, p ** (free - fixed)).T
         for head in itertools.product(range(p), repeat=fixed):

@@ -45,12 +45,12 @@ from itertools import accumulate
 
 from . import linalg
 from .bruteforce import common_projective_zeros
-from .forms import (Form, compose_linear, evaluate, is_smooth_conic, jacobian_rank,
-                    monomials, partial_derivative)
+from .forms import (Form, evaluate, is_smooth_conic, jacobian_rank, monomials,
+                    partial_derivative)
 from .intersect import (PlaneIntersection, conic_rational_points, curve_rational_points,
                         intersect_plane_curves)
 from .roots import binary_form_roots, binary_quadratic_roots
-from .scalars import BadPrime, PrimeField, QuadElem
+from .scalars import BadPrime, PrimeField
 from .tau import FibreSystem, TauInstance, embed_with_x01, reduce_instance
 
 
@@ -258,6 +258,14 @@ class LineCountReport:
     contains_fixed_line: bool
 
 
+def _fixed_line_point(domain, T):
+    """T, a nonzero point of the fixed line, as five field elements."""
+    T = tuple(map(domain.coerce, (*T, 0, 0, 0) if len(T) == 2 else T))
+    if any(T[2:]) or not any(T[:2]):
+        raise ValueError("T must be a nonzero point of the fixed line")
+    return T
+
+
 def _condition_forms(instance: TauInstance, T):
     """The point T of the fixed line, as five coordinates, and the forms g1, g2,
     g3 in the direction Q with Phi(T + u Q) = u g1(Q) + u^2 g2(Q) + u^3 g3(Q),
@@ -267,12 +275,7 @@ def _condition_forms(instance: TauInstance, T):
     x1^2 l11 + f3 in y = (x2, x3, x4), and T = (t0, t1, 0, 0, 0) gives
     g1 = t0^2 l00 + t0 t1 l01 + t1^2 l11, a linear form in y,
     g2 = x0 (2 t0 l00 + t1 l01) + x1 (t0 l01 + 2 t1 l11) and g3 = Phi."""
-    domain = instance.domain
-    if len(T) == 2:
-        T = (T[0], T[1], 0, 0, 0)
-    T = tuple(domain.coerce(c) for c in T)
-    if any(T[2:]) or not any(T[:2]):
-        raise ValueError("T must be a nonzero point of the fixed line")
+    T = _fixed_line_point(instance.domain, T)
     t0, t1 = T[:2]
     l00, l01, l11 = instance.l00, instance.l01, instance.l11
     g1 = l00.scale(t0 * t0) + l01.scale(t0 * t1) + l11.scale(t1 * t1)
@@ -290,73 +293,87 @@ def drop_variable(f: Form, var: int) -> Form:
     return Form.from_terms(f.num_vars - 1, f.degree, terms, f.domain)
 
 
+def _slice_forms(table, t0, t1, reduce):
+    """g1 and L of ``lines_through_point_of_ltau``, plain rows in y read off the
+    family ``table``; L multiplies x1 in g2 when t0 != 0, else x0."""
+    rows = list(zip(*table[:3]))   # (l00, l11, l01) at each coordinate of y
+    return ([reduce(t0 * t0 * a + t0 * t1 * c + t1 * t1 * b) for a, b, c in rows],
+            [reduce(t0 * c + 2 * t1 * b if t0 else 2 * t0 * a + t1 * c) for a, b, c in rows])
+
+
 def lines_through_point_of_ltau(instance: TauInstance, T) -> LineCountReport:
     """Multiplicity-aware count of the lines on the cubic through a point of
     the fixed line; six with multiplicity for a general point, the fixed line
     itself always among them.
 
-    On the slice {x_drop = 0}, with x the kept one of x0 and x1, the condition
-    forms are g1(y), g2 = x L(y) and g3 = Phi, so every direction lies on one
-    of the two lines {x = 0} and {L = 0} of the plane {g1 = 0}.  Each line is
-    parametrised by a kernel basis, and the root ledger of the binary cubic
-    g3 restricted to it gives the directions on it with their multiplicities.
-    Intersection multiplicity is additive in the factors x and L, so a
-    direction on both lines gets the sum, and the total is the sum of the two
-    ledger totals.  The lines found are checked on the cubic itself: T with
-    ``evaluate``, and each direction on plain numbers (``_check_on_cubic``)."""
-    domain = instance.domain
-    T, *forms = _condition_forms(instance, T)
+    On the slice {x_drop = 0}, x the kept one of x0 and x1, the condition forms
+    are g1(y), x L(y) and x^2 l_kk(y) + f3(y), read off the family table, so
+    every direction lies on line A {x = g1 = 0} or line B {g1 = L = 0}.  On A
+    the cubic is f3(s b0 + t b1), b0 and b1 a kernel basis of g1; on B,
+    spanned by x and y0 = g1 x L, it is s^2 t l_kk(y0) + t^3 f3(y0), with the
+    fixed line at (1 : 0) and the pair the involution swaps at its other
+    roots.  Their root ledgers, on plain numbers, give the directions and
+    their multiplicities, additive in x and L; ``_check_on_cubic`` checks the
+    lines on the cubic."""
+    domain, family = instance.domain, instance.family
+    plain, reduce, inverse = domain.plain, domain.reduce, domain.inverse
+    T = _fixed_line_point(domain, T)
     if evaluate(instance.cubic(), T):
         raise ArithmeticError("the point T does not lie on the cubic")
-    drop = 0 if T[0] else 1
-    g1r, g2r, g3r = (drop_variable(g, drop) for g in forms)
-    # slice coordinates (x, y): g1r is linear in y, g2r = x L(y)
-    x_row = [domain.one, domain.zero, domain.zero, domain.zero]
-    l_row = [domain.zero] + [g2r.coefficient((1,) + e) for e in _UNIT]
-    total = 0
-    directions = []   # [direction, multiplicity, field label]
-    for row in (x_row, l_row):
-        basis = linalg.nullspace([row, list(g1r.coeffs)], domain)
-        if len(basis) != 2:
-            raise InfinitelyMany("a component of the condition system is a plane")
-        cubic = compose_linear(g3r, list(zip(*basis)))
-        if cubic.is_zero:
-            raise InfinitelyMany("the cubic contains a line of the condition plane")
-        ledger = binary_form_roots(list(reversed(cubic.coeffs)), domain)
+    t0, t1 = plain(T[0]), plain(T[1])
+    g1, big_l = _slice_forms(family.table, t0, t1, reduce)
+    y0 = [reduce(c) for c in _cross(g1, big_l)]
+    if not any(y0):   # g1 = 0, or g1 and L proportional
+        raise InfinitelyMany("a component of the condition system is a plane")
+    # line A: b0, b1 as rref gives them, 1 at a free column f and -g1[f] / g1[j]
+    # at the pivot j; f3's coefficients ascending in s, off its values at four (s : t)
+    j = next(i for i in range(3) if g1[i])
+    b0, b1 = ([1 if i == f else reduce(-g1[f] * inverse(g1[j])) if i == j else 0
+               for i in range(3)] for f in range(3) if f != j)
+    c0, c3, plus, minus = (family.values([s * a + t * b for a, b in zip(b0, b1)])[3]
+                           for s, t in ((0, 1), (1, 0), (1, 1), (1, -1)))
+    half = inverse(2)
+    cubic_a = [c0, reduce((plus + minus) * half - c3), reduce((plus - minus) * half - c0), c3]
+    # line B: y0 is 1 at its last nonzero coordinate, rref's free column
+    w = inverse(next(c for c in reversed(y0) if c))
+    y0 = [reduce(c * w) for c in y0]
+    l00, l11, _l01, f3 = family.values(y0)
+    cubic_b = [f3, 0, l11 if t0 else l00, 0]
+    if not (any(cubic_a) and any(cubic_b)):
+        raise InfinitelyMany("the cubic contains a line of the condition plane")
+    x_kept = (0, 1, 0, 0, 0) if t0 else (1, 0, 0, 0, 0)
+    total, found = 0, {}   # (plain pairs, d) -> [direction, multiplicity, field label]
+    for e0, e1, cubic in (((0, 0, *b0), (0, 0, *b1), cubic_a), (x_kept, (0, 0, *y0), cubic_b)):
+        ledger = binary_form_roots(domain.from_plain(cubic), domain)
         total += ledger.total_multiplicity
         for e in ledger.entries:
             if e.point is None:
                 continue
-            s, t = e.point
-            q = [s * b0 + t * b1 for b0, b1 in zip(*basis)]
-            q = tuple(q[:drop] + [e.domain.zero] + q[drop:])
-            same = next((d for d in directions
-                         if d[2] == e.field_label and linalg.proportional(d[0], q)), None)
-            if same:
-                same[1] += e.mult
-            else:
-                directions.append([q, e.mult, e.field_label])
-    _check_on_cubic(instance, T, [q for q, _m, _label in directions])
-    return LineCountReport(
-        total_multiplicity=total,
-        rational_directions=[tuple(d) for d in directions],
-        contains_fixed_line=any(not any(q[2:]) for q, _m, _label in directions),
-    )
+            d = 0 if e.domain == domain else plain(e.domain.d)
+            (s0, s1), (r0, r1) = (e.domain.plain(c) if d else (plain(c), 0) for c in e.point)
+            # (0, y0), the one direction on both lines, has the same key on each
+            key = (tuple((reduce(s0 * a + r0 * b), reduce(s1 * a + r1 * b))
+                         for a, b in zip(e0, e1)), d)
+            if key not in found:
+                s, t = e.point
+                found[key] = [tuple(s * a + t * b for a, b in zip(e0, e1)), 0, e.field_label]
+            found[key][1] += e.mult
+    _check_on_cubic(instance, T, list(found))
+    return LineCountReport(total, [tuple(x) for x in found.values()], contains_fixed_line=any(
+        not any(map(any, pairs[2:])) for pairs, _d in found))
 
 
 def _check_on_cubic(instance: TauInstance, T, directions):
     """Raise ArithmeticError unless the cubic Phi vanishes at T + u Q for
     u = 1, 2, 3 and every direction Q through the point T of the fixed line;
     Phi(T + u Q) is a cubic in u, so with Phi(T) = 0 the line lies on Phi.
-    Plain numbers, a + b sqrt(d) as the pair (a, b), and the ``family``, read
-    off the cubic: with y = (x2, x3, x4), Phi at (w0, w1, u y(Q)) is
+    Q is (pairs, d), a + b sqrt(d) as the plain pair (a, b), and Phi is read
+    off the ``family``: with y = (x2, x3, x4), Phi at (w0, w1, u y(Q)) is
     u (w0^2 l00 + w0 w1 l01 + w1^2 l11)(y(Q)) + u^3 f3(y(Q))."""
     plain, reduce = instance.domain.plain, instance.domain.reduce
     t0, t1 = plain(T[0]), plain(T[1])
     r00, r11, r01, r3 = instance.family.table
-    for q in directions:
-        d = plain(q[0].ext.d) if isinstance(q[0], QuadElem) else 0
-        q = [(plain(c.a), plain(c.b)) if d else (plain(c), 0) for c in q]
+    for q, d in directions:
 
         def mul(x, y):
             return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
@@ -377,13 +394,11 @@ def _check_on_cubic(instance: TauInstance, T, directions):
 def lines_through_point_brute(instance: TauInstance, T):
     """The rational line directions through T over F_p, on the same hyperplane
     slice as ``lines_through_point_of_ltau``, by the exhaustive scan of
-    P^3(F_p) in ``common_projective_zeros``.  It shares one step with that
-    route: the condition forms g1, g2, g3 of ``_condition_forms``, restricted
-    to the slice; it replaces the split of {g1 = g2 = 0} into two lines, their
-    kernel bases and the root ledgers of the cubic restricted to them.  The
-    numpy scan in ``bench/reference.py``, which evaluates the cubic itself on
-    T + u Q, shares no step with either.  Directions come as 5-tuples, the
-    dropped coordinate 0."""
+    P^3(F_p) in ``common_projective_zeros`` on the condition forms of
+    ``_condition_forms``, built as Forms.  It shares no step with that route,
+    nor with the numpy scan in ``bench/reference.py``, which evaluates the
+    cubic itself on T + u Q.  Directions come as 5-tuples, the dropped
+    coordinate 0."""
     domain = instance.domain
     if not isinstance(domain, PrimeField):
         raise TypeError("brute-force line count works over prime fields")

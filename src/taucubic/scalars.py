@@ -7,7 +7,8 @@ operator protocol, so polynomial code never needs to know which domain it is
 working over.
 
 Code on a hot path may compute with plain numbers instead: a ``Fraction``
-over Q, an ``int`` over F_p.  ``plain`` takes an element to its plain number,
+over Q, an ``int`` over F_p.  ``plain`` takes an element to its plain number
+(over an extension, a + b sqrt(D) to the pair (a, b) of plain numbers),
 ``reduce`` brings a result of ``+``, ``-`` and ``*`` on plain numbers to the
 canonical one (the residue in [0, p) over F_p), ``inverse`` inverts a nonzero
 plain number, and ``coerce`` turns a plain number back into an element.
@@ -527,6 +528,9 @@ class QuadraticExtension:
                 raise ValueError("element of a different quadratic extension")
             return x
         return QuadElem(self.base.coerce(x), self.base.zero, self)
+
+    def plain(self, x) -> tuple:
+        return self.base.plain(x.a), self.base.plain(x.b)
 
     def plain_list(self, values):
         return [self.coerce(x) for x in values], 1

@@ -27,7 +27,7 @@ from taucubic.forms import (Form, SymMatrix3, compose_linear, evaluate, exact_di
 from taucubic.harness import SuiteConfig, load_instance, projective_key, run_suite
 from taucubic.intersect import (CommonComponent, conic_rational_points, curve_rational_points,
                                 intersect_plane_curves)
-from taucubic.scalars import FpElem, PrimeField, QQ, QuadElem, quad_sqrt
+from taucubic.scalars import FpElem, PrimeField, QQ, QuadElem, point_field, quad_sqrt
 from taucubic.tau import TauInstance, canonical_instance, embed_with_x01, sample_instance
 
 F101 = PrimeField(101)
@@ -887,12 +887,26 @@ def _mutant_condition_forms(mutant):
 
 @pytest.mark.parametrize("mutant", [None, "g1", "g2"])
 def test_lines_suite_sees_a_wrong_condition_form(monkeypatch, mutant):
-    # both routes share the condition forms; the check of every found line on
-    # the cubic itself is what turns a wrong form into a fail
+    # only the brute-force route reads the condition forms; the route reads
+    # g1 and L off the family table, so a wrong form fails brute_force_agreement
     monkeypatch.setattr(discriminant, "_condition_forms", _mutant_condition_forms(mutant))
     report = run_suite(SuiteConfig(suites=("lines",), samples=4, primes=(11, 13)))
-    failed = [e.instance_id for e in report.entries for c in e.checks if c.status == "fail"]
-    assert bool(failed) == (mutant is not None)
+    failed = {c.name for e in report.entries for c in e.checks if c.status == "fail"}
+    assert failed == (set() if mutant is None else {"brute_force_agreement"})
+
+
+def test_lines_suite_sees_a_wrong_slice_form(monkeypatch):
+    # the route's own reading with t1 l11 in place of 2 t1 l11 in L (the suite
+    # probes T = (1 : t), so L = t0 l01 + 2 t1 l11): line B leaves the cubic,
+    # and the check on the cubic, or the brute-force agreement, fails the entry
+    def slice_forms(table, t0, t1, reduce):
+        g1, big_l = original(table, t0, t1, reduce)
+        return g1, [reduce(c - t1 * b) for c, b in zip(big_l, table[1])]
+
+    original = discriminant._slice_forms
+    monkeypatch.setattr(discriminant, "_slice_forms", slice_forms)
+    report = run_suite(SuiteConfig(suites=("lines",), samples=4, primes=(11, 13)))
+    assert any(c.status == "fail" for e in report.entries for c in e.checks)
 
 
 def _on_cubic_by_evaluate(inst, T, q):
@@ -900,6 +914,15 @@ def _on_cubic_by_evaluate(inst, T, q):
     the cubic's Form at T + u Q for u = 1, 2, 3."""
     phi = inst.cubic()
     return not any(evaluate(phi, [a + u * b for a, b in zip(T, q)]) for u in range(1, 4))
+
+
+def _plain_direction(q, dom):
+    """A direction of field elements as the (pairs, d) that ``_check_on_cubic``
+    reads, through the ``plain`` of its field: d = 0 over dom itself."""
+    field = point_field([q], dom)
+    if field == dom:
+        return [(dom.plain(c), 0) for c in q], 0
+    return [field.plain(c) for c in q], dom.plain(field.d)
 
 
 @pytest.mark.parametrize("p", [11, 13, 17])
@@ -923,7 +946,7 @@ def test_on_cubic_check_matches_evaluate(p):
             T = T + (dom.zero,) * 3
             for q, _m, _label in rep.rational_directions:
                 assert _on_cubic_by_evaluate(inst, T, q), (seed, T, q)
-                discriminant._check_on_cubic(inst, T, [q])
+                discriminant._check_on_cubic(inst, T, [_plain_direction(q, dom)])
                 i = sum(moved.values()) % 5
                 if isinstance(q[i], QuadElem):
                     field = q[i].ext
@@ -934,11 +957,11 @@ def test_on_cubic_check_matches_evaluate(p):
                 for kind, step in steps.items():
                     off = q[:i] + (q[i] + step,) + q[i + 1:]
                     if _on_cubic_by_evaluate(inst, T, off):
-                        discriminant._check_on_cubic(inst, T, [off])
+                        discriminant._check_on_cubic(inst, T, [_plain_direction(off, dom)])
                         on_lines += linalg.rank([T, q, off], field) == 3
                         continue
                     with pytest.raises(ArithmeticError):
-                        discriminant._check_on_cubic(inst, T, [off])
+                        discriminant._check_on_cubic(inst, T, [_plain_direction(off, dom)])
                     moved[kind] += 1
     assert all(moved.values()) and on_lines < sum(moved.values()) / 4, (moved, on_lines)
 
@@ -972,6 +995,110 @@ def test_lines_over_q_pinned():
         assert rep.total_multiplicity == 6 and rep.contains_fixed_line
         assert [(_direction_key(d), m, label)
                 for d, m, label in rep.rational_directions] == directions
+
+
+def _element_lines(inst, T):
+    """The former lines route, kept as an oracle: the condition forms on the
+    slice, a kernel basis of each of the two lines by ``linalg.nullspace``, the
+    cubic restricted to it by ``compose_linear``, its root ledger, and the
+    directions found on both lines merged by ``linalg.proportional``.
+    Returns (total, [[direction, multiplicity, field label]])."""
+    domain = inst.domain
+    T, *forms = _condition_forms(inst, T)
+    drop = 0 if T[0] else 1
+    g1r, g2r, g3r = (drop_variable(g, drop) for g in forms)
+    x_row = [domain.one, domain.zero, domain.zero, domain.zero]
+    l_row = [domain.zero] + [g2r.coefficient((1,) + e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    total, directions = 0, []
+    for row in (x_row, l_row):
+        basis = linalg.nullspace([row, list(g1r.coeffs)], domain)
+        if len(basis) != 2:
+            raise InfinitelyMany("a component of the condition system is a plane")
+        cubic = compose_linear(g3r, list(zip(*basis)))
+        if cubic.is_zero:
+            raise InfinitelyMany("the cubic contains a line of the condition plane")
+        ledger = roots.binary_form_roots(list(reversed(cubic.coeffs)), domain)
+        total += ledger.total_multiplicity
+        for e in ledger.entries:
+            if e.point is None:
+                continue
+            s, t = e.point
+            q = [s * b0 + t * b1 for b0, b1 in zip(*basis)]
+            q = tuple(q[:drop] + [e.domain.zero] + q[drop:])
+            same = next((d for d in directions
+                         if d[2] == e.field_label and linalg.proportional(d[0], q)), None)
+            if same:
+                same[1] += e.mult
+            else:
+                directions.append([q, e.mult, e.field_label])
+    return total, directions
+
+
+def _line_multiset(route, inst, T):
+    """The total and the multiset of (direction key, multiplicity, field label)
+    of a lines route at T, or "InfinitelyMany"."""
+    try:
+        total, directions = route(inst, T)
+    except InfinitelyMany:
+        return "InfinitelyMany"
+    return total, Counter((_direction_key(d), m, label) for d, m, label in directions)
+
+
+def _plain_route(inst, T):
+    rep = lines_through_point_of_ltau(inst, T)
+    return rep.total_multiplicity, rep.rational_directions
+
+
+@pytest.mark.parametrize("p", [11, 13, 17])
+def test_plain_lines_route_matches_the_element_route(p):
+    # every point of the fixed line, (0 : 1) included, for seeds 0-4
+    dom = PrimeField(p)
+    outcomes = Counter()
+    for seed in range(5):
+        inst = sample_instance(seed, 10, domain=dom)
+        for T in [(dom.one, dom.coerce(t)) for t in range(p)] + [(dom.zero, dom.one)]:
+            plain = _line_multiset(_plain_route, inst, T)
+            assert plain == _line_multiset(_element_lines, inst, T), (seed, T)
+            outcomes[plain == "InfinitelyMany"] += 1
+    assert outcomes[False], outcomes
+
+
+def test_plain_lines_route_matches_the_element_route_over_q():
+    inst = sample_instance(0, 10, QQ)
+    for T in QQ_LINES:
+        assert _line_multiset(_plain_route, inst, qq(*T)) == \
+            _line_multiset(_element_lines, inst, qq(*T)), T
+
+
+def test_lines_route_reads_two_binary_cubics(monkeypatch):
+    # per probed T the route builds no kernel basis and composes no form: it
+    # makes exactly two root ledgers, over F_11, F_13 and Q
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in (("compose_linear", compose_linear), ("nullspace", linalg.nullspace),
+                     ("binary_form_roots", roots.binary_form_roots)):
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "taucubic"]:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    cases = [(sample_instance(seed, 10, domain=dom), (dom.one, dom.coerce(t)))
+             for dom in (F11, F13) for seed in range(2) for t in range(dom.p)]
+    cases += [(sample_instance(0, 10, QQ), qq(*T)) for T in QQ_LINES]
+    probed = 0
+    for inst, T in cases:
+        calls.clear()
+        try:
+            lines_through_point_of_ltau(inst, T)
+        except InfinitelyMany:
+            continue
+        probed += 1
+        assert calls == {"binary_form_roots": 2}, (T, calls)
+    assert probed > len(cases) / 2
 
 
 def test_lines_suite_evaluates_the_cubic_at_every_probed_point(monkeypatch):

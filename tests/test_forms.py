@@ -434,16 +434,41 @@ def test_smoothness_canonical_cubic_bad_prime_five():
     assert verdicts[5].resultants == {5: 0} and verdicts[5].witness is None
 
 
+def _slice_sizes(nvars, q, width):
+    """Row counts of the slices of P^(nvars-1)(F_q) when a slice holds
+    q^width rows or all the points with one leading coordinate, if fewer."""
+    return [q ** min(free, width) for free in reversed(range(nvars))
+            for _ in range(q ** max(free - width, 0))]
+
+
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
 def test_point_slices_follow_projective_points_fp(nvars):
-    # nvars = 4 at p = 13 is the shape of the brute-force line directions
+    # nvars = 4 at p = 13 is the shape of the brute-force line directions:
+    # 4 slices, the largest 13^3 rows.  A slice holds p^j rows, j the largest
+    # with p^j <= max(p^max(nvars-2, 1), 4096)
     from taucubic.bruteforce import projective_point_slices
     p = 13 if nvars == 4 else 5
     slices = list(projective_point_slices(nvars, p))
     assert all(s.dtype == np.int64 and s.shape[1] == nvars for s in slices)
-    assert max(len(s) for s in slices) <= p ** max(nvars - 2, 1)
+    width = max(j for j in range(64) if p ** j <= max(p ** max(nvars - 2, 1), 4096))
+    assert [len(s) for s in slices] == _slice_sizes(nvars, p, width)
+    assert nvars != 4 or len(slices) == 4
     assert [tuple(row) for s in slices for row in s.tolist()] == \
         [tuple(c.residue for c in pt) for pt in projective_points_fp(nvars, p)]
+
+
+@pytest.mark.parametrize("nvars, q", [(3, 101), (4, 49), (4, 11), (5, 7)])
+def test_point_slices_never_shrink(nvars, q):
+    # against slices of q^max(nvars-2, 1) rows: P^2(F_101), the gate's witness
+    # scan, keeps its 101-row slices and P^3(F_(7^2)) its 49^2-row ones;
+    # P^3(F_11) and P^4(F_7) merge theirs
+    from taucubic.bruteforce import projective_point_slices
+    sizes = [len(s) for s in projective_point_slices(nvars, q)]
+    before = _slice_sizes(nvars, q, max(nvars - 2, 1))
+    assert sum(sizes) == sum(before)
+    # every slice is a run of whole slices of the former rule, in order
+    assert set(itertools.accumulate(sizes)) <= set(itertools.accumulate(before))
+    assert (sizes == before) == (q ** (max(nvars - 2, 1) + 1) > 4096)
 
 
 def _stacked_monomial_values(pts, degree, p):
@@ -983,7 +1008,8 @@ def _compose_oracle(f, rows):
 @pytest.mark.parametrize("n_old, n_new", [(4, 2), (3, 2), (5, 3)])
 @pytest.mark.parametrize("degree", [0, 3, 6])
 def test_compose_linear_matches_product_oracle(domain, n_old, n_new, degree):
-    # the rows are a kernel basis from linalg.nullspace, as on the lines route
+    # the rows are a kernel basis from linalg.nullspace, as on the former lines
+    # route (``_element_lines`` in tests/test_discriminant.py)
     # (over Q with Fraction entries), or plain random rows with one zero row
     rng = random.Random(100 * n_old + 10 * n_new + degree)
     for kind in ("nullspace", "random"):
