@@ -34,7 +34,7 @@ instance (``FiberFamily.table``).  An element a + b sqrt(d) of the quadratic
 extension a line pair may need is the pair (a, b), so a line form is a pair
 (re, im) of plain vectors (``_split``), and its square root is the plain
 (s0, s1, d) of the domain's ``plain_sqrt``.  Over F_p no field element is
-built for a fiber; over Q a non-square's root is read off ``quad_sqrt``.
+built for a fiber; over Q a non-square's root is (0, s1, d) with d squarefree.
 """
 
 from __future__ import annotations

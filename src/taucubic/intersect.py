@@ -10,10 +10,11 @@ depends on the curves alone and draws nothing from a caller's rng.  One rule
 keeps the shear: the first usable one whose eliminant is squarefree, else the
 one of three usable shears whose eliminant has the most distinct roots.
 ``distinct`` is whether the kept shear has deg f * deg g of them, as
-``distinct_root_count`` counts them: over Q certified at one prime, else by the
-exact gcd, over F_p on residues.  The root ledger, its multiplicity total and
-the Galois orbits of degree <= 2 are computed from the kept shear on first
-access.
+``distinct_root_count`` counts them: over Q certified at one prime, else by
+the root engine's one list arithmetic, on each domain's plain numbers.  The
+root ledger, its multiplicity total and the Galois orbits of degree <= 2 are
+computed from the kept shear on first access; a root's x2-values are the roots
+of the element ``gcd`` of the two x2-slices over it.
 
 Over F_p the rational points of a single plane curve are drawn a slice at a
 time: the lines through (1 : 0 : 0) come in a random order drawn from the

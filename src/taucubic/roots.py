@@ -1,14 +1,21 @@
 """Univariate polynomial helpers over the exact domains.
 
-Polynomials are plain coefficient lists in ascending order.  The main
-consumers are the plane-curve eliminants: a binary form of degree d is turned
-into a root ledger whose entries are either explicit points (rational over
-the working field or over one quadratic extension) or conjugate clusters of
-higher degree, each with its intersection multiplicity.  Multiplicity totals
-and squarefreeness never require leaving the base field.  Over Q
-squarefreeness is first certified at the one prime P = 2^31 - 1
-(``_squarefree_at_prime``), and only a failed certificate runs the gcd on
-Fractions; over F_p ``distinct_root_count`` runs on residues.
+Polynomials are coefficient lists in ascending order.  The main consumers are
+the plane-curve eliminants: a binary form of degree d is turned into a root
+ledger whose entries are either explicit points (rational over the working
+field or over one quadratic extension) or conjugate clusters of higher
+degree, each with its intersection multiplicity.  Multiplicity totals and
+squarefreeness never require leaving the base field.  Over Q squarefreeness
+is first certified at the one prime P = 2^31 - 1 (``_squarefree_at_prime``),
+and only a failed certificate runs the gcd.
+
+One arithmetic serves every domain: product, division, monic gcd, square
+part and powers modulo a polynomial (``_mul``, ``_divmod``, ``_gcd``,
+``_square_part``, ``_powmod``) act on the domain's plain lists through its
+``reduce`` and ``inverse``: int residues in [0, p) over F_p, Fractions over Q
+and the elements themselves over an extension.  ``squarefree_decomposition``,
+``distinct_root_count`` and the element gcd ``gcd`` convert with
+``plain_list`` on entry and build elements with ``from_plain`` on exit.
 
 Roots over F_p come from one distinct-degree loop (gcd with x^(p^k) - x) and
 a Cantor-Zassenhaus equal-degree split, except that ``fp_rational_roots``
@@ -18,13 +25,13 @@ check.  A factor of degree <= 2 with roots in F_p is solved on residues by
 ``fp_binary_quadratic_roots``, every other one by ``binary_quadratic_roots``.
 
 The F_p engine (Frobenius powers, the gcds, the splits, the rational roots of
-the split factors and their deflation) runs on lists of int residues in
-[0, p).  ``FpElem`` enters only as a coefficient that is not an int, and
-leaves only in the results: the roots and cofactor of ``fp_rational_roots``,
-the ledger points of ``binary_form_roots`` and the quadratic factors solved
-over F_p(sqrt D0).  ``fp_binary_quadratic_roots`` takes and returns residues.
-Powers modulo a cubic, the x^p and the splitting powers of every cubic slice,
-run on residue triples (``_cubic_powmod``) instead of list products.
+the split factors and their deflation) runs on residues.  ``FpElem`` enters
+only as a coefficient that is not an int, and leaves only in the results: the
+roots and cofactor of ``fp_rational_roots``, the ledger points of
+``binary_form_roots`` and the quadratic factors solved over F_p(sqrt D0).
+``fp_binary_quadratic_roots`` takes and returns residues.  Powers modulo a
+cubic, the x^p and the splitting powers of every cubic slice, run on residue
+triples (``_cubic_powmod``) instead of list products.
 """
 
 from __future__ import annotations
@@ -47,39 +54,6 @@ def degree(cs) -> int:
     return len(cs) - 1
 
 
-def scale(a, c):
-    return trim([x * c for x in a])
-
-
-def divmod_poly(a, b, domain):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [domain.zero] * max(0, len(a) - len(b) + 1)
-    inv_lead = domain.one / b[-1]
-    while r and len(r) >= len(b):
-        c = r[-1] * inv_lead
-        k = len(r) - len(b)
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[k + i] = r[k + i] - c * bc
-        trim(r)
-    return trim(q), r
-
-
-def gcd(a, b, domain):
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        a, b = b, divmod_poly(a, b, domain)[1]
-    if a:
-        a = scale(a, domain.one / a[-1])
-    return a
-
-
-def derivative(cs, domain):
-    return trim([c * k for k, c in enumerate(cs)][1:])
-
-
 def eval_poly(cs, x, domain):
     total = domain.zero
     for c in reversed(cs):
@@ -87,7 +61,75 @@ def eval_poly(cs, x, domain):
     return total
 
 
+# ---------------------------------------------------------------------------
+# one arithmetic on plain coefficient lists (residues in [0, p) over F_p,
+# Fractions over Q, elements over an extension), through the domain's
+# ``reduce`` and ``inverse``
+
+
+def _mul(a, b, domain):
+    """Product of two trimmed plain lists over the domain."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return [domain.reduce(c) for c in out]
+
+
+def _divmod(a, b, domain):
+    """Quotient and remainder of plain lists over the domain, for a trimmed nonzero b."""
+    n = len(b) - 1
+    r = list(a)
+    q = [0] * max(0, len(r) - n)
+    inv_lead = domain.inverse(b[-1])
+    for i in range(len(q) - 1, -1, -1):
+        c = domain.reduce(r[i + n] * inv_lead)
+        q[i] = c
+        if c:
+            for j in range(n):
+                r[i + j] -= c * b[j]
+    return q, trim([domain.reduce(c) for c in r[:n]])
+
+
+def _monic(a, domain):
+    """A nonzero trimmed plain list over the domain divided by its leading coefficient."""
+    inv_lead = domain.inverse(a[-1])
+    return [domain.reduce(c * inv_lead) for c in a]
+
+
+def _gcd(a, b, domain):
+    """Monic gcd of two trimmed plain lists over the domain."""
+    while b:
+        a, b = b, _divmod(a, b, domain)[1]
+    return _monic(a, domain) if a else a
+
+
+def _square_part(f, domain):
+    """gcd(f, f') of a trimmed plain list f over the domain."""
+    return _gcd(f, trim([domain.reduce(i * c) for i, c in enumerate(f)][1:]), domain)
+
+
+def _powmod(base, e: int, mod, domain):
+    """base^e modulo a plain list mod over F_p; a cubic mod takes
+    ``_cubic_powmod``."""
+    if len(base) >= len(mod):
+        base = _divmod(base, mod, domain)[1]
+    if len(mod) == 4 and e:
+        return _cubic_powmod(base, e, mod, domain.p)
+    result = [1]
+    while e:
+        if e & 1:
+            result = _divmod(_mul(result, base, domain), mod, domain)[1]
+        base = _divmod(_mul(base, base, domain), mod, domain)[1]
+        e >>= 1
+    return result
+
+
 SQUAREFREE_PRIME = 2 ** 31 - 1  # the prime that certifies squarefreeness over Q
+_CERTIFYING_FIELD = PrimeField(SQUAREFREE_PRIME)
 
 
 def _squarefree_at_prime(cs) -> bool:
@@ -96,22 +138,20 @@ def _squarefree_at_prime(cs) -> bool:
     degree here is below P), and gcd(f, f') mod P is constant, so disc f is
     nonzero mod P and over Q.  False decides nothing."""
     a = [c % SQUAREFREE_PRIME for c in QQ.plain_list(cs)[0]]
-    return bool(a[-1]) and len(_rsquare_part(a, SQUAREFREE_PRIME)) == 1
+    return bool(a[-1]) and len(_square_part(a, _CERTIFYING_FIELD)) == 1
 
 
 def distinct_root_count(cs, domain) -> int:
     """deg f - deg gcd(f, f'), the number of distinct roots of f over the
     algebraic closure; valid in characteristic 0 or p > deg f.  Over Q a
-    ``_squarefree_at_prime`` certificate gives deg f; F_p runs on residues."""
+    ``_squarefree_at_prime`` certificate gives deg f."""
     if degree(cs) <= 0:
         return 0
     if domain.char and domain.char <= degree(cs):
         raise ValueError(f"squarefreeness test needs characteristic > {degree(cs)}")
     if isinstance(domain, RationalField) and _squarefree_at_prime(cs):
         return degree(cs)
-    if isinstance(domain, PrimeField):
-        return degree(cs) - degree(_rsquare_part(trim(domain.plain_list(cs)[0]), domain.p))
-    return degree(cs) - degree(gcd(cs, derivative(cs, domain), domain))
+    return degree(cs) - degree(_square_part(trim(domain.plain_list(cs)[0]), domain))
 
 
 def is_squarefree(cs, domain) -> bool:
@@ -127,83 +167,35 @@ def squarefree_decomposition(cs, domain):
     d = degree(cs)
     if domain.char and domain.char <= d:
         raise ValueError(f"multiplicity analysis needs characteristic > {d}")
-    if d > 0 and isinstance(domain, RationalField) and _squarefree_at_prime(cs):
-        return [(scale(cs, domain.one / cs[-1]), 1)]
+    if d <= 0:
+        return []
+    certified = isinstance(domain, RationalField) and _squarefree_at_prime(cs)
+    f = _monic(trim(domain.plain_list(cs)[0]), domain)
+    if certified:
+        return [(domain.from_plain(f), 1)]
     out = []
-    g = gcd(cs, derivative(cs, domain), domain)
-    w = divmod_poly(cs, g, domain)[0]
+    g = _square_part(f, domain)
+    w = _divmod(f, g, domain)[0]
     i = 1
     while degree(w) > 0:
-        y = gcd(w, g, domain)
-        z = divmod_poly(w, y, domain)[0]
+        y = _gcd(w, g, domain)
+        z = _divmod(w, y, domain)[0]
         if degree(z) > 0:
-            out.append((scale(z, domain.one / z[-1]), i))
-        w, g = y, divmod_poly(g, y, domain)[0]
+            out.append((domain.from_plain(z), i))
+        w, g = y, _divmod(g, y, domain)[0]
         i += 1
     return out
+
+
+def gcd(a, b, domain):
+    """The monic gcd of two element lists over ``domain``, as elements."""
+    a, b = (trim(domain.plain_list(h)[0]) for h in (a, b))
+    return domain.from_plain(_gcd(a, b, domain))
 
 
 # ---------------------------------------------------------------------------
 # root extraction: distinct-degree and Cantor-Zassenhaus splitting over F_p,
 # Hensel lifting with rational reconstruction over Q, and one quadratic solver
-
-
-def _rmul(a, b, p):
-    """Product of two trimmed residue lists mod p."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return [c % p for c in out]
-
-
-def _rdivmod(a, b, p):
-    """Quotient and remainder of residue lists mod p, for a trimmed nonzero b."""
-    n = len(b) - 1
-    r = list(a)
-    q = [0] * max(0, len(r) - n)
-    inv_lead = pow(b[-1], -1, p)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + n] * inv_lead % p
-        q[k] = c
-        if c:
-            for i in range(n):
-                r[k + i] -= c * b[i]
-    return q, trim([c % p for c in r[:n]])
-
-
-def _rgcd(a, b, p):
-    """Monic gcd of two trimmed residue lists mod p."""
-    while b:
-        a, b = b, _rdivmod(a, b, p)[1]
-    if a:
-        inv_lead = pow(a[-1], -1, p)
-        a = [c * inv_lead % p for c in a]
-    return a
-
-
-def _rsquare_part(f, p):
-    """gcd(f, f') of a trimmed residue list f mod p."""
-    return _rgcd(f, trim([k * c % p for k, c in enumerate(f)][1:]), p)
-
-
-def _rpowmod(base, e: int, mod, p):
-    """base^e modulo a residue polynomial mod, mod p; a cubic mod takes
-    ``_cubic_powmod``."""
-    if len(base) >= len(mod):
-        base = _rdivmod(base, mod, p)[1]
-    if len(mod) == 4 and e:
-        return _cubic_powmod(base, e, mod, p)
-    result = [1]
-    while e:
-        if e & 1:
-            result = _rdivmod(_rmul(result, base, p), mod, p)[1]
-        base = _rdivmod(_rmul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
 
 
 def _cubic_powmod(base, e: int, mod, p):
@@ -227,40 +219,41 @@ def _cubic_powmod(base, e: int, mod, p):
     return trim([r0, r1, r2])
 
 
-def _frobenius_gcd(f, frob, p):
+def _frobenius_gcd(f, frob, field):
     """gcd(frob - x, f) for frob = x^(p^k) mod f: the product of the distinct
     irreducible factors of f whose degree divides k."""
     h = frob + [0] * (2 - len(frob))
-    h[1] = (h[1] - 1) % p
-    return _rgcd(trim(h), f, p)
+    h[1] = field.reduce(h[1] - 1)
+    return _gcd(trim(h), f, field)
 
 
-def _distinct_degree(f, p):
-    """Pairs (k, g_k) for a monic squarefree residue list f mod p: g_k is the
-    product of the irreducible factors of degree k."""
+def _distinct_degree(f, field):
+    """Pairs (k, g_k) for a monic squarefree residue list f over F_p: g_k is
+    the product of the irreducible factors of degree k."""
     frob, k = [0, 1], 0
     while degree(f) > 0:
         k += 1
         if 2 * k > degree(f):
             yield degree(f), f
             return
-        frob = _rpowmod(frob, p, f, p)
-        g = _frobenius_gcd(f, frob, p)
+        frob = _powmod(frob, field.p, f, field)
+        g = _frobenius_gcd(f, frob, field)
         if degree(g) > 0:
             yield k, g
-            f = _rdivmod(f, g, p)[0]
-            frob = _rdivmod(frob, f, p)[1]
+            f = _divmod(f, g, field)[0]
+            frob = _divmod(frob, f, field)[1]
 
 
-def _equal_degree_split(g, k, p):
-    """Cantor-Zassenhaus: split a monic residue list g mod p whose irreducible
-    factors all have degree k (1 or 2) into monic factors of degree <= 2.
+def _equal_degree_split(g, k, field):
+    """Cantor-Zassenhaus: split a monic residue list g over F_p whose
+    irreducible factors all have degree k (1 or 2) into monic factors of
+    degree <= 2.
 
     The random splitting polynomials come from a private fixed-seed generator,
     so the factors found do not depend on any caller's random state; it is
     built at the first split.
     """
-    rng = None
+    rng, p = None, field.p
     e = (p ** k - 1) // 2
     work, done = [g], []
     while work:
@@ -273,11 +266,11 @@ def _equal_degree_split(g, k, p):
             a = trim([rng.randrange(p) for _ in range(degree(h))])
             if degree(a) < 1:
                 continue
-            t = _rpowmod(a, e, h, p) or [0]
-            t[0] = (t[0] - 1) % p
-            s = _rgcd(trim(t), h, p)
+            t = _powmod(a, e, h, field) or [0]
+            t[0] = field.reduce(t[0] - 1)
+            s = _gcd(trim(t), h, field)
             if 0 < degree(s) < degree(h):
-                work += [s, _rdivmod(h, s, p)[0]]
+                work += [s, _divmod(h, s, field)[0]]
                 break
     return done
 
@@ -294,14 +287,15 @@ def low_degree_roots(h, domain):
     return [(pt, fld) for pt, _mult in roots]
 
 
-def _split_rational_roots(g, p):
-    """The residues of the roots of a monic residue list g mod p that splits
-    into distinct linear factors, ascending; a linear factor h is read as the
-    binary quadratic h[1] u v + h[0] v^2, whose root (1 : 0) is dropped."""
+def _split_rational_roots(g, field):
+    """The residues of the roots of a monic residue list g over F_p that
+    splits into distinct linear factors, ascending; a linear factor h is read
+    as the binary quadratic h[1] u v + h[0] v^2, whose root (1 : 0) is
+    dropped."""
     if degree(g) < 1:
         return []
-    return sorted(u for h in _equal_degree_split(g, 1, p)
-                  for u, v in fp_binary_quadratic_roots(*reversed((h + [0])[:3]), p) if v)
+    return sorted(u for h in _equal_degree_split(g, 1, field)
+                  for u, v in fp_binary_quadratic_roots(*reversed((h + [0])[:3]), field.p) if v)
 
 
 def fp_rational_roots(cs, p: int):
@@ -318,10 +312,10 @@ def fp_rational_roots(cs, p: int):
         rs = sorted(u for u, _v in fp_binary_quadratic_roots(f[2], f[1], f[0], p))
         return [(field.coerce(r), 3 - len(rs)) for r in rs], field.from_plain(f[2:] if rs else f)
     out = []
-    for r in _split_rational_roots(_frobenius_gcd(f, _rpowmod([0, 1], p, f, p), p), p):
+    for r in _split_rational_roots(_frobenius_gcd(f, _powmod([0, 1], p, f, field), field), field):
         mult = 0
         while True:
-            q, rem = _rdivmod(f, [-r % p, 1], p)
+            q, rem = _divmod(f, [-r % p, 1], field)
             if rem:
                 break
             f, mult = q, mult + 1
@@ -455,14 +449,14 @@ def _squarefree_entries(f, mult, domain):
     factors of degree <= 2 are solved.
     """
     if isinstance(domain, PrimeField):
-        p, out = domain.p, []
-        for k, g in _distinct_degree(trim(domain.plain_list(f)[0]), p):
+        out = []
+        for k, g in _distinct_degree(trim(domain.plain_list(f)[0]), domain):
             if k == 1:
                 out += [RootEntry((r, domain.one), mult, 1, _field_label(domain), domain)
-                        for r in domain.from_plain(_split_rational_roots(g, p))]
+                        for r in domain.from_plain(_split_rational_roots(g, domain))]
             elif k == 2:
                 out += [RootEntry(pt, mult, 1, _field_label(fld), fld)
-                        for h in sorted(_equal_degree_split(g, 2, p))
+                        for h in sorted(_equal_degree_split(g, 2, domain))
                         for pt, fld in low_degree_roots(domain.from_plain(h), domain)]
             else:
                 out += [RootEntry(None, mult, k, _field_label(domain), domain)
@@ -472,7 +466,7 @@ def _squarefree_entries(f, mult, domain):
     if isinstance(domain, RationalField):
         for r in _qq_rational_roots(f):
             out.append(RootEntry((r, QQ.one), mult, 1, _field_label(domain), domain))
-            rest = divmod_poly(rest, [-r, QQ.one], QQ)[0]
+            rest = _divmod(rest, [-r, 1], domain)[0]
     pts = low_degree_roots(rest, domain) if 1 <= degree(rest) <= 2 else []
     out += [RootEntry(pt, mult, 1, _field_label(fld), fld) for pt, fld in pts]
     if degree(rest) > 0 and not pts:

@@ -17,6 +17,10 @@ scaled by, and ``from_plain`` divides by L and builds the elements: integers
 cleared by the lcm L of the denominators over Q, residues in [0, p) over F_p
 and the elements themselves over an extension (L = 1 for both); ``modulus``
 is p over F_p, the modulus plain results are reduced by, and None elsewhere.
+Over an extension ``reduce`` and ``inverse`` act on those elements, so one
+list arithmetic runs on the ``plain_list`` values of every domain.  A square
+root comes from ``plain_sqrt`` over Q and F_p as plain numbers (s0, s1, d),
+s0 + s1 sqrt(d); ``quad_sqrt`` builds its element.
 
 Primes 2 and 3 are rejected everywhere: the conic formulas multiply by 4 and
 divide by 2, and cubics need characteristic != 3.  Extensions are degree <= 2
@@ -368,9 +372,16 @@ class RationalField:
         return None
 
     def plain_sqrt(self, n):
-        """``quad_sqrt`` of n as plain numbers (s0, s1, d, field), s0 + s1 sqrt(d)."""
-        s, field = quad_sqrt(n, self)
-        return (s, 0, 0, self) if field is self else (s.a, s.b, field.d, field)
+        """A square root s0 + s1 sqrt(d) of the rational n as plain numbers
+        (s0, s1, d, field): in Q when n is a square, else in Q(sqrt d) for the
+        squarefree part d of n (sqrt(-4) is 2 sqrt(-1))."""
+        r = self.sqrt_or_none(n)
+        if r is not None:
+            return r, 0, 0, self
+        sn, core_n = _square_part(abs(n.numerator))
+        sd, core_d = _square_part(n.denominator)
+        d = Fraction((-1 if n < 0 else 1) * core_n * core_d)
+        return Fraction(0), Fraction(sn, sd * core_d), d, QuadraticExtension(self, d)
 
     def random(self, rng: random.Random, bound: int) -> Fraction:
         return Fraction(rng.randint(-bound, bound))
@@ -532,6 +543,12 @@ class QuadraticExtension:
     def plain(self, x) -> tuple:
         return self.base.plain(x.a), self.base.plain(x.b)
 
+    def reduce(self, x):
+        return x
+
+    def inverse(self, x):
+        return 1 / x
+
     def plain_list(self, values):
         return [self.coerce(x) for x in values], 1
 
@@ -643,29 +660,22 @@ def _fp_extension(p: int) -> QuadraticExtension:
 def quad_sqrt(d, domain):
     """A square root of d: in ``domain`` when d is a square there, else in domain(sqrt(d)).
 
-    Returns (root, field_of_root).  Over Q the extension is normalized by
-    pulling square factors out of d (sqrt(-4) is reported as 2*sqrt(-1)); over
-    F_p every non-square lands in F_p(sqrt D0) for the least non-residue D0,
-    as sqrt(d) = sqrt(d / D0) * sqrt(D0).
+    Returns (root, field_of_root), the element of the domain's ``plain_sqrt``:
+    over Q the extension is normalized by pulling square factors out of d
+    (sqrt(-4) is reported as 2*sqrt(-1)); over F_p every non-square lands in
+    F_p(sqrt D0) for the least non-residue D0, as sqrt(d) = sqrt(d / D0) *
+    sqrt(D0).
     Raises ZeroInput on d = 0; raises ExtensionTower when d is a non-square
     in a field that is already an extension.
     """
     d = domain.coerce(d)
     if not d:
         raise ZeroInput("quad_sqrt(0): degenerate conic, handled by caller")
+    if not isinstance(domain, QuadraticExtension):
+        s0, s1, _, field = domain.plain_sqrt(domain.plain(d))
+        return (domain.coerce(s0) if field is domain else QuadElem(s0, s1, field)), field
     r = domain.sqrt_or_none(d)
     if r is not None:
         return r, domain
-    if isinstance(domain, RationalField):
-        sign = -1 if d < 0 else 1
-        sn, core_n = _square_part(abs(d.numerator))
-        sd, core_d = _square_part(d.denominator)
-        core = Fraction(sign * core_n * core_d)
-        scale = Fraction(sn, sd * core_d)
-        ext = QuadraticExtension(domain, core)
-        return QuadElem(Fraction(0), scale, ext), ext
-    if isinstance(domain, PrimeField):
-        ext = _fp_extension(domain.p)
-        return QuadElem(domain.zero, domain.sqrt_or_none(d / ext.d), ext), ext
     ext = QuadraticExtension(domain, d)
     return ext.sqrt_d, ext

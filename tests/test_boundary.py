@@ -2,7 +2,9 @@
 `scalars.py` converts its own coefficient lists (``plain_list``,
 ``from_plain``).  Outside that module only the wire format,
 ``harness.encode_scalar``, reads an element's residue, and none of the
-per-kernel converters the domains replaced is defined again."""
+per-kernel converters the domains replaced is defined again.  Nor is the
+element polynomial route the root engine's one list arithmetic replaced: it
+lives on in ``tests/test_roots.py`` as the oracle."""
 
 import ast
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "taucubic"
 
 CONVERTERS = {"_plain", "_plain_form", "_modulus", "cleared", "_residues", "_elements"}
+ELEMENT_ROUTE = {"divmod_poly", "scale", "derivative"}
 
 
 def _modules():
@@ -32,4 +35,14 @@ def test_no_per_kernel_converter_is_defined():
     defined |= {(name, t.id) for name, tree in modules.items() for node in tree.body
                 if isinstance(node, ast.Assign) for t in node.targets
                 if isinstance(t, ast.Name) and t.id in CONVERTERS}
+    assert not defined
+
+
+def test_no_element_polynomial_route_is_defined():
+    # module level only: ``Form.scale``, a form times a scalar, is another job
+    defined = {(name, node.name) for name, tree in _modules().items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in ELEMENT_ROUTE}
+    defined |= {(name, t.id) for name, tree in _modules().items() for node in tree.body
+                if isinstance(node, ast.Assign) for t in node.targets
+                if isinstance(t, ast.Name) and t.id in ELEMENT_ROUTE}
     assert not defined

@@ -1,7 +1,11 @@
 """Univariate root engine: F_p ledgers against brute-force scans of F_p and
 F_p(sqrt D0), the rational-root scan it replaced, powers modulo a polynomial
 against the list route, rational roots over Q with large coefficients, and
-squarefreeness against the exact gcd."""
+squarefreeness over Q, F_p and F_p(sqrt D0) against the gcd on field elements.
+
+The engine runs one arithmetic on plain coefficient lists; the element route
+it replaced (``_divmod_poly``, ``_gcd``, ``_scale``, ``_derivative`` below)
+stays here as the reference it is compared against."""
 
 import hashlib
 import itertools
@@ -13,8 +17,44 @@ import pytest
 
 from taucubic import roots as uv
 from taucubic.discriminant import points_on_cubic_component
-from taucubic.scalars import FpElem, PrimeField, QQ, QuadElem, quad_sqrt
+from taucubic.scalars import FpElem, PrimeField, QQ, QuadElem, QuadraticExtension, quad_sqrt
 from taucubic.tau import sample_instance
+
+
+# --- the element route: polynomial arithmetic on field elements -----------
+
+
+def _scale(a, c):
+    return uv.trim([x * c for x in a])
+
+
+def _divmod_poly(a, b, domain):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    q = [domain.zero] * max(0, len(a) - len(b) + 1)
+    inv_lead = domain.one / b[-1]
+    while r and len(r) >= len(b):
+        c = r[-1] * inv_lead
+        k = len(r) - len(b)
+        q[k] = c
+        for i, bc in enumerate(b):
+            r[k + i] = r[k + i] - c * bc
+        uv.trim(r)
+    return uv.trim(q), r
+
+
+def _gcd(a, b, domain):
+    a, b = uv.trim(list(a)), uv.trim(list(b))
+    while b:
+        a, b = b, _divmod_poly(a, b, domain)[1]
+    if a:
+        a = _scale(a, domain.one / a[-1])
+    return a
+
+
+def _derivative(cs):
+    return uv.trim([c * k for k, c in enumerate(cs)][1:])
 
 
 def _poly_product(factors, domain):
@@ -34,7 +74,7 @@ def _scan_roots(cs, field, elems):
     for x in elems:
         k, rest = 0, cs
         while not uv.eval_poly(rest, x, field):
-            rest = uv.divmod_poly(rest, [-x, field.one], field)[0]
+            rest = _divmod_poly(rest, [-x, field.one], field)[0]
             k += 1
         if k:
             out[x] = k
@@ -75,7 +115,7 @@ def _random_product(rng, fp):
                 cubics[key] = cubics.get(key, 0) + 1
         deg += kind
     lead = fp.coerce(rng.randrange(1, fp.p))
-    return uv.scale(_poly_product(factors, fp), lead), sorted(cubics.values())
+    return _scale(_poly_product(factors, fp), lead), sorted(cubics.values())
 
 
 @pytest.mark.parametrize("p", [11, 13])
@@ -125,7 +165,7 @@ def _scan_rational_roots(cs, p):
         x = fp.coerce(r)
         mult = 0
         while not uv.eval_poly(cs, x, fp):
-            cs = uv.divmod_poly(cs, [-x, fp.one], fp)[0]
+            cs = _divmod_poly(cs, [-x, fp.one], fp)[0]
             mult += 1
         if mult:
             out.append((x, mult))
@@ -143,8 +183,8 @@ def test_fp_rational_roots_match_residue_scan(p):
             roots = [rng.randrange(p) for _ in range(rng.randint(1, 5))]
             roots += roots[:rng.randint(0, 2)]
             extra = [fp.coerce(rng.randrange(p)) for _ in range(rng.randint(0, 3))] + [fp.one]
-            cs = uv.scale(_poly_product([[fp.coerce(-r), fp.one] for r in roots] + [extra], fp),
-                          fp.coerce(rng.randrange(1, p)))
+            cs = _scale(_poly_product([[fp.coerce(-r), fp.one] for r in roots] + [extra], fp),
+                        fp.coerce(rng.randrange(1, p)))
         if uv.degree(cs) < 0:
             continue
         assert uv.fp_rational_roots(cs, p) == _scan_rational_roots(cs, p)
@@ -158,13 +198,13 @@ def _oracle_low_degree_roots(cs, p):
     cs = uv.trim([fp.coerce(c) for c in cs])
     if uv.degree(cs) <= 0:
         return [], cs
-    dcs = uv.derivative(cs, fp)
+    dcs = _derivative(cs)
     roots = [(x, 1 + (not uv.eval_poly(dcs, x, fp))) for x in map(fp.coerce, range(p))
              if not uv.eval_poly(cs, x, fp)]
     rest = cs
     for x, mult in roots:
         for _ in range(mult):
-            rest, rem = uv.divmod_poly(rest, [-x, fp.one], fp)
+            rest, rem = _divmod_poly(rest, [-x, fp.one], fp)
             assert not rem
     return roots, rest
 
@@ -199,10 +239,10 @@ def test_fp_rational_roots_beyond_machine_words():
     quadratic = [fp.coerce(-d), fp.zero, fp.one]
     planted = {5: 2, 77777: 1, p - 3: 3, 2 ** 31 + 11: 2}
     factors = [quadratic] + [[fp.coerce(-r), fp.one] for r, m in planted.items() for _ in range(m)]
-    cs = uv.scale(_poly_product(factors, fp), fp.coerce(987654321))
+    cs = _scale(_poly_product(factors, fp), fp.coerce(987654321))
     roots, rest = uv.fp_rational_roots(cs, p)
     assert [(r.residue, m) for r, m in roots] == sorted(planted.items())
-    assert uv.scale(rest, fp.one / rest[-1]) == quadratic
+    assert _scale(rest, fp.one / rest[-1]) == quadratic
     # one cubic of each shape; p = 1 mod 3, so x^3 - k is irreducible for a non-cube k
     assert p % 3 == 1
     k = next(k for k in range(2, p) if pow(k, (p - 1) // 3, p) != 1)
@@ -215,21 +255,21 @@ def test_fp_rational_roots_beyond_machine_words():
         ([[fp.coerce(-k), fp.zero, fp.zero, fp.one]], [], [fp.coerce(-k), fp.zero, fp.zero, fp.one]),
     ]
     for factors, want, monic_rest in shapes:
-        roots, rest = uv.fp_rational_roots(uv.scale(_poly_product(factors, fp), fp.coerce(3)), p)
+        roots, rest = uv.fp_rational_roots(_scale(_poly_product(factors, fp), fp.coerce(3)), p)
         assert [(r.residue, m) for r, m in roots] == want
-        assert uv.scale(rest, fp.one / rest[-1]) == monic_rest
+        assert _scale(rest, fp.one / rest[-1]) == monic_rest
 
 
-def _list_rpowmod(base, e, mod, p):
+def _list_powmod(base, e, mod, fp):
     """base^e modulo mod by square-and-multiply on residue lists, reducing with
-    ``_rdivmod`` after every product: the route every modulus took before the
-    cubic kernel, and the oracle of ``_rpowmod``."""
+    ``_divmod`` after every product: the route every modulus took before the
+    cubic kernel, and the oracle of ``_powmod``."""
     result = [1]
-    base = uv._rdivmod(base, mod, p)[1]
+    base = uv._divmod(base, mod, fp)[1]
     while e:
         if e & 1:
-            result = uv._rdivmod(uv._rmul(result, base, p), mod, p)[1]
-        base = uv._rdivmod(uv._rmul(base, base, p), mod, p)[1]
+            result = uv._divmod(uv._mul(result, base, fp), mod, fp)[1]
+        base = uv._divmod(uv._mul(base, base, fp), mod, fp)[1]
         e >>= 1
     return result
 
@@ -238,7 +278,7 @@ def _list_rpowmod(base, e, mod, p):
 def test_rpowmod_matches_the_list_route(p):
     # moduli of degree 1-6, monic and not; bases zero, x, reduced and
     # unreduced; the exponents of the Frobenius and Cantor-Zassenhaus steps
-    rng = random.Random(p)
+    rng, fp = random.Random(p), PrimeField(p)
     for deg in range(1, 7):
         for trial in range(4):
             mod = [rng.randrange(p) for _ in range(deg)] + [1 if trial % 2 else rng.randrange(2, p)]
@@ -247,7 +287,7 @@ def test_rpowmod_matches_the_list_route(p):
                 rng.randrange(1, p)]
             for base in ([], [0, 1], reduced, unreduced):
                 for e in (0, 1, p, (p - 1) // 2, (p * p - 1) // 2):
-                    assert uv._rpowmod(base, e, mod, p) == _list_rpowmod(base, e, mod, p), (
+                    assert uv._powmod(base, e, mod, fp) == _list_powmod(base, e, mod, fp), (
                         base, e, mod)
 
 
@@ -255,16 +295,16 @@ def test_cubic_slices_multiply_no_lists(monkeypatch):
     # the cubic component's slices are cubics in x2: their Frobenius and
     # Cantor-Zassenhaus powers run on residue triples, not on list products
     calls = Counter()
-    rmul, roots = uv._rmul, uv.fp_rational_roots
+    mul, roots = uv._mul, uv.fp_rational_roots
 
     def counted(name, fn):
         return lambda *args: calls.update([name]) or fn(*args)
 
-    monkeypatch.setattr(uv, "_rmul", counted("_rmul", rmul))
+    monkeypatch.setattr(uv, "_mul", counted("_mul", mul))
     monkeypatch.setattr(uv, "fp_rational_roots", counted("roots", roots))
     inst = sample_instance(1, 10, domain=PrimeField(101))
     assert len(points_on_cubic_component(inst, random.Random(0), 100)) == 100
-    assert calls["roots"] > 0 and calls["_rmul"] == 0, calls
+    assert calls["roots"] > 0 and calls["_mul"] == 0, calls
 
 
 def _engine_digest(p):
@@ -334,7 +374,7 @@ def test_qq_rational_roots_complete_and_ordered():
         factors.append([Fraction(rng.randint(1, 10 ** 9)), Fraction(rng.randint(-9, 9)),
                         Fraction(1)] if rng.random() < 0.5 else [Fraction(7), QQ.zero, QQ.zero,
                                                                 QQ.one])  # t^3 + 7
-        cs = uv.scale(_poly_product(factors, QQ), Fraction(rng.randint(1, 50), rng.randint(1, 50)))
+        cs = _scale(_poly_product(factors, QQ), Fraction(rng.randint(1, 50), rng.randint(1, 50)))
         ledger = uv.binary_form_roots(cs, QQ)
         found = [e.point[0] for e in ledger.entries if e.domain == QQ and e.point is not None]
         assert found == sorted(want, key=lambda t: (abs(t.numerator), t.denominator, t < 0))
@@ -354,21 +394,21 @@ def test_quad_sqrt_fp_uses_least_non_residue():
 
 def _exact_distinct_root_count(cs, domain):
     """deg f - deg gcd(f, f') by the gcd on field elements."""
-    return uv.degree(cs) - uv.degree(uv.gcd(cs, uv.derivative(cs, domain), domain))
+    return uv.degree(cs) - uv.degree(_gcd(cs, _derivative(cs), domain))
 
 
 def _yun(cs, domain):
     """Yun's squarefree decomposition by the gcd on field elements."""
     out = []
-    g = uv.gcd(cs, uv.derivative(cs, domain), domain)
-    w = uv.divmod_poly(cs, g, domain)[0]
+    g = _gcd(cs, _derivative(cs), domain)
+    w = _divmod_poly(cs, g, domain)[0]
     i = 1
     while uv.degree(w) > 0:
-        y = uv.gcd(w, g, domain)
-        z = uv.divmod_poly(w, y, domain)[0]
+        y = _gcd(w, g, domain)
+        z = _divmod_poly(w, y, domain)[0]
         if uv.degree(z) > 0:
-            out.append((uv.scale(z, domain.one / z[-1]), i))
-        w, g = y, uv.divmod_poly(g, y, domain)[0]
+            out.append((_scale(z, domain.one / z[-1]), i))
+        w, g = y, _divmod_poly(g, y, domain)[0]
         i += 1
     return out
 
@@ -411,7 +451,7 @@ def test_squarefree_certificate_falls_back_to_exact_gcd():
     cases = {
         # P divides the leading coefficient: P x^2 + 1, and P (x - 1)^2
         "lc": ([QQ.one, QQ.zero, Fraction(P)], 2),
-        "lc, repeated": (uv.scale(_poly_product([x_minus_1] * 2, QQ), Fraction(P)), 1),
+        "lc, repeated": (_scale(_poly_product([x_minus_1] * 2, QQ), Fraction(P)), 1),
         # (x - 1)(x - 1 - P) is (x - 1)^2 mod P, and squarefree over Q
         "square mod P": (_poly_product([x_minus_1, x_minus_1_p], QQ), 2),
         "square mod P, repeated": (_poly_product([x_minus_1] * 2 + [x_minus_1_p], QQ), 2),
@@ -429,3 +469,71 @@ def test_fp_distinct_root_count_matches_exact_gcd(p):
     for _ in range(100):
         cs, _cubics = _random_product(rng, fp)
         assert uv.distinct_root_count(cs, fp) == _exact_distinct_root_count(cs, fp), cs
+
+
+# --- the extension route: the same list arithmetic on QuadElem lists -------
+
+
+def _fp_ext(p):
+    """F_p(sqrt D0), D0 the least non-residue mod p."""
+    fp = PrimeField(p)
+    return quad_sqrt(fp.coerce(next(d for d in range(2, p) if fp.sqrt_or_none(d) is None)), fp)[1]
+
+
+ORACLE_DOMAINS = {
+    "Q": QQ,
+    "F101": PrimeField(101),
+    "F11(sqrt D0)": _fp_ext(11),
+    "F101(sqrt D0)": _fp_ext(101),
+    "Q(sqrt -1)": QuadraticExtension(QQ, Fraction(-1)),
+}
+
+
+def _nonzero(rng, domain):
+    while True:
+        c = domain.random(rng, 9)
+        if c:
+            return c
+
+
+def _random_factors(rng, domain, target, repeat):
+    """Factors of degree 1-3 and total degree ``target`` with random
+    coefficients and a random nonzero lead; with ``repeat`` and a target of at
+    least 2, the first one appears two or three times."""
+    factors = []
+    while sum(len(f) - 1 for f in factors) < target:
+        room = target - sum(len(f) - 1 for f in factors)
+        times = min(rng.randint(2, 3), room) if repeat and not factors and room >= 2 else 1
+        f = [domain.random(rng, 9) for _ in range(rng.randint(1, min(room // times, 3)))]
+        f.append(_nonzero(rng, domain))
+        factors += [f] * times
+    return factors
+
+
+@pytest.mark.parametrize("name", ["F11(sqrt D0)", "F101(sqrt D0)", "Q(sqrt -1)"])
+def test_extension_squarefree_matches_the_element_route(name):
+    ext, rng = ORACLE_DOMAINS[name], random.Random(79)
+    repeated = 0
+    for trial in range(60):
+        cs = _poly_product(_random_factors(rng, ext, rng.randint(2, 8), trial % 2 == 0), ext)
+        want = _exact_distinct_root_count(cs, ext)
+        assert uv.distinct_root_count(cs, ext) == want, cs
+        assert uv.squarefree_decomposition(cs, ext) == _yun(cs, ext), cs
+        repeated += want < uv.degree(cs)
+    # every other draw has a repeated factor
+    assert repeated >= 30
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+def test_gcd_edge_matches_the_element_gcd(name):
+    # a shared factor of degree 0-4 (repeated factors included) times two
+    # random cofactors, and the gcd with the zero list, which is f made monic
+    domain, rng = ORACLE_DOMAINS[name], random.Random(83)
+    for trial in range(40):
+        common = _random_factors(rng, domain, rng.randint(0, 4), trial % 3 == 0)
+        a, b = (_poly_product(common + _random_factors(rng, domain, rng.randint(0, 4), False),
+                              domain) for _ in range(2))
+        want = _gcd(a, b, domain)
+        assert uv.gcd(a, b, domain) == want, (a, b)
+        assert uv.degree(want) >= sum(len(f) - 1 for f in common)
+        assert uv.gcd(a, [], domain) == _gcd(a, [], domain) == _scale(a, domain.one / a[-1])
